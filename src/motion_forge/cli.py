@@ -43,12 +43,6 @@ from .rewards import task_rewards
 
 log = logging.getLogger("motion_forge")
 
-SUBCOMMANDS = (
-    "encode", "decode", "metrics", "reward-eval",
-    "curriculum-sim", "route-sim", "asfo-plan", "prefix-run",
-)
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -199,8 +193,13 @@ def cmd_route_sim(args) -> int:
         rt.refresh_candidates(state, logits)
         if "obs" in rec:
             obs = np.asarray(rec["obs"], dtype=np.float64)
+        elif pool.input_dim <= len(z):
+            obs = z[: pool.input_dim]
         else:
-            obs = z[: pool.input_dim] if pool.input_dim <= len(z) else np.resize(z, pool.input_dim)
+            raise ConfigError(
+                f"record {i} has no 'obs' and its latent has {len(z)} values, "
+                f"fewer than the pool's input_dim {pool.input_dim}"
+            )
         if stage == 1:
             _, weights, hard = rt.hard_bias_route(obs, level, l_max, rng, state, pool)
         else:

@@ -19,12 +19,6 @@ from .prefix_loop import PrefixLoopConfig
 from .rewards import ObservationNoiseConfig, RewardConfig, RewardTerm
 from .router import RouterConfig
 
-_SECTIONS = {
-    "ground", "success", "rewards", "obs_noise", "curriculum", "sim",
-    "router", "diffusion", "asfo", "prefix_loop", "tracker", "generator",
-}
-
-
 def _check_keys(data: dict, allowed: set[str], where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
@@ -101,45 +95,41 @@ def _reward_term(value) -> RewardTerm:
     raise ConfigError("reward terms must be [weight, sigma] pairs")
 
 
+def _optional_tuple(value) -> tuple | None:
+    return tuple(value) if value is not None else None
+
+
+_REWARD_TERMS = ("anchor_pos", "anchor_ori", "rel_body_pos",
+                 "rel_body_ori", "body_lin_vel", "body_ang_vel")
+
+# AppConfig field -> (config class, converters for the section's raw values)
+_SECTIONS = {
+    "ground": (GroundModel, {}),
+    "success": (SuccessConfig, {"ee_bodies": _optional_tuple}),
+    "rewards": (RewardConfig, {
+        **dict.fromkeys(_REWARD_TERMS, _reward_term),
+        "excluded_contact_bodies": tuple,
+        "tracked_bodies": _optional_tuple,
+    }),
+    "obs_noise": (ObservationNoiseConfig, {}),
+    "curriculum": (SamplerConfig, {}),
+    "sim": (SimConfig, {}),
+    "router": (RouterConfig, {}),
+    "diffusion": (DiffusionConfig, {}),
+    "asfo": (AsfoConfig, {}),
+    "prefix_loop": (PrefixLoopConfig, {"tracked_bodies": _optional_tuple}),
+    "tracker": (TrackerConfig, {}),
+    "generator": (GeneratorConfig, {}),
+}
+
+
 def config_from_dict(data: dict) -> AppConfig:
-    _check_keys(data, _SECTIONS, "config")
-    cfg = AppConfig()
-    if "ground" in data:
-        cfg.ground = _build(GroundModel, data["ground"], "ground")
-    if "success" in data:
-        cfg.success = _build(
-            SuccessConfig, data["success"], "success",
-            {"ee_bodies": lambda v: tuple(v) if v is not None else None},
-        )
-    if "rewards" in data:
-        term_fields = ("anchor_pos", "anchor_ori", "rel_body_pos",
-                       "rel_body_ori", "body_lin_vel", "body_ang_vel")
-        conv = {name: _reward_term for name in term_fields}
-        conv["excluded_contact_bodies"] = tuple
-        conv["tracked_bodies"] = lambda v: tuple(v) if v is not None else None
-        cfg.rewards = _build(RewardConfig, data["rewards"], "rewards", conv)
-    if "obs_noise" in data:
-        cfg.obs_noise = _build(ObservationNoiseConfig, data["obs_noise"], "obs_noise")
-    if "curriculum" in data:
-        cfg.curriculum = _build(SamplerConfig, data["curriculum"], "curriculum")
-    if "sim" in data:
-        cfg.sim = _build(SimConfig, data["sim"], "sim")
-    if "router" in data:
-        cfg.router = _build(RouterConfig, data["router"], "router")
-    if "diffusion" in data:
-        cfg.diffusion = _build(DiffusionConfig, data["diffusion"], "diffusion")
-    if "asfo" in data:
-        cfg.asfo = _build(AsfoConfig, data["asfo"], "asfo")
-    if "prefix_loop" in data:
-        cfg.prefix_loop = _build(
-            PrefixLoopConfig, data["prefix_loop"], "prefix_loop",
-            {"tracked_bodies": lambda v: tuple(v) if v is not None else None},
-        )
-    if "tracker" in data:
-        cfg.tracker = _build(TrackerConfig, data["tracker"], "tracker")
-    if "generator" in data:
-        cfg.generator = _build(GeneratorConfig, data["generator"], "generator")
-    return cfg
+    _check_keys(data, set(_SECTIONS), "config")
+    return AppConfig(**{
+        name: _build(cls, data[name], name, converters)
+        for name, (cls, converters) in _SECTIONS.items()
+        if name in data
+    })
 
 
 def load_config(path) -> AppConfig:

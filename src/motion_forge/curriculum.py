@@ -28,17 +28,18 @@ evaluations (after at least 3000 iterations on the level).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 
-STATE_ACTIVE = "active"
-STATE_FROZEN = "frozen"
-STATE_DROPPED = "dropped"
+STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED = 0, 1, 2
+STATE_NAMES = ("active", "frozen", "dropped")   # JSONL spelling of each code
 
 MAX_TRAINABLE_LEVEL = 10
 MAX_LEVEL = 12
@@ -80,90 +81,116 @@ class SamplerConfig:
                 raise ConfigError(f"{name} must be positive")
 
 
-@dataclass
-class FileRecord:
-    """Mutable curriculum state for one motion file."""
+# per-file statistics columns and their dtypes, in JSONL key order
+COLUMNS = {
+    "ema_error": np.float64,
+    "success_count": np.float64,
+    "failure_count": np.float64,
+    "attempts": np.int64,
+    "freeze_state": np.int8,
+    "frozen_until": np.int64,
+    "freeze_count": np.int64,
+}
 
-    file_id: str
-    level: int
-    ema_error: float = 0.0
-    success_count: float = 0.0
-    failure_count: float = 0.0
-    attempts: int = 0
-    freeze_state: str = STATE_ACTIVE
-    frozen_until: int = 0
-    freeze_count: int = 0
-    recent_errors: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if not 1 <= self.level <= MAX_LEVEL:
-            raise ConfigError(f"level must be in 1..{MAX_LEVEL}, got {self.level}")
+class CorpusState:
+    """Curriculum state of a corpus: one row per file, one array per column.
 
-    def success_rate(self, cfg: SamplerConfig) -> float:
-        return self.success_count / (self.success_count + self.failure_count + cfg.success_eps)
+    The columns are `file_id`, `level` and every name in COLUMNS;
+    `freeze_state` holds STATE_* codes.  Columns not given start at zero
+    (active, never sampled); a scalar fills the column.
+    """
 
-    def is_active(self, iteration: int) -> bool:
-        if self.level > MAX_TRAINABLE_LEVEL:
-            return False
-        if self.freeze_state == STATE_DROPPED:
-            return False
-        if self.freeze_state == STATE_FROZEN:
-            return iteration >= self.frozen_until
-        return True
+    def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
+        self.file_id = np.array(file_ids, dtype=object)
+        n = self.file_id.size
+        if self.file_id.ndim != 1 or len(set(self.file_id)) != n:
+            raise ConfigError("file ids must be a list of unique ids")
+        raw = np.asarray(levels)
+        if (raw.shape != (n,) or raw.dtype.kind not in "iuf" or (raw % 1).any()
+                or ((raw < 1) | (raw > MAX_LEVEL)).any()):
+            raise ConfigError(f"every file needs a whole-number level in 1..{MAX_LEVEL}")
+        self.level = raw.astype(np.int64)
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, np.zeros(n, dtype))
+            try:
+                getattr(self, name)[:] = columns.pop(name, 0)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"column {name}: {exc}") from exc
+        if columns:
+            raise ConfigError(f"unknown curriculum columns {sorted(columns)}")
+
+
+def success_rate(state: CorpusState, cfg: SamplerConfig, rows=slice(None)) -> np.ndarray:
+    """S / (S + F + eps) per row."""
+    s = state.success_count[rows]
+    return s / (s + state.failure_count[rows] + cfg.success_eps)
+
+
+def active_mask(state: CorpusState, iteration: int, rows=slice(None)) -> np.ndarray:
+    """Rows that may be sampled: trainable level, not dropped, and not
+    frozen unless the freeze has run out by `iteration`."""
+    code = state.freeze_state[rows]
+    return (
+        (state.level[rows] <= MAX_TRAINABLE_LEVEL)
+        & (code != STATE_DROPPED)
+        & ((code != STATE_FROZEN) | (state.frozen_until[rows] <= iteration))
+    )
 
 
 def update_file_stats(
-    rec: FileRecord,
-    batch_error: float,
-    batch_successes: int,
-    batch_failures: int,
+    state: CorpusState,
+    rows,
+    batch_error,
+    batch_successes,
+    batch_failures,
     cfg: SamplerConfig,
-) -> FileRecord:
-    """Fold one batch of rollouts into a file's EMA statistics."""
-    if batch_error < 0:
+) -> None:
+    """Fold one batch of rollouts per row into the rows' EMA statistics.
+
+    `rows` must be distinct; the batch arguments hold one value per row.
+    """
+    batch_error = np.asarray(batch_error, dtype=np.float64)
+    if (batch_error < 0).any():
         raise ValueError("batch error must be non-negative")
     a = cfg.error_ema_alpha
     b = cfg.success_decay_beta
-    rec.ema_error = (1.0 - a) * rec.ema_error + a * batch_error
-    rec.success_count = b * rec.success_count + batch_successes
-    rec.failure_count = b * rec.failure_count + batch_failures
-    rec.attempts += batch_successes + batch_failures
-    rec.recent_errors.append(batch_error)
-    if len(rec.recent_errors) > 16:
-        del rec.recent_errors[0]
-    return rec
+    state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
+    state.success_count[rows] = b * state.success_count[rows] + batch_successes
+    state.failure_count[rows] = b * state.failure_count[rows] + batch_failures
+    state.attempts[rows] += np.asarray(batch_successes) + batch_failures
 
 
-def sampling_scores(records: Sequence[FileRecord], cfg: SamplerConfig, iteration: int) -> np.ndarray:
-    """Raw priority score r_i per record (no activity filtering)."""
+def sampling_scores(state: CorpusState, cfg: SamplerConfig, iteration: int, rows=slice(None)) -> np.ndarray:
+    """Raw priority score r_i per row (no activity filtering)."""
     w = cfg.success_weight_w if iteration >= cfg.success_warmup_iters else 0.0
-    err = np.array([min(r.ema_error / cfg.error_norm_c, 1.0) for r in records])
-    fail = np.array([1.0 - r.success_rate(cfg) for r in records])
+    err = np.minimum(state.ema_error[rows] / cfg.error_norm_c, 1.0)
+    fail = 1.0 - success_rate(state, cfg, rows)
     return (1.0 - w) * err + w * fail
 
 
 def sampling_distribution(
-    records: Sequence[FileRecord],
+    state: CorpusState,
     cfg: SamplerConfig,
     iteration: int,
+    rows=slice(None),
 ) -> np.ndarray:
-    """Sampling probability per record; inactive records get exactly zero.
+    """Sampling probability per row; inactive rows get exactly zero.
 
-    Active records receive (1 - eps) * softmax(log(r + eps) / T) + eps / N,
+    Active rows receive (1 - eps) * softmax(log(r + eps) / T) + eps / N,
     which sums to 1 and floors every active file at eps / N.
     """
-    active = [i for i, r in enumerate(records) if r.is_active(iteration)]
-    if not active:
+    mask = active_mask(state, iteration, rows)
+    active = mask.nonzero()[0]
+    if not active.size:
         raise ConfigError("no active records to sample from")
-    scores = sampling_scores([records[i] for i in active], cfg, iteration)
+    scores = sampling_scores(state, cfg, iteration, rows)[active]
     logits = np.log(scores + cfg.epsilon) / cfg.temperature
     logits -= logits.max()
     soft = np.exp(logits)
     soft /= soft.sum()
-    n = len(active)
-    probs = (1.0 - cfg.epsilon) * soft + cfg.epsilon / n
-    out = np.zeros(len(records))
-    out[active] = probs
+    out = np.zeros(mask.size)
+    out[active] = (1.0 - cfg.epsilon) * soft + cfg.epsilon / active.size
     return out
 
 
@@ -201,30 +228,25 @@ def apply_level_quota(
     return probs / probs.sum()
 
 
-def check_freeze(rec: FileRecord, cfg: SamplerConfig, iteration: int) -> str | None:
-    """Apply the freeze-and-drop rule; returns "frozen"/"dropped" on a trigger.
+def check_freeze(state: CorpusState, cfg: SamplerConfig, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the freeze-and-drop rule to every row.
 
-    A file triggers when (E >= tau_err or success <= tau_succ) and it has at
-    least n_min rollouts.  Two triggers freeze temporarily; the third drops
-    the file for good.
+    Frozen rows whose freeze has run out thaw first.  An active row then
+    triggers when (E >= tau_err or success <= tau_succ) and it has at least
+    n_min rollouts.  Two triggers freeze temporarily; the third drops the
+    file for good.  Returns the triggered rows in file order and their new
+    STATE_FROZEN / STATE_DROPPED codes.
     """
-    if rec.freeze_state == STATE_DROPPED:
-        return None
-    if rec.freeze_state == STATE_FROZEN:
-        if iteration >= rec.frozen_until:
-            rec.freeze_state = STATE_ACTIVE
-        else:
-            return None
-    struggling = rec.ema_error >= cfg.tau_err or rec.success_rate(cfg) <= cfg.tau_succ
-    if not (struggling and rec.attempts >= cfg.n_min):
-        return None
-    if rec.freeze_count >= cfg.max_freezes:
-        rec.freeze_state = STATE_DROPPED
-        return STATE_DROPPED
-    rec.freeze_count += 1
-    rec.freeze_state = STATE_FROZEN
-    rec.frozen_until = iteration + cfg.freeze_duration
-    return STATE_FROZEN
+    code = state.freeze_state
+    code[(code == STATE_FROZEN) & (state.frozen_until <= iteration)] = STATE_ACTIVE
+    struggling = (state.ema_error >= cfg.tau_err) | (success_rate(state, cfg) <= cfg.tau_succ)
+    hit = np.flatnonzero((code == STATE_ACTIVE) & struggling & (state.attempts >= cfg.n_min))
+    drop = state.freeze_count[hit] >= cfg.max_freezes
+    code[hit] = np.where(drop, STATE_DROPPED, STATE_FROZEN)
+    frozen = hit[~drop]
+    state.freeze_count[frozen] += 1
+    state.frozen_until[frozen] = iteration + cfg.freeze_duration
+    return hit, code[hit]
 
 
 def introduction_ratio(iteration: int, unlock_iter: int, level: int, cfg: SamplerConfig) -> float:
@@ -256,47 +278,59 @@ def promotion_check(eval_errors: Sequence[float], iters_on_level: int, cfg: Samp
     return True
 
 
-def record_to_dict(rec: FileRecord) -> dict:
-    return {
-        "file_id": rec.file_id,
-        "level": rec.level,
-        "ema_error": rec.ema_error,
-        "success_count": rec.success_count,
-        "failure_count": rec.failure_count,
-        "attempts": rec.attempts,
-        "freeze_state": rec.freeze_state,
-        "frozen_until": rec.frozen_until,
-        "freeze_count": rec.freeze_count,
-        "recent_errors": list(rec.recent_errors),
-    }
+def introduced_rows(
+    orders: Sequence[np.ndarray],
+    unlock_iters: Sequence[int],
+    iteration: int,
+    cfg: SamplerConfig,
+) -> np.ndarray:
+    """Rows introduced by `iteration`, level by level in introduction order.
+
+    Level k + 1 unlocked at `unlock_iters[k]` and introduces the first
+    ceil(introduction_ratio * size) rows of `orders[k]`.
+    """
+    return np.concatenate([
+        order[: math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)]
+        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
+        if iteration >= unlock
+    ])
 
 
-def record_from_dict(data: dict) -> FileRecord:
-    return FileRecord(**data)
+_JSONL_KEYS = ("file_id", "level", *COLUMNS)
 
 
-def save_records(records: Sequence[FileRecord], path) -> None:
-    """Persist file records as JSON lines (one record per line)."""
-    import json
-    from pathlib import Path
-
-    lines = [json.dumps(record_to_dict(r), separators=(",", ":")) for r in records]
+def save_records(state: CorpusState, path) -> None:
+    """Persist the state as JSON lines, one object per file in row order."""
+    columns = [getattr(state, key).tolist() for key in _JSONL_KEYS]
+    columns[_JSONL_KEYS.index("freeze_state")] = np.array(STATE_NAMES)[state.freeze_state].tolist()
+    lines = [json.dumps(dict(zip(_JSONL_KEYS, row)), separators=(",", ":")) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_records(path) -> list[FileRecord]:
-    import json
-    from pathlib import Path
-
+def load_records(path) -> CorpusState:
+    """Read a state written by `save_records`; only file_id and level are required."""
     records = []
     for i, line in enumerate(Path(path).read_text().splitlines()):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, TypeError) as exc:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise TypeError("a record must be a JSON object")
+            unknown = set(row) - set(_JSONL_KEYS)
+            if unknown:
+                raise TypeError(f"unknown keys {sorted(unknown)}")
+            if "file_id" not in row or "level" not in row:
+                raise TypeError("'file_id' and 'level' are required")
+            name = row.get("freeze_state", "active")
+            if name not in STATE_NAMES:
+                raise ValueError(f"freeze_state must be one of {STATE_NAMES}, got {name!r}")
+            row["freeze_state"] = STATE_NAMES.index(name)
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad record on line {i + 1}: {exc}") from exc
-    return records
+        records.append(row)
+    columns = {key: [row.get(key, 0) for row in records] for key in _JSONL_KEYS}
+    return CorpusState(columns.pop("file_id"), columns.pop("level"), **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -385,43 +419,20 @@ class CurriculumTrace:
         return "\n".join(lines) + "\n"
 
 
-class CurriculumState:
-    """Single-writer state machine driving levels, introduction, and freezes."""
-
-    def __init__(self, files: Sequence[SyntheticFile], cfg: SamplerConfig, seed: int):
-        self.cfg = cfg
-        self.files = list(files)
-        self.records = {f.file_id: FileRecord(f.file_id, f.level) for f in files}
-        self.current_level = 1
-        self.level_unlock_iter = {1: 0}
-        self.level_eval_history: dict[int, list[float]] = {lv: [] for lv in range(1, MAX_LEVEL + 1)}
-        # fixed seed-shuffled introduction order per level
-        rng = np.random.default_rng(seed)
-        self.intro_order: dict[int, list[str]] = {}
-        for lv in range(1, MAX_LEVEL + 1):
-            ids = [f.file_id for f in files if f.level == lv]
-            rng.shuffle(ids)
-            self.intro_order[lv] = ids
-
-    def introduced_ids(self, iteration: int) -> list[str]:
-        out = []
-        for lv in range(1, self.current_level + 1):
-            ids = self.intro_order.get(lv, [])
-            if not ids:
-                continue
-            unlock = self.level_unlock_iter.get(lv, 0)
-            if iteration < unlock:
-                continue
-            ratio = introduction_ratio(iteration, unlock, lv, self.cfg)
-            out.extend(ids[: math.ceil(ratio * len(ids))])
-        return out
-
-    def active_records(self, iteration: int) -> list[FileRecord]:
-        return [
-            self.records[fid]
-            for fid in self.introduced_ids(iteration)
-            if self.records[fid].is_active(iteration)
-        ]
+def _replay_distribution(
+    state: CorpusState,
+    orders: Sequence[np.ndarray],
+    unlock_iters: Sequence[int],
+    iteration: int,
+    cfg: SamplerConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Active introduced rows and their level-floored sampling probabilities."""
+    rows = introduced_rows(orders, unlock_iters, iteration, cfg)
+    rows = rows[active_mask(state, iteration, rows)]
+    if not rows.size:
+        return rows, np.zeros(0)
+    probs = sampling_distribution(state, cfg, iteration, rows)
+    return rows, apply_level_quota(probs, state.level[rows], cfg.level_mass_floor)
 
 
 def run_curriculum_sim(
@@ -434,55 +445,61 @@ def run_curriculum_sim(
 
     Every `trace_interval` iterations one row records the sampled mass per
     level; freeze, drop, and promotion events are logged as they happen.
+    `error_process` is called once per sampled file, in sampling order.
     """
     cfg = cfg or SamplerConfig()
     sim = sim or SimConfig()
     rng = np.random.default_rng(sim.seed)
-    state = CurriculumState(files, cfg, sim.seed)
-    specs = {f.file_id: f for f in files}
+    state = CorpusState([f.file_id for f in files], [f.level for f in files])
+    # seed-shuffled introduction order of each trainable level's rows
+    intro_rng = np.random.default_rng(sim.seed)
+    orders = [intro_rng.permutation(np.flatnonzero(state.level == lv))
+              for lv in range(1, MAX_TRAINABLE_LEVEL + 1)]
+    unlock_iters = [0]                 # unlock iteration of each opened level
+    eval_history: list[float] = []     # eval means of the current level
     trace = CurriculumTrace()
 
     for it in range(sim.total_iters):
-        active = state.active_records(it)
-        if active:
-            probs = sampling_distribution(active, cfg, it)
-            probs = apply_level_quota(probs, [r.level for r in active], cfg.level_mass_floor)
+        rows, probs = _replay_distribution(state, orders, unlock_iters, it, cfg)
+        if rows.size:
             counts = rng.multinomial(sim.rollouts_per_iter, probs)
-            for rec, count in zip(active, counts):
-                if count == 0:
-                    continue
-                err, succ, fail = error_process(specs[rec.file_id], rec.attempts, int(count), rng)
-                update_file_stats(rec, err, succ, fail, cfg)
+            sampled, counts = rows[counts > 0], counts[counts > 0]
+            outcomes = [
+                error_process(files[row], attempts, count, rng)
+                for row, attempts, count in zip(
+                    sampled.tolist(), state.attempts[sampled].tolist(), counts.tolist()
+                )
+            ]
+            if outcomes:
+                update_file_stats(state, sampled, *zip(*outcomes), cfg)
 
         if (it + 1) % cfg.check_interval == 0:
-            for rec in state.records.values():
-                outcome = check_freeze(rec, cfg, it + 1)
-                if outcome is not None:
-                    kind = {STATE_FROZEN: "freeze", STATE_DROPPED: "drop"}[outcome]
-                    trace.events.append(SimEvent(it + 1, kind, rec.file_id))
+            hit, codes = check_freeze(state, cfg, it + 1)
+            trace.events.extend(
+                SimEvent(it + 1, "drop" if code == STATE_DROPPED else "freeze", file_id)
+                for file_id, code in zip(state.file_id[hit], codes.tolist())
+            )
 
         if (it + 1) % sim.eval_interval == 0:
-            lv = state.current_level
-            lv_errors = [r.ema_error for r in state.records.values() if r.level == lv]
-            if lv_errors:
-                state.level_eval_history[lv].append(float(np.mean(lv_errors)))
-            iters_on_level = (it + 1) - state.level_unlock_iter[lv]
+            lv = len(unlock_iters)
+            errors = state.ema_error[state.level == lv]
+            if errors.size:
+                eval_history.append(float(errors.mean()))
             if lv < MAX_TRAINABLE_LEVEL and promotion_check(
-                state.level_eval_history[lv], iters_on_level, cfg
+                eval_history, (it + 1) - unlock_iters[-1], cfg
             ):
-                state.current_level = lv + 1
-                state.level_unlock_iter[lv + 1] = it + 1
+                unlock_iters.append(it + 1)
+                eval_history = []
                 trace.events.append(SimEvent(it + 1, "promote", f"level:{lv + 1}"))
 
         if (it + 1) % sim.trace_interval == 0:
-            active = state.active_records(it)
-            mass: dict[int, float] = {}
-            if active:
-                probs = sampling_distribution(active, cfg, it)
-                probs = apply_level_quota(probs, [r.level for r in active], cfg.level_mass_floor)
-                for rec, p in zip(active, probs):
-                    mass[rec.level] = mass.get(rec.level, 0.0) + float(p)
-            trace.rows.append(TraceRow(it + 1, state.current_level, len(active), mass))
+            rows, probs = _replay_distribution(state, orders, unlock_iters, it, cfg)
+            levels = state.level[rows]
+            mass = np.bincount(levels, weights=probs)
+            trace.rows.append(TraceRow(
+                it + 1, len(unlock_iters), rows.size,
+                {lv: float(mass[lv]) for lv in np.unique(levels).tolist()},
+            ))
 
-    trace.final_level = state.current_level
+    trace.final_level = len(unlock_iters)
     return trace

@@ -23,7 +23,6 @@ FORMAT_VERSION = 1
 
 _MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", "frames"}
 _FRAME_REQUIRED = {"joint_pos", "root_pos", "root_quat", "body_pos", "body_rot"}
-_FRAME_OPTIONAL = {"joint_vel", "body_lin_vel", "body_ang_vel"}
 
 
 def _read_json(path) -> dict:

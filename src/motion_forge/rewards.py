@@ -37,7 +37,6 @@ from .rotations import (
     rot_to_6d,
 )
 
-COMMAND_FRAME_DIM = 65
 COMMAND_DIM = 520
 POLICY_OBS_DIM = 616
 CRITIC_OBS_DIM = 748

@@ -64,11 +64,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product q1 * q2, broadcasting over leading axes."""
     q1 = np.asarray(q1, dtype=np.float64)

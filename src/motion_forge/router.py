@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 
 LATENT_DIM = 128
-DEFAULT_EXPERT_HIDDEN = (2048, 1024, 512)
 RHO_HARD = 0.8
 
 # Parameters of one MLP: list of (weight (out, in), bias (out,)) pairs,
@@ -384,11 +383,6 @@ class RoutingDiagnostics:
         else:
             self.consecutive_hard_windows = 0
         return fraction
-
-
-def update_diagnostics(diag: RoutingDiagnostics, file_id: str, weights: np.ndarray) -> RoutingDiagnostics:
-    diag.update(file_id, weights)
-    return diag
 
 
 def should_add_expert(diag: RoutingDiagnostics) -> bool:

@@ -20,7 +20,8 @@ from helpers import (
     random_rotations,
 )
 from motion_forge.curriculum import (
-    FileRecord,
+    STATE_FROZEN,
+    CorpusState,
     SamplerConfig,
     SimConfig,
     SyntheticFile,
@@ -171,25 +172,26 @@ def test_criterion_02_normalization():
 def test_criterion_03_adaptive_sampling():
     with report(3, "adaptive sampling distribution: hand oracle, sum, floor"):
         cfg = SamplerConfig()
-        recs = [FileRecord("a", 1, ema_error=0.03), FileRecord("b", 1, ema_error=0.09)]
-        probs = sampling_distribution(recs, cfg, iteration=0)
+        st = CorpusState(["a", "b"], [1, 1], ema_error=[0.03, 0.09])
+        probs = sampling_distribution(st, cfg, iteration=0)
         assert np.allclose(probs, [0.4046, 0.5954], atol=1e-3)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
         rng = np.random.default_rng(2)
         for _ in range(1000):
             n = int(rng.integers(1, 15))
-            recs = [
-                FileRecord(
-                    str(i), 1,
-                    ema_error=float(rng.uniform(0.0, 0.6)),
-                    success_count=float(rng.uniform(0.0, 8.0)),
-                    failure_count=float(rng.uniform(0.0, 8.0)),
-                    attempts=int(rng.integers(0, 40000)),
-                )
-                for i in range(n)
+            rows = [
+                (float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.0, 8.0)),
+                 float(rng.uniform(0.0, 8.0)), int(rng.integers(0, 40000)))
+                for _ in range(n)
             ]
-            probs = sampling_distribution(recs, cfg, int(rng.integers(0, 20000)))
+            ema_error, success_count, failure_count, attempts = zip(*rows)
+            st = CorpusState(
+                [str(i) for i in range(n)], [1] * n,
+                ema_error=ema_error, success_count=success_count,
+                failure_count=failure_count, attempts=attempts,
+            )
+            probs = sampling_distribution(st, cfg, int(rng.integers(0, 20000)))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= cfg.epsilon / n - 1e-12)
 
@@ -199,14 +201,15 @@ def test_criterion_04_freeze_and_drop():
         start = time.perf_counter()
         cfg = SamplerConfig()
 
-        rec = FileRecord("x", 1, ema_error=0.1, success_count=100.0, attempts=20000)
-        assert check_freeze(rec, cfg, 500) == "frozen"
-        rec = FileRecord("x", 1, ema_error=0.0999, success_count=100.0, attempts=20000)
-        assert check_freeze(rec, cfg, 500) is None
-        rec = FileRecord("x", 1, ema_error=0.12, attempts=19999)
-        assert check_freeze(rec, cfg, 500) is None
-        rec = FileRecord("x", 1, success_count=3.0, failure_count=16.0, attempts=20000)
-        assert check_freeze(rec, cfg, 500) == "frozen"   # success rate exactly 0.15
+        def outcome(**columns):
+            _, codes = check_freeze(CorpusState(["x"], [1], **columns), cfg, 500)
+            return codes.tolist()
+
+        assert outcome(ema_error=0.1, success_count=100.0, attempts=20000) == [STATE_FROZEN]
+        assert outcome(ema_error=0.0999, success_count=100.0, attempts=20000) == []
+        assert outcome(ema_error=0.12, attempts=19999) == []
+        # success rate exactly 0.15
+        assert outcome(success_count=3.0, failure_count=16.0, attempts=20000) == [STATE_FROZEN]
 
         files = [
             SyntheticFile("easy_1", 1),

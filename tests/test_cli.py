@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_walk_sequence, neutral_features, rigid_sequence
+from motion_forge import router as rt
 from motion_forge.cli import cli_dispatch
 from motion_forge.features import FEATURE_DIM
 from motion_forge.motion import default_skeleton
@@ -147,6 +148,21 @@ class TestRouteSimCli:
         run(["route-sim", recs, "--seed", 9, "--out", out1])
         run(["route-sim", recs, "--seed", 9, "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pool_wider_than_latent_rejected(self, tmp_path, capsys):
+        # 8-value latents, no 'obs', and a pool that expects 12 inputs
+        pool = rt.make_random_pool(np.random.default_rng(0), num_experts=2, input_dim=12,
+                                   hidden=(4,), output_dim=3, capacity=4)
+        pool_path = tmp_path / "pool.json"
+        pool_path.write_text(json.dumps(rt.pool_to_dict(pool)))
+        out = tmp_path / "routes.csv"
+        code, captured = run(["route-sim", self.records(tmp_path), "--pool", pool_path,
+                              "--out", out], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "input_dim 12" in err["message"]
+        assert not out.exists()
 
 
 class TestAsfoPlanCli:

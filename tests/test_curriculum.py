@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,21 @@ from motion_forge.curriculum import (
     STATE_ACTIVE,
     STATE_DROPPED,
     STATE_FROZEN,
-    FileRecord,
+    CorpusState,
     SamplerConfig,
     SimConfig,
     SyntheticFile,
+    active_mask,
     apply_level_quota,
     check_freeze,
+    default_error_process,
+    introduced_rows,
     introduction_ratio,
     promotion_check,
     run_curriculum_sim,
     sampling_distribution,
     sampling_scores,
+    success_rate,
     update_file_stats,
 )
 from motion_forge.errors import ConfigError
@@ -23,114 +29,158 @@ from motion_forge.errors import ConfigError
 CFG = SamplerConfig()
 
 
-def record(file_id="f", level=1, **kw) -> FileRecord:
-    return FileRecord(file_id=file_id, level=level, **kw)
+def state(file_ids=("f",), levels=1, **columns) -> CorpusState:
+    """A corpus state over `file_ids`; `levels` and columns broadcast."""
+    return CorpusState(file_ids, np.broadcast_to(levels, len(file_ids)), **columns)
+
+
+def freeze_outcome(st: CorpusState, iteration: int) -> list[int]:
+    """The new freeze-state codes of the rows `check_freeze` hits."""
+    _, codes = check_freeze(st, CFG, iteration)
+    return codes.tolist()
+
+
+class TestCorpusState:
+    def test_columns_default_to_zero(self):
+        st = state(["a", "b"], levels=[1, 12])
+        assert st.file_id.tolist() == ["a", "b"]
+        assert st.level.tolist() == [1, 12]
+        assert st.ema_error.tolist() == [0.0, 0.0]
+        assert st.freeze_state.tolist() == [STATE_ACTIVE, STATE_ACTIVE]
+
+    @pytest.mark.parametrize("levels", [[0], [13], [1.5], ["1"]])
+    def test_bad_level_rejected(self, levels):
+        with pytest.raises(ConfigError):
+            CorpusState(["a"], levels)
+
+    def test_bad_columns_rejected(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            state(recent_errors=[0.1])
+        with pytest.raises(ConfigError):
+            state(["a", "b"], ema_error=[0.1, 0.2, 0.3])
+        with pytest.raises(ConfigError, match="unique"):
+            state(["a", "a"])
 
 
 class TestFileStats:
     def test_error_ema_fixed_point(self):
-        rec = record(ema_error=0.2)
-        update_file_stats(rec, 0.2, 1, 0, CFG)
-        assert rec.ema_error == pytest.approx(0.2, abs=1e-15)
+        st = state(ema_error=0.2)
+        update_file_stats(st, 0, 0.2, 1, 0, CFG)
+        assert st.ema_error[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_error_ema_step(self):
-        rec = record(ema_error=0.0)
-        update_file_stats(rec, 0.4, 1, 0, CFG)
-        assert rec.ema_error == pytest.approx(0.1, abs=1e-15)
+        st = state(ema_error=0.0)
+        update_file_stats(st, 0, 0.4, 1, 0, CFG)
+        assert st.ema_error[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_success_rate_decayed_counters(self):
-        rec = record()
-        update_file_stats(rec, 0.1, 3, 1, CFG)
+        st = state()
+        update_file_stats(st, 0, 0.1, 3, 1, CFG)
         # fresh record: S = 3, F = 1, p = S / (S + F + eps)
-        assert rec.success_rate(CFG) == pytest.approx(3.0 / (4.0 + CFG.success_eps))
+        assert success_rate(st, CFG)[0] == pytest.approx(3.0 / (4.0 + CFG.success_eps))
         # with a tiny prior the ratio approaches the raw 0.75
         tiny = SamplerConfig(success_eps=1e-9)
-        assert rec.success_rate(tiny) == pytest.approx(0.75, abs=1e-6)
+        assert success_rate(st, tiny)[0] == pytest.approx(0.75, abs=1e-6)
 
     def test_decay_applied_before_increment(self):
-        rec = record(success_count=10.0, failure_count=0.0)
-        update_file_stats(rec, 0.1, 0, 2, CFG)
-        assert rec.success_count == pytest.approx(4.0)
-        assert rec.failure_count == pytest.approx(2.0)
-        assert rec.attempts == 2
+        st = state(success_count=10.0, failure_count=0.0)
+        update_file_stats(st, 0, 0.1, 0, 2, CFG)
+        assert st.success_count[0] == pytest.approx(4.0)
+        assert st.failure_count[0] == pytest.approx(2.0)
+        assert st.attempts[0] == 2
+
+    def test_batch_updates_only_given_rows(self):
+        st = state(["a", "b", "c"], ema_error=0.2, attempts=5)
+        update_file_stats(st, [2, 0], [0.4, 0.0], [1, 3], [2, 0], CFG)
+        assert st.ema_error.tolist() == pytest.approx([0.15, 0.2, 0.25], abs=1e-15)
+        assert st.attempts.tolist() == [8, 5, 8]
+        assert st.success_count.tolist() == [3.0, 0.0, 1.0]
+
+    def test_negative_batch_error_rejected(self):
+        st = state(["a", "b"], ema_error=0.2)
+        with pytest.raises(ValueError, match="non-negative"):
+            update_file_stats(st, [0, 1], [0.1, -0.1], [1, 1], [0, 0], CFG)
+        assert st.ema_error.tolist() == [0.2, 0.2]
 
 
 class TestSamplingDistribution:
     def test_two_file_hand_derived_case(self):
         # scores r = [0.1, 0.3]: softmax(log(r + 0.2) / 1.05) scaled by 0.8
         # plus the 0.1 uniform floor gives [0.4046, 0.5954]
-        recs = [record("a", ema_error=0.03), record("b", ema_error=0.09)]
-        scores = sampling_scores(recs, CFG, iteration=0)
+        st = state(["a", "b"], ema_error=[0.03, 0.09])
+        scores = sampling_scores(st, CFG, iteration=0)
         assert np.allclose(scores, [0.1, 0.3], atol=1e-12)
-        probs = sampling_distribution(recs, CFG, iteration=0)
+        probs = sampling_distribution(st, CFG, iteration=0)
         assert np.allclose(probs, [0.4046, 0.5954], atol=1e-3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_stats_uniform(self):
-        recs = [record(str(i), ema_error=0.1) for i in range(6)]
-        probs = sampling_distribution(recs, CFG, iteration=0)
+        st = state([str(i) for i in range(6)], ema_error=0.1)
+        probs = sampling_distribution(st, CFG, iteration=0)
         assert np.allclose(probs, 1.0 / 6.0, atol=1e-12)
 
     def test_error_saturates_at_c(self):
-        recs = [record("a", ema_error=0.3), record("b", ema_error=3.0)]
-        scores = sampling_scores(recs, CFG, iteration=0)
+        st = state(["a", "b"], ema_error=[0.3, 3.0])
+        scores = sampling_scores(st, CFG, iteration=0)
         assert scores[0] == scores[1] == 1.0
 
     def test_floor_and_sum_on_random_sets(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             n = int(rng.integers(1, 12))
-            recs = [
-                record(
-                    str(i),
-                    ema_error=float(rng.uniform(0, 0.5)),
-                    success_count=float(rng.uniform(0, 5)),
-                    failure_count=float(rng.uniform(0, 5)),
-                )
-                for i in range(n)
+            rows = [
+                (float(rng.uniform(0, 0.5)), float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
+                for _ in range(n)
             ]
+            ema_error, success_count, failure_count = zip(*rows)
+            st = state(
+                [str(i) for i in range(n)],
+                ema_error=ema_error, success_count=success_count, failure_count=failure_count,
+            )
             it = int(rng.integers(0, 20000))
-            probs = sampling_distribution(recs, CFG, it)
+            probs = sampling_distribution(st, CFG, it)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= CFG.epsilon / n - 1e-12)
 
     def test_monotone_in_error_before_saturation(self):
-        base = [0.05, 0.10, 0.15]
-        recs = [record(str(i), ema_error=e) for i, e in enumerate(base)]
-        p_before = sampling_distribution(recs, CFG, 0)[1]
-        recs[1].ema_error = 0.22
-        p_after = sampling_distribution(recs, CFG, 0)[1]
+        st = state(["0", "1", "2"], ema_error=[0.05, 0.10, 0.15])
+        p_before = sampling_distribution(st, CFG, 0)[1]
+        st.ema_error[1] = 0.22
+        p_after = sampling_distribution(st, CFG, 0)[1]
         assert p_after > p_before
 
     def test_warmup_gates_success_rate(self):
         # below the warmup, success rates must not affect scores
-        easy = record("a", ema_error=0.09, success_count=100.0)
-        hard = record("b", ema_error=0.09, failure_count=100.0)
-        pre = sampling_distribution([easy, hard], CFG, iteration=5999)
-        post = sampling_distribution([easy, hard], CFG, iteration=6000)
+        st = state(["easy", "hard"], ema_error=0.09,
+                   success_count=[100.0, 0.0], failure_count=[0.0, 100.0])
+        pre = sampling_distribution(st, CFG, iteration=5999)
+        post = sampling_distribution(st, CFG, iteration=6000)
         assert pre[0] == pytest.approx(pre[1], abs=1e-12)
         assert post[1] > post[0]
 
     def test_frozen_dropped_levels_excluded(self):
-        recs = [
-            record("a", ema_error=0.1),
-            record("b", freeze_state=STATE_FROZEN, frozen_until=10_000),
-            record("c", freeze_state=STATE_DROPPED),
-            record("d", level=11),
-            record("e", level=12),
-        ]
-        probs = sampling_distribution(recs, CFG, iteration=100)
+        st = state(
+            ["a", "b", "c", "d", "e"],
+            levels=[1, 1, 1, 11, 12],
+            ema_error=[0.1, 0.0, 0.0, 0.0, 0.0],
+            freeze_state=[STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED, STATE_ACTIVE, STATE_ACTIVE],
+            frozen_until=[0, 10_000, 0, 0, 0],
+        )
+        probs = sampling_distribution(st, CFG, iteration=100)
         assert probs[0] == pytest.approx(1.0)
         assert np.all(probs[1:] == 0.0)
+        # a row subset keeps its own order and zeroes its inactive rows
+        sub = sampling_distribution(st, CFG, iteration=100, rows=np.array([2, 0]))
+        assert sub.tolist() == [0.0, pytest.approx(1.0)]
 
     def test_frozen_record_reactivates_after_duration(self):
-        recs = [record("a"), record("b", freeze_state=STATE_FROZEN, frozen_until=500)]
-        assert sampling_distribution(recs, CFG, 499)[1] == 0.0
-        assert sampling_distribution(recs, CFG, 500)[1] > 0.0
+        st = state(["a", "b"], freeze_state=[STATE_ACTIVE, STATE_FROZEN], frozen_until=[0, 500])
+        assert sampling_distribution(st, CFG, 499)[1] == 0.0
+        assert sampling_distribution(st, CFG, 500)[1] > 0.0
 
     def test_empty_active_set_raises(self):
         with pytest.raises(ConfigError):
-            sampling_distribution([record("a", freeze_state=STATE_DROPPED)], CFG, 0)
+            sampling_distribution(state(freeze_state=STATE_DROPPED), CFG, 0)
 
 
 class TestLevelQuota:
@@ -150,42 +200,56 @@ class TestLevelQuota:
 class TestFreezeAndDrop:
     def test_threshold_boundaries(self):
         # error exactly at tau_err with enough exposure freezes
-        rec = record(ema_error=0.1, success_count=100.0, attempts=20000)
-        assert check_freeze(rec, CFG, 1000) == STATE_FROZEN
+        st = state(ema_error=0.1, success_count=100.0, attempts=20000)
+        assert freeze_outcome(st, 1000) == [STATE_FROZEN]
         # just below both thresholds stays active
-        rec = record(ema_error=0.0999, success_count=100.0, attempts=20000)
-        assert check_freeze(rec, CFG, 1000) is None
+        st = state(ema_error=0.0999, success_count=100.0, attempts=20000)
+        assert freeze_outcome(st, 1000) == []
         # insufficient exposure never freezes
-        rec = record(ema_error=0.12, attempts=19999)
-        assert check_freeze(rec, CFG, 1000) is None
-        rec = record(ema_error=0.12, attempts=20000)
-        assert check_freeze(rec, CFG, 1000) == STATE_FROZEN
+        st = state(ema_error=0.12, attempts=19999)
+        assert freeze_outcome(st, 1000) == []
+        st = state(ema_error=0.12, attempts=20000)
+        assert freeze_outcome(st, 1000) == [STATE_FROZEN]
 
     def test_success_threshold_boundary(self):
         # p exactly at tau_succ freezes (<= comparison); needs S/(S+F+1) = 0.15
-        rec = record(success_count=3.0, failure_count=16.0, attempts=20000)
-        assert rec.success_rate(CFG) == pytest.approx(0.15)
-        assert check_freeze(rec, CFG, 0) == STATE_FROZEN
+        st = state(success_count=3.0, failure_count=16.0, attempts=20000)
+        assert success_rate(st, CFG)[0] == pytest.approx(0.15)
+        assert freeze_outcome(st, 0) == [STATE_FROZEN]
 
     def test_freeze_duration_and_drop_after_two_freezes(self):
-        rec = record(ema_error=0.5, attempts=25000)
-        assert check_freeze(rec, CFG, 500) == STATE_FROZEN
-        assert rec.frozen_until == 4500
-        assert not rec.is_active(4499)
-        assert check_freeze(rec, CFG, 1000) is None   # still frozen
-        assert check_freeze(rec, CFG, 4500) == STATE_FROZEN  # second trigger
-        assert rec.freeze_count == 2
-        assert check_freeze(rec, CFG, 8500) == STATE_DROPPED
-        assert rec.freeze_state == STATE_DROPPED
-        assert check_freeze(rec, CFG, 99000) is None
+        st = state(ema_error=0.5, attempts=25000)
+        assert freeze_outcome(st, 500) == [STATE_FROZEN]
+        assert st.frozen_until[0] == 4500
+        assert not active_mask(st, 4499)[0]
+        assert freeze_outcome(st, 1000) == []   # still frozen
+        assert freeze_outcome(st, 4500) == [STATE_FROZEN]  # second trigger
+        assert st.freeze_count[0] == 2
+        assert freeze_outcome(st, 8500) == [STATE_DROPPED]
+        assert st.freeze_state[0] == STATE_DROPPED
+        assert freeze_outcome(st, 99000) == []
 
     def test_recovered_file_unfreezes_cleanly(self):
-        rec = record(ema_error=0.5, attempts=25000)
-        check_freeze(rec, CFG, 500)
-        rec.ema_error = 0.01
-        rec.success_count = 50.0
-        assert check_freeze(rec, CFG, 4500) is None
-        assert rec.freeze_state == STATE_ACTIVE
+        st = state(ema_error=0.5, attempts=25000)
+        check_freeze(st, CFG, 500)
+        st.ema_error[0] = 0.01
+        st.success_count[0] = 50.0
+        assert freeze_outcome(st, 4500) == []
+        assert st.freeze_state[0] == STATE_ACTIVE
+
+    def test_hits_returned_in_file_order(self):
+        st = state(
+            ["a", "b", "c", "d"],
+            ema_error=[0.5, 0.01, 0.5, 0.5],
+            success_count=50.0,
+            attempts=[25000, 25000, 25000, 10],
+            freeze_count=[2, 0, 0, 0],
+        )
+        hit, codes = check_freeze(st, CFG, 500)
+        assert hit.tolist() == [0, 2]
+        assert codes.tolist() == [STATE_DROPPED, STATE_FROZEN]
+        assert st.freeze_count.tolist() == [2, 0, 1, 0]
+        assert st.frozen_until.tolist() == [0, 0, 4500, 0]
 
 
 class TestIntroductionRatio:
@@ -202,6 +266,22 @@ class TestIntroductionRatio:
         assert introduction_ratio(3500, 1000, 3, CFG) == pytest.approx(
             introduction_ratio(3500, 1000, 1, CFG)
         )
+
+
+class TestLevelSchedule:
+    def test_introduced_rows_follow_ramp_and_unlocks(self):
+        # level 1 holds rows 0..9, level 2 rows 10..14, in a shuffled order
+        orders = [np.array([3, 7, 0, 9, 1, 8, 2, 6, 4, 5]), np.array([12, 10, 14, 11, 13])]
+        # level 1 at ratio 0.2 + 0.8 * 999 / 3000; level 2 not yet unlocked
+        rows = introduced_rows(orders, [0, 1000], 999, CFG)
+        assert rows.tolist() == [3, 7, 0, 9, 1]
+        # level 2 opens at its unlock iteration with ceil(0.2 * 5) = 1 row
+        rows = introduced_rows(orders, [0, 1000], 1000, CFG)
+        assert rows.tolist() == [3, 7, 0, 9, 1, 12]
+        rows = introduced_rows(orders, [0, 1000], 4000, CFG)
+        assert rows.tolist() == orders[0].tolist() + orders[1].tolist()
+        # a level not yet unlocked contributes nothing
+        assert introduced_rows(orders, [0], 4000, CFG).tolist() == orders[0].tolist()
 
 
 class TestPromotion:
@@ -279,30 +359,104 @@ class TestSimulation:
         assert len(lines) == 1 + 1000 // 500
 
 
+    def test_error_process_called_once_per_sampled_file(self):
+        # the plug-in contract: one scalar call per sampled file per
+        # iteration, given the file's rollouts before this iteration
+        files = [SyntheticFile(f"f{i}", 1 + i % 2) for i in range(6)]
+        sim = SimConfig(total_iters=300, rollouts_per_iter=16, seed=4)
+        calls = []
+
+        def error_process(spec, exposures, rollouts, rng):
+            calls.append((spec.file_id, exposures, rollouts))
+            return default_error_process(spec, exposures, rollouts, rng)
+
+        run_curriculum_sim(files, sim=sim, error_process=error_process)
+        seen: dict[str, int] = {}
+        iteration, drawn = [], 0
+        for file_id, exposures, rollouts in calls:
+            assert rollouts > 0
+            assert exposures == seen.get(file_id, 0)
+            seen[file_id] = exposures + rollouts
+            iteration.append(file_id)
+            drawn += rollouts
+            if drawn == sim.rollouts_per_iter:
+                assert len(set(iteration)) == len(iteration)
+                iteration, drawn = [], 0
+        assert drawn == 0 and sum(seen.values()) == 300 * 16
+
+    def test_golden_trace_sha256(self):
+        # 200 files over 10 levels with desk-scaled thresholds, so freezes,
+        # thaws, drops and promotions all fire within 1500 iterations; the
+        # digest pins the exact CSV bytes of the scheduler's seeded run
+        rng = np.random.default_rng(5)
+        files = [
+            SyntheticFile(
+                f"f{lv:02d}_{i:03d}", lv,
+                start_error=float(rng.uniform(0.15, 0.5)),
+                error_floor=float(rng.uniform(0.01, 0.14)),
+                improve_rate=float(10.0 ** rng.uniform(-3.5, -2.0)),
+                success_scale=float(rng.uniform(0.06, 0.2)),
+            )
+            for lv in range(1, 11)
+            for i in range(20)
+        ]
+        cfg = SamplerConfig(
+            n_min=200, check_interval=100, freeze_duration=300, success_warmup_iters=600,
+            intro_base_iters=300, intro_extra_iters=200, promote_min_iters=300,
+        )
+        sim = SimConfig(total_iters=1500, rollouts_per_iter=64, eval_interval=100,
+                        trace_interval=100, seed=0)
+        trace = run_curriculum_sim(files, cfg, sim)
+        kinds = [e.kind for e in trace.events]
+        assert (kinds.count("freeze"), kinds.count("drop"), kinds.count("promote")) == (88, 33, 2)
+        assert trace.final_level == 3
+        digest = hashlib.sha256(trace.to_csv().encode()).hexdigest()
+        assert digest == "d3fdd925de3998f46531883109a1a76b61d7958820f4a86165f6aa3727fc70bc"
+
+
 class TestRecordPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         from motion_forge.curriculum import load_records, save_records
 
-        records = [
-            record("a", ema_error=0.12, success_count=3.5, failure_count=1.25,
-                   attempts=12345, freeze_count=1, freeze_state=STATE_FROZEN,
-                   frozen_until=8000, recent_errors=[0.1, 0.2]),
-            record("b", level=4),
-        ]
+        st = state(
+            ["a", "b"], levels=[1, 4],
+            ema_error=[0.12, 0.0], success_count=[3.5, 0.0], failure_count=[1.25, 0.0],
+            attempts=[12345, 0], freeze_count=[1, 0],
+            freeze_state=[STATE_FROZEN, STATE_ACTIVE], frozen_until=[8000, 0],
+        )
         path = tmp_path / "records.jsonl"
-        save_records(records, path)
+        save_records(st, path)
+        first = path.read_text().splitlines()[0]
+        assert first == (
+            '{"file_id":"a","level":1,"ema_error":0.12,"success_count":3.5,'
+            '"failure_count":1.25,"attempts":12345,"freeze_state":"frozen",'
+            '"frozen_until":8000,"freeze_count":1}'
+        )
         back = load_records(path)
-        assert len(back) == 2
-        assert back[0].file_id == "a"
-        assert back[0].ema_error == 0.12
-        assert back[0].frozen_until == 8000
-        assert back[0].recent_errors == [0.1, 0.2]
-        assert back[1].level == 4
+        assert back.file_id.tolist() == ["a", "b"]
+        assert back.ema_error[0] == 0.12
+        assert back.frozen_until[0] == 8000
+        assert back.freeze_state[0] == STATE_FROZEN
+        assert back.level[1] == 4
 
     def test_bad_line_reported(self, tmp_path):
         from motion_forge.curriculum import load_records
 
         path = tmp_path / "records.jsonl"
         path.write_text('{"file_id": "a", "level": 1}\nnot json\n')
+        with pytest.raises(ConfigError, match="line 2"):
+            load_records(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"file_id": "a", "level": 1, "recent_errors": [0.1]}',
+        '{"file_id": "a", "level": 1, "freeze_state": "thawed"}',
+        '{"level": 1}',
+        '[1, 2]',
+    ])
+    def test_bad_record_rejected(self, tmp_path, line):
+        from motion_forge.curriculum import load_records
+
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"file_id": "z", "level": 2}\n' + line + "\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_records(path)
