@@ -276,7 +276,7 @@ def cmd_prefix_run(args) -> int:
     )
     save_features(trace.features, fps, args.out)
     if args.trace:
-        Path(args.trace).write_text(json.dumps(trace.to_dict(), indent=1))
+        Path(args.trace).write_text(json.dumps(trace.to_dict(), indent=1, allow_nan=False))
     log.info("prefix run: %s after %d segments, %d attempts",
              trace.termination, len(trace.segments), trace.total_attempts)
     return 0

@@ -149,16 +149,22 @@ def update_file_stats(
     """Fold one batch of rollouts per row into the rows' EMA statistics.
 
     `rows` must be distinct; the batch arguments hold one value per row.
+    Errors, successes and failures must be finite and non-negative; a bad
+    value raises ValueError before any row changes.
     """
     batch_error = np.asarray(batch_error, dtype=np.float64)
-    if (batch_error < 0).any():
-        raise ValueError("batch error must be non-negative")
+    batch_successes = np.asarray(batch_successes)
+    batch_failures = np.asarray(batch_failures)
+    for name, values in (("error", batch_error), ("successes", batch_successes),
+                         ("failures", batch_failures)):
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError(f"batch {name} must be finite and non-negative")
     a = cfg.error_ema_alpha
     b = cfg.success_decay_beta
     state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
     state.success_count[rows] = b * state.success_count[rows] + batch_successes
     state.failure_count[rows] = b * state.failure_count[rows] + batch_failures
-    state.attempts[rows] += np.asarray(batch_successes) + batch_failures
+    state.attempts[rows] += batch_successes + batch_failures
 
 
 def sampling_scores(state: CorpusState, cfg: SamplerConfig, iteration: int, rows=slice(None)) -> np.ndarray:
@@ -380,6 +386,11 @@ class SimConfig:
     trace_interval: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("total_iters", "rollouts_per_iter", "eval_interval", "trace_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+
 
 @dataclass
 class SimEvent:
@@ -445,7 +456,8 @@ def run_curriculum_sim(
 
     Every `trace_interval` iterations one row records the sampled mass per
     level; freeze, drop, and promotion events are logged as they happen.
-    `error_process` is called once per sampled file, in sampling order.
+    `error_process` is called once per sampled file, in sampling order,
+    and must account for every rollout: successes + failures == rollouts.
     """
     cfg = cfg or SamplerConfig()
     sim = sim or SimConfig()
@@ -471,7 +483,10 @@ def run_curriculum_sim(
                 )
             ]
             if outcomes:
-                update_file_stats(state, sampled, *zip(*outcomes), cfg)
+                errors, successes, failures = (np.asarray(v) for v in zip(*outcomes))
+                if (successes + failures != counts).any():
+                    raise ConfigError("error process successes + failures must equal its rollouts")
+                update_file_stats(state, sampled, errors, successes, failures, cfg)
 
         if (it + 1) % cfg.check_interval == 0:
             hit, codes = check_freeze(state, cfg, it + 1)

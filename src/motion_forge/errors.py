@@ -27,3 +27,7 @@ class ConfigError(MotionForgeError):
 
 class FileFormatError(MotionForgeError):
     """A serialized artifact is malformed or has an unsupported version."""
+
+
+class NonFiniteError(MotionForgeError):
+    """A plug-in returned NaN or infinite values where finite ones are required."""

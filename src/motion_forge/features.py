@@ -152,27 +152,36 @@ def encode_features(
     return out
 
 
-def decode_root_trajectory(frames: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]:
+RootState = tuple[float, float, float]   # (x, y, yaw) of one frame's root
+
+
+def decode_root_trajectory(
+    frames: np.ndarray, fps: float, start: RootState = (0.0, 0.0, 0.0)
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the root blocks back into (T, 3) positions and (T,) yaw.
 
-    Explicit Euler at 1/fps: frame 0 starts at the origin facing +X, yaw
-    integrates the heading-local angular velocity's z component, and xy
-    integrates the heading-local linear velocity rotated into the world.
-    Heights are read directly from the height block.
+    Explicit Euler at 1/fps: frame 0 sits at `start` (by default the origin
+    facing +X), yaw integrates the heading-local angular velocity's z
+    component, and xy integrates the heading-local linear velocity rotated
+    into the world.  Heights are read directly from the height block.  The
+    running sums are sequential, so decoding a tail of the frames from the
+    root state of its first frame reproduces the full decode bit for bit.
     """
     frames = validate_features(frames)
     t = frames.shape[0]
     dt = 1.0 / fps
-    yaw = np.zeros(t, dtype=np.float64)
-    pos = np.zeros((t, 3), dtype=np.float64)
+    yaw = np.empty(t, dtype=np.float64)
+    yaw[:1] = start[2]
+    yaw[1:] = dt * frames[:-1, 2]
+    yaw = np.cumsum(yaw)
+    c, s = np.cos(yaw[:-1]), np.sin(yaw[:-1])
+    vx, vy = frames[:-1, 3], frames[:-1, 4]
+    pos = np.empty((t, 3), dtype=np.float64)
+    pos[:1, :2] = start[:2]
+    pos[1:, 0] = dt * (c * vx - s * vy)
+    pos[1:, 1] = dt * (s * vx + c * vy)
+    pos[:, :2] = np.cumsum(pos[:, :2], axis=0)
     pos[:, 2] = frames[:, 6]
-    lin = frames[:, ROOT_LIN_VEL]
-    ang_z = frames[:, 2]
-    for i in range(t - 1):
-        c, s = np.cos(yaw[i]), np.sin(yaw[i])
-        pos[i + 1, 0] = pos[i, 0] + dt * (c * lin[i, 0] - s * lin[i, 1])
-        pos[i + 1, 1] = pos[i, 1] + dt * (s * lin[i, 0] + c * lin[i, 1])
-        yaw[i + 1] = yaw[i] + dt * ang_z[i]
     return pos, yaw
 
 

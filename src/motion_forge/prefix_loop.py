@@ -18,22 +18,26 @@ plug a diffusion sampler with the same callback signature:
 
     generator(prefix: (P, 262), target: (262,), condition, rng) -> (S, 262)
     tracker(reference: MotionSequence) -> MotionSequence, frame-aligned
+
+The tracker gets the whole window as a fresh MotionSequence it may mutate.
+Non-finite generator frames or tracked positions raise NonFiniteError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, NonFiniteError
 from .features import (
     FEATURE_DIM,
     FOOT_CONTACT,
     HAND_CONTACT,
     RIC_POS,
     ROT6D,
+    RootState,
     decode_root_trajectory,
     project_valid_rot6d,
     validate_features,
@@ -55,19 +59,23 @@ TERMINATION_COMPLETED = "completed"
 TERMINATION_EXHAUSTED = "exhausted_resamples"
 
 
-def features_to_motion(frames: np.ndarray, fps: float, skel: Skeleton) -> MotionSequence:
+def features_to_motion(
+    frames: np.ndarray, fps: float, skel: Skeleton, start: RootState = (0.0, 0.0, 0.0)
+) -> MotionSequence:
     """Rebuild a kinematic MotionSequence from feature frames.
 
-    The root trajectory integrates the velocity blocks, body rotations come
-    from the 6D blocks, and the informative bodies are placed from their
-    root-relative positions.  Bodies outside the informative set collapse to
-    the root (features do not carry them), and joint angles are zero: the
-    result is meant for tracker replay and position metrics, not joint-space
-    analysis.  Velocities are finite differences.
+    The root trajectory integrates the velocity blocks from the root state
+    `start` of frame 0, body rotations come from the 6D blocks, and the
+    informative bodies are placed from their root-relative positions.
+    Bodies outside the informative set collapse to the root (features do not
+    carry them), and joint angles are zero: the result is meant for tracker
+    replay and position metrics, not joint-space analysis.  Velocities are
+    finite differences.  Every array but `body_lin_vel` is computed frame by
+    frame, so its rows do not depend on where the decode starts.
     """
     frames = validate_features(frames)
     t = frames.shape[0]
-    pos, yaw = decode_root_trajectory(frames, fps)
+    pos, yaw = decode_root_trajectory(frames, fps, start)
     heading = rot_z(yaw)
     body_pos = np.repeat(pos[:, None, :], NUM_BODIES, axis=1)
     ric = frames[:, RIC_POS].reshape(t, 12, 3)
@@ -78,20 +86,28 @@ def features_to_motion(frames: np.ndarray, fps: float, skel: Skeleton) -> Motion
     rots = sixd_to_rot(frames[:, ROT6D].reshape(t, 29, 6))
     body_rot[:, list(skel.rot6d_body_indices)] = rots
 
-    body_lin_vel = finite_difference(body_pos, fps)
     body_ang_vel = np.zeros((t, NUM_BODIES, 3))
     body_ang_vel[:, 0] = np.einsum("tij,tj->ti", heading, frames[:, 0:3])
 
-    return MotionSequence(
-        fps=fps,
-        joint_pos=np.zeros((t, NUM_JOINTS)),
-        joint_vel=np.zeros((t, NUM_JOINTS)),
+    return _motion(
+        fps,
         root_pos=pos,
         root_quat=quat_from_yaw(yaw),
         body_pos=body_pos,
         body_rot=body_rot,
-        body_lin_vel=body_lin_vel,
         body_ang_vel=body_ang_vel,
+    )
+
+
+def _motion(fps: float, **decoded: np.ndarray) -> MotionSequence:
+    """A decoded MotionSequence: zero joints, finite-difference velocities."""
+    t = decoded["root_pos"].shape[0]
+    return MotionSequence(
+        fps=fps,
+        joint_pos=np.zeros((t, NUM_JOINTS)),
+        joint_vel=np.zeros((t, NUM_JOINTS)),
+        body_lin_vel=finite_difference(decoded["body_pos"], fps),
+        **decoded,
     )
 
 
@@ -212,12 +228,40 @@ def validate_segment(
     tolerance: float,
     tracked_bodies: tuple[int, ...] | None = None,
 ) -> tuple[bool, float]:
-    """Replay a reference through the tracker; accept iff mpjpe <= tolerance."""
+    """Replay a reference through the tracker; accept iff mpjpe <= tolerance.
+
+    The error is measured against the positions the tracker was given, so a
+    tracker that mutates its input cannot shrink it.
+    """
+    given = replace(reference, body_pos=reference.body_pos.copy())
     executed = tracker(reference)
     if executed.num_frames != reference.num_frames:
         raise AlignmentError("tracker output is not frame-aligned with its input")
-    err = mpjpe(reference, executed, tracked_bodies)
+    if not (np.isfinite(executed.body_pos).all() and np.isfinite(executed.root_pos).all()):
+        raise NonFiniteError("tracker returned non-finite body or root positions")
+    err = mpjpe(given, executed, tracked_bodies)
     return err <= tolerance, err
+
+
+# Decoded arrays cached per accepted frame.  Joints are zero and
+# body_lin_vel is a finite difference over the whole window, so neither is.
+_CACHED = ("root_pos", "root_quat", "body_pos", "body_rot", "body_ang_vel")
+
+
+def _join(
+    cache: dict[str, np.ndarray], rows: int, fps: float, segment: MotionSequence
+) -> MotionSequence:
+    """A fresh MotionSequence over the first `rows` cached rows, followed by
+    the segment's rows after its first (which repeats the last cached row)."""
+    return _motion(fps, **{
+        name: np.concatenate([cache[name][:rows], getattr(segment, name)[1:]]) for name in _CACHED
+    })
+
+
+def _end_state(frames: np.ndarray, fps: float, start: RootState = (0.0, 0.0, 0.0)) -> RootState:
+    """Root state of the last frame, exactly as a full decode reaches it."""
+    pos, yaw = decode_root_trajectory(frames, fps, start)
+    return pos[-1, 0], pos[-1, 1], yaw[-1]
 
 
 def run_prefix_loop(
@@ -236,18 +280,41 @@ def run_prefix_loop(
     child random stream.  The input prefix rows are carried through
     bit-exactly.  Stops early with termination "exhausted_resamples" when a
     segment uses up its attempts.
+
+    Only the candidate is decoded per attempt: the last accepted frame plus
+    the candidate, from the cached root state of that frame.  The window
+    handed to the tracker joins copies of the cached rows with the new ones,
+    equal bit for bit to decoding the whole window, and the tracker may
+    mutate it.  The generator sees the accepted frames as a read-only view,
+    so they cannot drift from their cached decode.
     """
-    prefix = validate_features(initial_prefix).copy()
+    initial_prefix = validate_features(initial_prefix)
+    rows = initial_prefix.shape[0]
+    if rows < 2:
+        raise ConfigError("the initial prefix needs at least 2 frames")
     target = np.asarray(target, dtype=np.float64).reshape(-1)
     if target.shape[0] != FEATURE_DIM:
         raise ConfigError(f"target pose must have {FEATURE_DIM} dims")
     root = np.random.default_rng(cfg.seed)
     trace = LoopTrace()
+    # The accepted frames, their decoded rows and the root state of the last
+    # one.  The buffers are allocated once for the horizon, so no long-lived
+    # arrays pile up between the large per-attempt ones.
+    horizon = rows + cfg.num_segments * cfg.segment_frames
+    features = np.empty((horizon, FEATURE_DIM))
+    features[:rows] = initial_prefix
+    decoded = features_to_motion(initial_prefix, cfg.fps, skel)
+    cache = {name: np.empty((horizon,) + getattr(decoded, name).shape[1:]) for name in _CACHED}
+    for name in _CACHED:
+        cache[name][:rows] = getattr(decoded, name)
+    start = _end_state(initial_prefix, cfg.fps)
 
     for _segment in range(cfg.num_segments):
         seg_trace = SegmentTrace()
         trace.segments.append(seg_trace)
         accepted = False
+        prefix = features[:rows]
+        prefix.flags.writeable = False
         for _attempt in range(cfg.max_resamples):
             attempt_rng = root.spawn(1)[0]
             candidate = np.asarray(
@@ -257,22 +324,30 @@ def run_prefix_loop(
                 raise ConfigError(
                     f"generator must return ({cfg.segment_frames}, {FEATURE_DIM}) frames"
                 )
-            window = np.vstack([prefix, candidate])
-            reference = features_to_motion(window, cfg.fps, skel)
+            if not np.isfinite(candidate).all():
+                raise NonFiniteError("generator returned non-finite feature values")
+            segment = np.vstack([prefix[-1:], candidate])
+            decoded = features_to_motion(segment, cfg.fps, skel, start)
+            reference = _join(cache, rows, cfg.fps, decoded)
             ok, err = validate_segment(
                 reference, tracker, cfg.mpjpe_tolerance, cfg.tracked_bodies
             )
             seg_trace.attempts.append(AttemptRecord(mpjpe=err, accepted=ok))
             if ok:
-                prefix = window
+                new_rows = slice(rows, rows + cfg.segment_frames)
+                features[new_rows] = candidate
+                for name in _CACHED:
+                    cache[name][new_rows] = getattr(decoded, name)[1:]
+                rows += cfg.segment_frames
+                start = _end_state(segment, cfg.fps, start)
                 accepted = True
                 break
         if not accepted:
             trace.termination = TERMINATION_EXHAUSTED
             break
 
-    trace.features = prefix
-    return features_to_motion(prefix, cfg.fps, skel), trace
+    trace.features = features[:rows].copy()
+    return _motion(cfg.fps, **{name: cache[name][:rows] for name in _CACHED}), trace
 
 
 # --------------------------------------------------------------------------

@@ -111,26 +111,37 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
-    """Convert rotation matrices to quaternions with w >= 0."""
+    """Convert rotation matrices to quaternions with w >= 0.
+
+    Each matrix takes one of four branches: positive trace, or else the
+    largest diagonal entry, whose component is then computed first.
+    """
     rot = np.asarray(rot, dtype=np.float64)
     shape = rot.shape[:-2]
     m = rot.reshape(-1, 3, 3)
     q = np.empty((m.shape[0], 4), dtype=np.float64)
     trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-    for i in range(m.shape[0]):
-        r = m[i]
-        if trace[i] > 0.0:
-            s = np.sqrt(trace[i] + 1.0) * 2.0
-            q[i] = [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-            s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-            q[i] = [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        elif r[1, 1] > r[2, 2]:
-            s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-            q[i] = [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        else:
-            s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-            q[i] = [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+    by_trace = trace > 0.0
+    by_x = ~by_trace & (m[:, 0, 0] > m[:, 1, 1]) & (m[:, 0, 0] > m[:, 2, 2])
+    by_y = ~by_trace & ~by_x & (m[:, 1, 1] > m[:, 2, 2])
+    by_z = ~(by_trace | by_x | by_y)
+
+    r = m[by_trace]
+    s = np.sqrt(trace[by_trace] + 1.0) * 2.0
+    q[by_trace] = np.stack([0.25 * s, (r[:, 2, 1] - r[:, 1, 2]) / s,
+                            (r[:, 0, 2] - r[:, 2, 0]) / s, (r[:, 1, 0] - r[:, 0, 1]) / s], axis=-1)
+    r = m[by_x]
+    s = np.sqrt(1.0 + r[:, 0, 0] - r[:, 1, 1] - r[:, 2, 2]) * 2.0
+    q[by_x] = np.stack([(r[:, 2, 1] - r[:, 1, 2]) / s, 0.25 * s,
+                        (r[:, 0, 1] + r[:, 1, 0]) / s, (r[:, 0, 2] + r[:, 2, 0]) / s], axis=-1)
+    r = m[by_y]
+    s = np.sqrt(1.0 + r[:, 1, 1] - r[:, 0, 0] - r[:, 2, 2]) * 2.0
+    q[by_y] = np.stack([(r[:, 0, 2] - r[:, 2, 0]) / s, (r[:, 0, 1] + r[:, 1, 0]) / s,
+                        0.25 * s, (r[:, 1, 2] + r[:, 2, 1]) / s], axis=-1)
+    r = m[by_z]
+    s = np.sqrt(1.0 + r[:, 2, 2] - r[:, 0, 0] - r[:, 1, 1]) * 2.0
+    q[by_z] = np.stack([(r[:, 1, 0] - r[:, 0, 1]) / s, (r[:, 0, 2] + r[:, 2, 0]) / s,
+                        (r[:, 1, 2] + r[:, 2, 1]) / s, 0.25 * s], axis=-1)
     q = quat_normalize(q)
     q[q[:, 0] < 0.0] *= -1.0
     return q.reshape(shape + (4,))

@@ -118,6 +118,18 @@ class TestCurriculumSimCli:
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+    @pytest.mark.parametrize("field", ["trace_interval", "eval_interval"])
+    def test_zero_interval_is_a_config_error(self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sim": {field: 0}}))
+        code, captured = run(["curriculum-sim", "--corpus", self.corpus(tmp_path),
+                              "--config", cfg_path, "--out", tmp_path / "t.csv"], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert field in err["message"]
+
+
 class TestRouteSimCli:
     def records(self, tmp_path, n=20, stage=2):
         rng = np.random.default_rng(0)
@@ -248,6 +260,25 @@ class TestPrefixRunCli:
         trace = json.loads(trace_path.read_text())
         assert trace["termination"] == "exhausted_resamples"
         assert trace["total_attempts"] == 2
+
+
+    def test_nan_tracker_is_an_error_not_a_nan_trace(self, tmp_path, capsys):
+        prefix_path = tmp_path / "prefix.json"
+        save_features(neutral_features(30), 30.0, prefix_path)
+        target_path = tmp_path / "target.json"
+        save_features(neutral_features(2), 30.0, target_path)
+        cfg_path = tmp_path / "cfg.json"
+        # Python's json reads the NaN literal, so a config can carry one
+        cfg_path.write_text(
+            '{"prefix_loop": {"horizon_seconds": 1.0},'
+            ' "tracker": {"kind": "perturbation", "offset": NaN}}'
+        )
+        trace_path = tmp_path / "trace.json"
+        code, captured = run(["prefix-run", prefix_path, target_path, "--config", cfg_path,
+                              "--out", tmp_path / "out.json", "--trace", trace_path], capsys)
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "NonFiniteError"
+        assert not trace_path.exists()
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

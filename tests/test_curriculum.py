@@ -102,6 +102,23 @@ class TestFileStats:
             update_file_stats(st, [0, 1], [0.1, -0.1], [1, 1], [0, 0], CFG)
         assert st.ema_error.tolist() == [0.2, 0.2]
 
+    @pytest.mark.parametrize("batch", [
+        ([0.1, np.nan], [1, 1], [0, 0]),
+        ([np.inf, 0.1], [1, 1], [0, 0]),
+        ([0.1, 0.1], [1, -90], [0, 0]),
+        ([0.1, 0.1], [1, 1], [np.nan, 0]),
+        ([0.1, 0.1], [np.inf, 1], [0, 0]),
+        ([0.1, 0.1], [1, 1], [0, -1]),
+    ])
+    def test_bad_batch_rejected_before_any_row_changes(self, batch):
+        st = state(["a", "b"], ema_error=0.2, success_count=1.0, attempts=3)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            update_file_stats(st, [0, 1], *batch, CFG)
+        assert st.ema_error.tolist() == [0.2, 0.2]
+        assert st.success_count.tolist() == [1.0, 1.0]
+        assert st.failure_count.tolist() == [0.0, 0.0]
+        assert st.attempts.tolist() == [3, 3]
+
 
 class TestSamplingDistribution:
     def test_two_file_hand_derived_case(self):
@@ -383,6 +400,27 @@ class TestSimulation:
                 assert len(set(iteration)) == len(iteration)
                 iteration, drawn = [], 0
         assert drawn == 0 and sum(seen.values()) == 300 * 16
+
+    @pytest.mark.parametrize("outcome, error", [
+        ((0.1, 99, 0), ConfigError),
+        ((0.1, 0, 0), ConfigError),
+        ((0.1, -90, 99), ValueError),       # sums to the 9 rollouts
+        ((float("nan"), 9, 0), ValueError),
+    ])
+    def test_error_process_outputs_checked(self, outcome, error):
+        files = [SyntheticFile("a", 1)]
+        sim = SimConfig(total_iters=10, rollouts_per_iter=9, seed=0)
+        with pytest.raises(error):
+            run_curriculum_sim(files, sim=sim, error_process=lambda *_: outcome)
+
+    @pytest.mark.parametrize(
+        "name", ["total_iters", "rollouts_per_iter", "eval_interval", "trace_interval"]
+    )
+    def test_sim_config_rejects_counts_below_one(self, name):
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(**{name: 0})
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(**{name: -3})
 
     def test_golden_trace_sha256(self):
         # 200 files over 10 levels with desk-scaled thresholds, so freezes,

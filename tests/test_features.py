@@ -193,6 +193,49 @@ class TestDecode:
         assert np.allclose(pos[:, :2], seq.root_pos[:, :2], atol=1e-9)
         assert np.allclose(yaw, 0.0, atol=1e-12)
 
+    @staticmethod
+    def euler_reference(frames, fps, start=(0.0, 0.0, 0.0)):
+        """The per-frame explicit Euler loop the decoder must reproduce."""
+        t = frames.shape[0]
+        dt = 1.0 / fps
+        yaw = np.zeros(t)
+        pos = np.zeros((t, 3))
+        pos[0, 0], pos[0, 1], yaw[0] = start
+        pos[:, 2] = frames[:, 6]
+        lin = frames[:, ROOT_LIN_VEL]
+        ang_z = frames[:, 2]
+        for i in range(t - 1):
+            c, s = np.cos(yaw[i]), np.sin(yaw[i])
+            pos[i + 1, 0] = pos[i, 0] + dt * (c * lin[i, 0] - s * lin[i, 1])
+            pos[i + 1, 1] = pos[i, 1] + dt * (s * lin[i, 0] + c * lin[i, 1])
+            yaw[i + 1] = yaw[i] + dt * ang_z[i]
+        return pos, yaw
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (1.25, -3.5, 2.7)])
+    def test_equals_euler_loop_bit_for_bit(self, start):
+        frames = np.random.default_rng(7).normal(0.0, 2.0, (500, FEATURE_DIM))
+        pos, yaw = decode_root_trajectory(frames, 30.0, start)
+        ref_pos, ref_yaw = self.euler_reference(frames, 30.0, start)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(yaw, ref_yaw)
+
+    def test_tail_from_its_start_state_matches_full_decode(self):
+        frames = np.random.default_rng(8).normal(0.0, 2.0, (300, FEATURE_DIM))
+        pos, yaw = decode_root_trajectory(frames, 25.0)
+        k = 137
+        tail_pos, tail_yaw = decode_root_trajectory(
+            frames[k:], 25.0, (pos[k, 0], pos[k, 1], yaw[k])
+        )
+        assert np.array_equal(tail_pos, pos[k:])
+        assert np.array_equal(tail_yaw, yaw[k:])
+
+    def test_single_frame_sits_at_start(self):
+        frames = np.zeros((1, FEATURE_DIM))
+        frames[0, 6] = 0.8
+        pos, yaw = decode_root_trajectory(frames, 30.0, (2.0, 3.0, 0.5))
+        assert pos.tolist() == [[2.0, 3.0, 0.8]]
+        assert yaw.tolist() == [0.5]
+
 
 class TestNormalization:
     def test_mask_layout(self):

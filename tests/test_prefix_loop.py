@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_walk_sequence, neutral_features
-from motion_forge.errors import ConfigError
+from motion_forge.errors import ConfigError, NonFiniteError
 from motion_forge.features import FEATURE_DIM, ROT6D, encode_features
 from motion_forge.motion import default_skeleton
 from motion_forge.prefix_loop import (
@@ -217,3 +217,156 @@ class TestRunPrefixLoop:
         with pytest.raises(ConfigError):
             run_prefix_loop(neutral_features(10), np.zeros(7), gen,
                             identity_tracker, cfg, skel)
+
+
+MOTION_ARRAYS = ("joint_pos", "joint_vel", "root_pos", "root_quat",
+                 "body_pos", "body_rot", "body_lin_vel", "body_ang_vel")
+
+
+def assert_same_motion(a, b):
+    for name in MOTION_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestIncrementalDecode:
+    """The loop decodes only each candidate, yet hands the tracker exactly
+    what decoding the whole window from scratch would give."""
+
+    def cfg(self, **kw):
+        defaults = dict(fps=30.0, mpjpe_tolerance=0.15, max_resamples=4,
+                        segment_seconds=1.0, horizon_seconds=6.0, seed=9)
+        defaults.update(kw)
+        return PrefixLoopConfig(**defaults)
+
+    def walk_prefix(self, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.4, 30, 30.0)
+        return encode_features(seq, skel)
+
+    def recording_run(self, skel, cfg, tracker_body):
+        """Run the loop, keeping each window's features and reference."""
+        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.01)
+        windows, references = [], []
+
+        def generator(prefix, target, condition, rng):
+            candidate = gen(prefix, target, condition, rng)
+            windows.append(np.vstack([prefix, candidate]))
+            return candidate
+
+        def tracker(reference):
+            references.append(reference.copy())
+            return tracker_body(reference)
+
+        motion, trace = run_prefix_loop(
+            self.walk_prefix(skel), standing_target(), generator, tracker, cfg, skel
+        )
+        return motion, trace, windows, references
+
+    def test_every_reference_equals_a_full_window_decode(self, skel):
+        cfg = self.cfg()
+        verdicts = np.random.default_rng(3).random(64) < 0.35
+        calls = iter(verdicts)
+
+        def tracker_body(reference):
+            out = reference.copy()
+            if next(calls):
+                out.body_pos[..., 2] += 1.0
+            return out
+
+        motion, trace, windows, references = self.recording_run(skel, cfg, tracker_body)
+        attempts = [a for seg in trace.segments for a in seg.attempts]
+        assert trace.termination == TERMINATION_COMPLETED
+        assert any(not a.accepted for a in attempts)
+        assert len(references) == len(windows) == len(attempts)
+        for window, reference in zip(windows, references):
+            assert_same_motion(reference, features_to_motion(window, cfg.fps, skel))
+
+    def test_returned_motion_equals_decode_of_trace_features(self, skel):
+        cfg = self.cfg(horizon_seconds=4.0)
+        tracker = make_perturbation_tracker(seed=3, noise_scale=0.01)
+        motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
+        assert motion.num_frames == 30 + 4 * 30
+        assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
+
+    def test_exhausted_run_returns_the_accepted_prefix(self, skel):
+        cfg = self.cfg(max_resamples=2)
+        tracker = make_failure_tracker(fail_after_frame=30 + 30 + 10)
+        motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
+        assert trace.termination == TERMINATION_EXHAUSTED
+        assert trace.features.shape[0] == 60
+        assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
+
+    def test_tracker_mutating_its_input_cannot_corrupt_the_loop(self, skel):
+        cfg = self.cfg()
+
+        def mutate(reference):
+            reference.body_pos[:] += 0.01
+            reference.body_rot[:] *= -1.0
+            reference.root_pos[:] -= 5.0
+            reference.root_quat[:] = [1.0, 0.0, 0.0, 0.0]
+            reference.body_ang_vel[:] = 7.0
+            return reference
+
+        def copy_then_mutate(reference):
+            return mutate(reference.copy())
+
+        motion_a, trace_a, _, _ = self.recording_run(skel, cfg, mutate)
+        motion_b, trace_b, _, _ = self.recording_run(skel, cfg, copy_then_mutate)
+        assert trace_a.to_dict() == trace_b.to_dict()
+        assert np.array_equal(trace_a.features, trace_b.features)
+        assert_same_motion(motion_a, motion_b)
+        assert_same_motion(motion_a, features_to_motion(trace_a.features, cfg.fps, skel))
+
+    def test_generator_cannot_rewrite_accepted_frames(self, skel):
+        cfg = self.cfg()
+
+        def generator(prefix, target, condition, rng):
+            prefix[-1, 6] += 1.0
+            return np.repeat(prefix[-1:], cfg.segment_frames, axis=0)
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_prefix_loop(self.walk_prefix(skel), standing_target(), generator,
+                            identity_tracker, cfg, skel)
+
+    def test_short_initial_prefix_rejected(self, skel):
+        cfg = self.cfg()
+        gen = make_interpolation_generator(cfg.segment_frames)
+        with pytest.raises(ConfigError, match="at least 2 frames"):
+            run_prefix_loop(neutral_features(1), standing_target(), gen,
+                            identity_tracker, cfg, skel)
+
+
+class TestNonFiniteValues:
+    def cfg(self):
+        return PrefixLoopConfig(horizon_seconds=2.0, max_resamples=2, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_generator_output_rejected(self, skel, bad):
+        cfg = self.cfg()
+
+        def generator(prefix, target, condition, rng):
+            frames = np.repeat(prefix[-1:], cfg.segment_frames, axis=0)
+            frames[5, 3] = bad
+            return frames
+
+        with pytest.raises(NonFiniteError, match="generator"):
+            run_prefix_loop(neutral_features(30), standing_target(), generator,
+                            identity_tracker, cfg, skel)
+
+    @pytest.mark.parametrize("field", ["body_pos", "root_pos"])
+    def test_tracker_output_rejected_before_mpjpe(self, skel, field):
+        seq = features_to_motion(neutral_features(8), 30.0, skel)
+
+        def tracker(reference):
+            out = reference.copy()
+            getattr(out, field)[3, 0] = np.nan
+            return out
+
+        with pytest.raises(NonFiniteError, match="tracker"):
+            validate_segment(seq, tracker, tolerance=0.15)
+
+    def test_loop_raises_on_nan_tracker(self, skel):
+        cfg = self.cfg()
+        gen = make_interpolation_generator(cfg.segment_frames)
+        tracker = make_perturbation_tracker(seed=0, offset=float("nan"))
+        with pytest.raises(NonFiniteError):
+            run_prefix_loop(neutral_features(30), standing_target(), gen, tracker, cfg, skel)

@@ -10,6 +10,7 @@ from motion_forge.rotations import (
     quat_from_yaw,
     quat_geodesic_angle,
     quat_multiply,
+    quat_normalize,
     quat_rotate,
     quat_to_matrix,
     rot_to_6d,
@@ -121,3 +122,41 @@ def test_geodesic_angles():
     assert matrix_geodesic_angle(rot_z(0.0), rot_z(0.5)) == pytest.approx(0.5)
     # antipodal quaternions are the same rotation
     assert quat_geodesic_angle(q2, -np.asarray(q2)) == pytest.approx(0.0, abs=1e-7)
+
+
+def matrix_to_quat_reference(r):
+    """One matrix at a time: the scalar branch formulas."""
+    trace = r[0, 0] + r[1, 1] + r[2, 2]
+    if trace > 0.0:
+        s = np.sqrt(trace + 1.0) * 2.0
+        q = [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
+    elif r[1, 1] > r[2, 2]:
+        s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        q = [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
+    else:
+        s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        q = [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+    q = quat_normalize(np.array([q]))[0]
+    return -q if q[0] < 0.0 else q
+
+
+def test_matrix_to_quat_batch_covers_every_branch_bit_exact():
+    # identity (trace branch), then half turns about x, y and z, each of
+    # which has trace -1 and one dominant diagonal entry
+    known = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    tilted = np.array([[0.1, 0.9, 0.3, 0.2], [0.05, 0.2, 0.95, 0.1], [0.1, 0.2, 0.3, 0.9]])
+    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+    batch = np.concatenate([quat_to_matrix(known),
+                            random_rotations(np.random.default_rng(3), (41,)),
+                            quat_to_matrix(tilted)])
+    diag = np.diagonal(batch, axis1=1, axis2=2)
+    assert (diag.sum(axis=1)[-3:] < 0.0).all()
+    assert diag[-3:].argmax(axis=1).tolist() == [0, 1, 2]
+    got = matrix_to_quat(batch.reshape(2, -1, 3, 3)).reshape(-1, 4)
+    expected = np.stack([matrix_to_quat_reference(r) for r in batch])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got[:4], known)
