@@ -8,6 +8,7 @@ config dataclass for the values and their meaning).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,8 +134,16 @@ def config_from_dict(data: dict) -> AppConfig:
 
 
 def load_config(path) -> AppConfig:
+    def finite(literal: str) -> float:
+        # every JSON number with a fraction or exponent, and the NaN/Infinity
+        # literals Python's json reads, pass through here
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path}: {literal} is not a finite number")
+        return value
+
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -30,4 +30,5 @@ class FileFormatError(MotionForgeError):
 
 
 class NonFiniteError(MotionForgeError):
-    """A plug-in returned NaN or infinite values where finite ones are required."""
+    """A plug-in output or a loaded file holds NaN or infinite values where
+    finite ones are required."""

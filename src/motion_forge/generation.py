@@ -52,9 +52,9 @@ Denoiser = Callable[[np.ndarray, int, object], np.ndarray]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation
+    # tanh approximation; x * x * x, because numpy's x**3 is a slow pow() per element
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -67,29 +67,64 @@ FFNParams = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def ffn_apply(params: FFNParams, x: np.ndarray) -> np.ndarray:
+    """GELU FFN over the frames of x (T, D).  Parameters stacked along
+    leading axes (w1 (..., H, D), b1 (..., H), ...) give one output per
+    stacked expert, shape (..., T, D)."""
     (w1, b1), (w2, b2) = params
-    return gelu(np.asarray(x, dtype=np.float64) @ w1.T + b1) @ w2.T + b2
+    h = gelu(np.asarray(x, dtype=np.float64) @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    return h @ np.swapaxes(w2, -1, -2) + b2[..., None, :]
 
 
 @dataclass
 class TPMoEParams:
-    """Expert pool, gate MLP, and mask constants for one TP-MoE block."""
+    """Expert pool, gate MLP, and mask constants for one TP-MoE block.
 
-    experts: list[FFNParams]
+    The K experts are stacked along a leading axis: w1 (K, H, D), b1 (K, H),
+    w2 (K, D, H), b2 (K, D).  These four arrays are the only storage:
+    `experts[k]` is expert k's ((w1, b1), (w2, b2)) as views into them, and
+    assigning a list of such tuples to `experts` restacks.
+    """
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
     gate_layers: list[tuple[np.ndarray, np.ndarray]]   # SiLU MLP, linear head
     mask_sharpness: float = MASK_SHARPNESS
     mask_threshold: float = MASK_THRESHOLD
     balance_weight: float = BALANCE_WEIGHT
 
     def __post_init__(self):
-        if not self.experts:
-            raise ConfigError("need at least one expert")
+        self._check_stack()
         if self.mask_sharpness <= 0 or not 0.0 < self.mask_threshold < 1.0:
             raise ConfigError("mask constants out of range")
 
+    def _check_stack(self) -> None:
+        k, h, d = self.w1.shape if self.w1.ndim == 3 else (0, 0, 0)
+        if k < 1:
+            raise ConfigError("need at least one expert")
+        if self.b1.shape != (k, h) or self.w2.shape != (k, d, h) or self.b2.shape != (k, d):
+            raise ConfigError(
+                f"expert stack shapes disagree: w1 {self.w1.shape}, b1 {self.b1.shape}, "
+                f"w2 {self.w2.shape}, b2 {self.b2.shape}"
+            )
+
+    @property
+    def experts(self) -> list[FFNParams]:
+        return [((self.w1[k], self.b1[k]), (self.w2[k], self.b2[k]))
+                for k in range(self.num_experts)]
+
+    @experts.setter
+    def experts(self, experts: Sequence[FFNParams]) -> None:
+        if not experts:
+            raise ConfigError("need at least one expert")
+        flat = [(w1, b1, w2, b2) for (w1, b1), (w2, b2) in experts]
+        self.w1, self.b1, self.w2, self.b2 = (np.stack(arrays) for arrays in zip(*flat))
+        self._check_stack()
+
     @property
     def num_experts(self) -> int:
-        return len(self.experts)
+        return self.w1.shape[0]
 
 
 def init_tpmoe(
@@ -102,20 +137,26 @@ def init_tpmoe(
     scale: float = 0.3,
 ) -> TPMoEParams:
     gate_hidden = model_dim if gate_hidden is None else gate_hidden
-    experts = []
-    for _ in range(num_experts):
-        w1 = rng.normal(0.0, scale / np.sqrt(model_dim), (ffn_hidden, model_dim))
-        w2 = rng.normal(0.0, scale / np.sqrt(ffn_hidden), (model_dim, ffn_hidden))
-        experts.append(((w1, np.zeros(ffn_hidden)), (w2, np.zeros(model_dim))))
+    w1 = np.empty((num_experts, ffn_hidden, model_dim))
+    w2 = np.empty((num_experts, model_dim, ffn_hidden))
+    for k in range(num_experts):   # draw order per expert: w1, then w2
+        w1[k] = rng.normal(0.0, scale / np.sqrt(model_dim), w1.shape[1:])
+        w2[k] = rng.normal(0.0, scale / np.sqrt(ffn_hidden), w2.shape[1:])
     dims = [token_dim, gate_hidden, gate_hidden, num_experts]
     gate_layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         gate_layers.append((rng.normal(0.0, scale / np.sqrt(d_in), (d_out, d_in)), np.zeros(d_out)))
-    return TPMoEParams(experts=experts, gate_layers=gate_layers)
+    return TPMoEParams(w1=w1, b1=np.zeros((num_experts, ffn_hidden)),
+                       w2=w2, b2=np.zeros((num_experts, model_dim)),
+                       gate_layers=gate_layers)
 
 
 def tpmoe_gate(token_embedding: np.ndarray, params: TPMoEParams) -> np.ndarray:
-    """Per-token expert weights: softmax over the gate MLP's K outputs."""
+    """Per-token expert weights: softmax over the gate MLP's K outputs.
+
+    One embedding (token_dim,) gives (K,); a batch (N, token_dim) gives
+    (N, K), one softmax per row.
+    """
     x = np.asarray(token_embedding, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("token embedding must be finite")
@@ -123,29 +164,30 @@ def tpmoe_gate(token_embedding: np.ndarray, params: TPMoEParams) -> np.ndarray:
         x = x @ w.T + b
         if i < len(params.gate_layers) - 1:
             x = silu(x)
-    x = x - x.max()
+    x = x - x.max(axis=-1, keepdims=True)
     w = np.exp(x)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def mix_expert_params(weights: np.ndarray, params: TPMoEParams) -> FFNParams:
     """Blend every expert parameter tensor under the gate weights.
 
-    With one-hot weights this returns the selected expert's tensors exactly;
-    in general the mixed expert is *not* the output-space mixture because the
-    FFN is nonlinear.
+    weights (K,) gives one mixed expert; (N, K) gives N mixed experts
+    stacked along a leading axis (w1 (N, H, D), ...).  Each tensor is one
+    contraction over the expert axis, so every expert tensor is read once
+    however many rows are mixed.  With one-hot weights this returns the
+    selected expert's tensors exactly; in general the mixed expert is *not*
+    the output-space mixture because the FFN is nonlinear.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (params.num_experts,):
-        raise DimensionMismatchError(
-            f"expected {params.num_experts} weights, got {weights.shape}"
-        )
-    mixed = []
-    for layer in range(2):
-        w = sum(wt * params.experts[k][layer][0] for k, wt in enumerate(weights))
-        b = sum(wt * params.experts[k][layer][1] for k, wt in enumerate(weights))
-        mixed.append((w, b))
-    return (mixed[0], mixed[1])
+    k = params.num_experts
+    if weights.ndim not in (1, 2) or weights.shape[-1] != k:
+        raise DimensionMismatchError(f"expected {k} weights per row, got {weights.shape}")
+
+    def mix(stack: np.ndarray) -> np.ndarray:
+        return (weights @ stack.reshape(k, -1)).reshape(weights.shape[:-1] + stack.shape[1:])
+
+    return ((mix(params.w1), mix(params.b1)), (mix(params.w2), mix(params.b2)))
 
 
 def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
@@ -168,7 +210,9 @@ def tpmoe_apply(
 
     x: (T, d) motion features; token_embeddings: (N, token_dim);
     attention: (T, N) cross-attention weights.
-    Returns (delta, x + delta, routing_weights (N, K)).
+    Returns (delta, x + delta, routing_weights (N, K)).  All N tokens are
+    gated, mixed and applied at once: one (N, K) routing matrix, one
+    parameter mix per tensor, one batched FFN.
     """
     x = np.asarray(x, dtype=np.float64)
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
@@ -179,13 +223,9 @@ def tpmoe_apply(
             f"got {attention.shape}"
         )
     mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
-    delta = np.zeros_like(x)
-    routing = np.zeros((tokens.shape[0], params.num_experts))
-    for i in range(tokens.shape[0]):
-        weights = tpmoe_gate(tokens[i], params)
-        routing[i] = weights
-        mixed = mix_expert_params(weights, params)
-        delta += mask[:, i:i + 1] * ffn_apply(mixed, x)
+    routing = tpmoe_gate(tokens, params)
+    per_token = ffn_apply(mix_expert_params(routing, params), x)   # (N, T, d)
+    delta = (mask.T[:, :, None] * per_token).sum(axis=0)
     return delta, x + delta, routing
 
 

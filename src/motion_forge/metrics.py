@@ -22,6 +22,7 @@ FAILURE_NONE = "none"
 FAILURE_PELVIS_Z = "pelvis_z"
 FAILURE_TRUNK_GRAVITY = "trunk_gravity"
 FAILURE_EE_Z = "ee_z"
+FAILURE_NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,15 @@ def success(
     """Episode success: no frame crosses a terminal-failure threshold.
 
     Returns (False, reason) for the first violating frame; the reason is the
-    first violated check in the order pelvis_z, trunk_gravity, ee_z.
+    first violated check in the order pelvis_z, trunk_gravity, ee_z.  A NaN
+    or infinite value anywhere in the sim arrays these checks read fails as
+    non_finite before any threshold is looked at (NaN compares False, so it
+    would otherwise pass every threshold).
     """
     cfg = cfg or SuccessConfig()
     _check_aligned(ref, sim)
+    if not all(np.all(np.isfinite(a)) for a in (sim.root_pos, sim.body_rot, sim.body_pos)):
+        return False, FAILURE_NON_FINITE
 
     pelvis_bad = np.abs(ref.root_pos[:, 2] - sim.root_pos[:, 2]) > cfg.pelvis_z_threshold
 

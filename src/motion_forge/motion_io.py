@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FileFormatError
+from .errors import DimensionMismatchError, FileFormatError, NonFiniteError
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
 from .motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
@@ -51,6 +51,13 @@ def _require(data: dict, key: str, path) -> object:
     if key not in data:
         raise FileFormatError(f"{path}: missing required field '{key}'")
     return data[key]
+
+
+def _check_finite(path, **fields) -> None:
+    """One whole-array check per loaded field; absent fields are None."""
+    for name, value in fields.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"{path}: field '{name}' holds NaN or infinite values")
 
 
 def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
@@ -122,6 +129,10 @@ def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
         if body_ang_vel is not None:
             body_ang_vel[i] = np.asarray(frame["body_ang_vel"], dtype=np.float64)
 
+    fps = float(fps)
+    _check_finite(path, fps=fps, joint_pos=joint_pos, root_pos=root_pos, root_quat=root_quat,
+                  body_pos=body_pos, body_rot=body_rot, joint_vel=joint_vel,
+                  body_lin_vel=body_lin_vel, body_ang_vel=body_ang_vel)
     if joint_vel is None:
         joint_vel = finite_difference(joint_pos, fps)
     if body_lin_vel is None:
@@ -130,7 +141,7 @@ def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
         body_ang_vel = np.zeros((t, NUM_BODIES, 3))
 
     return MotionSequence(
-        fps=float(fps),
+        fps=fps,
         joint_pos=joint_pos,
         joint_vel=joint_vel,
         root_pos=root_pos,
@@ -177,6 +188,7 @@ def load_features(path) -> tuple[np.ndarray, float]:
         raise DimensionMismatchError(
             f"{path}: features must be (frames, {FEATURE_DIM}), got {feats.shape}"
         )
+    _check_finite(path, fps=fps, features=feats)
     return feats, fps
 
 
@@ -195,6 +207,7 @@ def load_norm_stats(path) -> NormStats:
     _check_version(data, path)
     mean = np.asarray(_require(data, "mean", path), dtype=np.float64)
     std = np.asarray(_require(data, "std", path), dtype=np.float64)
+    _check_finite(path, mean=mean, std=std)
     mask = np.asarray(data.get("mask", normalized_dim_mask()), dtype=bool)
     return NormStats(mean=mean, std=std, mask=mask, clamped=bool(data.get("clamped", False)))
 

@@ -230,12 +230,20 @@ def refresh_candidates(state: RouterState, logits: np.ndarray) -> RouterState:
     return state
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    p = np.exp(logits - logits.max())
+    return p / p.sum()
+
+
 def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
     """Mixture weights over the full expert list, supported on the candidates.
 
     Softmax at the configured temperature over the candidate logits; while a
     newly added expert is cold its weight is clamped to the cold-start cap
-    and the excess is shared by the other candidates.
+    and the other candidates share 1 - cap under a softmax over their own
+    logits.  That is the rescaling (1 - cap) / (1 - w_cold) of their weights,
+    without dividing by a remainder that rounds to 0 when the cold expert's
+    softmax saturates.
     """
     if state.logits_ema is None or not state.candidates:
         raise ConfigError("router has not been stepped yet")
@@ -243,18 +251,14 @@ def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
     if not cand:
         raise ConfigError("no unlocked candidates")
     logits = state.logits_ema[cand] / state.config.temperature
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
     weights = np.zeros(pool.num_experts)
-    weights[cand] = p
+    weights[cand] = _softmax(logits)
     cold = state.cold_expert
     if cold is not None and cold in cand and len(cand) > 1:
         cap = state.config.cold_start_cap
         if weights[cold] > cap:
-            others = [c for c in cand if c != cold]
-            scale = (1.0 - cap) / (1.0 - weights[cold])
-            weights[others] *= scale
+            logits[cand.index(cold)] = -np.inf   # exp gives 0: only the others share
+            weights[cand] = (1.0 - cap) * _softmax(logits)
             weights[cold] = cap
     return weights
 

@@ -268,7 +268,9 @@ class TestPrefixRunCli:
         target_path = tmp_path / "target.json"
         save_features(neutral_features(2), 30.0, target_path)
         cfg_path = tmp_path / "cfg.json"
-        # Python's json reads the NaN literal, so a config can carry one
+        # Python's json reads the NaN literal; the config loader refuses it
+        # before a tracker is built (NonFiniteError in the loop stays the
+        # backstop for a plug-in that produces NaN itself)
         cfg_path.write_text(
             '{"prefix_loop": {"horizon_seconds": 1.0},'
             ' "tracker": {"kind": "perturbation", "offset": NaN}}'
@@ -277,7 +279,8 @@ class TestPrefixRunCli:
         code, captured = run(["prefix-run", prefix_path, target_path, "--config", cfg_path,
                               "--out", tmp_path / "out.json", "--trace", trace_path], capsys)
         assert code == 1
-        assert json.loads(captured.err)["error"] == "NonFiniteError"
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "NaN is not a finite number" in err["message"]
         assert not trace_path.exists()
 
 

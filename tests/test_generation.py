@@ -37,6 +37,21 @@ def small_tpmoe(rng, num_experts=4):
                       num_experts=num_experts, gate_hidden=7)
 
 
+# The batched TP-MoE path sums in a different order than a per-token loop
+# (BLAS contractions instead of a Python sum over experts), so it is compared
+# with per-token references at this absolute tolerance, not bit for bit.
+BATCHED_ATOL = 1e-12
+
+
+def sum_mix(weights, params):
+    """Reference parameter mix: a Python sum over the experts, one token."""
+    return tuple(
+        (sum(wt * params.experts[k][layer][0] for k, wt in enumerate(weights)),
+         sum(wt * params.experts[k][layer][1] for k, wt in enumerate(weights)))
+        for layer in range(2)
+    )
+
+
 class TestGate:
     def test_zero_gate_uniform(self):
         rng = np.random.default_rng(0)
@@ -90,6 +105,28 @@ class TestParameterMixing:
         x = rng.standard_normal((3, 6))
         assert np.allclose(ffn_apply(mixed, x), ffn_apply(params.experts[0], x), atol=1e-12)
 
+    def test_batched_mix_matches_single_token_mixes(self):
+        rng = np.random.default_rng(30)
+        params = small_tpmoe(rng, num_experts=6)
+        routing = rng.dirichlet(np.ones(6), size=5)
+        batched = mix_expert_params(routing, params)
+        assert batched[0][0].shape == (5, 9, 6) and batched[1][1].shape == (5, 6)
+        for n in range(5):
+            single = mix_expert_params(routing[n], params)
+            reference = sum_mix(routing[n], params)
+            for layer in range(2):
+                for t in range(2):
+                    assert np.allclose(batched[layer][t][n], single[layer][t],
+                                       rtol=0.0, atol=BATCHED_ATOL)
+                    assert np.allclose(single[layer][t], reference[layer][t],
+                                       rtol=0.0, atol=BATCHED_ATOL)
+
+    def test_weight_shape_checked(self):
+        params = small_tpmoe(np.random.default_rng(31))
+        for bad in (np.ones(3), np.ones((2, 5)), np.ones((2, 2, 4))):
+            with pytest.raises(DimensionMismatchError):
+                mix_expert_params(bad, params)
+
     def test_parameter_vs_output_mixing_differ_on_nonlinear(self):
         # for a single linear layer the two coincide; through the GELU they
         # must not, which is what distinguishes parameter-space mixing
@@ -106,6 +143,51 @@ class TestParameterMixing:
         pre_avg = 0.5 * (x @ params.experts[0][0][0].T + params.experts[0][0][1]) \
             + 0.5 * (x @ params.experts[1][0][0].T + params.experts[1][0][1])
         assert np.allclose(pre_mixed, pre_avg, atol=1e-12)
+
+
+class TestExpertStack:
+    def test_experts_are_views_of_the_stack(self):
+        params = small_tpmoe(np.random.default_rng(32))
+        assert params.w1.shape == (4, 9, 6) and params.b1.shape == (4, 9)
+        assert params.w2.shape == (4, 6, 9) and params.b2.shape == (4, 6)
+        stack = (params.w1, params.b1, params.w2, params.b2)
+        for k, ((w1, b1), (w2, b2)) in enumerate(params.experts):
+            for view, full in zip((w1, b1, w2, b2), stack):
+                assert view.base is full
+                assert np.array_equal(view, full[k])
+        params.experts[2][1][0][0, 0] = 7.0
+        assert params.w2[2, 0, 0] == 7.0
+
+    def test_assigning_experts_restacks(self):
+        rng = np.random.default_rng(33)
+        params = small_tpmoe(rng)
+        new = [((rng.standard_normal((9, 6)), rng.standard_normal(9)),
+                (rng.standard_normal((6, 9)), rng.standard_normal(6))) for _ in range(3)]
+        params.experts = new
+        assert params.num_experts == 3 and params.w1.shape == (3, 9, 6)
+        for k, ((w1, b1), (w2, b2)) in enumerate(new):
+            assert np.array_equal(params.w1[k], w1) and np.array_equal(params.b1[k], b1)
+            assert np.array_equal(params.w2[k], w2) and np.array_equal(params.b2[k], b2)
+        # the stack owns its storage: the assigned arrays are not aliased
+        new[0][0][0][0, 0] += 1.0
+        assert params.w1[0, 0, 0] != new[0][0][0][0, 0]
+
+    def test_empty_or_mismatched_experts_rejected(self):
+        params = small_tpmoe(np.random.default_rng(34))
+        with pytest.raises(ConfigError, match="at least one expert"):
+            params.experts = []
+        (w1, b1), (w2, b2) = params.experts[0]
+        with pytest.raises(ConfigError, match="shapes disagree"):
+            params.experts = [((w1, b1), (w2, b2[:5]))]
+
+    def test_seeded_init_draws_per_expert_w1_then_w2(self):
+        params = init_tpmoe(np.random.default_rng(35), token_dim=10, model_dim=6,
+                            ffn_hidden=9, num_experts=3, gate_hidden=7)
+        rng = np.random.default_rng(35)
+        for k in range(3):
+            assert np.array_equal(params.w1[k], rng.normal(0.0, 0.3 / np.sqrt(6), (9, 6)))
+            assert np.array_equal(params.w2[k], rng.normal(0.0, 0.3 / np.sqrt(9), (6, 9)))
+        assert not params.b1.any() and not params.b2.any()
 
 
 class TestSpatialMask:
@@ -180,6 +262,27 @@ class TestTpmoeApply:
         mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
         # away from its peak, token 1's mask is far below its peak value
         assert mask[1, 1] < 0.05 and mask[0, 1] > 0.99
+
+    def test_matches_per_token_reference(self):
+        rng = np.random.default_rng(36)
+        params = init_tpmoe(rng, token_dim=24, model_dim=16, ffn_hidden=40,
+                            num_experts=12, gate_hidden=20)
+        params.b1 = rng.standard_normal(params.b1.shape)
+        params.b2 = rng.standard_normal(params.b2.shape)
+        x = rng.standard_normal((11, 16))
+        tokens = rng.standard_normal((5, 24))
+        attention = rng.uniform(0.0, 1.0, (11, 5))
+        delta, out, routing = tpmoe_apply(x, tokens, attention, params)
+
+        mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
+        ref_delta = np.zeros_like(x)
+        for i in range(5):
+            weights = tpmoe_gate(tokens[i], params)
+            assert np.allclose(routing[i], weights, rtol=0.0, atol=BATCHED_ATOL)
+            ref_delta += mask[:, i:i + 1] * ffn_apply(sum_mix(weights, params), x)
+        assert np.allclose(delta, ref_delta, rtol=0.0, atol=BATCHED_ATOL)
+        assert np.allclose(out, x + ref_delta, rtol=0.0, atol=BATCHED_ATOL)
+        assert np.abs(delta).max() > 0.1   # the comparison is not between zeros
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,12 @@ import pytest
 
 from helpers import make_random_sequence, make_walk_sequence
 from motion_forge.config import AppConfig, config_from_dict, load_config
-from motion_forge.errors import ConfigError, DimensionMismatchError, FileFormatError
+from motion_forge.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    FileFormatError,
+    NonFiniteError,
+)
 from motion_forge.features import encode_features, fit_norm_stats
 from motion_forge.motion import default_skeleton
 from motion_forge.motion_io import (
@@ -106,6 +111,16 @@ class TestMotionFiles:
         with pytest.raises(FileFormatError, match="JSON"):
             load_motion(path)
 
+    def test_non_finite_value_names_file_and_field(self, tmp_path, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 5, 30.0)
+        path = tmp_path / "clip.json"
+        save_motion(seq, path, skel)
+        doc = json.loads(path.read_text())
+        doc["frames"][3]["body_pos"][4][2] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NonFiniteError, match=r"clip\.json: field 'body_pos'"):
+            load_motion(path, skel)
+
 
 class TestFeatureAndStatsFiles:
     def test_features_round_trip(self, tmp_path, skel):
@@ -124,6 +139,25 @@ class TestFeatureAndStatsFiles:
                                     "features": [[0.0] * 100]}))
         with pytest.raises(DimensionMismatchError, match="262"):
             load_features(path)
+
+    def test_features_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "feats.json"
+        frames = [[0.0] * 262 for _ in range(3)]
+        frames[1][7] = float("inf")
+        path.write_text(json.dumps({"format_version": 1, "fps": 30.0, "features": frames}))
+        with pytest.raises(NonFiniteError, match=r"feats\.json: field 'features'"):
+            load_features(path)
+
+    def test_norm_stats_non_finite_rejected(self, tmp_path, skel):
+        rng = np.random.default_rng(3)
+        stats = fit_norm_stats(encode_features(make_random_sequence(skel, rng, num_frames=20), skel))
+        path = tmp_path / "stats.json"
+        save_norm_stats(stats, path)
+        doc = json.loads(path.read_text())
+        doc["std"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NonFiniteError, match=r"stats\.json: field 'std'"):
+            load_norm_stats(path)
 
     def test_norm_stats_round_trip(self, tmp_path, skel):
         rng = np.random.default_rng(2)
@@ -182,4 +216,12 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        # Python's json reads NaN/Infinity, and 1e999 overflows to inf
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tracker": {"kind": "perturbation", "offset": %s}}' % literal)
+        with pytest.raises(ConfigError, match=f"{literal} is not a finite number"):
             load_config(path)

@@ -6,6 +6,7 @@ from motion_forge.errors import AlignmentError
 from motion_forge.features import detect_contacts
 from motion_forge.metrics import (
     FAILURE_EE_Z,
+    FAILURE_NON_FINITE,
     FAILURE_NONE,
     FAILURE_PELVIS_Z,
     FAILURE_TRUNK_GRAVITY,
@@ -229,6 +230,19 @@ class TestSuccess:
         sim.root_pos[3:, 2] += 0.4                             # pelvis at frame 3
         ok, reason = success(ref, sim, skel)
         assert not ok and reason == FAILURE_PELVIS_Z
+
+    def test_non_finite_clip_fails_before_thresholds(self, skel):
+        # NaN compares False against every threshold, so without the explicit
+        # check this clip would be reported as a success
+        ref = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
+        sim = ref.copy()
+        sim.body_pos[10:] = np.nan
+        sim.root_pos[10:] = np.nan
+        ok, reason = success(ref, sim, skel)
+        assert not ok and reason == FAILURE_NON_FINITE
+        report = evaluate(ref, sim, skel)
+        assert report.success is False
+        assert report.failure_reason == FAILURE_NON_FINITE
 
 
 def test_evaluate_report_roundtrip(skel):

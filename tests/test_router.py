@@ -388,6 +388,22 @@ class TestDiagnosticsAndGrowth:
         refresh_candidates(state, logits)
         assert candidate_weights(state, pool)[new_idx] > 0.9
 
+    def test_saturated_cold_expert_weights_stay_on_simplex(self):
+        # the cold expert's softmax rounds to exactly 1.0, so 1 - w_cold is 0
+        rng = np.random.default_rng(22)
+        pool = small_pool(rng, n=2, unlocked=2)
+        cfg = RouterConfig(top_k=3, cold_start_cap=0.1, cold_start_steps=50,
+                           ema_enabled=False)
+        state = make_router(rng, pool.capacity, Z_DIM, config=cfg)
+        cold = add_expert(pool, state)
+        assert cold == 2
+        refresh_candidates(state, np.array([-1e4, -1e4, 0.0]))
+        w = candidate_weights(state, pool)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w[cold] == 0.1
+        assert w[0] == w[1] == pytest.approx(0.45, abs=1e-12)
+
     def test_pool_capacity_guard(self):
         rng = np.random.default_rng(19)
         pool = make_random_pool(rng, 2, OBS_DIM, (4,), ACT_DIM, capacity=2)
