@@ -115,7 +115,7 @@ def cmd_metrics(args) -> int:
     if overrides:
         success_cfg = dataclasses.replace(success_cfg, **overrides)
     report = evaluate(ref, sim, skel, ground, success_cfg)
-    _write_output(json.dumps(report.to_dict(), indent=1), args.out)
+    _write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False), args.out)
     return 0
 
 

@@ -36,7 +36,7 @@ from .rotations import (
     quat_multiply,
     rot_to_6d,
     rot_z,
-    sixd_to_rot,
+    sixd_columns,
     yaw_from_quat,
 )
 
@@ -288,5 +288,5 @@ def project_valid_rot6d(frames: np.ndarray) -> np.ndarray:
     t = frames.shape[0]
     out = frames.copy()
     blocks = out[:, ROT6D].reshape(t, 29, 6)
-    out[:, ROT6D] = rot_to_6d(sixd_to_rot(blocks)).reshape(t, -1)
+    blocks[..., :3], blocks[..., 3:] = sixd_columns(blocks)
     return out

@@ -54,12 +54,14 @@ class SuccessConfig:
 
 @dataclass
 class MetricReport:
-    penetration_mm: float
-    floating_mm: float
-    skating_ratio: float
-    mpjpe_m: float
-    mpjae_rad: float
-    mpjve_rad_s: float
+    """Metric values are None (JSON null) for a clip that fails as non_finite."""
+
+    penetration_mm: float | None
+    floating_mm: float | None
+    skating_ratio: float | None
+    mpjpe_m: float | None
+    mpjae_rad: float | None
+    mpjve_rad_s: float | None
     success: bool
     failure_reason: str = FAILURE_NONE
 
@@ -145,33 +147,42 @@ def skating(
     return float(frame_slipping.sum() / frame_planted.sum())
 
 
-def _check_aligned(ref: MotionSequence, sim: MotionSequence):
-    if ref.num_frames != sim.num_frames:
+def _check_aligned(ref_pos: np.ndarray, sim_pos: np.ndarray):
+    """Compare two clips' (T, B, 3) body positions for frame and body sets."""
+    if ref_pos.shape[0] != sim_pos.shape[0]:
         raise AlignmentError(
-            f"frame counts differ: {ref.num_frames} vs {sim.num_frames}"
+            f"frame counts differ: {ref_pos.shape[0]} vs {sim_pos.shape[0]}"
         )
-    if ref.body_pos.shape != sim.body_pos.shape:
+    if ref_pos.shape != sim_pos.shape:
         raise AlignmentError("body sets differ between sequences")
 
 
-def mpjpe(ref: MotionSequence, sim: MotionSequence, body_indices=None) -> float:
-    """Mean per-body position error in meters."""
-    _check_aligned(ref, sim)
+def mpjpe(ref, sim, body_indices=None) -> float:
+    """Mean per-body position error in meters.
+
+    Either side may be a MotionSequence or its (T, B, 3) body positions.
+    """
+    ref_pos = np.asarray(getattr(ref, "body_pos", ref))
+    sim_pos = np.asarray(getattr(sim, "body_pos", sim))
+    _check_aligned(ref_pos, sim_pos)
     idx = slice(None) if body_indices is None else list(body_indices)
-    err = np.linalg.norm(ref.body_pos[:, idx] - sim.body_pos[:, idx], axis=-1)
-    return float(err.mean())
+    sq = ref_pos[:, idx] - sim_pos[:, idx]
+    sq *= sq
+    # np.linalg.norm's arithmetic: its add.reduce over three terms sums left
+    # to right; written out, it skips the conj copy and a loop call per row
+    return float(np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).mean())
 
 
 def mpjae(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint angle error in radians, wrap-aware within +-pi."""
-    _check_aligned(ref, sim)
+    _check_aligned(ref.body_pos, sim.body_pos)
     diff = wrap_angle(ref.joint_pos - sim.joint_pos)
     return float(np.abs(diff).mean())
 
 
 def mpjve(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint velocity error in rad/s."""
-    _check_aligned(ref, sim)
+    _check_aligned(ref.body_pos, sim.body_pos)
     return float(np.abs(ref.joint_vel - sim.joint_vel).mean())
 
 
@@ -195,7 +206,7 @@ def success(
     would otherwise pass every threshold).
     """
     cfg = cfg or SuccessConfig()
-    _check_aligned(ref, sim)
+    _check_aligned(ref.body_pos, sim.body_pos)
     if not all(np.all(np.isfinite(a)) for a in (sim.root_pos, sim.body_rot, sim.body_pos)):
         return False, FAILURE_NON_FINITE
 
@@ -232,13 +243,19 @@ def evaluate(
     success_cfg: SuccessConfig | None = None,
     foot_contacts: np.ndarray | None = None,
 ) -> MetricReport:
-    """Full metric report: plausibility of `sim`, tracking of `sim` vs `ref`."""
+    """Full metric report: plausibility of `sim`, tracking of `sim` vs `ref`.
+
+    A clip that fails as non_finite is not measured: its six metric values
+    are None, since NaN frames would make them NaN or skew them unseen.
+    """
     from .features import detect_contacts
 
+    ok, reason = success(ref, sim, skel, success_cfg)
+    if reason == FAILURE_NON_FINITE:
+        return MetricReport(None, None, None, None, None, None, success=ok, failure_reason=reason)
     ground = ground or GroundModel()
     if foot_contacts is None:
         foot_contacts, _ = detect_contacts(sim, skel)
-    ok, reason = success(ref, sim, skel, success_cfg)
     return MetricReport(
         penetration_mm=penetration(sim, ground),
         floating_mm=floating(sim, ground, foot_contacts, skel),

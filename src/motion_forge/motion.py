@@ -242,7 +242,7 @@ class MotionSequence:
             got = getattr(self, name).shape
             if got != shape:
                 raise DimensionMismatchError(f"{name}: expected shape {shape}, got {got}")
-        norms = np.linalg.norm(self.root_quat, axis=-1)
+        norms = np.sqrt(np.add.reduce(self.root_quat * self.root_quat, axis=-1))
         if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise DimensionMismatchError("root quaternions must be unit norm within 1e-6")
 

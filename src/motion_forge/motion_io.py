@@ -22,6 +22,17 @@ from .motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_dif
 FORMAT_VERSION = 1
 
 _MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", "frames"}
+# Per-frame arrays and their shapes in the file; body_rot is row-major 3x3.
+_FRAME_SHAPES = {
+    "joint_pos": (NUM_JOINTS,),
+    "joint_vel": (NUM_JOINTS,),
+    "root_pos": (3,),
+    "root_quat": (4,),
+    "body_pos": (NUM_BODIES, 3),
+    "body_rot": (NUM_BODIES, 9),
+    "body_lin_vel": (NUM_BODIES, 3),
+    "body_ang_vel": (NUM_BODIES, 3),
+}
 _FRAME_REQUIRED = {"joint_pos", "root_pos", "root_quat", "body_pos", "body_rot"}
 
 
@@ -54,31 +65,66 @@ def _require(data: dict, key: str, path) -> object:
 
 
 def _check_finite(path, **fields) -> None:
-    """One whole-array check per loaded field; absent fields are None."""
+    """One whole-array check per loaded field."""
     for name, value in fields.items():
-        if value is not None and not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"{path}: field '{name}' holds NaN or infinite values")
 
 
+def _names(data: dict, key: str, count: int, path) -> list[str]:
+    names = _require(data, key, path)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise FileFormatError(f"{path}: '{key}' must be a list of strings")
+    if len(names) != count:
+        raise DimensionMismatchError(f"{path}: expected {count} {key}, got {len(names)}")
+    return names
+
+
+def _frame_field(frames: list[dict], name: str, path) -> np.ndarray:
+    """Field `name` of every frame as one (T, ...) float array.
+
+    The whole field converts at once; only when that fails does a pass over
+    the frames find the first one whose value is not numbers of the
+    field's shape, and name it.
+    """
+    shape = (len(frames),) + _FRAME_SHAPES[name]
+    try:
+        value = np.asarray([frame[name] for frame in frames])
+        if value.dtype.kind in "iuf" and value.shape == shape:
+            return value.astype(np.float64, copy=False)
+    except ValueError:   # ragged nested lists
+        pass
+    for i, frame in enumerate(frames):
+        try:
+            value = np.asarray(frame[name])
+        except ValueError:
+            value = None
+        if value is None or value.shape != shape[1:]:
+            raise DimensionMismatchError(
+                f"{path}: frame {i} field '{name}' must have shape {shape[1:]}"
+            )
+        if value.dtype.kind not in "iuf":
+            raise FileFormatError(f"{path}: frame {i} field '{name}' must hold only numbers")
+    raise DimensionMismatchError(f"{path}: field '{name}' does not stack to shape {shape}")
+
+
 def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
-    """Parse a motion clip; name lists are validated against the skeleton."""
+    """Parse a motion clip; name lists are validated against the skeleton.
+
+    The optional velocity arrays are read when frame 0 has them, and then
+    every frame must have them.
+    """
     data = _read_json(path)
     _check_version(data, path)
     unknown = set(data) - _MOTION_KEYS
     if unknown:
         raise FileFormatError(f"{path}: unknown fields {sorted(unknown)}")
     fps = _require(data, "fps", path)
-    joint_names = list(_require(data, "joint_names", path))
-    body_names = list(_require(data, "body_names", path))
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        raise FileFormatError(f"{path}: 'fps' must be a number")
+    joint_names = _names(data, "joint_names", NUM_JOINTS, path)
+    body_names = _names(data, "body_names", NUM_BODIES, path)
     frames = _require(data, "frames", path)
-    if len(joint_names) != NUM_JOINTS:
-        raise DimensionMismatchError(
-            f"{path}: expected {NUM_JOINTS} joint names, got {len(joint_names)}"
-        )
-    if len(body_names) != NUM_BODIES:
-        raise DimensionMismatchError(
-            f"{path}: expected {NUM_BODIES} body names, got {len(body_names)}"
-        )
     if skel is not None:
         if tuple(joint_names) != skel.joint_names:
             raise DimensionMismatchError(f"{path}: joint names do not match the skeleton")
@@ -86,71 +132,27 @@ def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
             raise DimensionMismatchError(f"{path}: body names do not match the skeleton")
     if not isinstance(frames, list) or len(frames) < 2:
         raise FileFormatError(f"{path}: 'frames' must list at least 2 frames")
+    if not all(isinstance(frame, dict) for frame in frames):
+        raise FileFormatError(f"{path}: every frame must be a JSON object")
 
     t = len(frames)
-    joint_pos = np.empty((t, NUM_JOINTS))
-    root_pos = np.empty((t, 3))
-    root_quat = np.empty((t, 4))
-    body_pos = np.empty((t, NUM_BODIES, 3))
-    body_rot = np.empty((t, NUM_BODIES, 3, 3))
-    joint_vel = np.empty((t, NUM_JOINTS)) if "joint_vel" in frames[0] else None
-    body_lin_vel = np.empty((t, NUM_BODIES, 3)) if "body_lin_vel" in frames[0] else None
-    body_ang_vel = np.empty((t, NUM_BODIES, 3)) if "body_ang_vel" in frames[0] else None
-
+    fields = [name for name in _FRAME_SHAPES if name in _FRAME_REQUIRED or name in frames[0]]
     for i, frame in enumerate(frames):
-        missing = _FRAME_REQUIRED - set(frame)
+        missing = set(fields) - frame.keys()
         if missing:
             raise FileFormatError(f"{path}: frame {i} missing fields {sorted(missing)}")
-        jp = np.asarray(frame["joint_pos"], dtype=np.float64)
-        if jp.shape != (NUM_JOINTS,):
-            raise DimensionMismatchError(
-                f"{path}: frame {i} has {jp.shape[0] if jp.ndim == 1 else '?'} joints, "
-                f"expected {NUM_JOINTS}"
-            )
-        joint_pos[i] = jp
-        root_pos[i] = np.asarray(frame["root_pos"], dtype=np.float64)
-        root_quat[i] = np.asarray(frame["root_quat"], dtype=np.float64)
-        bp = np.asarray(frame["body_pos"], dtype=np.float64)
-        if bp.shape != (NUM_BODIES, 3):
-            raise DimensionMismatchError(
-                f"{path}: frame {i} body_pos must be {NUM_BODIES}x3, got {bp.shape}"
-            )
-        body_pos[i] = bp
-        br = np.asarray(frame["body_rot"], dtype=np.float64)
-        if br.shape != (NUM_BODIES, 9):
-            raise DimensionMismatchError(
-                f"{path}: frame {i} body_rot must be {NUM_BODIES}x9 row-major, got {br.shape}"
-            )
-        body_rot[i] = br.reshape(NUM_BODIES, 3, 3)
-        if joint_vel is not None:
-            joint_vel[i] = np.asarray(frame["joint_vel"], dtype=np.float64)
-        if body_lin_vel is not None:
-            body_lin_vel[i] = np.asarray(frame["body_lin_vel"], dtype=np.float64)
-        if body_ang_vel is not None:
-            body_ang_vel[i] = np.asarray(frame["body_ang_vel"], dtype=np.float64)
+    arrays = {name: _frame_field(frames, name, path) for name in fields}
 
     fps = float(fps)
-    _check_finite(path, fps=fps, joint_pos=joint_pos, root_pos=root_pos, root_quat=root_quat,
-                  body_pos=body_pos, body_rot=body_rot, joint_vel=joint_vel,
-                  body_lin_vel=body_lin_vel, body_ang_vel=body_ang_vel)
-    if joint_vel is None:
-        joint_vel = finite_difference(joint_pos, fps)
-    if body_lin_vel is None:
-        body_lin_vel = finite_difference(body_pos, fps)
-    if body_ang_vel is None:
-        body_ang_vel = np.zeros((t, NUM_BODIES, 3))
-
-    return MotionSequence(
-        fps=fps,
-        joint_pos=joint_pos,
-        joint_vel=joint_vel,
-        root_pos=root_pos,
-        root_quat=root_quat,
-        body_pos=body_pos,
-        body_rot=body_rot,
-        body_lin_vel=body_lin_vel,
-        body_ang_vel=body_ang_vel,
-    )
+    _check_finite(path, fps=fps, **arrays)
+    if "joint_vel" not in arrays:
+        arrays["joint_vel"] = finite_difference(arrays["joint_pos"], fps)
+    if "body_lin_vel" not in arrays:
+        arrays["body_lin_vel"] = finite_difference(arrays["body_pos"], fps)
+    if "body_ang_vel" not in arrays:
+        arrays["body_ang_vel"] = np.zeros((t, NUM_BODIES, 3))
+    arrays["body_rot"] = arrays["body_rot"].reshape(t, NUM_BODIES, 3, 3)
+    return MotionSequence(fps=fps, **arrays)
 
 
 def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:

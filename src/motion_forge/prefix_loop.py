@@ -25,7 +25,7 @@ Non-finite generator frames or tracked positions raise NonFiniteError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -95,18 +95,18 @@ def features_to_motion(
         root_quat=quat_from_yaw(yaw),
         body_pos=body_pos,
         body_rot=body_rot,
+        body_lin_vel=finite_difference(body_pos, fps),
         body_ang_vel=body_ang_vel,
     )
 
 
 def _motion(fps: float, **decoded: np.ndarray) -> MotionSequence:
-    """A decoded MotionSequence: zero joints, finite-difference velocities."""
+    """A decoded MotionSequence: the given arrays and zero joints."""
     t = decoded["root_pos"].shape[0]
     return MotionSequence(
         fps=fps,
         joint_pos=np.zeros((t, NUM_JOINTS)),
         joint_vel=np.zeros((t, NUM_JOINTS)),
-        body_lin_vel=finite_difference(decoded["body_pos"], fps),
         **decoded,
     )
 
@@ -230,10 +230,10 @@ def validate_segment(
 ) -> tuple[bool, float]:
     """Replay a reference through the tracker; accept iff mpjpe <= tolerance.
 
-    The error is measured against the positions the tracker was given, so a
-    tracker that mutates its input cannot shrink it.
+    The error is measured against a copy of the positions the tracker was
+    given, so a tracker that mutates its input cannot shrink it.
     """
-    given = replace(reference, body_pos=reference.body_pos.copy())
+    given = reference.body_pos.copy()
     executed = tracker(reference)
     if executed.num_frames != reference.num_frames:
         raise AlignmentError("tracker output is not frame-aligned with its input")
@@ -243,19 +243,35 @@ def validate_segment(
     return err <= tolerance, err
 
 
-# Decoded arrays cached per accepted frame.  Joints are zero and
-# body_lin_vel is a finite difference over the whole window, so neither is.
-_CACHED = ("root_pos", "root_quat", "body_pos", "body_rot", "body_ang_vel")
+# Decoded arrays cached per accepted frame (joints are zero, so not cached).
+# The frame-by-frame ones never change once cached; body_lin_vel is a finite
+# difference, so the last accepted frame's backward difference turns central
+# once frames follow it.
+_FRAMEWISE = ("root_pos", "root_quat", "body_pos", "body_rot", "body_ang_vel")
+_CACHED = _FRAMEWISE + ("body_lin_vel",)
 
 
 def _join(
     cache: dict[str, np.ndarray], rows: int, fps: float, segment: MotionSequence
-) -> MotionSequence:
+) -> tuple[MotionSequence, np.ndarray]:
     """A fresh MotionSequence over the first `rows` cached rows, followed by
-    the segment's rows after its first (which repeats the last cached row)."""
-    return _motion(fps, **{
-        name: np.concatenate([cache[name][:rows], getattr(segment, name)[1:]]) for name in _CACHED
-    })
+    the segment's rows after its first (which repeats the last cached row).
+
+    Also returns the window's velocity rows `rows - 1` to the end, the only
+    ones that differ from the cache: central differences and a backward one
+    on the last row, as `finite_difference` over the window computes them.
+    They come from the joined positions before any tracker sees them.
+    """
+    joined = {
+        name: np.concatenate([cache[name][:rows], getattr(segment, name)[1:]])
+        for name in _FRAMEWISE
+    }
+    pos = joined["body_pos"]
+    vel = np.empty((pos.shape[0] - rows + 1,) + pos.shape[1:])
+    vel[:-1] = (pos[rows:] - pos[rows - 2:-2]) * (0.5 * fps)
+    vel[-1] = (pos[-1] - pos[-2]) * fps
+    joined["body_lin_vel"] = np.concatenate([cache["body_lin_vel"][:rows - 1], vel])
+    return _motion(fps, **joined), vel
 
 
 def _end_state(frames: np.ndarray, fps: float, start: RootState = (0.0, 0.0, 0.0)) -> RootState:
@@ -284,9 +300,10 @@ def run_prefix_loop(
     Only the candidate is decoded per attempt: the last accepted frame plus
     the candidate, from the cached root state of that frame.  The window
     handed to the tracker joins copies of the cached rows with the new ones,
-    equal bit for bit to decoding the whole window, and the tracker may
-    mutate it.  The generator sees the accepted frames as a read-only view,
-    so they cannot drift from their cached decode.
+    velocities included (only those from the last accepted frame on are
+    computed), equal bit for bit to decoding the whole window, and the
+    tracker may mutate it.  The generator sees the accepted frames as a
+    read-only view, so they cannot drift from their cached decode.
     """
     initial_prefix = validate_features(initial_prefix)
     rows = initial_prefix.shape[0]
@@ -328,7 +345,7 @@ def run_prefix_loop(
                 raise NonFiniteError("generator returned non-finite feature values")
             segment = np.vstack([prefix[-1:], candidate])
             decoded = features_to_motion(segment, cfg.fps, skel, start)
-            reference = _join(cache, rows, cfg.fps, decoded)
+            reference, vel = _join(cache, rows, cfg.fps, decoded)
             ok, err = validate_segment(
                 reference, tracker, cfg.mpjpe_tolerance, cfg.tracked_bodies
             )
@@ -336,8 +353,9 @@ def run_prefix_loop(
             if ok:
                 new_rows = slice(rows, rows + cfg.segment_frames)
                 features[new_rows] = candidate
-                for name in _CACHED:
+                for name in _FRAMEWISE:
                     cache[name][new_rows] = getattr(decoded, name)[1:]
+                cache["body_lin_vel"][rows - 1:new_rows.stop] = vel
                 rows += cfg.segment_frames
                 start = _end_state(segment, cfg.fps, start)
                 accepted = True

@@ -39,24 +39,42 @@ def rot_to_6d(rot: np.ndarray) -> np.ndarray:
     return np.concatenate([rot[..., :, 0], rot[..., :, 1]], axis=-1)
 
 
-def sixd_to_rot(vec: np.ndarray) -> np.ndarray:
-    """Decode 6D vectors (..., 6) back to rotation matrices (..., 3, 3)."""
+def sixd_columns(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt on 6D vectors (..., 6): the first two orthonormal
+    columns (..., 3) of the rotation they encode."""
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape[-1] != 6:
         raise DegenerateRotationError(f"expected (..., 6) vector, got {vec.shape}")
     a = vec[..., :3]
     b = vec[..., 3:]
-    norm_a = np.linalg.norm(a, axis=-1, keepdims=True)
+    # the arithmetic of np.linalg.norm on real input, without its conj copy
+    norm_a = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
     if not np.all(norm_a > _DEGENERATE_TOL):
         raise DegenerateRotationError("first column is near zero")
     e1 = a / norm_a
-    u = b - np.sum(e1 * b, axis=-1, keepdims=True) * e1
-    norm_u = np.linalg.norm(u, axis=-1, keepdims=True)
+    u = b - np.add.reduce(e1 * b, axis=-1, keepdims=True) * e1
+    norm_u = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
     if not np.all(norm_u > _DEGENERATE_TOL):
         raise DegenerateRotationError("columns are parallel or second column is zero")
-    e2 = u / norm_u
-    e3 = np.cross(e1, e2)
-    return np.stack([e1, e2, e3], axis=-1)
+    return e1, u / norm_u
+
+
+def sixd_to_rot(vec: np.ndarray) -> np.ndarray:
+    """Decode 6D vectors (..., 6) back to rotation matrices (..., 3, 3).
+
+    The third column is e1 x e2, written out term by term in np.cross's
+    order of operations.
+    """
+    e1, e2 = sixd_columns(vec)
+    rot = np.empty(e1.shape[:-1] + (3, 3))
+    rot[..., 0] = e1
+    rot[..., 1] = e2
+    a0, a1, a2 = e1[..., 0], e1[..., 1], e1[..., 2]
+    b0, b1, b2 = e2[..., 0], e2[..., 1], e2[..., 2]
+    rot[..., 0, 2] = a1 * b2 - a2 * b1
+    rot[..., 1, 2] = a2 * b0 - a0 * b2
+    rot[..., 2, 2] = a0 * b1 - a1 * b0
+    return rot
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:

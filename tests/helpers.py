@@ -178,3 +178,45 @@ def neutral_features(num_frames: int, height: float = 0.8) -> np.ndarray:
     frames[:, ROT6D] = np.tile([1.0, 0, 0, 0, 1, 0], 29)
     frames[:, FOOT_CONTACT] = 1.0
     return frames
+
+
+def _drop_joint_vel_of_frame_5(doc):
+    del doc["frames"][5]["joint_vel"]
+
+
+def _short_root_pos(doc):
+    doc["frames"][3]["root_pos"] = [0.0, 0.0]
+
+
+def _short_joint_vel(doc):
+    doc["frames"][2]["joint_vel"] = doc["frames"][2]["joint_vel"][:28]
+
+
+def _string_in_root_pos(doc):
+    doc["frames"][4]["root_pos"][1] = "up"
+
+
+def _string_fps(doc):
+    doc["fps"] = "thirty"
+
+
+def _numeric_joint_names(doc):
+    doc["joint_names"] = 5
+
+
+# Malformed motion files: (edit of a saved clip's JSON document, the error
+# load_motion must raise, a pattern its message must match).  Every message
+# names the file, and a per-frame defect also names the frame and the field.
+MALFORMED_MOTION_CASES = {
+    "frame_missing_joint_vel": (_drop_joint_vel_of_frame_5, "FileFormatError",
+                                r"clip\.json: frame 5 missing fields \['joint_vel'\]"),
+    "short_root_pos": (_short_root_pos, "DimensionMismatchError",
+                       r"clip\.json: frame 3 field 'root_pos' must have shape \(3,\)"),
+    "short_joint_vel": (_short_joint_vel, "DimensionMismatchError",
+                        r"clip\.json: frame 2 field 'joint_vel' must have shape \(29,\)"),
+    "string_in_root_pos": (_string_in_root_pos, "FileFormatError",
+                           r"clip\.json: frame 4 field 'root_pos' must hold only numbers"),
+    "string_fps": (_string_fps, "FileFormatError", r"clip\.json: 'fps' must be a number"),
+    "numeric_joint_names": (_numeric_joint_names, "FileFormatError",
+                            r"clip\.json: 'joint_names' must be a list of strings"),
+}

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import make_walk_sequence, neutral_features, rigid_sequence
+from helpers import MALFORMED_MOTION_CASES, make_walk_sequence, neutral_features, rigid_sequence
 from motion_forge import router as rt
 from motion_forge.cli import cli_dispatch
 from motion_forge.features import FEATURE_DIM
@@ -54,6 +55,20 @@ class TestEncodeDecode:
         run(["encode", walk_file, "--seed", 7, "--out", out1])
         run(["encode", walk_file, "--seed", 7, "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MOTION_CASES))
+    def test_malformed_clip_is_a_json_error(self, tmp_path, walk_file, capsys, case):
+        edit, error, pattern = MALFORMED_MOTION_CASES[case]
+        doc = json.loads(walk_file.read_text())
+        edit(doc)
+        path = tmp_path / "clip.json"
+        path.write_text(json.dumps(doc))
+        code, captured = run(["encode", path, "--out", tmp_path / "feats.json"], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == error
+        assert re.search(pattern, err["message"])
+        assert not (tmp_path / "feats.json").exists()
 
 
 class TestMetricsCli:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_random_sequence, make_walk_sequence
+from helpers import MALFORMED_MOTION_CASES, make_random_sequence, make_walk_sequence
+from motion_forge import errors
 from motion_forge.config import AppConfig, config_from_dict, load_config
 from motion_forge.errors import (
     ConfigError,
@@ -120,6 +121,37 @@ class TestMotionFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(NonFiniteError, match=r"clip\.json: field 'body_pos'"):
             load_motion(path, skel)
+
+
+class TestMalformedMotionFiles:
+    """Every defect raises a typed error naming the file, frame and field,
+    never a bare KeyError, ValueError or TypeError."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MOTION_CASES))
+    def test_typed_error_names_file_frame_and_field(self, tmp_path, skel, case):
+        edit, error, pattern = MALFORMED_MOTION_CASES[case]
+        seq = make_walk_sequence(skel, 1.0, 0.0, 8, 30.0)
+        path = tmp_path / "clip.json"
+        save_motion(seq, path, skel)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(getattr(errors, error), match=pattern):
+            load_motion(path, skel)
+
+    def test_integer_values_load_as_floats(self, tmp_path, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 8, 30.0)
+        path = tmp_path / "clip.json"
+        save_motion(seq, path, skel)
+        doc = json.loads(path.read_text())
+        doc["fps"] = 30
+        for frame in doc["frames"]:
+            frame["joint_pos"] = [0] * 29
+        path.write_text(json.dumps(doc))
+        back = load_motion(path, skel)
+        assert back.fps == 30.0
+        assert back.joint_pos.dtype == np.float64 and not back.joint_pos.any()
+        assert np.array_equal(back.body_pos, seq.body_pos)
 
 
 class TestFeatureAndStatsFiles:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,21 @@ class TestSuccess:
         report = evaluate(ref, sim, skel)
         assert report.success is False
         assert report.failure_reason == FAILURE_NON_FINITE
+
+    def test_non_finite_clip_reports_no_metric_values(self, skel):
+        # measured over NaN frames, penetration and mpjpe came out NaN (which
+        # strict JSON rejects) and floating/skating read as real values
+        ref = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
+        sim = ref.copy()
+        sim.body_pos[10:] = np.nan
+        sim.root_pos[10:] = np.nan
+        d = evaluate(ref, sim, skel).to_dict()
+        metric_keys = ("penetration_mm", "floating_mm", "skating_ratio",
+                       "mpjpe_m", "mpjae_rad", "mpjve_rad_s")
+        assert {k: d[k] for k in metric_keys} == dict.fromkeys(metric_keys)
+        assert d["success"] is False and d["failure_reason"] == FAILURE_NON_FINITE
+        text = json.dumps(d, allow_nan=False)
+        assert json.loads(text)["mpjpe_m"] is None
 
 
 def test_evaluate_report_roundtrip(skel):

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from helpers import make_walk_sequence, neutral_features
-from motion_forge.errors import ConfigError, NonFiniteError
+from motion_forge.errors import AlignmentError, ConfigError, NonFiniteError
 from motion_forge.features import FEATURE_DIM, ROT6D, encode_features
+from motion_forge.metrics import mpjpe
 from motion_forge.motion import default_skeleton
 from motion_forge.prefix_loop import (
     TERMINATION_COMPLETED,
@@ -316,6 +320,55 @@ class TestIncrementalDecode:
         assert_same_motion(motion_a, motion_b)
         assert_same_motion(motion_a, features_to_motion(trace_a.features, cfg.fps, skel))
 
+    def test_tracker_overwriting_velocities_and_joints_in_place(self, skel):
+        # the window's velocity rows up to the last accepted frame come from
+        # the loop's cache, so the tracker's writes must never reach it
+        cfg = self.cfg()
+        lifts = iter(np.random.default_rng(5).random(64) < 0.35)
+
+        def overwrite(reference):
+            reference.body_lin_vel[:] = 3.0
+            reference.joint_pos[:] = 1.0
+            reference.joint_vel[:] = -2.0
+            if next(lifts):
+                reference.body_pos[..., 2] += 1.0
+            return reference
+
+        motion, trace, windows, references = self.recording_run(skel, cfg, overwrite)
+        attempts = [a for seg in trace.segments for a in seg.attempts]
+        assert trace.termination == TERMINATION_COMPLETED
+        assert any(not a.accepted for a in attempts)
+        assert len(references) == len(windows) == len(attempts)
+        for window, reference in zip(windows, references):
+            assert_same_motion(reference, features_to_motion(window, cfg.fps, skel))
+        assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
+
+    def test_seeded_run_with_rejections_matches_golden_digest(self, skel):
+        # sha256 over the features, every array of the returned motion and
+        # the trace, recorded with whole-window finite differences, the
+        # np.cross decode and np.linalg.norm in mpjpe; the lean attempt path
+        # must reproduce it bit for bit
+        cfg = self.cfg()
+        lifts = iter(np.random.default_rng(3).random(64) < 0.35)
+        noise = np.random.default_rng(4)
+
+        def tracker(reference):
+            out = reference.copy()
+            out.body_pos[:] += noise.normal(0.0, 0.01, out.body_pos.shape)
+            if next(lifts):
+                out.body_pos[..., 2] += 1.0
+            return out
+
+        motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
+        assert [len(s.attempts) for s in trace.segments] == [3, 1, 2, 1, 2, 2]
+        digest = hashlib.sha256(trace.features.tobytes())
+        for name in MOTION_ARRAYS:
+            digest.update(getattr(motion, name).tobytes())
+        digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "b0ddff3d50206dad12308f2a08e6660b022f55862718dd55bfc3ee52f2ad18d9"
+        )
+
     def test_generator_cannot_rewrite_accepted_frames(self, skel):
         cfg = self.cfg()
 
@@ -370,3 +423,27 @@ class TestNonFiniteValues:
         tracker = make_perturbation_tracker(seed=0, offset=float("nan"))
         with pytest.raises(NonFiniteError):
             run_prefix_loop(neutral_features(30), standing_target(), gen, tracker, cfg, skel)
+
+
+class TestMpjpe:
+    def test_equals_linalg_norm_reference_bit_exact(self, skel):
+        rng = np.random.default_rng(6)
+        ref = features_to_motion(neutral_features(400), 30.0, skel)
+        sim = ref.copy()
+        sim.body_pos[:] += rng.normal(0.0, 0.05, sim.body_pos.shape)
+        diff = ref.body_pos - sim.body_pos
+        assert mpjpe(ref, sim) == float(np.linalg.norm(diff, axis=-1).mean())
+        bodies = (0, 7, 8, 19, 28)
+        expected = float(np.linalg.norm(diff[:, list(bodies)], axis=-1).mean())
+        assert mpjpe(ref, sim, bodies) == expected
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+            a, b = rng.normal(0.0, scale, (2, 97, 30, 3))
+            assert mpjpe(a, b) == float(np.linalg.norm(a - b, axis=-1).mean())
+
+    def test_accepts_position_arrays(self, skel):
+        # validate_segment measures against a bare copy of the positions
+        ref = features_to_motion(neutral_features(8), 30.0, skel)
+        sim = make_perturbation_tracker(seed=0, offset=0.125)(ref)
+        assert mpjpe(ref.body_pos.copy(), sim) == mpjpe(ref, sim) == 0.125
+        with pytest.raises(AlignmentError, match="frame counts"):
+            mpjpe(ref.body_pos[:7], sim)

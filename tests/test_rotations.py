@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_quaternions, random_rotations
+from motion_forge.features import FEATURE_DIM, ROT6D, project_valid_rot6d
 from motion_forge.errors import DegenerateRotationError, InvalidRotationError
 from motion_forge.rotations import (
     matrix_geodesic_angle,
@@ -160,3 +161,39 @@ def test_matrix_to_quat_batch_covers_every_branch_bit_exact():
     expected = np.stack([matrix_to_quat_reference(r) for r in batch])
     assert np.array_equal(got, expected)
     assert np.array_equal(got[:4], known)
+
+
+def sixd_to_rot_reference(vec):
+    """The decode written with np.linalg.norm, np.cross and np.stack."""
+    a, b = vec[..., :3], vec[..., 3:]
+    e1 = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    u = b - np.sum(e1 * b, axis=-1, keepdims=True) * e1
+    e2 = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    return np.stack([e1, e2, np.cross(e1, e2)], axis=-1)
+
+
+def random_sixd(rng, shape):
+    """Random 6D vectors whose two columns differ in scale by up to 1e4."""
+    vec = rng.normal(size=shape + (6,))
+    vec[..., :3] *= rng.uniform(0.01, 100.0, shape + (1,))
+    vec[..., 3:] *= rng.uniform(0.01, 100.0, shape + (1,))
+    return vec
+
+
+def test_sixd_to_rot_equals_cross_product_reference_bit_exact():
+    vec = random_sixd(np.random.default_rng(11), (2000, 29))
+    assert np.array_equal(sixd_to_rot(vec), sixd_to_rot_reference(vec))
+    one = vec[7, 3]
+    assert np.array_equal(sixd_to_rot(one), sixd_to_rot_reference(one))
+
+
+def test_project_valid_rot6d_equals_decode_encode_round_trip_bit_exact():
+    rng = np.random.default_rng(12)
+    frames = rng.normal(size=(1500, FEATURE_DIM))
+    frames[:, ROT6D] = random_sixd(rng, (1500, 29)).reshape(1500, -1)
+    expected = frames.copy()
+    blocks = frames[:, ROT6D].reshape(1500, 29, 6)
+    expected[:, ROT6D] = rot_to_6d(sixd_to_rot_reference(blocks)).reshape(1500, -1)
+    got = project_valid_rot6d(frames)
+    assert np.array_equal(got, expected)
+    assert not np.shares_memory(got, frames)
