@@ -251,7 +251,7 @@ def make_tracker(cfg: TrackerConfig):
 
 def _load_prefix_features(path, skel):
     data = _read_json_file(path, "prefix")
-    if "frames" in data:
+    if "joint_names" in data:
         seq = load_motion(path, skel)
         seq = canonicalize_heading(seq)
         return encode_features(seq, skel, detect_contacts(seq, skel)), seq.fps

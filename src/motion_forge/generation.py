@@ -513,9 +513,10 @@ def sample_multiplier(sample_id: str, catalog: TagCatalog) -> int:
     return max(rho[t] for t in tags)
 
 
-def mirror_probability(multiplier: int, alpha: float = 0.3) -> float:
-    """min(alpha * (r - 1), 1): never mirror frequent samples."""
-    return float(min(max(alpha * (multiplier - 1), 0.0), 1.0))
+def mirror_probability(multiplier, alpha: float = 0.3):
+    """min(alpha * (r - 1), 1): never mirror frequent samples.  Takes one
+    multiplier or an array of them."""
+    return np.clip(alpha * (np.asarray(multiplier) - 1), 0.0, 1.0)
 
 
 def swap_side_tags(tags: Sequence[str]) -> tuple[str, ...]:
@@ -540,18 +541,15 @@ class PlanEntry:
 def build_epoch_plan(catalog: TagCatalog, rng: np.random.Generator) -> list[PlanEntry]:
     """One training epoch: every sample appears multiplier-many times, each
     copy independently mirrored with its rarity-driven probability.  Samples
-    iterate in sorted id order so a fixed seed fixes the plan."""
+    iterate in sorted id order so a fixed seed fixes the plan; the coins are
+    one draw of `rng.uniform`, in plan order."""
     rho = asfo_multipliers(catalog)
-    plan: list[PlanEntry] = []
-    for sample_id in sorted(catalog.sample_tags):
-        tags = catalog.sample_tags[sample_id]
-        r = max((rho[t] for t in tags), default=1)
-        p_mir = mirror_probability(r, catalog.mirror_alpha)
-        for _ in range(r):
-            mirrored = bool(rng.uniform() < p_mir)
-            plan.append(PlanEntry(
-                sample_id=sample_id,
-                mirrored=mirrored,
-                tags=swap_side_tags(tags) if mirrored else tags,
-            ))
-    return plan
+    ids = sorted(catalog.sample_tags)
+    tags = [catalog.sample_tags[sample_id] for sample_id in ids]
+    r = np.array([max((rho[t] for t in sample), default=1) for sample in tags], dtype=np.int64)
+    p_mir = mirror_probability(r, catalog.mirror_alpha)
+    mirrored = rng.uniform(size=int(r.sum())) < np.repeat(p_mir, r)
+    return [
+        PlanEntry(sample_id=ids[i], mirrored=m, tags=swap_side_tags(tags[i]) if m else tags[i])
+        for i, m in zip(np.repeat(np.arange(len(ids)), r).tolist(), mirrored.tolist())
+    ]

@@ -1,16 +1,24 @@
 """JSON file formats: motion clips, feature arrays, normalization stats.
 
-All artifacts are JSON with a `format_version` field.  Floats serialize via
-Python's shortest round-trip repr, so a save/load cycle reproduces every
-double bit-exactly.  Motion frames are objects of row-major arrays in SI
-units; quaternions are [w, x, y, z]; body rotations are 9-element row-major
-matrices.  Velocity arrays may be omitted, in which case they are rebuilt
-with central finite differences (one-sided at the clip ends).
+All artifacts are strict JSON with a `format_version` field.  Floats
+serialize via Python's shortest round-trip repr, so a save/load cycle
+reproduces every double bit-exactly; the writers reject NaN and inf with
+`NonFiniteError` instead of writing tokens their loaders refuse.
+
+Every artifact is columnar: one top-level key per array, holding one row
+per frame.  A motion clip (format_version 2) has the keys of
+`_FRAME_SHAPES`, and each row is that frame's values flattened row-major
+(`body_pos` is 30 x 3 = 90 numbers, `body_rot` 30 row-major 3x3 matrices =
+270).  Units are SI and quaternions are [w, x, y, z].  The velocity keys
+may be omitted, in which case they are rebuilt with central finite
+differences (one-sided at the clip ends).  Feature files and norm stats
+keep format_version 1.
 """
 
 from __future__ import annotations
 
 import json
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +27,23 @@ from .errors import DimensionMismatchError, FileFormatError, NonFiniteError
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
 from .motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1          # feature arrays and norm stats
+MOTION_FORMAT_VERSION = 2   # columnar motion clips
 
-_MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", "frames"}
-# Per-frame arrays and their shapes in the file; body_rot is row-major 3x3.
+# Per-frame arrays of a clip and their shapes in `MotionSequence`; the file
+# holds each frame's value flattened row-major.
 _FRAME_SHAPES = {
     "joint_pos": (NUM_JOINTS,),
     "joint_vel": (NUM_JOINTS,),
     "root_pos": (3,),
     "root_quat": (4,),
     "body_pos": (NUM_BODIES, 3),
-    "body_rot": (NUM_BODIES, 9),
+    "body_rot": (NUM_BODIES, 3, 3),
     "body_lin_vel": (NUM_BODIES, 3),
     "body_ang_vel": (NUM_BODIES, 3),
 }
-_FRAME_REQUIRED = {"joint_pos", "root_pos", "root_quat", "body_pos", "body_rot"}
+_FRAME_REQUIRED = ("joint_pos", "root_pos", "root_quat", "body_pos", "body_rot")
+_MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", *_FRAME_SHAPES}
 
 
 def _read_json(path) -> dict:
@@ -50,12 +60,21 @@ def _read_json(path) -> dict:
     return data
 
 
-def _check_version(data: dict, path) -> None:
-    version = data.get("format_version")
-    if version is None:
+def _write_json(doc: dict, path) -> None:
+    Path(path).write_text(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def _check_header(data: dict, path, version: int, keys) -> None:
+    found = data.get("format_version")
+    if found is None:
         raise FileFormatError(f"{path}: missing required field 'format_version'")
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format_version {version!r}")
+    if found != version:
+        raise FileFormatError(
+            f"{path}: unsupported format_version {found!r} (this reader expects {version})"
+        )
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise FileFormatError(f"{path}: unknown fields {sorted(unknown)}")
 
 
 def _require(data: dict, key: str, path) -> object:
@@ -65,10 +84,17 @@ def _require(data: dict, key: str, path) -> object:
 
 
 def _check_finite(path, **fields) -> None:
-    """One whole-array check per loaded field."""
+    """One whole-array check per field, on load and before every save."""
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"{path}: field '{name}' holds NaN or infinite values")
+
+
+def _fps(data: dict, path) -> float:
+    fps = _require(data, "fps", path)
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        raise FileFormatError(f"{path}: 'fps' must be a number")
+    return float(fps)
 
 
 def _names(data: dict, key: str, count: int, path) -> list[str]:
@@ -80,70 +106,75 @@ def _names(data: dict, key: str, count: int, path) -> list[str]:
     return names
 
 
-def _frame_field(frames: list[dict], name: str, path) -> np.ndarray:
-    """Field `name` of every frame as one (T, ...) float array.
+_KINDS = {"numbers": "iuf", "booleans": "b"}
+
+
+def _array(value, shape: tuple, what: str, path, holds: str = "numbers") -> np.ndarray:
+    """`value` as an array of `shape` holding only `holds` (numbers become
+    float64), or a typed error naming `what`."""
+    try:
+        array = np.array(value)
+    except ValueError:   # ragged nested lists
+        array = None
+    if array is None or array.shape != shape:
+        raise DimensionMismatchError(f"{path}: {what} must have shape {shape}")
+    if array.dtype.kind not in _KINDS[holds]:
+        raise FileFormatError(f"{path}: {what} must hold only {holds}")
+    return array.astype(np.float64, copy=False) if holds == "numbers" else array
+
+
+def _rows(data: dict, name: str, width: int, t: int, path) -> np.ndarray:
+    """Field `name` as one (t, width) float array.
 
     The whole field converts at once; only when that fails does a pass over
-    the frames find the first one whose value is not numbers of the
-    field's shape, and name it.
+    the rows find the first bad one (a row count that differs from
+    `root_pos`, a row of the wrong width, a non-number) and name its frame.
     """
-    shape = (len(frames),) + _FRAME_SHAPES[name]
+    rows = data[name]
     try:
-        value = np.asarray([frame[name] for frame in frames])
-        if value.dtype.kind in "iuf" and value.shape == shape:
-            return value.astype(np.float64, copy=False)
-    except ValueError:   # ragged nested lists
-        pass
-    for i, frame in enumerate(frames):
-        try:
-            value = np.asarray(frame[name])
-        except ValueError:
-            value = None
-        if value is None or value.shape != shape[1:]:
-            raise DimensionMismatchError(
-                f"{path}: frame {i} field '{name}' must have shape {shape[1:]}"
-            )
-        if value.dtype.kind not in "iuf":
-            raise FileFormatError(f"{path}: frame {i} field '{name}' must hold only numbers")
-    raise DimensionMismatchError(f"{path}: field '{name}' does not stack to shape {shape}")
+        array = np.array(rows)
+    except ValueError:   # ragged rows
+        array = None
+    if array is not None and array.shape == (t, width) and array.dtype.kind in "iuf":
+        return array.astype(np.float64, copy=False)
+    if not isinstance(rows, list):
+        raise FileFormatError(f"{path}: field '{name}' must be a list of rows, one per frame")
+    if len(rows) != t:
+        where = f"no row for frame {len(rows)}" if len(rows) < t else f"a row past frame {t - 1}"
+        raise FileFormatError(
+            f"{path}: field '{name}' has {len(rows)} rows, 'root_pos' has {t}: {where}"
+        )
+    for i, row in enumerate(rows):
+        _array(row, (width,), f"frame {i} field '{name}'", path)
+    raise FileFormatError(f"{path}: field '{name}' does not convert to a ({t}, {width}) array")
 
 
 def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
     """Parse a motion clip; name lists are validated against the skeleton.
 
-    The optional velocity arrays are read when frame 0 has them, and then
-    every frame must have them.
+    The optional velocity arrays are read when the file has their key, and
+    then they need a row for every frame.
     """
     data = _read_json(path)
-    _check_version(data, path)
-    unknown = set(data) - _MOTION_KEYS
-    if unknown:
-        raise FileFormatError(f"{path}: unknown fields {sorted(unknown)}")
-    fps = _require(data, "fps", path)
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise FileFormatError(f"{path}: 'fps' must be a number")
+    _check_header(data, path, MOTION_FORMAT_VERSION, _MOTION_KEYS)
+    fps = _fps(data, path)
     joint_names = _names(data, "joint_names", NUM_JOINTS, path)
     body_names = _names(data, "body_names", NUM_BODIES, path)
-    frames = _require(data, "frames", path)
     if skel is not None:
         if tuple(joint_names) != skel.joint_names:
             raise DimensionMismatchError(f"{path}: joint names do not match the skeleton")
         if tuple(body_names) != skel.body_names:
             raise DimensionMismatchError(f"{path}: body names do not match the skeleton")
-    if not isinstance(frames, list) or len(frames) < 2:
-        raise FileFormatError(f"{path}: 'frames' must list at least 2 frames")
-    if not all(isinstance(frame, dict) for frame in frames):
-        raise FileFormatError(f"{path}: every frame must be a JSON object")
+    for name in _FRAME_REQUIRED:
+        _require(data, name, path)
+    if not isinstance(data["root_pos"], list) or len(data["root_pos"]) < 2:
+        raise FileFormatError(f"{path}: 'root_pos' must list at least 2 frames")
 
-    t = len(frames)
-    fields = [name for name in _FRAME_SHAPES if name in _FRAME_REQUIRED or name in frames[0]]
-    for i, frame in enumerate(frames):
-        missing = set(fields) - frame.keys()
-        if missing:
-            raise FileFormatError(f"{path}: frame {i} missing fields {sorted(missing)}")
-    arrays = {name: _frame_field(frames, name, path) for name in fields}
-
-    fps = float(fps)
+    t = len(data["root_pos"])
+    arrays = {
+        name: _rows(data, name, prod(shape), t, path).reshape((t,) + shape)
+        for name, shape in _FRAME_SHAPES.items() if name in data
+    }
     _check_finite(path, fps=fps, **arrays)
     if "joint_vel" not in arrays:
         arrays["joint_vel"] = finite_difference(arrays["joint_pos"], fps)
@@ -151,75 +182,63 @@ def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
         arrays["body_lin_vel"] = finite_difference(arrays["body_pos"], fps)
     if "body_ang_vel" not in arrays:
         arrays["body_ang_vel"] = np.zeros((t, NUM_BODIES, 3))
-    arrays["body_rot"] = arrays["body_rot"].reshape(t, NUM_BODIES, 3, 3)
     return MotionSequence(fps=fps, **arrays)
 
 
 def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:
-    frames = []
-    for i in range(seq.num_frames):
-        frames.append({
-            "joint_pos": seq.joint_pos[i].tolist(),
-            "joint_vel": seq.joint_vel[i].tolist(),
-            "root_pos": seq.root_pos[i].tolist(),
-            "root_quat": seq.root_quat[i].tolist(),
-            "body_pos": seq.body_pos[i].tolist(),
-            "body_rot": seq.body_rot[i].reshape(NUM_BODIES, 9).tolist(),
-            "body_lin_vel": seq.body_lin_vel[i].tolist(),
-            "body_ang_vel": seq.body_ang_vel[i].tolist(),
-        })
+    t = seq.num_frames
+    arrays = {name: getattr(seq, name).reshape(t, -1) for name in _FRAME_SHAPES}
+    _check_finite(path, fps=seq.fps, **arrays)
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MOTION_FORMAT_VERSION,
         "fps": seq.fps,
         "joint_names": list(skel.joint_names),
         "body_names": list(skel.body_names),
-        "frames": frames,
+        **{name: array.tolist() for name, array in arrays.items()},
     }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_json(doc, path)
 
 
 def load_features(path) -> tuple[np.ndarray, float]:
     data = _read_json(path)
-    _check_version(data, path)
-    unknown = set(data) - {"format_version", "fps", "features"}
-    if unknown:
-        raise FileFormatError(f"{path}: unknown fields {sorted(unknown)}")
-    fps = float(_require(data, "fps", path))
-    feats = np.asarray(_require(data, "features", path), dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
-        raise DimensionMismatchError(
-            f"{path}: features must be (frames, {FEATURE_DIM}), got {feats.shape}"
-        )
+    _check_header(data, path, FORMAT_VERSION, ("format_version", "fps", "features"))
+    fps = _fps(data, path)
+    rows = _require(data, "features", path)
+    if not isinstance(rows, list) or not rows:
+        raise FileFormatError(f"{path}: 'features' must list at least 1 frame")
+    feats = _rows(data, "features", FEATURE_DIM, len(rows), path)
     _check_finite(path, fps=fps, features=feats)
     return feats, fps
 
 
 def save_features(frames: np.ndarray, fps: float, path) -> None:
     frames = validate_features(frames)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "fps": fps,
-        "features": frames.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    _check_finite(path, fps=fps, features=frames)
+    _write_json({"format_version": FORMAT_VERSION, "fps": fps, "features": frames.tolist()}, path)
 
 
 def load_norm_stats(path) -> NormStats:
     data = _read_json(path)
-    _check_version(data, path)
-    mean = np.asarray(_require(data, "mean", path), dtype=np.float64)
-    std = np.asarray(_require(data, "std", path), dtype=np.float64)
+    _check_header(data, path, FORMAT_VERSION,
+                  ("format_version", "mean", "std", "mask", "clamped"))
+    shape = (FEATURE_DIM,)
+    mean = _array(_require(data, "mean", path), shape, "field 'mean'", path)
+    std = _array(_require(data, "std", path), shape, "field 'std'", path)
     _check_finite(path, mean=mean, std=std)
-    mask = np.asarray(data.get("mask", normalized_dim_mask()), dtype=bool)
-    return NormStats(mean=mean, std=std, mask=mask, clamped=bool(data.get("clamped", False)))
+    mask = _array(data.get("mask", normalized_dim_mask()), shape, "field 'mask'", path,
+                  holds="booleans")
+    clamped = data.get("clamped", False)
+    if not isinstance(clamped, bool):
+        raise FileFormatError(f"{path}: field 'clamped' must be a boolean")
+    return NormStats(mean=mean, std=std, mask=mask, clamped=clamped)
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
-    doc = {
+    _check_finite(path, mean=stats.mean, std=stats.std)
+    _write_json({
         "format_version": FORMAT_VERSION,
         "mean": stats.mean.tolist(),
         "std": stats.std.tolist(),
         "mask": stats.mask.tolist(),
         "clamped": stats.clamped,
-    }
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    }, path)

@@ -180,20 +180,32 @@ def neutral_features(num_frames: int, height: float = 0.8) -> np.ndarray:
     return frames
 
 
-def _drop_joint_vel_of_frame_5(doc):
-    del doc["frames"][5]["joint_vel"]
+def _drop_joint_vel_from_frame_5(doc):
+    del doc["joint_vel"][5:]
+
+
+def _extra_joint_vel_row(doc):
+    doc["joint_vel"].append(doc["joint_vel"][0])
 
 
 def _short_root_pos(doc):
-    doc["frames"][3]["root_pos"] = [0.0, 0.0]
+    doc["root_pos"][3] = [0.0, 0.0]
 
 
 def _short_joint_vel(doc):
-    doc["frames"][2]["joint_vel"] = doc["frames"][2]["joint_vel"][:28]
+    doc["joint_vel"][2] = doc["joint_vel"][2][:28]
 
 
 def _string_in_root_pos(doc):
-    doc["frames"][4]["root_pos"][1] = "up"
+    doc["root_pos"][4][1] = "up"
+
+
+def _null_body_rot_row(doc):
+    doc["body_rot"][6] = None
+
+
+def _drop_body_pos(doc):
+    del doc["body_pos"]
 
 
 def _string_fps(doc):
@@ -204,18 +216,27 @@ def _numeric_joint_names(doc):
     doc["joint_names"] = 5
 
 
-# Malformed motion files: (edit of a saved clip's JSON document, the error
-# load_motion must raise, a pattern its message must match).  Every message
-# names the file, and a per-frame defect also names the frame and the field.
+# Malformed motion files: (edit of a saved clip's columnar JSON document, the
+# error load_motion must raise, a pattern its message must match).  Every
+# message names the file, and a per-frame defect also names the frame and the
+# field.
 MALFORMED_MOTION_CASES = {
-    "frame_missing_joint_vel": (_drop_joint_vel_of_frame_5, "FileFormatError",
-                                r"clip\.json: frame 5 missing fields \['joint_vel'\]"),
+    "frame_missing_joint_vel": (_drop_joint_vel_from_frame_5, "FileFormatError",
+                                r"clip\.json: field 'joint_vel' has 5 rows, 'root_pos' has \d+: "
+                                r"no row for frame 5"),
+    "extra_joint_vel_row": (_extra_joint_vel_row, "FileFormatError",
+                            r"clip\.json: field 'joint_vel' has \d+ rows, 'root_pos' has \d+: "
+                            r"a row past frame \d+"),
     "short_root_pos": (_short_root_pos, "DimensionMismatchError",
                        r"clip\.json: frame 3 field 'root_pos' must have shape \(3,\)"),
     "short_joint_vel": (_short_joint_vel, "DimensionMismatchError",
                         r"clip\.json: frame 2 field 'joint_vel' must have shape \(29,\)"),
     "string_in_root_pos": (_string_in_root_pos, "FileFormatError",
                            r"clip\.json: frame 4 field 'root_pos' must hold only numbers"),
+    "null_body_rot_row": (_null_body_rot_row, "DimensionMismatchError",
+                          r"clip\.json: frame 6 field 'body_rot' must have shape \(270,\)"),
+    "missing_body_pos": (_drop_body_pos, "FileFormatError",
+                         r"clip\.json: missing required field 'body_pos'"),
     "string_fps": (_string_fps, "FileFormatError", r"clip\.json: 'fps' must be a number"),
     "numeric_joint_names": (_numeric_joint_names, "FileFormatError",
                             r"clip\.json: 'joint_names' must be a list of strings"),

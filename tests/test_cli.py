@@ -50,6 +50,26 @@ class TestEncodeDecode:
         assert doc["trajectory"][0]["root_pos"][:2] == [0.0, 0.0]
         assert doc["trajectory"][0]["yaw"] == 0.0
 
+    @pytest.mark.parametrize("edit, error, pattern", [
+        (lambda doc: doc.update(fps="thirty"), "FileFormatError",
+         r"feats\.json: 'fps' must be a number"),
+        (lambda doc: doc["features"][3].__setitem__(10, "x"), "FileFormatError",
+         r"feats\.json: frame 3 field 'features' must hold only numbers"),
+    ], ids=["string_fps", "string_feature"])
+    def test_malformed_features_are_a_json_error(self, tmp_path, walk_file, capsys,
+                                                 edit, error, pattern):
+        path = tmp_path / "feats.json"
+        run(["encode", walk_file, "--out", path])
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, captured = run(["decode", path], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == error
+        assert re.search(pattern, err["message"])
+        assert captured.out == ""
+
     def test_seeded_runs_byte_identical(self, tmp_path, walk_file):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run(["encode", walk_file, "--seed", 7, "--out", out1])

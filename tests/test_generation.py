@@ -4,6 +4,7 @@ import pytest
 from motion_forge.errors import ConfigError, DimensionMismatchError
 from motion_forge.generation import (
     DiffusionSchedule,
+    PlanEntry,
     TagCatalog,
     add_noise,
     asfo_multipliers,
@@ -535,6 +536,32 @@ class TestAsfo:
         p1 = build_epoch_plan(cat, np.random.default_rng(9))
         p2 = build_epoch_plan(cat, np.random.default_rng(9))
         assert p1 == p2
+
+    def test_plan_matches_one_coin_per_entry_loop(self):
+        # the plan draws all its coins at once; it must equal the per-entry
+        # scalar draws entry for entry and leave the generator in the same state
+        samples = {"kick": ("left kick",), "wave": ("wave right hand", "walk"), "plain": (),
+                   **{f"w{i:03d}": ("walk",) for i in range(60)},
+                   **{f"j{i:03d}": ("jump",) for i in range(7)},
+                   **{f"c{i}": ("cartwheel",) for i in range(3)}}
+        cat = TagCatalog.from_samples(samples)
+        rho = asfo_multipliers(cat)
+        expected, ref_rng = [], np.random.default_rng(5)
+        for sample_id in sorted(cat.sample_tags):
+            tags = cat.sample_tags[sample_id]
+            r = max((rho[t] for t in tags), default=1)
+            p_mir = min(max(cat.mirror_alpha * (r - 1), 0.0), 1.0)
+            for _ in range(r):
+                mirrored = bool(ref_rng.uniform() < p_mir)
+                expected.append(PlanEntry(sample_id, mirrored,
+                                          swap_side_tags(tags) if mirrored else tags))
+        rng = np.random.default_rng(5)
+        plan = build_epoch_plan(cat, rng)
+        assert plan == expected
+        assert any(e.mirrored for e in plan) and not all(e.mirrored for e in plan)
+        assert all(type(e.mirrored) is bool for e in plan)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.uniform() == ref_rng.uniform()
 
 
 def test_activations():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -56,8 +57,7 @@ class TestMotionFiles:
         path = tmp_path / "clip.json"
         save_motion(seq, path, skel)
         doc = json.loads(path.read_text())
-        for frame in doc["frames"]:
-            frame["joint_pos"] = frame["joint_pos"][:28]
+        doc["joint_pos"] = [row[:28] for row in doc["joint_pos"]]
         path.write_text(json.dumps(doc))
         with pytest.raises(DimensionMismatchError, match="29"):
             load_motion(path)
@@ -71,6 +71,45 @@ class TestMotionFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="format_version"):
             load_motion(path)
+
+    def test_document_is_columnar(self, tmp_path, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 6, 30.0)
+        path = tmp_path / "clip.json"
+        save_motion(seq, path, skel)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        widths = {"joint_pos": 29, "joint_vel": 29, "root_pos": 3, "root_quat": 4,
+                  "body_pos": 90, "body_rot": 270, "body_lin_vel": 90, "body_ang_vel": 90}
+        assert set(doc) == {"format_version", "fps", "joint_names", "body_names", *widths}
+        for name, width in widths.items():
+            assert [len(row) for row in doc[name]] == [width] * 6, name
+        assert doc["body_rot"][2][9:18] == seq.body_rot[2, 1].ravel().tolist()
+
+    def test_per_frame_version_1_document_rejected(self, tmp_path, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 5, 30.0)
+        path = tmp_path / "clip.json"
+        # the per-frame layout: one object of nested arrays per frame
+        frames = [{
+            "joint_pos": seq.joint_pos[i].tolist(), "joint_vel": seq.joint_vel[i].tolist(),
+            "root_pos": seq.root_pos[i].tolist(), "root_quat": seq.root_quat[i].tolist(),
+            "body_pos": seq.body_pos[i].tolist(), "body_rot": seq.body_rot[i].reshape(30, 9).tolist(),
+        } for i in range(5)]
+        path.write_text(json.dumps({"format_version": 1, "fps": 30.0,
+                                    "joint_names": list(skel.joint_names),
+                                    "body_names": list(skel.body_names), "frames": frames}))
+        with pytest.raises(FileFormatError,
+                           match=r"clip\.json: unsupported format_version 1 \(this reader expects 2\)"):
+            load_motion(path, skel)
+
+    def test_save_rejects_non_finite_and_writes_nothing(self, tmp_path, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 5, 30.0)
+        body_pos = seq.body_pos.copy()
+        body_pos[2, 7, 1] = np.nan
+        seq = dataclasses.replace(seq, body_pos=body_pos)
+        path = tmp_path / "clip.json"
+        with pytest.raises(NonFiniteError, match=r"clip\.json: field 'body_pos'"):
+            save_motion(seq, path, skel)
+        assert not path.exists()
 
     def test_unknown_top_level_key_rejected(self, tmp_path, skel):
         seq = make_walk_sequence(skel, 1.0, 0.0, 5, 30.0)
@@ -87,10 +126,8 @@ class TestMotionFiles:
         path = tmp_path / "clip.json"
         save_motion(seq, path, skel)
         doc = json.loads(path.read_text())
-        for frame in doc["frames"]:
-            del frame["joint_vel"]
-            del frame["body_lin_vel"]
-            del frame["body_ang_vel"]
+        for name in ("joint_vel", "body_lin_vel", "body_ang_vel"):
+            del doc[name]
         path.write_text(json.dumps(doc))
         back = load_motion(path, skel)
         # constant-velocity walk: central differences recover the velocity
@@ -117,7 +154,7 @@ class TestMotionFiles:
         path = tmp_path / "clip.json"
         save_motion(seq, path, skel)
         doc = json.loads(path.read_text())
-        doc["frames"][3]["body_pos"][4][2] = float("nan")
+        doc["body_pos"][3][4 * 3 + 2] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(NonFiniteError, match=r"clip\.json: field 'body_pos'"):
             load_motion(path, skel)
@@ -145,13 +182,21 @@ class TestMalformedMotionFiles:
         save_motion(seq, path, skel)
         doc = json.loads(path.read_text())
         doc["fps"] = 30
-        for frame in doc["frames"]:
-            frame["joint_pos"] = [0] * 29
+        doc["joint_pos"] = [[0] * 29 for _ in range(8)]
         path.write_text(json.dumps(doc))
         back = load_motion(path, skel)
         assert back.fps == 30.0
         assert back.joint_pos.dtype == np.float64 and not back.joint_pos.any()
         assert np.array_equal(back.body_pos, seq.body_pos)
+
+
+def saved_stats(tmp_path, skel):
+    """A saved norm-stats file and its parsed document."""
+    rng = np.random.default_rng(3)
+    stats = fit_norm_stats(encode_features(make_random_sequence(skel, rng, num_frames=20), skel))
+    path = tmp_path / "stats.json"
+    save_norm_stats(stats, path)
+    return path, json.loads(path.read_text())
 
 
 class TestFeatureAndStatsFiles:
@@ -181,15 +226,67 @@ class TestFeatureAndStatsFiles:
             load_features(path)
 
     def test_norm_stats_non_finite_rejected(self, tmp_path, skel):
-        rng = np.random.default_rng(3)
-        stats = fit_norm_stats(encode_features(make_random_sequence(skel, rng, num_frames=20), skel))
-        path = tmp_path / "stats.json"
-        save_norm_stats(stats, path)
-        doc = json.loads(path.read_text())
+        path, doc = saved_stats(tmp_path, skel)
         doc["std"][0] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(NonFiniteError, match=r"stats\.json: field 'std'"):
             load_norm_stats(path)
+
+    @pytest.mark.parametrize("edit, error, pattern", [
+        (lambda doc: doc.update(fps="thirty"), FileFormatError,
+         r"feats\.json: 'fps' must be a number"),
+        (lambda doc: doc["features"][1].__setitem__(40, "ten"), FileFormatError,
+         r"feats\.json: frame 1 field 'features' must hold only numbers"),
+        (lambda doc: doc["features"].__setitem__(1, None), DimensionMismatchError,
+         r"feats\.json: frame 1 field 'features' must have shape \(262,\)"),
+    ], ids=["string_fps", "string_feature", "null_row"])
+    def test_features_typed_errors(self, tmp_path, edit, error, pattern):
+        path = tmp_path / "feats.json"
+        doc = {"format_version": 1, "fps": 30.0, "features": [[0.0] * 262 for _ in range(3)]}
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=pattern):
+            load_features(path)
+
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_norm_stats_string_value_names_field(self, tmp_path, skel, field):
+        path, doc = saved_stats(tmp_path, skel)
+        doc[field][5] = "wide"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=rf"stats\.json: field '{field}' must hold only numbers"):
+            load_norm_stats(path)
+        doc[field] = doc[field][:100]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DimensionMismatchError, match=rf"stats\.json: field '{field}' must have shape"):
+            load_norm_stats(path)
+
+    @pytest.mark.parametrize("field, value", [("mask", ["yes"] * 262), ("mask", [1] * 262),
+                                              ("clamped", "no")])
+    def test_norm_stats_flags_must_be_booleans(self, tmp_path, skel, field, value):
+        # numpy would read any non-empty string, or any nonzero number, as True
+        path, doc = saved_stats(tmp_path, skel)
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=rf"stats\.json: field '{field}' must"):
+            load_norm_stats(path)
+
+    def test_save_features_rejects_non_finite(self, tmp_path):
+        feats = np.zeros((3, 262))
+        feats[1, 7] = np.inf
+        path = tmp_path / "feats.json"
+        with pytest.raises(NonFiniteError, match=r"feats\.json: field 'features'"):
+            save_features(feats, 30.0, path)
+        assert not path.exists()
+
+    def test_save_norm_stats_rejects_non_finite(self, tmp_path, skel):
+        rng = np.random.default_rng(3)
+        stats = fit_norm_stats(encode_features(make_random_sequence(skel, rng, num_frames=20), skel))
+        mean = stats.mean.copy()
+        mean[3] = np.nan
+        path = tmp_path / "stats.json"
+        with pytest.raises(NonFiniteError, match=r"stats\.json: field 'mean'"):
+            save_norm_stats(dataclasses.replace(stats, mean=mean), path)
+        assert not path.exists()
 
     def test_norm_stats_round_trip(self, tmp_path, skel):
         rng = np.random.default_rng(2)

@@ -1,5 +1,5 @@
-"""Property tests of the 6D codec: decoded frames are rotations, and
-re-orthonormalizing is idempotent."""
+"""Property tests: decoded 6D frames are rotations, re-orthonormalizing is
+idempotent, and a motion clip's save/load cycle is bit-exact."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import neutral_features  # noqa: E402
 from motion_forge.features import ROT6D, project_valid_rot6d  # noqa: E402
+from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, default_skeleton  # noqa: E402
+from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
 from motion_forge.rotations import sixd_to_rot  # noqa: E402
 
 # Columns near parallel lose orthogonality to rounding (the error grows like
@@ -56,3 +58,45 @@ def test_project_valid_rot6d_is_idempotent(blocks):
     outside = np.ones(frames.shape[1], dtype=bool)
     outside[ROT6D] = False
     assert np.array_equal(once[:, outside], frames[:, outside])
+
+
+# Every finite double, with the values a decimal round trip gets wrong most
+# easily drawn often: signed zeros, subnormals, the extremes of the range.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# root quaternions must be unit norm; the signs still carry negative zeros
+UNIT_QUATS = [[1.0, 0.0, -0.0, 0.0], [-1.0, -0.0, -0.0, -0.0], [0.0, 0.6, -0.0, 0.8]]
+CLIP_SHAPES = {"joint_pos": (NUM_JOINTS,), "joint_vel": (NUM_JOINTS,), "root_pos": (3,),
+               "body_pos": (NUM_BODIES, 3), "body_rot": (NUM_BODIES, 3, 3),
+               "body_lin_vel": (NUM_BODIES, 3), "body_ang_vel": (NUM_BODIES, 3)}
+
+
+@st.composite
+def clips(draw):
+    """A clip whose fields tile one drawn pool of doubles, each field from a
+    different offset, so every field meets every kind of value."""
+    t = draw(st.integers(2, 3))
+    pool = np.array(draw(st.lists(FINITE, min_size=1, max_size=96)))
+    fields = {name: np.resize(np.roll(pool, -k), (t,) + shape)
+              for k, (name, shape) in enumerate(CLIP_SHAPES.items())}
+    quats = draw(st.lists(st.sampled_from(UNIT_QUATS), min_size=t, max_size=t))
+    fps = draw(st.one_of(st.sampled_from([30.0, 5e-324, 1e308]),
+                         st.floats(0.0, 1e308, exclude_min=True)))
+    return MotionSequence(fps=fps, root_quat=np.array(quats), **fields)
+
+
+@pytest.fixture(scope="module")
+def clip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("clip") / "clip.json"
+
+
+@given(clips())
+def test_motion_file_round_trip_is_bit_exact(clip_path, seq):
+    skel = default_skeleton()
+    save_motion(seq, clip_path, skel)
+    back = load_motion(clip_path, skel)
+    assert back.fps == seq.fps
+    for name in (*CLIP_SHAPES, "root_quat"):
+        # bytes, not values: -0.0 == 0.0 would hide a lost sign
+        assert getattr(back, name).tobytes() == getattr(seq, name).tobytes(), name
