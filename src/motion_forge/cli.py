@@ -10,6 +10,7 @@ produce byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from . import curriculum as cur
 from . import router as rt
 from .config import AppConfig, TrackerConfig, load_config
-from .errors import ConfigError, MotionForgeError
+from .errors import ConfigError, MotionForgeError, NonFiniteError
 from .features import (
     canonicalize_heading,
     decode_root_trajectory,
@@ -31,7 +32,7 @@ from .features import (
 from .generation import TagCatalog, asfo_multipliers, build_epoch_plan
 from .metrics import evaluate
 from .motion import default_skeleton
-from .motion_io import load_features, load_motion, save_features
+from .motion_io import load_features, load_motion, parse_features, parse_motion, save_features
 from .prefix_loop import (
     identity_tracker,
     make_failure_tracker,
@@ -39,7 +40,7 @@ from .prefix_loop import (
     make_perturbation_tracker,
     run_prefix_loop,
 )
-from .rewards import task_rewards
+from .rewards import TASK_TERMS, task_rewards
 
 log = logging.getLogger("motion_forge")
 
@@ -93,8 +94,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    import dataclasses
-
     cfg = _load_app_config(args)
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
@@ -124,15 +123,10 @@ def cmd_reward_eval(args) -> int:
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
     sim = load_motion(args.executed, skel)
-    if ref.num_frames != sim.num_frames:
-        raise ConfigError("reference and executed clips must have equal length")
-    names = ("anchor_pos", "anchor_ori", "rel_body_pos",
-             "rel_body_ori", "body_lin_vel", "body_ang_vel")
-    lines = ["frame," + ",".join(names) + ",total"]
-    for i in range(ref.num_frames):
-        terms, total = task_rewards(ref.frame(i), sim.frame(i), cfg.rewards, skel)
-        row = ",".join(format(terms[n], ".10g") for n in names)
-        lines.append(f"{i},{row},{format(total, '.10g')}")
+    terms, total = task_rewards(ref, sim, cfg.rewards, skel)
+    table = np.column_stack([terms[name] for name in TASK_TERMS] + [total]).tolist()
+    lines = ["frame," + ",".join(TASK_TERMS) + ",total"]
+    lines += [f"{i}," + ",".join(format(v, ".10g") for v in row) for i, row in enumerate(table)]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -166,29 +160,45 @@ def cmd_curriculum_sim(args) -> int:
     return 0
 
 
+def _record_latent(rec, i: int) -> np.ndarray:
+    try:
+        z = np.asarray(rec["z"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"record {i} needs a latent 'z', a list of numbers") from exc
+    if z.ndim != 1:
+        raise ConfigError(f"record {i}: 'z' must be a list of numbers")
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError(f"record {i}: latent 'z' holds NaN or infinite values")
+    return z
+
+
 def cmd_route_sim(args) -> int:
     cfg = _load_app_config(args)
     data = _read_json_file(args.records, "records")
     records = data.get("records")
     if not isinstance(records, list) or not records:
         raise ConfigError("records file needs a non-empty 'records' list")
+    latents = [_record_latent(rec, i) for i, rec in enumerate(records)]
+    z_dim = latents[0].shape[0]
+    if any(z.shape != (z_dim,) for z in latents):
+        raise ConfigError(f"every record's 'z' needs the {z_dim} values of record 0's")
     rng = np.random.default_rng(args.seed)
     if args.pool:
         pool = rt.pool_from_dict(_read_json_file(args.pool, "expert pool"))
     else:
-        z_dim = len(records[0]["z"])
         pool = rt.make_random_pool(rng, num_experts=4, input_dim=z_dim,
                                    hidden=(16,), output_dim=8, capacity=16)
-    state = rt.make_router(rng, pool.capacity, latent_dim=len(records[0]["z"]),
-                           config=cfg.router)
+    state = rt.make_router(rng, pool.capacity, latent_dim=z_dim, config=cfg.router)
     l_max = pool.unlocked_count
-    stage = int(data.get("stage", 2))
+    try:
+        stage = int(data.get("stage", 2))
+        levels = [int(rec.get("level", 1)) for rec in records]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"records: 'stage' and every 'level' must be integers: {exc}") from exc
     header = ["step", "level", "hard_routed", "entropy", "top_gap"]
     header += [f"w{j}" for j in range(pool.num_experts)]
     lines = [",".join(header)]
-    for i, rec in enumerate(records):
-        z = np.asarray(rec["z"], dtype=np.float64)
-        level = int(rec.get("level", 1))
+    for i, (rec, z, level) in enumerate(zip(records, latents, levels)):
         logits = rt.gate_logits(z, state, pool)
         rt.refresh_candidates(state, logits)
         if "obs" in rec:
@@ -250,12 +260,12 @@ def make_tracker(cfg: TrackerConfig):
 
 
 def _load_prefix_features(path, skel):
+    """Features of a clip (told apart by its joint names) or features file."""
     data = _read_json_file(path, "prefix")
-    if "joint_names" in data:
-        seq = load_motion(path, skel)
-        seq = canonicalize_heading(seq)
+    if isinstance(data, dict) and "joint_names" in data:
+        seq = canonicalize_heading(parse_motion(data, path, skel))
         return encode_features(seq, skel, detect_contacts(seq, skel)), seq.fps
-    return load_features(path)
+    return parse_features(data, path)
 
 
 def cmd_prefix_run(args) -> int:
@@ -263,10 +273,7 @@ def cmd_prefix_run(args) -> int:
     skel = default_skeleton()
     prefix, fps = _load_prefix_features(args.prefix, skel)
     target_feats, _ = _load_prefix_features(args.target, skel)
-    loop_cfg = cfg.prefix_loop
-    import dataclasses
-
-    loop_cfg = dataclasses.replace(loop_cfg, fps=fps, seed=args.seed)
+    loop_cfg = dataclasses.replace(cfg.prefix_loop, fps=fps, seed=args.seed)
     generator = make_interpolation_generator(
         loop_cfg.segment_frames, cfg.generator.noise_scale
     )

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .curriculum import SamplerConfig, SimConfig
 from .errors import ConfigError
-from .generation import GUIDANCE_SCALE
 from .metrics import GroundModel, SuccessConfig
 from .prefix_loop import PrefixLoopConfig
-from .rewards import ObservationNoiseConfig, RewardConfig, RewardTerm
+from .rewards import TASK_TERMS, RewardConfig, RewardTerm
 from .router import RouterConfig
 
 def _check_keys(data: dict, allowed: set[str], where: str) -> None:
@@ -27,9 +26,7 @@ def _check_keys(data: dict, allowed: set[str], where: str) -> None:
 
 
 def _build(cls, data: dict, where: str, converters: dict | None = None):
-    import dataclasses
-
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = {f.name for f in fields(cls)}
     _check_keys(data, names, where)
     kwargs = dict(data)
     for key, conv in (converters or {}).items():
@@ -39,14 +36,6 @@ def _build(cls, data: dict, where: str, converters: dict | None = None):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    num_steps: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    guidance_scale: float = GUIDANCE_SCALE
 
 
 @dataclass(frozen=True)
@@ -79,11 +68,9 @@ class AppConfig:
     ground: GroundModel = field(default_factory=GroundModel)
     success: SuccessConfig = field(default_factory=SuccessConfig)
     rewards: RewardConfig = field(default_factory=RewardConfig)
-    obs_noise: ObservationNoiseConfig = field(default_factory=ObservationNoiseConfig)
     curriculum: SamplerConfig = field(default_factory=SamplerConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
-    diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     asfo: AsfoConfig = field(default_factory=AsfoConfig)
     prefix_loop: PrefixLoopConfig = field(default_factory=PrefixLoopConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -100,23 +87,18 @@ def _optional_tuple(value) -> tuple | None:
     return tuple(value) if value is not None else None
 
 
-_REWARD_TERMS = ("anchor_pos", "anchor_ori", "rel_body_pos",
-                 "rel_body_ori", "body_lin_vel", "body_ang_vel")
-
 # AppConfig field -> (config class, converters for the section's raw values)
 _SECTIONS = {
     "ground": (GroundModel, {}),
     "success": (SuccessConfig, {"ee_bodies": _optional_tuple}),
     "rewards": (RewardConfig, {
-        **dict.fromkeys(_REWARD_TERMS, _reward_term),
+        **dict.fromkeys(TASK_TERMS, _reward_term),
         "excluded_contact_bodies": tuple,
         "tracked_bodies": _optional_tuple,
     }),
-    "obs_noise": (ObservationNoiseConfig, {}),
     "curriculum": (SamplerConfig, {}),
     "sim": (SimConfig, {}),
     "router": (RouterConfig, {}),
-    "diffusion": (DiffusionConfig, {}),
     "asfo": (AsfoConfig, {}),
     "prefix_loop": (PrefixLoopConfig, {"tracked_bodies": _optional_tuple}),
     "tracker": (TrackerConfig, {}),

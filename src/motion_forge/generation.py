@@ -504,13 +504,12 @@ def asfo_multipliers(catalog: TagCatalog) -> dict[str, int]:
     }
 
 
-def sample_multiplier(sample_id: str, catalog: TagCatalog) -> int:
-    """Effective multiplier: max over the sample's tags; tagless samples get 1."""
-    tags = catalog.sample_tags.get(sample_id, ())
-    if not tags:
-        return 1
+def sample_multipliers(catalog: TagCatalog) -> dict[str, int]:
+    """Effective multiplier per sample: the max over its tags' multipliers;
+    tagless samples get 1."""
     rho = asfo_multipliers(catalog)
-    return max(rho[t] for t in tags)
+    return {sample_id: max((rho[t] for t in tags), default=1)
+            for sample_id, tags in catalog.sample_tags.items()}
 
 
 def mirror_probability(multiplier, alpha: float = 0.3):
@@ -543,10 +542,10 @@ def build_epoch_plan(catalog: TagCatalog, rng: np.random.Generator) -> list[Plan
     copy independently mirrored with its rarity-driven probability.  Samples
     iterate in sorted id order so a fixed seed fixes the plan; the coins are
     one draw of `rng.uniform`, in plan order."""
-    rho = asfo_multipliers(catalog)
-    ids = sorted(catalog.sample_tags)
+    multipliers = sample_multipliers(catalog)
+    ids = sorted(multipliers)
     tags = [catalog.sample_tags[sample_id] for sample_id in ids]
-    r = np.array([max((rho[t] for t in sample), default=1) for sample in tags], dtype=np.int64)
+    r = np.array([multipliers[sample_id] for sample_id in ids], dtype=np.int64)
     p_mir = mirror_probability(r, catalog.mirror_alpha)
     mirrored = rng.uniform(size=int(r.sum())) < np.repeat(p_mir, r)
     return [

@@ -46,25 +46,24 @@ _FRAME_REQUIRED = ("joint_pos", "root_pos", "root_quat", "body_pos", "body_rot")
 _MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", *_FRAME_SHAPES}
 
 
-def _read_json(path) -> dict:
+def _read_json(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: expected a JSON object at the top level")
-    return data
 
 
 def _write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
-def _check_header(data: dict, path, version: int, keys) -> None:
+def _check_header(data, path, version: int, keys) -> None:
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: expected a JSON object at the top level")
     found = data.get("format_version")
     if found is None:
         raise FileFormatError(f"{path}: missing required field 'format_version'")
@@ -150,12 +149,17 @@ def _rows(data: dict, name: str, width: int, t: int, path) -> np.ndarray:
 
 
 def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
-    """Parse a motion clip; name lists are validated against the skeleton.
+    """Read and parse a motion clip file (see `parse_motion`)."""
+    return parse_motion(_read_json(path), path, skel)
+
+
+def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
+    """A motion clip from the parsed JSON document of file `path`; name lists
+    are validated against the skeleton.
 
     The optional velocity arrays are read when the file has their key, and
     then they need a row for every frame.
     """
-    data = _read_json(path)
     _check_header(data, path, MOTION_FORMAT_VERSION, _MOTION_KEYS)
     fps = _fps(data, path)
     joint_names = _names(data, "joint_names", NUM_JOINTS, path)
@@ -200,7 +204,12 @@ def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:
 
 
 def load_features(path) -> tuple[np.ndarray, float]:
-    data = _read_json(path)
+    """Read and parse a feature file (see `parse_features`)."""
+    return parse_features(_read_json(path), path)
+
+
+def parse_features(data, path) -> tuple[np.ndarray, float]:
+    """(features (T, 262), fps) from the parsed JSON document of file `path`."""
     _check_header(data, path, FORMAT_VERSION, ("format_version", "fps", "features"))
     fps = _fps(data, path)
     rows = _require(data, "features", path)

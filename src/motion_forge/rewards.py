@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .motion import NUM_JOINTS, Frame, MotionSequence, Skeleton
+from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton
 from .rotations import (
     matrix_geodesic_angle,
     quat_geodesic_angle,
@@ -38,23 +38,44 @@ from .rotations import (
 )
 
 COMMAND_DIM = 520
-POLICY_OBS_DIM = 616
-CRITIC_OBS_DIM = 748
 NUM_KEY_BODIES = 14
 
-SHORT_HORIZON_OFFSETS = (1, 2)
-LONG_HORIZON_STRIDE = 20
-LONG_HORIZON_FRAMES = 5
+# Frame offsets of the command window: the current frame, two short-horizon
+# frames, and five long-horizon frames at stride 20.
+COMMAND_OFFSETS = np.array([0, 1, 2, 20, 40, 60, 80, 100])
 
-# Policy observation block layout (start, length).
-POLICY_BLOCKS = {
-    "command": (0, COMMAND_DIM),
-    "anchor_ori": (520, 6),
-    "ang_vel": (526, 3),
-    "joint_pos": (529, NUM_JOINTS),
-    "joint_vel": (558, NUM_JOINTS),
-    "actions": (587, NUM_JOINTS),
+# Observation layouts: block name -> width, in the order the blocks are
+# concatenated.  The assemblers take their blocks under these names.
+POLICY_LAYOUT = {
+    "command": COMMAND_DIM,
+    "anchor_ori_6d": 6,
+    "ang_vel": 3,
+    "joint_pos": NUM_JOINTS,
+    "joint_vel": NUM_JOINTS,
+    "prev_actions": NUM_JOINTS,
 }
+CRITIC_LAYOUT = {
+    "command": COMMAND_DIM,
+    "anchor_pos_err": 3,
+    "anchor_ori_6d": 6,
+    "key_body_pos": NUM_KEY_BODIES * 3,
+    "key_body_ori_6d": NUM_KEY_BODIES * 6,
+    "lin_vel": 3,
+    "ang_vel": 3,
+    "joint_pos": NUM_JOINTS,
+    "joint_vel": NUM_JOINTS,
+    "prev_actions": NUM_JOINTS,
+}
+
+_starts = np.cumsum([0, *POLICY_LAYOUT.values()]).tolist()
+POLICY_BLOCKS = {name: slice(start, start + width)
+                 for (name, width), start in zip(POLICY_LAYOUT.items(), _starts)}
+POLICY_OBS_DIM = sum(POLICY_LAYOUT.values())
+CRITIC_OBS_DIM = sum(CRITIC_LAYOUT.values())
+
+# The six exponential-kernel task terms, in CSV and summation order.
+TASK_TERMS = ("anchor_pos", "anchor_ori", "rel_body_pos",
+              "rel_body_ori", "body_lin_vel", "body_ang_vel")
 
 
 @dataclass(frozen=True)
@@ -91,9 +112,7 @@ class RewardConfig:
     tracked_bodies: tuple[int, ...] | None = None
 
     def total_task_weight(self) -> float:
-        return (self.anchor_pos.weight + self.anchor_ori.weight
-                + self.rel_body_pos.weight + self.rel_body_ori.weight
-                + self.body_lin_vel.weight + self.body_ang_vel.weight)
+        return sum(getattr(self, name).weight for name in TASK_TERMS)
 
 
 def default_key_bodies(skel: Skeleton) -> tuple[int, ...]:
@@ -101,71 +120,74 @@ def default_key_bodies(skel: Skeleton) -> tuple[int, ...]:
     return tuple([0, trunk] + list(skel.ric_body_indices))
 
 
-def exp_kernel_reward(error_sq: float, sigma: float) -> float:
-    """exp(-e / sigma^2) for a squared error e >= 0."""
-    if error_sq < 0:
+def exp_kernel_reward(error_sq, sigma: float):
+    """exp(-e / sigma^2) for squared errors e >= 0, a scalar or an array."""
+    error_sq = np.asarray(error_sq, dtype=np.float64)
+    if (error_sq < 0).any():
         raise ValueError("squared error must be non-negative")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(np.exp(-error_sq / (sigma * sigma)))
+    return np.exp(-error_sq / (sigma * sigma))
 
 
 def task_rewards(
-    ref: Frame,
-    sim: Frame,
+    ref: Frame | MotionSequence,
+    sim: Frame | MotionSequence,
     cfg: RewardConfig | None = None,
     skel: Skeleton | None = None,
-) -> tuple[dict[str, float], float]:
-    """Per-term task rewards for one aligned frame pair, plus weighted sum.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-term task rewards of an aligned ref/sim pair, plus weighted sum.
 
-    Relative terms are expressed in the anchor (pelvis) frame; body terms
-    average squared errors over the tracked body set before the kernel.
+    Broadcasts over leading axes: a pair of clips gives a (T,) array per
+    term and for the total, a pair of `Frame`s gives scalars.  Relative
+    terms are expressed in the anchor (pelvis) frame; body terms average
+    squared errors over the tracked body set before the kernel.
     """
     cfg = cfg or RewardConfig()
+    for name in ("root_quat", "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
+        if getattr(ref, name).shape != getattr(sim, name).shape:
+            raise DimensionMismatchError(f"{name}: reference shape {getattr(ref, name).shape}"
+                                         f" != executed shape {getattr(sim, name).shape}")
     if cfg.tracked_bodies is not None:
-        bodies = list(cfg.tracked_bodies)
+        bodies = np.array(cfg.tracked_bodies)
     elif skel is not None:
-        bodies = list(default_key_bodies(skel))
+        bodies = np.array(default_key_bodies(skel))
     else:
-        bodies = list(range(ref.body_pos.shape[0]))
-    if ref.body_pos.shape != sim.body_pos.shape:
-        raise DimensionMismatchError("frames have different body sets")
+        bodies = np.arange(ref.body_pos.shape[-2])
     a = cfg.anchor_body
 
-    anchor_pos_err = float(np.sum((ref.body_pos[a] - sim.body_pos[a]) ** 2))
-    anchor_ori_err = float(quat_geodesic_angle(ref.root_quat, sim.root_quat) ** 2)
+    # Gathering with `take` keeps each body set frame-major in memory, so the
+    # body means reduce in the same order for one frame and for a whole clip.
+    def rel_pos(state):   # row-vector form of R_a^T (p_b - p_a)
+        offsets = state.body_pos.take(bodies, axis=-2) - state.body_pos[..., a, None, :]
+        return offsets @ state.body_rot[..., a, :, :]
 
-    def in_anchor(frame: Frame, values: np.ndarray) -> np.ndarray:
-        return values @ frame.body_rot[a]   # row-vector form of R^T v
+    def rel_rot(state):   # R_a^T R_b
+        return np.einsum("...ji,...bjk->...bik", state.body_rot[..., a, :, :],
+                         state.body_rot.take(bodies, axis=-3))
 
-    rel_ref = in_anchor(ref, ref.body_pos[bodies] - ref.body_pos[a])
-    rel_sim = in_anchor(sim, sim.body_pos[bodies] - sim.body_pos[a])
-    rel_pos_err = float(np.mean(np.sum((rel_ref - rel_sim) ** 2, axis=-1)))
+    def sq_dist(x, y):
+        return np.add.reduce((x - y) ** 2, axis=-1)
 
-    rel_rot_ref = np.einsum("ji,bjk->bik", ref.body_rot[a], ref.body_rot[bodies])
-    rel_rot_sim = np.einsum("ji,bjk->bik", sim.body_rot[a], sim.body_rot[bodies])
-    rel_ori_err = float(np.mean(matrix_geodesic_angle(rel_rot_ref, rel_rot_sim) ** 2))
+    def body_mean(values):   # np.mean's sum and divide, without its overhead
+        return np.add.reduce(values, axis=-1) / values.shape[-1]
 
-    lin_err = float(np.mean(np.sum((ref.body_lin_vel[bodies] - sim.body_lin_vel[bodies]) ** 2, axis=-1)))
-    ang_err = float(np.mean(np.sum((ref.body_ang_vel[bodies] - sim.body_ang_vel[bodies]) ** 2, axis=-1)))
+    def vel_err(name):
+        return body_mean(sq_dist(getattr(ref, name).take(bodies, axis=-2),
+                                 getattr(sim, name).take(bodies, axis=-2)))
 
-    terms = {
-        "anchor_pos": exp_kernel_reward(anchor_pos_err, cfg.anchor_pos.sigma),
-        "anchor_ori": exp_kernel_reward(anchor_ori_err, cfg.anchor_ori.sigma),
-        "rel_body_pos": exp_kernel_reward(rel_pos_err, cfg.rel_body_pos.sigma),
-        "rel_body_ori": exp_kernel_reward(rel_ori_err, cfg.rel_body_ori.sigma),
-        "body_lin_vel": exp_kernel_reward(lin_err, cfg.body_lin_vel.sigma),
-        "body_ang_vel": exp_kernel_reward(ang_err, cfg.body_ang_vel.sigma),
+    errors = {
+        "anchor_pos": sq_dist(ref.body_pos[..., a, :], sim.body_pos[..., a, :]),
+        "anchor_ori": quat_geodesic_angle(ref.root_quat, sim.root_quat) ** 2,
+        "rel_body_pos": body_mean(sq_dist(rel_pos(ref), rel_pos(sim))),
+        "rel_body_ori": body_mean(matrix_geodesic_angle(rel_rot(ref), rel_rot(sim)) ** 2),
+        "body_lin_vel": vel_err("body_lin_vel"),
+        "body_ang_vel": vel_err("body_ang_vel"),
     }
-    total = (
-        cfg.anchor_pos.weight * terms["anchor_pos"]
-        + cfg.anchor_ori.weight * terms["anchor_ori"]
-        + cfg.rel_body_pos.weight * terms["rel_body_pos"]
-        + cfg.rel_body_ori.weight * terms["rel_body_ori"]
-        + cfg.body_lin_vel.weight * terms["body_lin_vel"]
-        + cfg.body_ang_vel.weight * terms["body_ang_vel"]
-    )
-    return terms, float(total)
+    terms = {name: exp_kernel_reward(errors[name], getattr(cfg, name).sigma)
+             for name in TASK_TERMS}
+    total = sum(getattr(cfg, name).weight * terms[name] for name in TASK_TERMS)
+    return terms, total
 
 
 def regularization_rewards(
@@ -175,119 +197,80 @@ def regularization_rewards(
     contact_forces: np.ndarray,
     skel: Skeleton,
     cfg: RewardConfig | None = None,
-) -> dict[str, float]:
-    """Smoothness/safety penalties; all values are <= 0."""
+) -> dict[str, np.ndarray]:
+    """Smoothness/safety penalties; all values are <= 0.  Broadcasts over
+    leading axes like `task_rewards`."""
     cfg = cfg or RewardConfig()
     actions = np.asarray(actions, dtype=np.float64)
     prev_actions = np.asarray(prev_actions, dtype=np.float64)
-    if actions.shape != (NUM_JOINTS,) or prev_actions.shape != (NUM_JOINTS,):
-        raise DimensionMismatchError(f"actions must have shape ({NUM_JOINTS},)")
-    action_rate = cfg.action_rate_weight * float(np.sum((actions - prev_actions) ** 2))
+    if actions.shape[-1:] != (NUM_JOINTS,) or prev_actions.shape != actions.shape:
+        raise DimensionMismatchError(f"actions must have shape (..., {NUM_JOINTS})")
+    action_rate = cfg.action_rate_weight * np.sum((actions - prev_actions) ** 2, axis=-1)
 
     joint_pos = np.asarray(joint_pos, dtype=np.float64)
     low, high = skel.joint_limits[:, 0], skel.joint_limits[:, 1]
-    out_of_range = int(np.sum((joint_pos < low) | (joint_pos > high)))
+    out_of_range = np.count_nonzero((joint_pos < low) | (joint_pos > high), axis=-1)
     joint_limit = cfg.joint_limit_weight * out_of_range
 
     contact_forces = np.asarray(contact_forces, dtype=np.float64)
-    excluded = {skel.body_index(n) for n in cfg.excluded_contact_bodies}
-    counted = [
-        i for i in range(len(contact_forces))
-        if i not in excluded and contact_forces[i] > cfg.contact_force_threshold
-    ]
-    undesired = cfg.undesired_contact_weight * len(counted)
-    return {
-        "action_rate": action_rate,
-        "joint_limit": joint_limit,
-        "undesired_contact": undesired,
-    }
+    if contact_forces.shape[-1:] != (NUM_BODIES,):
+        raise DimensionMismatchError(f"contact_forces must have shape (..., {NUM_BODIES})")
+    counted = contact_forces > cfg.contact_force_threshold
+    counted[..., [skel.body_index(n) for n in cfg.excluded_contact_bodies]] = False
+    undesired = cfg.undesired_contact_weight * np.count_nonzero(counted, axis=-1)
+    return {"action_rate": action_rate, "joint_limit": joint_limit, "undesired_contact": undesired}
 
 
-def command_frame(motion: MotionSequence, idx: int) -> np.ndarray:
-    """65-dim frame descriptor; out-of-range indices clamp to the last frame."""
-    idx = min(idx, motion.num_frames - 1)
-    return np.concatenate([
-        motion.joint_pos[idx],
-        motion.joint_vel[idx],
-        motion.root_pos[idx],
-        motion.root_quat[idx],
-    ])
+def assemble_command(motion: MotionSequence, frame_idx) -> np.ndarray:
+    """520-dim motion command: current, short-horizon, strided long-horizon.
 
-
-def assemble_command(motion: MotionSequence, frame_idx: int) -> np.ndarray:
-    """520-dim motion command: current, short-horizon, strided long-horizon."""
-    offsets = [0, *SHORT_HORIZON_OFFSETS]
-    offsets += [LONG_HORIZON_STRIDE * (j + 1) for j in range(LONG_HORIZON_FRAMES)]
-    parts = [command_frame(motion, frame_idx + off) for off in offsets]
-    out = np.concatenate(parts)
-    assert out.shape == (COMMAND_DIM,)
-    return out
+    Each of the 8 frames contributes its 65-dim descriptor (joint pos, joint
+    vel, root pos, root quat); indices past the clip clamp to the last
+    frame.  An array of frame indices gives one command per index.
+    """
+    idx = np.minimum(np.asarray(frame_idx)[..., None] + COMMAND_OFFSETS, motion.num_frames - 1)
+    frames = np.concatenate([motion.joint_pos[idx], motion.joint_vel[idx],
+                             motion.root_pos[idx], motion.root_quat[idx]], axis=-1)
+    return frames.reshape(idx.shape[:-1] + (COMMAND_DIM,))
 
 
 def orientation_error_6d(ref_quat: np.ndarray, sim_quat: np.ndarray) -> np.ndarray:
     """Relative rotation sim^-1 * ref as a 6D vector; identity when equal."""
-    rel = quat_to_matrix(sim_quat).T @ quat_to_matrix(ref_quat)
+    rel = np.swapaxes(quat_to_matrix(sim_quat), -1, -2) @ quat_to_matrix(ref_quat)
     return rot_to_6d(rel)
 
 
-def assemble_policy_obs(
-    command: np.ndarray,
-    anchor_ori_6d: np.ndarray,
-    ang_vel: np.ndarray,
-    joint_pos: np.ndarray,
-    joint_vel: np.ndarray,
-    prev_actions: np.ndarray,
-) -> np.ndarray:
-    """616-dim policy observation, blocks in the fixed layout order."""
-    parts = [
-        ("command", command, COMMAND_DIM),
-        ("anchor_ori_6d", anchor_ori_6d, 6),
-        ("ang_vel", ang_vel, 3),
-        ("joint_pos", joint_pos, NUM_JOINTS),
-        ("joint_vel", joint_vel, NUM_JOINTS),
-        ("prev_actions", prev_actions, NUM_JOINTS),
-    ]
-    return _concat_checked(parts, POLICY_OBS_DIM)
-
-
-def assemble_critic_obs(
-    command: np.ndarray,
-    anchor_pos_err: np.ndarray,
-    anchor_ori_6d: np.ndarray,
-    key_body_pos: np.ndarray,
-    key_body_ori_6d: np.ndarray,
-    lin_vel: np.ndarray,
-    ang_vel: np.ndarray,
-    joint_pos: np.ndarray,
-    joint_vel: np.ndarray,
-    prev_actions: np.ndarray,
-) -> np.ndarray:
-    """748-dim privileged critic observation."""
-    parts = [
-        ("command", command, COMMAND_DIM),
-        ("anchor_pos_err", anchor_pos_err, 3),
-        ("anchor_ori_6d", anchor_ori_6d, 6),
-        ("key_body_pos", key_body_pos, NUM_KEY_BODIES * 3),
-        ("key_body_ori_6d", key_body_ori_6d, NUM_KEY_BODIES * 6),
-        ("lin_vel", lin_vel, 3),
-        ("ang_vel", ang_vel, 3),
-        ("joint_pos", joint_pos, NUM_JOINTS),
-        ("joint_vel", joint_vel, NUM_JOINTS),
-        ("prev_actions", prev_actions, NUM_JOINTS),
-    ]
-    return _concat_checked(parts, CRITIC_OBS_DIM)
-
-
-def _concat_checked(parts, expected_total: int) -> np.ndarray:
+def _assemble(layout: dict[str, int], blocks: dict) -> np.ndarray:
+    """Concatenate `blocks` flattened in `layout` order, checking widths."""
     flat = []
-    for name, value, dim in parts:
-        value = np.asarray(value, dtype=np.float64).reshape(-1)
-        if value.shape[0] != dim:
-            raise DimensionMismatchError(f"{name}: expected {dim} dims, got {value.shape[0]}")
+    for name, width in layout.items():
+        value = np.asarray(blocks[name], dtype=np.float64).reshape(-1)
+        if value.shape[0] != width:
+            raise DimensionMismatchError(f"{name}: expected {width} dims, got {value.shape[0]}")
         flat.append(value)
-    out = np.concatenate(flat)
-    assert out.shape == (expected_total,)
-    return out
+    return np.concatenate(flat)
+
+
+def assemble_policy_obs(command, anchor_ori_6d, ang_vel, joint_pos, joint_vel,
+                        prev_actions) -> np.ndarray:
+    """616-dim policy observation in the `POLICY_LAYOUT` order."""
+    return _assemble(POLICY_LAYOUT, locals())
+
+
+def assemble_critic_obs(command, anchor_pos_err, anchor_ori_6d, key_body_pos, key_body_ori_6d,
+                        lin_vel, ang_vel, joint_pos, joint_vel, prev_actions) -> np.ndarray:
+    """748-dim privileged critic observation in the `CRITIC_LAYOUT` order."""
+    return _assemble(CRITIC_LAYOUT, locals())
+
+
+# ObservationNoiseConfig field -> the policy-observation block it perturbs,
+# in draw order.
+_NOISY_BLOCKS = {
+    "root_ori": "anchor_ori_6d",
+    "ang_vel": "ang_vel",
+    "joint_pos": "joint_pos",
+    "joint_vel": "joint_vel",
+}
 
 
 @dataclass(frozen=True)
@@ -300,7 +283,7 @@ class ObservationNoiseConfig:
     joint_vel: float = 0.5
 
     def __post_init__(self):
-        for name in ("root_ori", "ang_vel", "joint_pos", "joint_vel"):
+        for name in _NOISY_BLOCKS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} noise bound must be >= 0")
 
@@ -316,13 +299,8 @@ def inject_obs_noise(
     if obs.shape != (POLICY_OBS_DIM,):
         raise DimensionMismatchError(f"expected ({POLICY_OBS_DIM},) observation")
     out = obs.copy()
-    for block, bound in (
-        ("anchor_ori", noise_cfg.root_ori),
-        ("ang_vel", noise_cfg.ang_vel),
-        ("joint_pos", noise_cfg.joint_pos),
-        ("joint_vel", noise_cfg.joint_vel),
-    ):
-        start, length = POLICY_BLOCKS[block]
+    for name, block in _NOISY_BLOCKS.items():
+        bound = getattr(noise_cfg, name)
         if bound > 0:
-            out[start:start + length] += rng.uniform(-bound, bound, length)
+            out[POLICY_BLOCKS[block]] += rng.uniform(-bound, bound, POLICY_LAYOUT[block])
     return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError
 
 LATENT_DIM = 128
 RHO_HARD = 0.8
@@ -439,13 +439,23 @@ def mlp_to_dict(params: MLPParams) -> dict:
     }
 
 
-def mlp_from_dict(data: dict) -> MLPParams:
+def _finite(value, what: str) -> np.ndarray:
+    array = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise NonFiniteError(f"{what} holds NaN or infinite values")
+    return array
+
+
+def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:
+    """Inverse of `mlp_to_dict`; a `w` that does not fill its `shape` raises
+    ConfigError and a NaN or infinite value NonFiniteError."""
     params: MLPParams = []
-    for layer in data["layers"]:
-        shape = tuple(layer["shape"])
-        w = np.asarray(layer["w"], dtype=np.float64).reshape(shape)
-        b = np.asarray(layer["b"], dtype=np.float64)
-        params.append((w, b))
+    for i, layer in enumerate(data["layers"]):
+        at = f"{where} layer {i}"
+        w, b = _finite(layer["w"], f"{at} 'w'"), _finite(layer["b"], f"{at} 'b'")
+        if w.size != np.prod(layer["shape"]):
+            raise ConfigError(f"{at}: 'w' has {w.size} values for shape {layer['shape']}")
+        params.append((w.reshape(layer["shape"]), b))
     return params
 
 
@@ -462,12 +472,23 @@ def pool_to_dict(pool: ExpertPool) -> dict:
 
 
 def pool_from_dict(data: dict) -> ExpertPool:
-    return ExpertPool(
-        experts=[mlp_from_dict(e) for e in data["experts"]],
-        input_dim=int(data["input_dim"]),
-        output_dim=int(data["output_dim"]),
-        hidden=tuple(data["hidden"]),
-        capacity=int(data["capacity"]),
-        unlocked_count=int(data["unlocked_count"]),
-        lr_multipliers=[float(x) for x in data["lr_multipliers"]],
-    )
+    """Inverse of `pool_to_dict`.  A missing key, a non-number, or expert
+    layers that do not chain input_dim -> hidden -> output_dim raise
+    ConfigError; a NaN or infinite value raises NonFiniteError."""
+    try:
+        dims = [int(data["input_dim"]), *map(int, data["hidden"]), int(data["output_dim"])]
+        experts = [mlp_from_dict(e, f"expert {k}") for k, e in enumerate(data["experts"])]
+        capacity, unlocked = int(data["capacity"]), int(data["unlocked_count"])
+        lr = [float(x) for x in _finite(data["lr_multipliers"], "lr_multipliers")]
+    except KeyError as exc:
+        raise ConfigError(f"expert pool: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expert pool: {exc}") from exc
+    chain = [((d_out, d_in), (d_out,)) for d_in, d_out in zip(dims[:-1], dims[1:])]
+    for k, expert in enumerate(experts):
+        if [(w.shape, b.shape) for w, b in expert] != chain:
+            raise ConfigError(f"expert {k}: layer shapes do not chain "
+                              f"input_dim -> hidden -> output_dim {dims}")
+    return ExpertPool(experts=experts, input_dim=dims[0], output_dim=dims[-1],
+                      hidden=tuple(dims[1:-1]), capacity=capacity, unlocked_count=unlocked,
+                      lr_multipliers=lr)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 
@@ -10,6 +12,7 @@ from motion_forge.cli import cli_dispatch
 from motion_forge.features import FEATURE_DIM
 from motion_forge.motion import default_skeleton
 from motion_forge.motion_io import load_features, save_features, save_motion
+from motion_forge.rotations import matrix_to_quat, quat_to_matrix, rot_z
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +121,45 @@ class TestRewardEvalCli:
         total = float(lines[1].split(",")[-1])
         assert total == pytest.approx(5.3, abs=1e-6)
 
+    def test_unequal_lengths_are_a_json_error(self, tmp_path, skel, walk_file, capsys):
+        short = tmp_path / "short.json"
+        save_motion(make_walk_sequence(skel, 1.0, 0.1, 30, 30.0), short, skel)
+        code, captured = run(["reward-eval", walk_file, short], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "DimensionMismatchError"
+        assert "(45, 4)" in err["message"] and "(30, 4)" in err["message"]
+
+    def test_tracked_pair_matches_golden_sha256(self, tmp_path, skel):
+        # A reference walk against a seeded imperfect execution: position
+        # noise, a yaw jitter per frame and body (the root's also turns the
+        # root quaternion), and noisy linear and angular velocities, so that
+        # no term sits at 1.
+        ref = make_walk_sequence(skel, 1.2, 0.3, 60, 30.0, start_yaw=0.4)
+        rng = np.random.default_rng(11)
+        jitter = rot_z(rng.normal(0.0, 0.08, (60, 30)))
+        body_pos = ref.body_pos + rng.normal(0.0, 0.03, ref.body_pos.shape)
+        sim = dataclasses.replace(
+            ref,
+            root_pos=body_pos[:, 0],
+            root_quat=matrix_to_quat(jitter[:, 0] @ quat_to_matrix(ref.root_quat)),
+            body_pos=body_pos,
+            body_rot=jitter @ ref.body_rot,
+            body_lin_vel=ref.body_lin_vel + rng.normal(0.0, 0.4, ref.body_lin_vel.shape),
+            body_ang_vel=ref.body_ang_vel + rng.normal(0.0, 0.9, ref.body_ang_vel.shape),
+        )
+        paths = tmp_path / "ref.json", tmp_path / "sim.json"
+        save_motion(ref, paths[0], skel)
+        save_motion(sim, paths[1], skel)
+        out = tmp_path / "rewards.csv"
+        assert run(["reward-eval", *paths, "--out", out]) == 0
+        text = out.read_text()
+        rows = np.array([line.split(",")[1:-1] for line in text.splitlines()[1:]], dtype=float)
+        assert rows.shape == (60, 6)
+        assert np.all(rows < 1.0) and np.all(rows > 0.0)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "350b2afc448d45a16abf3c7a4f46031b77cd9d24b1c34807cd6ea41fd34ee614"
+
 
 class TestCurriculumSimCli:
     def corpus(self, tmp_path):
@@ -210,6 +252,69 @@ class TestRouteSimCli:
         assert err["error"] == "ConfigError"
         assert "input_dim 12" in err["message"]
         assert not out.exists()
+
+    def pool_doc(self, input_dim=8):
+        pool = rt.make_random_pool(np.random.default_rng(0), num_experts=2,
+                                   input_dim=input_dim, hidden=(4,), output_dim=3, capacity=4)
+        return rt.pool_to_dict(pool)
+
+    def run_bad(self, tmp_path, capsys, records=None, pool=None):
+        """route-sim on the given records/pool documents; the JSON error."""
+        rec_path = self.records(tmp_path)
+        if records is not None:
+            rec_path.write_text(json.dumps(records))
+        argv = ["route-sim", rec_path, "--out", tmp_path / "routes.csv"]
+        if pool is not None:
+            (tmp_path / "pool.json").write_text(json.dumps(pool))
+            argv += ["--pool", tmp_path / "pool.json"]
+        code, captured = run(argv, capsys)
+        assert code == 1
+        assert not (tmp_path / "routes.csv").exists()
+        return json.loads(captured.err)
+
+    def test_pool_without_input_dim_rejected(self, tmp_path, capsys):
+        pool = self.pool_doc()
+        del pool["input_dim"]
+        err = self.run_bad(tmp_path, capsys, pool=pool)
+        assert err["error"] == "ConfigError" and "input_dim" in err["message"]
+
+    def test_layer_weights_not_filling_shape_rejected(self, tmp_path, capsys):
+        pool = self.pool_doc()
+        pool["experts"][1]["layers"][0]["w"].pop()
+        err = self.run_bad(tmp_path, capsys, pool=pool)
+        assert err["error"] == "ConfigError"
+        assert "expert 1 layer 0" in err["message"] and "[4, 8]" in err["message"]
+
+    def test_layers_not_chaining_dims_rejected(self, tmp_path, capsys):
+        pool = self.pool_doc()
+        pool["hidden"] = [5]
+        err = self.run_bad(tmp_path, capsys, pool=pool)
+        assert err["error"] == "ConfigError" and "do not chain" in err["message"]
+
+    def test_nan_expert_weight_rejected(self, tmp_path, capsys):
+        pool = self.pool_doc()
+        pool["experts"][0]["layers"][1]["w"][2] = float("nan")
+        err = self.run_bad(tmp_path, capsys, pool=pool)
+        assert err["error"] == "NonFiniteError"
+        assert "expert 0 layer 1 'w'" in err["message"]
+
+    def test_record_without_latent_rejected(self, tmp_path, capsys):
+        err = self.run_bad(tmp_path, capsys, records={"records": [
+            {"z": [0.1] * 8, "level": 1}, {"level": 2}]})
+        assert err["error"] == "ConfigError" and "record 1" in err["message"]
+
+    @pytest.mark.parametrize("doc", [
+        {"records": [{"z": [0.1] * 8, "level": "two"}]},
+        {"stage": "x", "records": [{"z": [0.1] * 8, "level": 1}]},
+    ], ids=["string_level", "string_stage"])
+    def test_non_integer_stage_or_level_rejected(self, tmp_path, capsys, doc):
+        err = self.run_bad(tmp_path, capsys, records=doc)
+        assert err["error"] == "ConfigError" and "must be integers" in err["message"]
+
+    def test_nan_latent_rejected(self, tmp_path, capsys):
+        err = self.run_bad(tmp_path, capsys, records={"records": [
+            {"z": [0.1] * 7 + [float("nan")], "level": 1}]})
+        assert err["error"] == "NonFiniteError" and "record 0" in err["message"]
 
 
 class TestAsfoPlanCli:
@@ -317,6 +422,24 @@ class TestPrefixRunCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and "NaN is not a finite number" in err["message"]
         assert not trace_path.exists()
+
+    def test_each_input_file_is_parsed_once(self, tmp_path, skel, monkeypatch):
+        seq = rigid_sequence(skel, np.tile([0.0, 0.0, 0.8], (30, 1)), np.zeros(30), 30.0)
+        prefix_path = tmp_path / "prefix_motion.json"
+        save_motion(seq, prefix_path, skel)
+        target_path = tmp_path / "target.json"
+        save_features(neutral_features(2), 30.0, target_path)
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        code = run(["prefix-run", prefix_path, target_path, "--out", tmp_path / "out.json"])
+        assert code == 0
+        assert sorted(parsed) == sorted([prefix_path.read_text(), target_path.read_text()])
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

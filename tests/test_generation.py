@@ -23,7 +23,7 @@ from motion_forge.generation import (
     make_schedule,
     mirror_probability,
     mix_expert_params,
-    sample_multiplier,
+    sample_multipliers,
     silu,
     spatial_mask,
     swap_side_tags,
@@ -468,12 +468,12 @@ class TestAsfo:
     def test_multi_label_max_rule(self):
         cat = self.catalog()
         cat.sample_tags["mixed"] = ("walk", "cartwheel")
-        assert sample_multiplier("mixed", cat) == 4
+        assert sample_multipliers(cat)["mixed"] == 4
 
     def test_tagless_sample_gets_one(self):
         cat = self.catalog()
         cat.sample_tags["plain"] = ()
-        assert sample_multiplier("plain", cat) == 1
+        assert sample_multipliers(cat)["plain"] == 1
 
     def test_mirror_probability(self):
         assert mirror_probability(1, 0.3) == 0.0
@@ -483,14 +483,15 @@ class TestAsfo:
     def test_plan_size_is_sum_of_multipliers(self):
         cat = self.catalog()
         plan = build_epoch_plan(cat, np.random.default_rng(0))
-        expected = sum(sample_multiplier(s, cat) for s in cat.sample_tags)
+        multipliers = sample_multipliers(cat)
+        expected = sum(multipliers.values())
         assert len(plan) == expected
         # every sample appears exactly its multiplier many times
         from collections import Counter
 
         counts = Counter(e.sample_id for e in plan)
         for sid in cat.sample_tags:
-            assert counts[sid] == sample_multiplier(sid, cat)
+            assert counts[sid] == multipliers[sid]
 
     def test_uniform_frequencies_no_mirrors(self):
         samples = {f"s{i}": (f"tag{i % 3}",) for i in range(9)}

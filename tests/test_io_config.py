@@ -306,7 +306,6 @@ class TestConfig:
         assert isinstance(cfg, AppConfig)
         assert cfg.curriculum.epsilon == 0.20
         assert cfg.router.top_k == 2
-        assert cfg.diffusion.guidance_scale == 2.5
 
     def test_section_overrides(self):
         cfg = config_from_dict({
@@ -324,6 +323,12 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             config_from_dict({"mystery": {}})
+
+    @pytest.mark.parametrize("section", ["diffusion", "obs_noise"])
+    def test_removed_sections_rejected(self, section):
+        # no subcommand read these sections, so they are no longer settable
+        with pytest.raises(ConfigError, match=section):
+            config_from_dict({section: {}})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="typo"):

@@ -1,5 +1,6 @@
 """Property tests: decoded 6D frames are rotations, re-orthonormalizing is
-idempotent, and a motion clip's save/load cycle is bit-exact."""
+idempotent, a motion clip's save/load cycle is bit-exact, and whole-clip
+task rewards equal the per-frame ones bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from helpers import neutral_features  # noqa: E402
+from helpers import make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.features import ROT6D, project_valid_rot6d  # noqa: E402
 from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, default_skeleton  # noqa: E402
 from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
+from motion_forge.rewards import TASK_TERMS, RewardConfig, task_rewards  # noqa: E402
 from motion_forge.rotations import sixd_to_rot  # noqa: E402
 
 # Columns near parallel lose orthogonality to rounding (the error grows like
@@ -100,3 +102,21 @@ def test_motion_file_round_trip_is_bit_exact(clip_path, seq):
     for name in (*CLIP_SHAPES, "root_quat"):
         # bytes, not values: -0.0 == 0.0 would hide a lost sign
         assert getattr(back, name).tobytes() == getattr(seq, name).tobytes(), name
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6),
+       tracked=st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1), min_size=1,
+                                             max_size=NUM_BODIES, unique=True)),
+       anchor=st.integers(0, NUM_BODIES - 1))
+def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked, anchor):
+    skel = default_skeleton()
+    rng = np.random.default_rng(seed)
+    ref = make_random_sequence(skel, rng, num_frames)
+    sim = make_random_sequence(skel, rng, num_frames)
+    cfg = RewardConfig(anchor_body=anchor,
+                       tracked_bodies=None if tracked is None else tuple(tracked))
+    terms, total = task_rewards(ref, sim, cfg, skel)
+    per_frame = [task_rewards(ref.frame(i), sim.frame(i), cfg, skel) for i in range(num_frames)]
+    for name in TASK_TERMS:
+        assert np.array_equal(terms[name], [t[name] for t, _ in per_frame]), name
+    assert np.array_equal(total, [tot for _, tot in per_frame])

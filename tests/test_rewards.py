@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import make_standing_sequence, make_walk_sequence
+from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
 from motion_forge.errors import DimensionMismatchError
-from motion_forge.motion import default_skeleton
+from motion_forge.motion import Frame, default_skeleton
 from motion_forge.rewards import (
     COMMAND_DIM,
     CRITIC_OBS_DIM,
     POLICY_OBS_DIM,
+    TASK_TERMS,
     ObservationNoiseConfig,
+    RewardConfig,
     assemble_command,
     assemble_critic_obs,
     assemble_policy_obs,
@@ -36,6 +40,15 @@ class TestExpKernel:
     def test_anchor_pos_kernel_hand_value(self):
         # e = 0.04 with sigma 0.2 lands exactly at exp(-1)
         assert exp_kernel_reward(0.04, 0.2) == pytest.approx(np.exp(-1.0), abs=1e-12)
+
+    def test_array_of_errors(self):
+        errors = np.array([[0.0, 0.04], [0.16, 1.0]])
+        out = exp_kernel_reward(errors, 0.2)
+        assert out.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            assert out[i, j] == exp_kernel_reward(float(errors[i, j]), 0.2)
+        with pytest.raises(ValueError):
+            exp_kernel_reward(np.array([0.1, -1e-9]), 0.2)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -82,6 +95,33 @@ class TestTaskRewards:
     def test_key_body_default_count(self, skel):
         assert len(default_key_bodies(skel)) == 14
 
+    @pytest.mark.parametrize("cfg", [
+        RewardConfig(),
+        RewardConfig(tracked_bodies=tuple(range(30))),
+        RewardConfig(anchor_body=3),
+    ], ids=["key_bodies", "all_bodies", "anchor_3"])
+    def test_whole_clip_equals_per_frame_bit_for_bit(self, skel, cfg):
+        rng = np.random.default_rng(8)
+        ref = make_random_sequence(skel, rng, num_frames=40)
+        sim = make_random_sequence(skel, rng, num_frames=40)
+        terms, total = task_rewards(ref, sim, cfg, skel)
+        per_frame = [task_rewards(ref.frame(i), sim.frame(i), cfg, skel) for i in range(40)]
+        for name in TASK_TERMS:
+            assert terms[name].shape == (40,)
+            assert np.array_equal(terms[name], [t[name] for t, _ in per_frame]), name
+        assert np.array_equal(total, [tot for _, tot in per_frame])
+        assert np.ndim(per_frame[0][1]) == 0
+
+    def test_unequal_leading_shapes_raise(self, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.2, 10, 30.0)
+        shorter = make_walk_sequence(skel, 1.0, 0.2, 9, 30.0)
+        # a (1, ...) view of the first frame would broadcast against (10, ...)
+        first = Frame(**{f.name: getattr(seq, f.name)[:1] for f in dataclasses.fields(Frame)})
+        for ref, sim in ((seq, shorter), (seq, first), (first, seq),
+                         (seq, seq.frame(0)), (seq.frame(0), seq)):
+            with pytest.raises(DimensionMismatchError, match="root_quat"):
+                task_rewards(ref, sim, skel=skel)
+
 
 class TestRegularization:
     def test_all_zero_when_clean(self, skel):
@@ -116,6 +156,21 @@ class TestRegularization:
         out = regularization_rewards(np.zeros(29), np.zeros(29), np.zeros(29), forces, skel)
         assert out["undesired_contact"] == pytest.approx(-0.2)
 
+    def test_rows_score_like_single_steps(self, skel):
+        rng = np.random.default_rng(6)
+        actions, prev = rng.normal(0, 1, (2, 5, 29))
+        joint_pos = rng.normal(0, 2, (5, 29))
+        forces = rng.uniform(0, 2, (5, 30))
+        batch = regularization_rewards(actions, prev, joint_pos, forces, skel)
+        for i in range(5):
+            row = regularization_rewards(actions[i], prev[i], joint_pos[i], forces[i], skel)
+            for name, value in row.items():
+                assert batch[name][i] == value, name
+
+    def test_contact_forces_need_one_entry_per_body(self, skel):
+        with pytest.raises(DimensionMismatchError):
+            regularization_rewards(np.zeros(29), np.zeros(29), np.zeros(29), np.zeros(29), skel)
+
 
 class TestCommand:
     def test_length_and_current_block(self, skel):
@@ -142,6 +197,14 @@ class TestCommand:
         ])
         for j in range(8):
             assert np.allclose(cmd[65 * j: 65 * (j + 1)], last)
+
+    def test_array_of_frames_gives_one_command_each(self, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.3, 50, 30.0)
+        frames = np.array([[0, 7], [31, 49]])
+        cmds = assemble_command(seq, frames)
+        assert cmds.shape == (2, 2, COMMAND_DIM)
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(cmds[i, j], assemble_command(seq, int(frames[i, j])))
 
 
 class TestObservations:
