@@ -29,10 +29,10 @@ def _build(cls, data: dict, where: str, converters: dict | None = None):
     names = {f.name for f in fields(cls)}
     _check_keys(data, names, where)
     kwargs = dict(data)
-    for key, conv in (converters or {}).items():
-        if key in kwargs:
-            kwargs[key] = conv(kwargs[key])
     try:
+        for key, conv in (converters or {}).items():
+            if key in kwargs:
+                kwargs[key] = conv(kwargs[key])
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc

@@ -207,29 +207,40 @@ def apply_level_quota(
 ) -> np.ndarray:
     """Raise any unlocked level's total mass to the replay floor.
 
-    Deficits are added uniformly within the starved level and paid
-    proportionally by levels above the floor; the result still sums to 1.
+    Rows must come grouped by ascending level, as `introduced_rows` gives
+    them (else ConfigError).  Deficits are added uniformly within the
+    starved level and paid proportionally by levels above the floor; the
+    result still sums to 1.
     """
     probs = np.asarray(probs, dtype=np.float64).copy()
     levels = np.asarray(levels)
-    present = [lv for lv in np.unique(levels) if probs[levels == lv].sum() > 0.0]
-    if len(present) < 2 or floor <= 0.0:
+    if (levels[1:] < levels[:-1]).any():
+        raise ConfigError("apply_level_quota needs rows grouped by ascending level")
+    cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
+    starts, ends = [0] + cuts, cuts + [levels.size]
+    # each level's mass sums its contiguous slice: the same pairwise sum as a
+    # masked gather of the level's rows
+    masses = np.array([probs[a:b].sum() for a, b in zip(starts, ends)])
+    present = masses > 0.0
+    if present.sum() < 2 or floor <= 0.0:
         return probs
-    masses = {lv: probs[levels == lv].sum() for lv in present}
-    deficit = {lv: max(0.0, floor - m) for lv, m in masses.items()}
-    total_deficit = sum(deficit.values())
+    deficit = np.where(present, np.maximum(0.0, floor - masses), 0.0)
+    total_deficit = sum(deficit[present].tolist())   # left to right, in level order
     if total_deficit <= 0.0:
         return probs
-    surplus = {lv: max(0.0, masses[lv] - floor) for lv in present}
-    total_surplus = sum(surplus.values())
+    surplus = np.where(present, np.maximum(0.0, masses - floor), 0.0)
+    total_surplus = sum(surplus[present].tolist())
     if total_surplus <= 0.0:
         return probs
-    for lv in present:
-        sel = (levels == lv) & (probs > 0.0)
-        if deficit[lv] > 0.0:
-            probs[sel] += deficit[lv] / sel.sum()
-        elif surplus[lv] > 0.0:
-            probs[sel] -= probs[sel] / masses[lv] * (total_deficit * surplus[lv] / total_surplus)
+    sizes = np.subtract(ends, starts)
+    positive = probs > 0.0
+    seen = np.concatenate([[0], np.cumsum(positive)])
+    counts = np.maximum(seen[ends] - seen[starts], 1)   # 0 only where nothing is added
+    gains = positive & np.repeat(deficit > 0.0, sizes)   # absent levels have neither
+    pays = positive & np.repeat(surplus > 0.0, sizes)
+    probs[gains] += np.repeat(deficit / counts, sizes)[gains]
+    share = total_deficit * surplus / total_surplus
+    probs[pays] -= probs[pays] / np.repeat(masses, sizes)[pays] * np.repeat(share, sizes)[pays]
     probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 
@@ -284,22 +295,34 @@ def promotion_check(eval_errors: Sequence[float], iters_on_level: int, cfg: Samp
     return True
 
 
+def _introduced_counts(
+    orders: Sequence[np.ndarray],
+    unlock_iters: Sequence[int],
+    iteration: int,
+    cfg: SamplerConfig,
+) -> tuple[int, ...]:
+    """How many rows of each unlocked level are introduced by `iteration`.
+
+    Level k + 1 unlocked at `unlock_iters[k]` and introduces the first
+    ceil(introduction_ratio * size) rows of `orders[k]`.
+    """
+    return tuple(
+        math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)
+        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
+        if iteration >= unlock
+    )
+
+
 def introduced_rows(
     orders: Sequence[np.ndarray],
     unlock_iters: Sequence[int],
     iteration: int,
     cfg: SamplerConfig,
 ) -> np.ndarray:
-    """Rows introduced by `iteration`, level by level in introduction order.
-
-    Level k + 1 unlocked at `unlock_iters[k]` and introduces the first
-    ceil(introduction_ratio * size) rows of `orders[k]`.
-    """
-    return np.concatenate([
-        order[: math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)]
-        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
-        if iteration >= unlock
-    ])
+    """Rows introduced by `iteration`, level by level in introduction order:
+    the leading `_introduced_counts` rows of each unlocked level's order."""
+    counts = _introduced_counts(orders, unlock_iters, iteration, cfg)
+    return np.concatenate([order[:n] for order, n in zip(orders, counts)])
 
 
 _JSONL_KEYS = ("file_id", "level", *COLUMNS)
@@ -432,13 +455,12 @@ class CurriculumTrace:
 
 def _replay_distribution(
     state: CorpusState,
-    orders: Sequence[np.ndarray],
-    unlock_iters: Sequence[int],
+    rows: np.ndarray,
     iteration: int,
     cfg: SamplerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Active introduced rows and their level-floored sampling probabilities."""
-    rows = introduced_rows(orders, unlock_iters, iteration, cfg)
+    """The active ones of the introduced `rows` and their level-floored
+    sampling probabilities."""
     rows = rows[active_mask(state, iteration, rows)]
     if not rows.size:
         return rows, np.zeros(0)
@@ -470,9 +492,19 @@ def run_curriculum_sim(
     unlock_iters = [0]                 # unlock iteration of each opened level
     eval_history: list[float] = []     # eval means of the current level
     trace = CurriculumTrace()
+    # the introduced rows change only when a level's introduced count does:
+    # keep the latest rows under their counts
+    intro: dict[tuple[int, ...], np.ndarray] = {}
+
+    def introduced(iteration: int) -> np.ndarray:
+        counts = _introduced_counts(orders, unlock_iters, iteration, cfg)
+        if counts not in intro:
+            intro.clear()
+            intro[counts] = introduced_rows(orders, unlock_iters, iteration, cfg)
+        return intro[counts]
 
     for it in range(sim.total_iters):
-        rows, probs = _replay_distribution(state, orders, unlock_iters, it, cfg)
+        rows, probs = _replay_distribution(state, introduced(it), it, cfg)
         if rows.size:
             counts = rng.multinomial(sim.rollouts_per_iter, probs)
             sampled, counts = rows[counts > 0], counts[counts > 0]
@@ -508,7 +540,7 @@ def run_curriculum_sim(
                 trace.events.append(SimEvent(it + 1, "promote", f"level:{lv + 1}"))
 
         if (it + 1) % sim.trace_interval == 0:
-            rows, probs = _replay_distribution(state, orders, unlock_iters, it, cfg)
+            rows, probs = _replay_distribution(state, introduced(it), it, cfg)
             levels = state.level[rows]
             mass = np.bincount(levels, weights=probs)
             trace.rows.append(TraceRow(

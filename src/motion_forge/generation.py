@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError
 
 TOKEN_DIM = 768
 MODEL_DIM = 512
@@ -44,6 +44,12 @@ MASK_SHARPNESS = 24.0
 MASK_THRESHOLD = 0.25
 BALANCE_WEIGHT = 0.01
 GUIDANCE_SCALE = 2.5
+# Expert-stack rows (w1 hidden units, w2 output features) that `tpmoe_apply`
+# mixes and applies per step.  Blocks split only output rows, so every sum
+# keeps its length and order.  With OpenBLAS, blocks of 64 rows and more match
+# the unblocked mix bit for bit; narrower panels can reach other BLAS edge
+# kernels (16-row blocks differ by 2e-17), so keep it at 64 or more.
+TPMOE_BLOCK_ROWS = 128
 
 # Denoiser plug-in contract, version 1:
 #   denoiser(noisy_window: (T, D) float array, step: int in [1, num_steps],
@@ -159,7 +165,7 @@ def tpmoe_gate(token_embedding: np.ndarray, params: TPMoEParams) -> np.ndarray:
     """
     x = np.asarray(token_embedding, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ValueError("token embedding must be finite")
+        raise NonFiniteError("token embedding must be finite")
     for i, (w, b) in enumerate(params.gate_layers):
         x = x @ w.T + b
         if i < len(params.gate_layers) - 1:
@@ -167,6 +173,13 @@ def tpmoe_gate(token_embedding: np.ndarray, params: TPMoEParams) -> np.ndarray:
     x = x - x.max(axis=-1, keepdims=True)
     w = np.exp(x)
     return w / w.sum(axis=-1, keepdims=True)
+
+
+def _mix(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Gate-weighted sum over a stack's leading expert axis: one contraction
+    of weights (K,) or (N, K) with stack (K, ...), giving (...) or (N, ...)."""
+    k = stack.shape[0]
+    return (weights @ stack.reshape(k, -1)).reshape(weights.shape[:-1] + stack.shape[1:])
 
 
 def mix_expert_params(weights: np.ndarray, params: TPMoEParams) -> FFNParams:
@@ -183,11 +196,8 @@ def mix_expert_params(weights: np.ndarray, params: TPMoEParams) -> FFNParams:
     k = params.num_experts
     if weights.ndim not in (1, 2) or weights.shape[-1] != k:
         raise DimensionMismatchError(f"expected {k} weights per row, got {weights.shape}")
-
-    def mix(stack: np.ndarray) -> np.ndarray:
-        return (weights @ stack.reshape(k, -1)).reshape(weights.shape[:-1] + stack.shape[1:])
-
-    return ((mix(params.w1), mix(params.b1)), (mix(params.w2), mix(params.b2)))
+    return ((_mix(weights, params.w1), _mix(weights, params.b1)),
+            (_mix(weights, params.w2), _mix(weights, params.b2)))
 
 
 def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
@@ -195,7 +205,7 @@ def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
     """Sigmoid mask per (frame, token) against the token's attention peak."""
     a = np.asarray(attention, dtype=np.float64)
     if not np.all(np.isfinite(a)):
-        raise ValueError("attention must be finite")
+        raise NonFiniteError("attention must be finite")
     col_max = a.max(axis=0, keepdims=True)
     return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
 
@@ -211,8 +221,13 @@ def tpmoe_apply(
     x: (T, d) motion features; token_embeddings: (N, token_dim);
     attention: (T, N) cross-attention weights.
     Returns (delta, x + delta, routing_weights (N, K)).  All N tokens are
-    gated, mixed and applied at once: one (N, K) routing matrix, one
-    parameter mix per tensor, one batched FFN.
+    gated at once.  The expert stack streams through in blocks of
+    TPMOE_BLOCK_ROWS rows: each block of w1 (hidden units) or w2 (output
+    features) is mixed for every token and applied to the frames straight
+    away, so each expert tensor is read once per call and no mixed expert is
+    ever built whole.  Every sum keeps the length and order it has in
+    `ffn_apply(mix_expert_params(routing, params), x)`, masked and summed
+    over tokens, which is the reference this matches.
     """
     x = np.asarray(x, dtype=np.float64)
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
@@ -224,7 +239,20 @@ def tpmoe_apply(
         )
     mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
     routing = tpmoe_gate(tokens, params)
-    per_token = ffn_apply(mix_expert_params(routing, params), x)   # (N, T, d)
+    n, t = tokens.shape[0], x.shape[0]
+
+    def stream(source: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        # source (..., T, C) against every token's mixed stack rows: (N, T, rows)
+        out = np.empty((n, t, stack.shape[1]))
+        for start in range(0, stack.shape[1], TPMOE_BLOCK_ROWS):
+            rows = slice(start, start + TPMOE_BLOCK_ROWS)
+            np.matmul(source, np.swapaxes(_mix(routing, stack[:, rows]), -1, -2),
+                      out=out[:, :, rows])
+        return out
+
+    hidden = gelu(stream(x, params.w1) + _mix(routing, params.b1)[:, None, :])
+    per_token = stream(hidden, params.w2)
+    per_token += _mix(routing, params.b2)[:, None, :]
     delta = (mask.T[:, :, None] * per_token).sum(axis=0)
     return delta, x + delta, routing
 

@@ -23,6 +23,17 @@ NUM_BODIES = 30
 _MIRROR_ROT_SIGNS = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0])
 
 
+def check_body_indices(name: str, indices) -> None:
+    """Raise ConfigError unless `indices`, one index or a sequence of them,
+    names at least one body: whole numbers (not booleans) in 0..NUM_BODIES - 1."""
+    items = list(indices) if isinstance(indices, (list, tuple, np.ndarray)) else [indices]
+    if not items or not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < NUM_BODIES
+        for i in items
+    ):
+        raise ConfigError(f"{name}: expected body indices in 0..{NUM_BODIES - 1}, got {indices!r}")
+
+
 @dataclass(frozen=True)
 class MirrorMap:
     """Left-right correspondence for joints and bodies.

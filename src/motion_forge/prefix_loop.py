@@ -48,6 +48,7 @@ from .motion import (
     NUM_JOINTS,
     MotionSequence,
     Skeleton,
+    check_body_indices,
     finite_difference,
 )
 from .rotations import quat_from_yaw, rot_z, sixd_to_rot
@@ -171,6 +172,8 @@ class PrefixLoopConfig:
             raise ConfigError("max_resamples must be >= 1")
         if self.segment_seconds <= 0 or self.horizon_seconds <= 0:
             raise ConfigError("segment and horizon durations must be positive")
+        if self.tracked_bodies is not None:
+            check_body_indices("tracked_bodies", self.tracked_bodies)
 
     @property
     def segment_frames(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton
+from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
 from .rotations import (
     matrix_geodesic_angle,
     quat_geodesic_angle,
@@ -110,6 +110,11 @@ class RewardConfig:
     # bodies entering the relative/velocity terms; None selects the stock
     # 14 key bodies (the 12 informative bodies plus root and trunk)
     tracked_bodies: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        check_body_indices("anchor_body", self.anchor_body)
+        if self.tracked_bodies is not None:
+            check_body_indices("tracked_bodies", self.tracked_bodies)
 
     def total_task_weight(self) -> float:
         return sum(getattr(self, name).weight for name in TASK_TERMS)

@@ -190,7 +190,7 @@ def gate_logits(z: np.ndarray, state: RouterState, pool: ExpertPool) -> np.ndarr
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
-        raise ValueError("latent must be finite")
+        raise NonFiniteError("latent must be finite")
     raw = state.gate_w[: pool.num_experts] @ z + state.gate_b[: pool.num_experts]
     cfg = state.config
     smoothed = raw

@@ -130,6 +130,26 @@ class TestRewardEvalCli:
         assert err["error"] == "DimensionMismatchError"
         assert "(45, 4)" in err["message"] and "(30, 4)" in err["message"]
 
+    @pytest.mark.parametrize("rewards", [
+        {"tracked_bodies": [31]},
+        {"anchor_body": 40},
+        {"tracked_bodies": []},
+        {"tracked_bodies": [1.5]},
+        {"anchor_body": True},
+    ], ids=["tracked-out-of-range", "anchor-out-of-range", "tracked-empty",
+            "tracked-fraction", "anchor-bool"])
+    def test_bad_body_index_is_a_config_error(self, tmp_path, walk_file, capsys, rewards):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rewards": rewards}))
+        out = tmp_path / "rewards.csv"
+        code, captured = run(["reward-eval", walk_file, walk_file, "--config", cfg_path,
+                              "--out", out], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert f"{next(iter(rewards))}: expected body indices in 0..29" in err["message"]
+        assert not out.exists()
+
     def test_tracked_pair_matches_golden_sha256(self, tmp_path, skel):
         # A reference walk against a seeded imperfect execution: position
         # noise, a yaw jitter per frame and body (the root's also turns the
@@ -421,6 +441,23 @@ class TestPrefixRunCli:
         assert code == 1
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and "NaN is not a finite number" in err["message"]
+        assert not trace_path.exists()
+
+    def test_bad_tracked_body_is_a_config_error(self, tmp_path, capsys):
+        prefix_path = tmp_path / "prefix.json"
+        save_features(neutral_features(30), 30.0, prefix_path)
+        target_path = tmp_path / "target.json"
+        save_features(neutral_features(2), 30.0, target_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"prefix_loop": {"horizon_seconds": 1.0,
+                                                        "tracked_bodies": [31]}}))
+        trace_path = tmp_path / "trace.json"
+        code, captured = run(["prefix-run", prefix_path, target_path, "--config", cfg_path,
+                              "--out", tmp_path / "out.json", "--trace", trace_path], capsys)
+        assert code == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "tracked_bodies: expected body indices in 0..29" in err["message"]
         assert not trace_path.exists()
 
     def test_each_input_file_is_parsed_once(self, tmp_path, skel, monkeypatch):

@@ -213,6 +213,11 @@ class TestLevelQuota:
         out = apply_level_quota(probs, [1, 2, 3], 0.02)
         assert np.allclose(out, probs)
 
+    @pytest.mark.parametrize("levels", [[2, 1, 1], [1, 2, 1]])
+    def test_rows_must_be_grouped_by_ascending_level(self, levels):
+        with pytest.raises(ConfigError, match="grouped by ascending level"):
+            apply_level_quota(np.array([0.98, 0.01, 0.01]), levels, 0.05)
+
 
 class TestFreezeAndDrop:
     def test_threshold_boundaries(self):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from motion_forge.errors import ConfigError, DimensionMismatchError
+from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
+    TPMOE_BLOCK_ROWS,
     DiffusionSchedule,
     PlanEntry,
     TagCatalog,
@@ -86,6 +89,14 @@ class TestGate:
         ref = np.exp(x - x.max())
         ref /= ref.sum()
         assert np.allclose(tpmoe_gate(c, params), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embedding_is_a_typed_error(self, bad):
+        params = small_tpmoe(np.random.default_rng(2))
+        token = np.ones(10)
+        token[3] = bad
+        with pytest.raises(NonFiniteError, match="token embedding"):
+            tpmoe_gate(token, params)
 
 
 class TestParameterMixing:
@@ -222,6 +233,13 @@ class TestSpatialMask:
         peaks = mask[a.argmax(axis=0), np.arange(4)]
         assert np.all(peaks >= 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_attention_is_a_typed_error(self, bad):
+        a = np.random.default_rng(8).uniform(0.0, 1.0, (6, 4))
+        a[2, 1] = bad
+        with pytest.raises(NonFiniteError, match="attention"):
+            spatial_mask(a)
+
 
 class TestTpmoeApply:
     def test_zero_experts_identity(self):
@@ -290,6 +308,60 @@ class TestTpmoeApply:
         params = small_tpmoe(rng)
         with pytest.raises(DimensionMismatchError):
             tpmoe_apply(np.zeros((4, 6)), np.zeros((3, 10)), np.zeros((4, 2)), params)
+
+    # (frames, tokens, experts, model dim, hidden): the library's default
+    # widths, and small widths whose last block of rows is ragged
+    STREAM_SHAPES = {
+        "default expert widths": (48, 4, 12, 512, 1024),
+        "ragged blocks": (7, 3, 5, TPMOE_BLOCK_ROWS + 5, 2 * TPMOE_BLOCK_ROWS + 37),
+        "one token": (9, 1, 4, TPMOE_BLOCK_ROWS - 3, TPMOE_BLOCK_ROWS + 1),
+        "one expert": (6, 2, 1, 11, TPMOE_BLOCK_ROWS + 9),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STREAM_SHAPES))
+    def test_streamed_blocks_match_mixed_experts(self, case):
+        frames, n, k, d, h = self.STREAM_SHAPES[case]
+        rng = np.random.default_rng(37)
+        params = init_tpmoe(rng, token_dim=24, model_dim=d, ffn_hidden=h, num_experts=k,
+                            gate_hidden=20)
+        params.b1 = rng.standard_normal(params.b1.shape)
+        params.b2 = rng.standard_normal(params.b2.shape)
+        x = rng.standard_normal((frames, d))
+        tokens = rng.standard_normal((n, 24))
+        attention = rng.uniform(0.0, 1.0, (frames, n))
+        delta, out, routing = tpmoe_apply(x, tokens, attention, params)
+
+        assert np.array_equal(routing, tpmoe_gate(tokens, params))
+        mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
+        ref = (mask.T[:, :, None] * ffn_apply(mix_expert_params(routing, params), x)).sum(0)
+        # rtol 1e-12, with an absolute floor at that fraction of the largest
+        # entry for entries that cancel to near zero
+        np.testing.assert_allclose(delta, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(out, x + delta)
+        assert np.abs(ref).max() > 0.1   # the comparison is not between zeros
+
+    def test_streams_without_building_mixed_experts(self):
+        # the N tokens' mixed w1 alone is N * H * D * 8 bytes: the reference
+        # path allocates it, the streamed call holds blocks of it at most
+        rng = np.random.default_rng(38)
+        params = init_tpmoe(rng)
+        n, frames = 4, 48
+        x = rng.standard_normal((frames, params.w1.shape[2]))
+        tokens = rng.standard_normal((n, params.gate_layers[0][0].shape[1]))
+        attention = rng.uniform(0.0, 1.0, (frames, n))
+        mixed_w1_bytes = n * params.w1[0].nbytes
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        routing = tpmoe_gate(tokens, params)
+        assert peak_bytes(lambda: ffn_apply(mix_expert_params(routing, params), x)) > mixed_w1_bytes
+        assert peak_bytes(lambda: tpmoe_apply(x, tokens, attention, params)) < mixed_w1_bytes / 2
 
 
 class TestBalanceLoss:

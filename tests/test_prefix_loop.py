@@ -222,6 +222,11 @@ class TestRunPrefixLoop:
             run_prefix_loop(neutral_features(10), np.zeros(7), gen,
                             identity_tracker, cfg, skel)
 
+    @pytest.mark.parametrize("bodies", [(31,), (-1,), ()])
+    def test_bad_tracked_bodies_rejected_by_the_config(self, bodies):
+        with pytest.raises(ConfigError, match="tracked_bodies: expected body indices"):
+            self.cfg(tracked_bodies=bodies)
+
 
 MOTION_ARRAYS = ("joint_pos", "joint_vel", "root_pos", "root_quat",
                  "body_pos", "body_rot", "body_lin_vel", "body_ang_vel")

@@ -1,6 +1,8 @@
 """Property tests: decoded 6D frames are rotations, re-orthonormalizing is
-idempotent, a motion clip's save/load cycle is bit-exact, and whole-clip
-task rewards equal the per-frame ones bit for bit."""
+idempotent, a motion clip's save/load cycle is bit-exact, whole-clip task
+rewards equal the per-frame ones bit for bit, TP-MoE gate rows and router
+mixture weights lie on the simplex, and the level quota matches its masked
+reference formula bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,10 +12,20 @@ from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import make_random_sequence, neutral_features  # noqa: E402
+from motion_forge.curriculum import apply_level_quota  # noqa: E402
 from motion_forge.features import ROT6D, project_valid_rot6d  # noqa: E402
+from motion_forge.generation import init_tpmoe, tpmoe_gate  # noqa: E402
 from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, default_skeleton  # noqa: E402
 from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
 from motion_forge.rewards import TASK_TERMS, RewardConfig, task_rewards  # noqa: E402
+from motion_forge.router import (  # noqa: E402
+    RouterConfig,
+    add_expert,
+    candidate_weights,
+    make_random_pool,
+    make_router,
+    refresh_candidates,
+)
 from motion_forge.rotations import sixd_to_rot  # noqa: E402
 
 # Columns near parallel lose orthogonality to rounding (the error grows like
@@ -120,3 +132,103 @@ def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked, anchor):
     for name in TASK_TERMS:
         assert np.array_equal(terms[name], [t[name] for t, _ in per_frame]), name
     assert np.array_equal(total, [tot for _, tot in per_frame])
+
+
+def on_simplex(weights: np.ndarray) -> bool:
+    """Finite, non-negative, and each row sums to 1 within 1e-12."""
+    return bool(np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+                and np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12))
+
+
+@given(seed=st.integers(0, 2**32 - 1), experts=st.integers(1, 12), tokens=st.integers(0, 5),
+       scale=st.floats(0.05, 2.0), spread=st.floats(0.0, 5.0))
+def test_tpmoe_gate_rows_lie_on_the_simplex(seed, experts, tokens, scale, spread):
+    # tokens == 0 draws one unbatched embedding
+    rng = np.random.default_rng(seed)
+    params = init_tpmoe(rng, token_dim=10, model_dim=6, ffn_hidden=9, num_experts=experts,
+                        gate_hidden=7, scale=scale)
+    embedding = rng.normal(0.0, spread, (tokens, 10) if tokens else 10)
+    weights = tpmoe_gate(embedding, params)
+    assert weights.shape == embedding.shape[:-1] + (experts,)
+    assert on_simplex(weights)
+
+
+@given(seed=st.integers(0, 2**32 - 1), experts=st.integers(1, 5), top_k=st.integers(1, 4),
+       cold=st.sampled_from(["none", "highest", "as drawn"]), cap=st.floats(0.01, 1.0),
+       temperature=st.floats(0.05, 5.0),
+       logits=st.lists(st.floats(-1e4, 1e4), min_size=6, max_size=6))
+def test_candidate_weights_lie_on_the_simplex(seed, experts, top_k, cold, cap, temperature,
+                                              logits):
+    """Stage-II weights, with and without a capped cold expert; "highest"
+    makes the cold expert the top candidate, so its cap binds whenever it
+    shares the candidate set."""
+    rng = np.random.default_rng(seed)
+    pool = make_random_pool(rng, experts, 3, (4,), 2, capacity=8)
+    cfg = RouterConfig(top_k=top_k, temperature=temperature, cold_start_cap=cap,
+                       cold_start_steps=50, ema_enabled=False)
+    state = make_router(rng, pool.capacity, 4, config=cfg)
+    logits = np.array(logits)
+    if cold != "none":
+        cold_index = add_expert(pool, state)
+        if cold == "highest":
+            logits[cold_index] = logits.max() + 50.0
+    refresh_candidates(state, logits[: pool.num_experts])
+    weights = candidate_weights(state, pool)
+    assert weights.shape == (pool.num_experts,)
+    assert on_simplex(weights)
+    assert set(np.flatnonzero(weights).tolist()) <= set(state.candidates)
+    if cold != "none" and cold_index in state.candidates and len(state.candidates) > 1:
+        assert weights[cold_index] <= cap
+
+
+def masked_level_quota(probs, levels, floor):
+    """`apply_level_quota` as it was before rows had to come grouped by
+    level: a mask per level, dicts and Python loops.  The bit-for-bit oracle."""
+    probs = np.asarray(probs, dtype=np.float64).copy()
+    levels = np.asarray(levels)
+    present = [lv for lv in np.unique(levels) if probs[levels == lv].sum() > 0.0]
+    if len(present) < 2 or floor <= 0.0:
+        return probs
+    masses = {lv: probs[levels == lv].sum() for lv in present}
+    deficit = {lv: max(0.0, floor - m) for lv, m in masses.items()}
+    total_deficit = sum(deficit.values())
+    if total_deficit <= 0.0:
+        return probs
+    surplus = {lv: max(0.0, masses[lv] - floor) for lv in present}
+    total_surplus = sum(surplus.values())
+    if total_surplus <= 0.0:
+        return probs
+    for lv in present:
+        sel = (levels == lv) & (probs > 0.0)
+        if deficit[lv] > 0.0:
+            probs[sel] += deficit[lv] / sel.sum()
+        elif surplus[lv] > 0.0:
+            probs[sel] -= probs[sel] / masses[lv] * (total_deficit * surplus[lv] / total_surplus)
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum()
+
+
+@st.composite
+def grouped_distributions(draw):
+    """Rows grouped by ascending level, some of them zero, over 1..10 levels
+    of up to 300 rows each (long enough for numpy's pairwise sums to block).
+    Each level's rows are scaled by up to 1e-4, so that many levels fall
+    below the floor."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sizes = draw(st.lists(st.integers(0, 300), min_size=1, max_size=10))
+    levels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    level_scale = np.repeat(10.0 ** -rng.uniform(0.0, 4.0, len(sizes)), sizes)
+    probs = level_scale * rng.random(levels.size) ** draw(st.floats(1.0, 8.0))
+    probs[rng.random(levels.size) < draw(st.floats(0.0, 0.6))] = 0.0
+    if probs.sum() > 0.0:
+        probs /= probs.sum()
+    floor = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]) | st.floats(0.0, 0.5))
+    return probs, levels, floor
+
+
+@given(grouped_distributions())
+def test_level_quota_matches_masked_formula_bit_for_bit(case):
+    probs, levels, floor = case
+    out = apply_level_quota(probs, levels, floor)
+    assert out.tobytes() == masked_level_quota(probs, levels, floor).tobytes()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from motion_forge.errors import ConfigError
+from motion_forge.errors import ConfigError, NonFiniteError
 from motion_forge.router import (
     AddExpertConfig,
     RouterConfig,
@@ -106,6 +106,16 @@ class TestGate:
         weights = candidate_weights(state, pool)
         assert weights[2] == 0.0 and weights[3] == 0.0
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_latent_is_a_typed_error(self, bad):
+        rng = np.random.default_rng(4)
+        pool = small_pool(rng)
+        state = make_router(rng, pool.capacity, Z_DIM)
+        z = rng.standard_normal(Z_DIM)
+        z[5] = bad
+        with pytest.raises(NonFiniteError, match="latent"):
+            gate_logits(z, state, pool)
 
     def test_ema_coeff_one_gives_raw(self):
         rng = np.random.default_rng(4)
