@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
+from .motion import (
+    MIRROR_6D,
+    MIRROR_PSEUDO,
+    MIRROR_VECTOR,
+    NUM_BODIES,
+    NUM_JOINTS,
+    MotionSequence,
+    Skeleton,
+)
 from .rotations import (
     quat_from_yaw,
     quat_multiply,
@@ -63,8 +71,8 @@ _NORM_STD_FLOOR = 1e-8
 def normalized_dim_mask() -> np.ndarray:
     """Boolean (262,) mask of the dims that z-score normalization touches."""
     mask = np.zeros(FEATURE_DIM, dtype=bool)
-    mask[0:43] = True
-    mask[217:256] = True
+    mask[ROOT_ANG_VEL.start:RIC_POS.stop] = True
+    mask[LOCAL_VEL] = True
     return mask
 
 
@@ -236,6 +244,20 @@ def denormalize_features(frames: np.ndarray, stats: NormStats) -> np.ndarray:
     return out
 
 
+# How each feature block mirrors: the skeleton index set its rows follow
+# (None: the root, body 0, which maps to itself) and the sign of each row.
+# The root height is unchanged; contact bits carry no direction.
+_MIRROR_BLOCKS = (
+    (ROOT_ANG_VEL, None, MIRROR_PSEUDO),
+    (ROOT_LIN_VEL, None, MIRROR_VECTOR),
+    (RIC_POS, "ric_body_indices", MIRROR_VECTOR),
+    (ROT6D, "rot6d_body_indices", MIRROR_6D),
+    (LOCAL_VEL, "vel_body_indices", MIRROR_VECTOR),
+    (FOOT_CONTACT, "foot_body_indices", 1.0),
+    (HAND_CONTACT, "hand_body_indices", 1.0),
+)
+
+
 def mirror_features(frames: np.ndarray, skel: Skeleton) -> np.ndarray:
     """Mirror feature frames left-right (same convention as mirror_sequence).
 
@@ -245,40 +267,13 @@ def mirror_features(frames: np.ndarray, skel: Skeleton) -> np.ndarray:
     """
     frames = validate_features(frames)
     t = frames.shape[0]
+    perm = skel.mirror_map.body_perm
     out = frames.copy()
-    out[:, 0] *= -1.0          # root ang vel is a pseudovector: x and z flip
-    out[:, 2] *= -1.0
-    out[:, 4] *= -1.0          # root lin vel: y flips
-
-    perm_b = skel.mirror_map.body_perm
-    ric_idx = list(skel.ric_body_indices)
-    ric_order = [ric_idx.index(perm_b[i]) for i in ric_idx]
-    ric = frames[:, RIC_POS].reshape(t, 12, 3)[:, ric_order].copy()
-    ric[..., 1] *= -1.0
-    out[:, RIC_POS] = ric.reshape(t, -1)
-
-    rot_idx = list(skel.rot6d_body_indices)
-    rot_order = [rot_idx.index(perm_b[i]) for i in rot_idx]
-    rot = frames[:, ROT6D].reshape(t, 29, 6)[:, rot_order].copy()
-    # Conjugating R by the reflection flips y of the first column and x/z of
-    # the second (R' = M R M with M = diag(1,-1,1)).
-    rot[..., 1] *= -1.0
-    rot[..., 3] *= -1.0
-    rot[..., 5] *= -1.0
-    out[:, ROT6D] = rot.reshape(t, -1)
-
-    vel_idx = list(skel.vel_body_indices)
-    vel_order = [vel_idx.index(perm_b[i]) for i in vel_idx]
-    vel = frames[:, LOCAL_VEL].reshape(t, 13, 3)[:, vel_order].copy()
-    vel[..., 1] *= -1.0
-    out[:, LOCAL_VEL] = vel.reshape(t, -1)
-
-    foot_idx = list(skel.foot_body_indices)
-    foot_order = [foot_idx.index(perm_b[i]) for i in foot_idx]
-    out[:, FOOT_CONTACT] = frames[:, FOOT_CONTACT][:, foot_order]
-    hand_idx = list(skel.hand_body_indices)
-    hand_order = [hand_idx.index(perm_b[i]) for i in hand_idx]
-    out[:, HAND_CONTACT] = frames[:, HAND_CONTACT][:, hand_order]
+    for block, index_set, sign in _MIRROR_BLOCKS:
+        bodies = list(getattr(skel, index_set)) if index_set else [0]
+        order = [bodies.index(perm[b]) for b in bodies]
+        rows = frames[:, block].reshape(t, len(bodies), -1)[:, order]
+        out[:, block] = (rows * sign).reshape(t, -1)
     return out
 
 

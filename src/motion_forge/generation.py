@@ -65,7 +65,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def silu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return x / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):   # exp(-x) = inf below about -709: the limit, -0.0
+        return x / (1.0 + np.exp(-x))
 
 
 # FFN expert parameters: ((w1, b1), (w2, b2)) with GELU between the layers.
@@ -207,7 +208,8 @@ def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("attention must be finite")
     col_max = a.max(axis=0, keepdims=True)
-    return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
+    with np.errstate(over="ignore"):   # an overflowing exp gives the limit, 0.0
+        return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
 
 
 def tpmoe_apply(

@@ -8,7 +8,8 @@ immutable and return new instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +18,39 @@ from .errors import ConfigError, DimensionMismatchError
 NUM_JOINTS = 29
 NUM_BODIES = 30
 
-# Reflection across the xz plane, used for left-right mirroring. Conjugating
-# a rotation by diag(1,-1,1) only flips entry signs, so it is applied as an
-# elementwise sign mask to keep the double-mirror identity bit-exact.
-_MIRROR_ROT_SIGNS = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0])
+# Reflection across the sagittal (xz) plane, used for left-right mirroring,
+# as sign masks that all derive from the one vector sign.  Mirroring
+# multiplies by them (conjugating a rotation by diag(1,-1,1) only flips
+# entry signs), which keeps the double-mirror identity bit-exact.
+MIRROR_VECTOR = np.array([1.0, -1.0, 1.0])              # positions, velocities: y flips
+MIRROR_PSEUDO = -MIRROR_VECTOR                          # angular velocities: x and z flip
+MIRROR_ROT = np.outer(MIRROR_VECTOR, MIRROR_VECTOR)     # M R M, M = diag(MIRROR_VECTOR)
+MIRROR_QUAT = np.concatenate([[1.0], MIRROR_PSEUDO])    # wxyz
+MIRROR_6D = MIRROR_ROT[:, :2].T.reshape(6)              # rot_to_6d's first two columns
+
+
+class StateField(NamedTuple):
+    """One per-frame array of the robot state and how it mirrors: its first
+    axis follows the `MirrorMap` permutation named `perm` (None: no swap) and
+    `sign` multiplies it (None: the map's per-joint signs)."""
+
+    shape: tuple[int, ...]
+    perm: str | None
+    sign: np.ndarray | None
+
+
+# The per-frame layout of a clip, in `MotionSequence` order: every per-field
+# operation (`Frame`, validation, copies, mirroring, clip files) iterates it.
+FIELDS = {
+    "joint_pos": StateField((NUM_JOINTS,), "joint_perm", None),               # rad
+    "joint_vel": StateField((NUM_JOINTS,), "joint_perm", None),               # rad/s
+    "root_pos": StateField((3,), None, MIRROR_VECTOR),                        # m
+    "root_quat": StateField((4,), None, MIRROR_QUAT),                         # wxyz, unit
+    "body_pos": StateField((NUM_BODIES, 3), "body_perm", MIRROR_VECTOR),      # m, global
+    "body_rot": StateField((NUM_BODIES, 3, 3), "body_perm", MIRROR_ROT),      # global
+    "body_lin_vel": StateField((NUM_BODIES, 3), "body_perm", MIRROR_VECTOR),  # m/s
+    "body_ang_vel": StateField((NUM_BODIES, 3), "body_perm", MIRROR_PSEUDO),  # rad/s
+}
 
 
 def check_body_indices(name: str, indices) -> None:
@@ -199,10 +229,19 @@ def default_skeleton() -> Skeleton:
     )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One frame of robot state (views into the owning sequence)."""
+Frame = make_dataclass(
+    "Frame", [(name, np.ndarray) for name in FIELDS], frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "One frame of robot state (views into the owning sequence)."},
+)
 
+
+@dataclass(frozen=True)
+class MotionSequence:
+    """A motion clip: (T, ...) arrays over frames, root body first; the
+    attributes after `fps` are the `FIELDS` table, each (T, *shape)."""
+
+    fps: float
     joint_pos: np.ndarray
     joint_vel: np.ndarray
     root_pos: np.ndarray
@@ -212,24 +251,8 @@ class Frame:
     body_lin_vel: np.ndarray
     body_ang_vel: np.ndarray
 
-
-@dataclass(frozen=True)
-class MotionSequence:
-    """A motion clip: (T, ...) arrays over frames, root body first."""
-
-    fps: float
-    joint_pos: np.ndarray      # (T, 29) rad
-    joint_vel: np.ndarray      # (T, 29) rad/s
-    root_pos: np.ndarray       # (T, 3) m
-    root_quat: np.ndarray      # (T, 4) wxyz, unit
-    body_pos: np.ndarray       # (T, 30, 3) m, global
-    body_rot: np.ndarray       # (T, 30, 3, 3) global
-    body_lin_vel: np.ndarray   # (T, 30, 3) m/s
-    body_ang_vel: np.ndarray   # (T, 30, 3) rad/s
-
     def __post_init__(self):
-        for name in ("joint_pos", "joint_vel", "root_pos", "root_quat",
-                     "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
+        for name in FIELDS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.validate()
 
@@ -239,20 +262,11 @@ class MotionSequence:
             raise DimensionMismatchError("a motion sequence needs at least 2 frames")
         if self.fps <= 0:
             raise DimensionMismatchError("fps must be positive")
-        expected = {
-            "joint_pos": (t, NUM_JOINTS),
-            "joint_vel": (t, NUM_JOINTS),
-            "root_pos": (t, 3),
-            "root_quat": (t, 4),
-            "body_pos": (t, NUM_BODIES, 3),
-            "body_rot": (t, NUM_BODIES, 3, 3),
-            "body_lin_vel": (t, NUM_BODIES, 3),
-            "body_ang_vel": (t, NUM_BODIES, 3),
-        }
-        for name, shape in expected.items():
+        for name, field in FIELDS.items():
             got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionMismatchError(f"{name}: expected shape {shape}, got {got}")
+            if got != (t, *field.shape):
+                raise DimensionMismatchError(
+                    f"{name}: expected shape {(t, *field.shape)}, got {got}")
         norms = np.sqrt(np.add.reduce(self.root_quat * self.root_quat, axis=-1))
         if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise DimensionMismatchError("root quaternions must be unit norm within 1e-6")
@@ -266,29 +280,10 @@ class MotionSequence:
         return (self.num_frames - 1) / self.fps
 
     def frame(self, i: int) -> Frame:
-        return Frame(
-            joint_pos=self.joint_pos[i],
-            joint_vel=self.joint_vel[i],
-            root_pos=self.root_pos[i],
-            root_quat=self.root_quat[i],
-            body_pos=self.body_pos[i],
-            body_rot=self.body_rot[i],
-            body_lin_vel=self.body_lin_vel[i],
-            body_ang_vel=self.body_ang_vel[i],
-        )
+        return Frame(*(getattr(self, name)[i] for name in FIELDS))
 
     def copy(self) -> "MotionSequence":
-        return replace(
-            self,
-            joint_pos=self.joint_pos.copy(),
-            joint_vel=self.joint_vel.copy(),
-            root_pos=self.root_pos.copy(),
-            root_quat=self.root_quat.copy(),
-            body_pos=self.body_pos.copy(),
-            body_rot=self.body_rot.copy(),
-            body_lin_vel=self.body_lin_vel.copy(),
-            body_ang_vel=self.body_ang_vel.copy(),
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name in FIELDS})
 
 
 def finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
@@ -304,36 +299,16 @@ def finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
 def mirror_sequence(seq: MotionSequence, skel: Skeleton) -> MotionSequence:
     """Reflect a clip across the robot's sagittal (xz) plane.
 
-    Left/right joints and bodies swap, y components of positions and linear
-    velocities flip, angular velocities flip x and z (pseudovector), and
-    rotations conjugate by the reflection.  Applying twice is a bit-exact
-    identity.
+    Each field follows its `FIELDS` rule: left/right joints or bodies swap,
+    and its sign mask flips y of positions and linear velocities, x and z of
+    angular velocities (pseudovectors), and conjugates rotations by the
+    reflection.  Applying twice is a bit-exact identity.
     """
     mm = skel.mirror_map
-    jp = seq.joint_pos[:, mm.joint_perm] * mm.joint_sign
-    jv = seq.joint_vel[:, mm.joint_perm] * mm.joint_sign
-
-    def flip_pos(p):
-        out = p.copy()
-        out[..., 1] *= -1.0
-        return out
-
-    def flip_ang(w):
-        out = w.copy()
-        out[..., 0] *= -1.0
-        out[..., 2] *= -1.0
-        return out
-
-    root_quat = seq.root_quat * np.array([1.0, -1.0, 1.0, -1.0])
-    body_rot = seq.body_rot[:, mm.body_perm] * _MIRROR_ROT_SIGNS
-    return MotionSequence(
-        fps=seq.fps,
-        joint_pos=jp,
-        joint_vel=jv,
-        root_pos=flip_pos(seq.root_pos),
-        root_quat=root_quat,
-        body_pos=flip_pos(seq.body_pos[:, mm.body_perm]),
-        body_rot=body_rot,
-        body_lin_vel=flip_pos(seq.body_lin_vel[:, mm.body_perm]),
-        body_ang_vel=flip_ang(seq.body_ang_vel[:, mm.body_perm]),
-    )
+    arrays = {}
+    for name, field in FIELDS.items():
+        values = getattr(seq, name)
+        if field.perm is not None:
+            values = values[:, getattr(mm, field.perm)]
+        arrays[name] = values * (mm.joint_sign if field.sign is None else field.sign)
+    return MotionSequence(fps=seq.fps, **arrays)

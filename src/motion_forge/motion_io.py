@@ -7,7 +7,7 @@ reproduces every double bit-exactly; the writers reject NaN and inf with
 
 Every artifact is columnar: one top-level key per array, holding one row
 per frame.  A motion clip (format_version 2) has the keys of
-`_FRAME_SHAPES`, and each row is that frame's values flattened row-major
+`motion.FIELDS`, and each row is that frame's values flattened row-major
 (`body_pos` is 30 x 3 = 90 numbers, `body_rot` 30 row-major 3x3 matrices =
 270).  Units are SI and quaternions are [w, x, y, z].  The velocity keys
 may be omitted, in which case they are rebuilt with central finite
@@ -25,25 +25,19 @@ import numpy as np
 
 from .errors import DimensionMismatchError, FileFormatError, NonFiniteError
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
-from .motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
+from .motion import FIELDS, NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
 FORMAT_VERSION = 1          # feature arrays and norm stats
 MOTION_FORMAT_VERSION = 2   # columnar motion clips
 
-# Per-frame arrays of a clip and their shapes in `MotionSequence`; the file
-# holds each frame's value flattened row-major.
-_FRAME_SHAPES = {
-    "joint_pos": (NUM_JOINTS,),
-    "joint_vel": (NUM_JOINTS,),
-    "root_pos": (3,),
-    "root_quat": (4,),
-    "body_pos": (NUM_BODIES, 3),
-    "body_rot": (NUM_BODIES, 3, 3),
-    "body_lin_vel": (NUM_BODIES, 3),
-    "body_ang_vel": (NUM_BODIES, 3),
+# Velocity fields a file may omit, rebuilt from the clip's other fields; the
+# rest of `FIELDS` is required.
+_REBUILT = {
+    "joint_vel": lambda arrays, fps: finite_difference(arrays["joint_pos"], fps),
+    "body_lin_vel": lambda arrays, fps: finite_difference(arrays["body_pos"], fps),
+    "body_ang_vel": lambda arrays, fps: np.zeros_like(arrays["body_pos"]),
 }
-_FRAME_REQUIRED = ("joint_pos", "root_pos", "root_quat", "body_pos", "body_rot")
-_MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", *_FRAME_SHAPES}
+_MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", *FIELDS}
 
 
 def _read_json(path):
@@ -169,29 +163,27 @@ def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
             raise DimensionMismatchError(f"{path}: joint names do not match the skeleton")
         if tuple(body_names) != skel.body_names:
             raise DimensionMismatchError(f"{path}: body names do not match the skeleton")
-    for name in _FRAME_REQUIRED:
-        _require(data, name, path)
+    for name in FIELDS:
+        if name not in _REBUILT:
+            _require(data, name, path)
     if not isinstance(data["root_pos"], list) or len(data["root_pos"]) < 2:
         raise FileFormatError(f"{path}: 'root_pos' must list at least 2 frames")
 
     t = len(data["root_pos"])
     arrays = {
-        name: _rows(data, name, prod(shape), t, path).reshape((t,) + shape)
-        for name, shape in _FRAME_SHAPES.items() if name in data
+        name: _rows(data, name, prod(field.shape), t, path).reshape((t, *field.shape))
+        for name, field in FIELDS.items() if name in data
     }
     _check_finite(path, fps=fps, **arrays)
-    if "joint_vel" not in arrays:
-        arrays["joint_vel"] = finite_difference(arrays["joint_pos"], fps)
-    if "body_lin_vel" not in arrays:
-        arrays["body_lin_vel"] = finite_difference(arrays["body_pos"], fps)
-    if "body_ang_vel" not in arrays:
-        arrays["body_ang_vel"] = np.zeros((t, NUM_BODIES, 3))
+    for name, rebuild in _REBUILT.items():
+        if name not in arrays:
+            arrays[name] = rebuild(arrays, fps)
     return MotionSequence(fps=fps, **arrays)
 
 
 def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:
     t = seq.num_frames
-    arrays = {name: getattr(seq, name).reshape(t, -1) for name in _FRAME_SHAPES}
+    arrays = {name: getattr(seq, name).reshape(t, -1) for name in FIELDS}
     _check_finite(path, fps=seq.fps, **arrays)
     doc = {
         "format_version": MOTION_FORMAT_VERSION,

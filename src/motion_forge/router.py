@@ -107,7 +107,6 @@ class RouterConfig:
     top_k: int = 2
     refresh_period: int = 10
     temperature: float = 1.0
-    ema_enabled: bool = True
     ema_coeff: float = 0.9            # weight on the newest logits; 1.0 = raw
     ce_weight: float = 0.05
     rho_hard: float = RHO_HARD
@@ -184,7 +183,7 @@ def make_random_pool(
 def gate_logits(z: np.ndarray, state: RouterState, pool: ExpertPool) -> np.ndarray:
     """Routing logits for the unlocked experts; locked experts get -inf.
 
-    When EMA smoothing is enabled the raw logits are blended with the stored
+    With `ema_coeff` below 1 the raw logits are blended with the stored
     smoothed logits (coefficient on the new value), without mutating state;
     `refresh_candidates` commits the blend.
     """
@@ -194,7 +193,7 @@ def gate_logits(z: np.ndarray, state: RouterState, pool: ExpertPool) -> np.ndarr
     raw = state.gate_w[: pool.num_experts] @ z + state.gate_b[: pool.num_experts]
     cfg = state.config
     smoothed = raw
-    if cfg.ema_enabled and state.logits_ema is not None and cfg.ema_coeff < 1.0:
+    if state.logits_ema is not None and cfg.ema_coeff < 1.0:
         prev = state.logits_ema
         if prev.shape[0] < raw.shape[0]:    # pool grew since the last step
             prev = np.concatenate([prev, raw[prev.shape[0]:]])

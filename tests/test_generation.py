@@ -233,6 +233,13 @@ class TestSpatialMask:
         peaks = mask[a.argmax(axis=0), np.arange(4)]
         assert np.all(peaks >= 0.5)
 
+    def test_far_below_the_peak_is_zero_without_overflow(self):
+        # exp(3000) overflows to inf, whose limit 1 / inf = 0.0 is the mask value
+        mask = spatial_mask(np.array([[-100.0, 0.5], [100.0, 0.2]]))
+        assert mask[0, 0] == 0.0
+        assert mask[1, 0] == 1.0
+        assert 0.0 < mask[1, 1] < mask[0, 1] < 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_attention_is_a_typed_error(self, bad):
         a = np.random.default_rng(8).uniform(0.0, 1.0, (6, 4))
@@ -643,3 +650,9 @@ def test_activations():
     x = np.linspace(-3, 3, 50)
     assert np.all(np.diff(gelu(x) + 0.2 * x) > 0)  # loosely monotone
     assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-6)
+
+
+def test_silu_of_large_negative_input_is_negative_zero_without_overflow():
+    # exp(1e4) overflows to inf, whose limit x / inf = -0.0 is silu's value
+    out = silu(np.array([-1e4, -800.0, 1e4]))
+    assert out.tobytes() == np.array([-0.0, -0.0, 1e4]).tobytes()

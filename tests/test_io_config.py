@@ -14,7 +14,7 @@ from motion_forge.errors import (
     NonFiniteError,
 )
 from motion_forge.features import encode_features, fit_norm_stats
-from motion_forge.motion import default_skeleton
+from motion_forge.motion import FIELDS, default_skeleton
 from motion_forge.motion_io import (
     load_features,
     load_motion,
@@ -37,8 +37,7 @@ class TestMotionFiles:
         path = tmp_path / "clip.json"
         save_motion(seq, path, skel)
         back = load_motion(path, skel)
-        for name in ("joint_pos", "joint_vel", "root_pos", "root_quat",
-                     "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
+        for name in FIELDS:
             assert np.array_equal(getattr(back, name), getattr(seq, name)), name
         assert back.fps == seq.fps
 

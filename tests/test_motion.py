@@ -1,9 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import make_random_sequence, make_standing_sequence
 from motion_forge.errors import ConfigError, DimensionMismatchError
 from motion_forge.motion import (
+    FIELDS,
+    MIRROR_6D,
+    MIRROR_PSEUDO,
+    MIRROR_QUAT,
+    MIRROR_ROT,
+    MIRROR_VECTOR,
+    Frame,
     MirrorMap,
     MotionSequence,
     Skeleton,
@@ -65,6 +74,38 @@ def test_skeleton_rejects_bad_limits(skel):
             joint_limits=limits,
             mirror_map=skel.mirror_map,
         )
+
+
+def test_fields_table_is_the_sequence_layout(skel):
+    names = ("joint_pos", "joint_vel", "root_pos", "root_quat",
+             "body_pos", "body_rot", "body_lin_vel", "body_ang_vel")
+    assert tuple(FIELDS) == names
+    assert tuple(f.name for f in dataclasses.fields(MotionSequence)[1:]) == names
+    assert tuple(f.name for f in dataclasses.fields(Frame)) == names
+    seq = make_random_sequence(skel, np.random.default_rng(3), num_frames=4)
+    frame = seq.frame(2)
+    for name, field in FIELDS.items():
+        assert getattr(seq, name).shape == (4, *field.shape), name
+        assert np.shares_memory(getattr(frame, name), getattr(seq, name)), name
+        assert np.array_equal(getattr(frame, name), getattr(seq, name)[2]), name
+
+
+def test_reflection_signs_derive_from_the_vector_sign():
+    assert MIRROR_VECTOR.tolist() == [1.0, -1.0, 1.0]
+    assert MIRROR_PSEUDO.tolist() == [-1.0, 1.0, -1.0]
+    assert MIRROR_QUAT.tolist() == [1.0, -1.0, 1.0, -1.0]
+    # conjugating by diag(1, -1, 1) flips the entries off the y row and column
+    assert MIRROR_ROT.tolist() == [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]]
+    # 6D = first column then second: y of the first and x, z of the second flip
+    assert MIRROR_6D.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+
+
+def test_copy_owns_every_field(skel):
+    seq = make_random_sequence(skel, np.random.default_rng(4), num_frames=3)
+    dup = seq.copy()
+    for name in FIELDS:
+        assert np.array_equal(getattr(dup, name), getattr(seq, name)), name
+        assert not np.shares_memory(getattr(dup, name), getattr(seq, name)), name
 
 
 def test_sequence_validation(skel):
@@ -148,8 +189,7 @@ def test_double_mirror_bit_exact(skel):
     for _ in range(5):
         seq = make_random_sequence(skel, rng)
         back = mirror_sequence(mirror_sequence(seq, skel), skel)
-        for name in ("joint_pos", "joint_vel", "root_pos", "root_quat",
-                     "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
+        for name in FIELDS:
             assert np.array_equal(getattr(back, name), getattr(seq, name)), name
 
 

@@ -8,7 +8,7 @@ from helpers import make_walk_sequence, neutral_features
 from motion_forge.errors import AlignmentError, ConfigError, NonFiniteError
 from motion_forge.features import FEATURE_DIM, ROT6D, encode_features
 from motion_forge.metrics import mpjpe
-from motion_forge.motion import default_skeleton
+from motion_forge.motion import FIELDS, default_skeleton
 from motion_forge.prefix_loop import (
     TERMINATION_COMPLETED,
     TERMINATION_EXHAUSTED,
@@ -228,12 +228,8 @@ class TestRunPrefixLoop:
             self.cfg(tracked_bodies=bodies)
 
 
-MOTION_ARRAYS = ("joint_pos", "joint_vel", "root_pos", "root_quat",
-                 "body_pos", "body_rot", "body_lin_vel", "body_ang_vel")
-
-
 def assert_same_motion(a, b):
-    for name in MOTION_ARRAYS:
+    for name in FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -367,7 +363,7 @@ class TestIncrementalDecode:
         motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
         assert [len(s.attempts) for s in trace.segments] == [3, 1, 2, 1, 2, 2]
         digest = hashlib.sha256(trace.features.tobytes())
-        for name in MOTION_ARRAYS:
+        for name in FIELDS:
             digest.update(getattr(motion, name).tobytes())
         digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (

@@ -1,8 +1,9 @@
 """Property tests: decoded 6D frames are rotations, re-orthonormalizing is
-idempotent, a motion clip's save/load cycle is bit-exact, whole-clip task
-rewards equal the per-frame ones bit for bit, TP-MoE gate rows and router
-mixture weights lie on the simplex, and the level quota matches its masked
-reference formula bit for bit."""
+idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
+or feature frames twice is bit-exact, normalization leaves unmasked dims
+bit-identical, whole-clip task rewards equal the per-frame ones bit for
+bit, TP-MoE gate rows and router mixture weights lie on the simplex, and
+the level quota matches its masked reference formula bit for bit."""
 
 import numpy as np
 import pytest
@@ -13,9 +14,24 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.curriculum import apply_level_quota  # noqa: E402
-from motion_forge.features import ROT6D, project_valid_rot6d  # noqa: E402
+from motion_forge.features import (  # noqa: E402
+    FEATURE_DIM,
+    ROT6D,
+    NormStats,
+    denormalize_features,
+    mirror_features,
+    normalize_features,
+    normalized_dim_mask,
+    project_valid_rot6d,
+)
 from motion_forge.generation import init_tpmoe, tpmoe_gate  # noqa: E402
-from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, default_skeleton  # noqa: E402
+from motion_forge.motion import (  # noqa: E402
+    FIELDS,
+    NUM_BODIES,
+    MotionSequence,
+    default_skeleton,
+    mirror_sequence,
+)
 from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
 from motion_forge.rewards import TASK_TERMS, RewardConfig, task_rewards  # noqa: E402
 from motion_forge.router import (  # noqa: E402
@@ -81,9 +97,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.22507385850
 FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 # root quaternions must be unit norm; the signs still carry negative zeros
 UNIT_QUATS = [[1.0, 0.0, -0.0, 0.0], [-1.0, -0.0, -0.0, -0.0], [0.0, 0.6, -0.0, 0.8]]
-CLIP_SHAPES = {"joint_pos": (NUM_JOINTS,), "joint_vel": (NUM_JOINTS,), "root_pos": (3,),
-               "body_pos": (NUM_BODIES, 3), "body_rot": (NUM_BODIES, 3, 3),
-               "body_lin_vel": (NUM_BODIES, 3), "body_ang_vel": (NUM_BODIES, 3)}
+CLIP_SHAPES = {name: field.shape for name, field in FIELDS.items() if name != "root_quat"}
 
 
 @st.composite
@@ -111,9 +125,51 @@ def test_motion_file_round_trip_is_bit_exact(clip_path, seq):
     save_motion(seq, clip_path, skel)
     back = load_motion(clip_path, skel)
     assert back.fps == seq.fps
-    for name in (*CLIP_SHAPES, "root_quat"):
+    for name in FIELDS:
         # bytes, not values: -0.0 == 0.0 would hide a lost sign
         assert getattr(back, name).tobytes() == getattr(seq, name).tobytes(), name
+
+
+@given(clips())
+def test_mirroring_a_clip_twice_is_bit_exact(seq):
+    skel = default_skeleton()
+    back = mirror_sequence(mirror_sequence(seq, skel), skel)
+    assert back.fps == seq.fps
+    for name in FIELDS:
+        assert getattr(back, name).tobytes() == getattr(seq, name).tobytes(), name
+
+
+# Feature values for arithmetic that must not overflow: the edge cases
+# except the extremes of the range, and otherwise |x| <= 1e300.
+BOUNDED = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if abs(v) < 1e300]),
+                    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def feature_frames(draw, elements=FINITE):
+    """(T, 262) frames that tile one drawn pool of doubles in a seeded order."""
+    t = draw(st.integers(1, 3))
+    pool = np.array(draw(st.lists(elements, min_size=1, max_size=96)))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(t * FEATURE_DIM)
+    return np.resize(pool, t * FEATURE_DIM)[order].reshape(t, FEATURE_DIM)
+
+
+@given(feature_frames())
+def test_mirroring_features_twice_is_bit_exact(frames):
+    skel = default_skeleton()
+    back = mirror_features(mirror_features(frames, skel), skel)
+    assert back.tobytes() == frames.tobytes()
+
+
+@given(frames=feature_frames(BOUNDED), seed=st.integers(0, 2**32 - 1), layout=st.booleans())
+def test_normalization_leaves_unmasked_dims_bit_identical(frames, seed, layout):
+    """The stock mask or a random one; std in [1e-3, 1e3] on every dim."""
+    rng = np.random.default_rng(seed)
+    mask = normalized_dim_mask() if layout else rng.random(FEATURE_DIM) < 0.5
+    stats = NormStats(mean=rng.normal(0.0, 10.0, FEATURE_DIM),
+                      std=10.0 ** rng.uniform(-3.0, 3.0, FEATURE_DIM), mask=mask)
+    for out in (normalize_features(frames, stats), denormalize_features(frames, stats)):
+        assert out[:, ~mask].tobytes() == frames[:, ~mask].tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6),
@@ -165,7 +221,7 @@ def test_candidate_weights_lie_on_the_simplex(seed, experts, top_k, cold, cap, t
     rng = np.random.default_rng(seed)
     pool = make_random_pool(rng, experts, 3, (4,), 2, capacity=8)
     cfg = RouterConfig(top_k=top_k, temperature=temperature, cold_start_cap=cap,
-                       cold_start_steps=50, ema_enabled=False)
+                       cold_start_steps=50, ema_coeff=1.0)
     state = make_router(rng, pool.capacity, 4, config=cfg)
     logits = np.array(logits)
     if cold != "none":

@@ -143,7 +143,7 @@ class TestGate:
         rng = np.random.default_rng(6)
         pool = small_pool(rng)
         state = make_router(rng, pool.capacity, Z_DIM,
-                            config=RouterConfig(ema_enabled=False))
+                            config=RouterConfig(ema_coeff=1.0))
         z = rng.standard_normal(Z_DIM)
         logits = step(state, pool, z)
         base = top_k_indices(logits, 2)
@@ -160,7 +160,7 @@ class TestRefresh:
         rng = np.random.default_rng(7)
         pool = small_pool(rng)
         state = make_router(rng, pool.capacity, Z_DIM,
-                            config=RouterConfig(refresh_period=1, ema_enabled=False))
+                            config=RouterConfig(refresh_period=1, ema_coeff=1.0))
         seen = []
         for _ in range(5):
             step(state, pool, rng.standard_normal(Z_DIM))
@@ -171,7 +171,7 @@ class TestRefresh:
         rng = np.random.default_rng(8)
         pool = small_pool(rng)
         state = make_router(rng, pool.capacity, Z_DIM,
-                            config=RouterConfig(refresh_period=5, ema_enabled=False))
+                            config=RouterConfig(refresh_period=5, ema_coeff=1.0))
         step(state, pool, rng.standard_normal(Z_DIM))
         first = list(state.candidates)
         for _ in range(4):
@@ -213,7 +213,7 @@ class TestMixture:
     def test_low_temperature_approaches_argmax(self):
         rng = np.random.default_rng(11)
         pool = small_pool(rng)
-        cfg = RouterConfig(top_k=2, temperature=1e-6, ema_enabled=False)
+        cfg = RouterConfig(top_k=2, temperature=1e-6, ema_coeff=1.0)
         state = make_router(rng, pool.capacity, Z_DIM, config=cfg)
         obs = rng.standard_normal(OBS_DIM)
         logits = step(state, pool, rng.standard_normal(Z_DIM))
@@ -370,7 +370,7 @@ class TestDiagnosticsAndGrowth:
         rng = np.random.default_rng(17)
         pool = small_pool(rng, n=3, unlocked=3)
         cfg = RouterConfig(top_k=2, cold_start_cap=0.1, cold_start_steps=50,
-                           ema_enabled=False)
+                           ema_coeff=1.0)
         state = make_router(rng, pool.capacity, Z_DIM, config=cfg)
         new_idx = add_expert(pool, state)
         assert new_idx == 3
@@ -388,7 +388,7 @@ class TestDiagnosticsAndGrowth:
         rng = np.random.default_rng(18)
         pool = small_pool(rng, n=2, unlocked=2)
         cfg = RouterConfig(top_k=2, cold_start_cap=0.1, cold_start_steps=3,
-                           ema_enabled=False)
+                           ema_coeff=1.0)
         state = make_router(rng, pool.capacity, Z_DIM, config=cfg)
         new_idx = add_expert(pool, state)
         logits = np.array([0.0, -1.0, 10.0])
@@ -403,7 +403,7 @@ class TestDiagnosticsAndGrowth:
         rng = np.random.default_rng(22)
         pool = small_pool(rng, n=2, unlocked=2)
         cfg = RouterConfig(top_k=3, cold_start_cap=0.1, cold_start_steps=50,
-                           ema_enabled=False)
+                           ema_coeff=1.0)
         state = make_router(rng, pool.capacity, Z_DIM, config=cfg)
         cold = add_expert(pool, state)
         assert cold == 2
