@@ -21,6 +21,7 @@ gradients are computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,20 +36,37 @@ RHO_HARD = 0.8
 MLPParams = list[tuple[np.ndarray, np.ndarray]]
 
 
+def _finite(value, what: str) -> np.ndarray:
+    array = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise NonFiniteError(f"{what} holds NaN or infinite values")
+    return array
+
+
 def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    """expm1(min(x, 0)) + max(x, 0) in three calls and one temporary; equal
+    bit for bit, signed zeros included, to `where(x > 0, x, expm1(min(x, 0)))`."""
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate an ELU MLP; broadcasts over leading axes of x."""
+    """Evaluate an ELU MLP; broadcasts over leading axes of x.  The bias is
+    added in place to each layer's fresh product."""
+    if not params:
+        raise ConfigError("an MLP needs at least one layer")
     x = np.asarray(x, dtype=np.float64)
+    last = len(params) - 1
     for i, (w, b) in enumerate(params):
         if x.shape[-1] != w.shape[1]:
             raise DimensionMismatchError(
                 f"layer {i}: input dim {x.shape[-1]} != weight columns {w.shape[1]}"
             )
-        x = x @ w.T + b
-        if i < len(params) - 1:
+        x = x @ w.T
+        x += b
+        if i < last:
             x = elu(x)
     return x
 
@@ -185,37 +203,51 @@ def gate_logits(z: np.ndarray, state: RouterState, pool: ExpertPool) -> np.ndarr
 
     With `ema_coeff` below 1 the raw logits are blended with the stored
     smoothed logits (coefficient on the new value), without mutating state;
-    `refresh_candidates` commits the blend.
+    `refresh_candidates` commits the blend.  A latent that is not one
+    finite vector as wide as the gate raises DimensionMismatchError or
+    NonFiniteError, and a pool with more experts than the gate has rows
+    ConfigError.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if z.shape != state.gate_w.shape[1:]:
+        raise DimensionMismatchError(
+            f"latent has shape {z.shape}, the gate takes ({state.gate_w.shape[1]},)")
+    if not np.isfinite(z).all():
         raise NonFiniteError("latent must be finite")
-    raw = state.gate_w[: pool.num_experts] @ z + state.gate_b[: pool.num_experts]
+    n = pool.num_experts
+    if n > state.gate_w.shape[0]:
+        raise ConfigError(f"{n} experts, but the gate has {state.gate_w.shape[0]} rows")
+    logits = state.gate_w[:n] @ z
+    logits += state.gate_b[:n]
     cfg = state.config
-    smoothed = raw
     if state.logits_ema is not None and cfg.ema_coeff < 1.0:
         prev = state.logits_ema
-        if prev.shape[0] < raw.shape[0]:    # pool grew since the last step
-            prev = np.concatenate([prev, raw[prev.shape[0]:]])
-        # freshly unlocked experts have -inf history: seed them with raw
-        prev = np.where(np.isfinite(prev), prev, raw)
-        smoothed = cfg.ema_coeff * raw + (1.0 - cfg.ema_coeff) * prev
-    logits = np.full(pool.num_experts, -np.inf)
-    logits[: pool.unlocked_count] = smoothed[: pool.unlocked_count]
+        if prev.shape[0] < n:               # pool grew since the last step
+            prev = np.concatenate([prev, logits[prev.shape[0]:]])
+        finite = np.isfinite(prev)
+        if not finite.all():
+            # freshly unlocked experts have -inf history: seed them with raw
+            prev = np.where(finite, prev, logits)
+        history = (1.0 - cfg.ema_coeff) * prev
+        logits *= cfg.ema_coeff
+        logits += history
+    if pool.unlocked_count < n:
+        logits[pool.unlocked_count:] = -np.inf
     return logits
 
 
 def top_k_indices(logits: np.ndarray, k: int) -> list[int]:
     """Indices of the k largest finite logits; ties break to the lower index."""
-    finite = [i for i in range(len(logits)) if np.isfinite(logits[i])]
-    ordered = sorted(finite, key=lambda i: (-logits[i], i))
+    values = np.asarray(logits, dtype=np.float64).tolist()
+    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+    ordered = sorted(finite, key=lambda i: (-values[i], i))
     return sorted(ordered[: min(k, len(ordered))])
 
 
 def refresh_candidates(state: RouterState, logits: np.ndarray) -> RouterState:
     """Per-step routing update: commit smoothed logits, advance counters, and
     re-select the candidate set when the refresh period has elapsed."""
-    state.logits_ema = np.asarray(logits, dtype=np.float64).copy()
+    state.logits_ema = np.array(logits, dtype=np.float64)
     if state.cold_expert is not None:
         if state.cold_steps_remaining <= 0:
             state.cold_expert = None
@@ -229,9 +261,11 @@ def refresh_candidates(state: RouterState, logits: np.ndarray) -> RouterState:
     return state
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    p = np.exp(logits - logits.max())
-    return p / p.sum()
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    logits -= logits.max()
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return logits
 
 
 def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
@@ -249,15 +283,19 @@ def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
     cand = [c for c in state.candidates if c < pool.unlocked_count]
     if not cand:
         raise ConfigError("no unlocked candidates")
-    logits = state.logits_ema[cand] / state.config.temperature
+    temperature = state.config.temperature
+    logits = state.logits_ema[cand]      # a gathered copy: the softmax runs in it
+    logits /= temperature
     weights = np.zeros(pool.num_experts)
-    weights[cand] = _softmax(logits)
+    weights[cand] = _softmax_in_place(logits)
     cold = state.cold_expert
     if cold is not None and cold in cand and len(cand) > 1:
         cap = state.config.cold_start_cap
         if weights[cold] > cap:
+            logits = state.logits_ema[cand]
+            logits /= temperature
             logits[cand.index(cold)] = -np.inf   # exp gives 0: only the others share
-            weights[cand] = (1.0 - cap) * _softmax(logits)
+            weights[cand] = (1.0 - cap) * _softmax_in_place(logits)
             weights[cold] = cap
     return weights
 
@@ -268,9 +306,13 @@ def mixture_action(
     """Convex mixture of the candidate experts' outputs: k forwards exactly."""
     weights = candidate_weights(state, pool)
     action = None
-    for j in np.flatnonzero(weights):
-        out = pool.forward(int(j), obs) * weights[j]
-        action = out if action is None else action + out
+    for j in np.flatnonzero(weights).tolist():
+        out = pool.forward(j, obs)
+        out *= weights[j]
+        if action is None:
+            action = out
+        else:
+            action += out
     return action, weights
 
 
@@ -286,8 +328,12 @@ def hard_bias_route(
     probability rho_hard and use that level's expert directly.
 
     Returns (action, weights, hard_routed); the weight vector is one-hot on
-    the bypass path.
+    the bypass path.  `l_max` must name an unlocked level, 1..unlocked_count,
+    else ConfigError.
     """
+    if not 1 <= l_max <= pool.unlocked_count:
+        raise ConfigError(f"l_max {l_max} is not an unlocked level "
+                          f"(1..{pool.unlocked_count})")
     if file_level == l_max and rng.uniform() < state.config.rho_hard:
         expert = l_max - 1      # level l is served by expert index l - 1
         weights = np.zeros(pool.num_experts)
@@ -298,8 +344,14 @@ def hard_bias_route(
 
 
 def route_ce_loss(logits: np.ndarray, file_level: int, ce_weight: float = 0.05) -> float:
-    """Weighted cross entropy aligning routing with the file's level."""
+    """Weighted cross entropy aligning routing with the file's level.
+
+    Locked experts carry -inf logits and drop out of the partition sum; a
+    NaN or +inf logit raises NonFiniteError.
+    """
     logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(logits < np.inf):     # false for NaN and +inf only
+        raise NonFiniteError("routing logits hold NaN or +inf")
     label = file_level - 1
     if not 0 <= label < len(logits) or not np.isfinite(logits[label]):
         raise ConfigError(f"file level {file_level} exceeds the unlocked experts")
@@ -315,7 +367,7 @@ def load_balance_loss(weight_history: np.ndarray) -> float:
     f_j is the empirical top-1 fraction and pbar_j the mean routing mass of
     expert j; uniform routing scores 1, total collapse scores K.
     """
-    weights = np.asarray(weight_history, dtype=np.float64)
+    weights = _finite(weight_history, "weight history")
     if weights.ndim != 2 or weights.shape[0] == 0:
         raise ConfigError("weight history must be a non-empty (S, K) array")
     k = weights.shape[1]
@@ -326,13 +378,15 @@ def load_balance_loss(weight_history: np.ndarray) -> float:
 
 
 def routing_entropy(weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=np.float64)
+    w = _finite(weights, "routing weights")
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
 def top_gap(weights: np.ndarray) -> float:
-    w = np.sort(np.asarray(weights, dtype=np.float64))[::-1]
+    w = np.sort(_finite(weights, "routing weights"))[::-1]
+    if len(w) == 0:
+        raise ConfigError("top_gap needs at least one weight")
     if len(w) < 2:
         return float(w[0])
     return float(w[0] - w[1])
@@ -415,6 +469,8 @@ def add_expert(
         raise ConfigError("expert pool is at capacity")
     cfg = state.config
     source = pool.num_experts - 1 if source_index is None else source_index
+    if not 0 <= source < pool.num_experts:
+        raise ConfigError(f"source expert {source} is not in 0..{pool.num_experts - 1}")
     pool.experts.append(clone_mlp(pool.experts[source]))
     pool.lr_multipliers = [cfg.old_expert_lr_multiplier * m for m in pool.lr_multipliers]
     pool.lr_multipliers.append(cfg.new_expert_lr_multiplier)
@@ -436,13 +492,6 @@ def mlp_to_dict(params: MLPParams) -> dict:
             for w, b in params
         ]
     }
-
-
-def _finite(value, what: str) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        raise NonFiniteError(f"{what} holds NaN or infinite values")
-    return array
 
 
 def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:

@@ -2,8 +2,9 @@
 idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
 or feature frames twice is bit-exact, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
-bit, TP-MoE gate rows and router mixture weights lie on the simplex, and
-the level quota matches its masked reference formula bit for bit."""
+bit, TP-MoE gate rows and router mixture weights lie on the simplex, the
+level quota and the router step match their reference formulas bit for
+bit, and the prefix loop carries its initial rows bit-exactly."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from helpers import make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.curriculum import apply_level_quota  # noqa: E402
 from motion_forge.features import (  # noqa: E402
     FEATURE_DIM,
+    ROOT_ANG_VEL,
+    ROOT_HEIGHT,
     ROT6D,
     NormStats,
     denormalize_features,
@@ -33,14 +36,26 @@ from motion_forge.motion import (  # noqa: E402
     mirror_sequence,
 )
 from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
+from motion_forge.prefix_loop import (  # noqa: E402
+    PrefixLoopConfig,
+    make_interpolation_generator,
+    run_prefix_loop,
+)
 from motion_forge.rewards import TASK_TERMS, RewardConfig, task_rewards  # noqa: E402
 from motion_forge.router import (  # noqa: E402
+    LATENT_DIM,
     RouterConfig,
     add_expert,
     candidate_weights,
+    elu,
+    gate_logits,
+    hard_bias_route,
     make_random_pool,
     make_router,
+    mixture_action,
+    mlp_forward,
     refresh_candidates,
+    top_k_indices,
 )
 from motion_forge.rotations import sixd_to_rot  # noqa: E402
 
@@ -288,3 +303,199 @@ def test_level_quota_matches_masked_formula_bit_for_bit(case):
     probs, levels, floor = case
     out = apply_level_quota(probs, levels, floor)
     assert out.tobytes() == masked_level_quota(probs, levels, floor).tobytes()
+
+
+# The router's per-step formulas as they stood before the in-place rework,
+# kept as the bit-for-bit oracle for elu, mlp_forward, gate_logits,
+# top_k_indices, candidate_weights and mixture_action.
+
+
+def reference_elu(x):
+    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def reference_mlp_forward(params, x):
+    x = np.asarray(x, dtype=np.float64)
+    for i, (w, b) in enumerate(params):
+        x = x @ w.T + b
+        if i < len(params) - 1:
+            x = reference_elu(x)
+    return x
+
+
+def reference_gate_logits(z, state, pool):
+    raw = state.gate_w[: pool.num_experts] @ z + state.gate_b[: pool.num_experts]
+    cfg = state.config
+    smoothed = raw
+    if state.logits_ema is not None and cfg.ema_coeff < 1.0:
+        prev = state.logits_ema
+        if prev.shape[0] < raw.shape[0]:
+            prev = np.concatenate([prev, raw[prev.shape[0]:]])
+        prev = np.where(np.isfinite(prev), prev, raw)
+        smoothed = cfg.ema_coeff * raw + (1.0 - cfg.ema_coeff) * prev
+    logits = np.full(pool.num_experts, -np.inf)
+    logits[: pool.unlocked_count] = smoothed[: pool.unlocked_count]
+    return logits
+
+
+def reference_top_k_indices(logits, k):
+    finite = [i for i in range(len(logits)) if np.isfinite(logits[i])]
+    ordered = sorted(finite, key=lambda i: (-logits[i], i))
+    return sorted(ordered[: min(k, len(ordered))])
+
+
+def reference_softmax(logits):
+    p = np.exp(logits - logits.max())
+    return p / p.sum()
+
+
+def reference_candidate_weights(state, pool):
+    cand = [c for c in state.candidates if c < pool.unlocked_count]
+    logits = state.logits_ema[cand] / state.config.temperature
+    weights = np.zeros(pool.num_experts)
+    weights[cand] = reference_softmax(logits)
+    cold = state.cold_expert
+    if cold is not None and cold in cand and len(cand) > 1:
+        cap = state.config.cold_start_cap
+        if weights[cold] > cap:
+            logits[cand.index(cold)] = -np.inf
+            weights[cand] = (1.0 - cap) * reference_softmax(logits)
+            weights[cold] = cap
+    return weights
+
+
+def reference_mixture_action(obs, state, pool):
+    weights = reference_candidate_weights(state, pool)
+    action = None
+    for j in np.flatnonzero(weights):
+        out = reference_mlp_forward(pool.experts[int(j)], obs) * weights[j]
+        action = out if action is None else action + out
+    return action, weights
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Signed zeros, subnormals and both infinities next to ordinary values.
+ELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, 1e-300, -1e-300,
+             -745.2, -40.0, 709.0, np.inf, -np.inf]
+
+
+@given(arrays(np.float64, st.integers(1, 300),
+              elements=st.one_of(st.sampled_from(ELU_EDGES), st.floats(allow_nan=False))))
+def test_elu_matches_the_select_form_bit_for_bit(x):
+    assert same_bits(elu(x), reference_elu(x))
+
+
+# Events between router steps: "unlock" unlocks a locked expert (its
+# history is -inf), "add" grows the pool through add_expert (a cold expert,
+# a shorter history), "boost" lifts the newest expert's gate bias so that
+# the cold-start cap binds once it is a candidate.
+ROUTER_EVENTS = st.lists(st.sampled_from(["step", "unlock", "add", "boost"]),
+                         min_size=1, max_size=12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), experts=st.integers(1, 5), locked=st.integers(0, 2),
+       top_k=st.integers(1, 4), refresh=st.integers(1, 3),
+       temperature=st.sampled_from([1.0]) | st.floats(0.05, 5.0),
+       ema=st.sampled_from([1.0, 0.9]) | st.floats(0.0, 1.0), cap=st.floats(0.01, 1.0),
+       hidden=st.sampled_from([(4,), (5, 3)]), events=ROUTER_EVENTS)
+def test_router_step_matches_the_reference_formulas_bit_for_bit(
+        seed, experts, locked, top_k, refresh, temperature, ema, cap, hidden, events):
+    rng = np.random.default_rng(seed)
+    pool = make_random_pool(rng, experts, 3, hidden, 2, capacity=8,
+                            unlocked_count=max(1, experts - locked))
+    cfg = RouterConfig(top_k=top_k, refresh_period=refresh, temperature=temperature,
+                       ema_coeff=ema, cold_start_cap=cap, cold_start_steps=20)
+    state = make_router(rng, pool.capacity, 4, config=cfg)
+    for event in events:
+        if event == "unlock" and pool.unlocked_count < pool.num_experts:
+            pool.unlocked_count += 1
+        elif event == "add" and pool.num_experts < pool.capacity:
+            add_expert(pool, state)
+        elif event == "boost":
+            state.gate_b[pool.num_experts - 1] += 20.0
+        z, obs = rng.normal(0.0, 1.0, 4), rng.normal(0.0, 1.0, (2, 3))
+        logits = gate_logits(z, state, pool)
+        assert same_bits(logits, reference_gate_logits(z, state, pool))
+        assert top_k_indices(logits, top_k) == reference_top_k_indices(logits, top_k)
+        refresh_candidates(state, logits)
+        assert same_bits(candidate_weights(state, pool), reference_candidate_weights(state, pool))
+        action, weights = mixture_action(obs[0], state, pool)
+        want_action, want_weights = reference_mixture_action(obs[0], state, pool)
+        assert same_bits(action, want_action) and same_bits(weights, want_weights)
+        expert = pool.experts[pool.num_experts - 1]
+        assert same_bits(mlp_forward(expert, obs), reference_mlp_forward(expert, obs))
+
+
+def test_seeded_stage_one_and_two_replay_matches_the_reference_bit_for_bit():
+    """Stage I (hard-bias routing) for the first half, stage II with one
+    add_expert after, at the default router widths and config."""
+    n = 200
+    rng = np.random.default_rng([7, 0])
+    zs = rng.normal(0.0, 1.0, (n, LATENT_DIM))
+    levels = rng.choice(np.arange(1, 5), n, p=[0.2, 0.2, 0.2, 0.4])
+    runs = []
+    for reference in (False, True):
+        init = np.random.default_rng([7, 5])
+        pool = make_random_pool(init, 4, LATENT_DIM, (256, 128), 29, capacity=8)
+        state = make_router(init, pool.capacity)
+        draws = np.random.default_rng([7, 6])
+        l_max = pool.unlocked_count
+        steps = []
+        for i in range(n):
+            if i == (3 * n) // 4:
+                add_expert(pool, state)
+            if reference:
+                logits = reference_gate_logits(zs[i], state, pool)
+            else:
+                logits = gate_logits(zs[i], state, pool)
+            refresh_candidates(state, logits)
+            if i < n // 2:
+                if reference:
+                    hard = levels[i] == l_max and draws.uniform() < state.config.rho_hard
+                    if hard:
+                        weights = np.zeros(pool.num_experts)
+                        weights[l_max - 1] = 1.0
+                        action = reference_mlp_forward(pool.experts[l_max - 1], zs[i])
+                    else:
+                        action, weights = reference_mixture_action(zs[i], state, pool)
+                else:
+                    action, weights, hard = hard_bias_route(zs[i], int(levels[i]), l_max,
+                                                            draws, state, pool)
+            elif reference:
+                action, weights, hard = *reference_mixture_action(zs[i], state, pool), False
+            else:
+                action, weights, hard = *mixture_action(zs[i], state, pool), False
+            steps.append((action.tobytes(), weights.tobytes(), bool(hard)))
+        runs.append(steps)
+    assert runs[0] == runs[1]
+    assert 0 < sum(hard for _, _, hard in runs[0]) < n // 2
+
+
+def rejecting_tracker(seed: int, rate: float):
+    """Rejects a seeded share of attempts by lifting every body 1 m, far
+    past the loop's 0.15 m mpjpe tolerance."""
+    rng = np.random.default_rng(seed)
+
+    def tracker(reference):
+        if rng.uniform() >= rate:
+            return reference
+        out = reference.copy()
+        out.body_pos[..., 2] += 1.0
+        return out
+
+    return tracker
+
+
+@given(rows=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), rate=st.floats(0.0, 1.0))
+def test_prefix_loop_carries_the_initial_prefix_bit_exactly(rows, seed, rate):
+    rng = np.random.default_rng(seed)
+    prefix = neutral_features(rows)
+    prefix[:, ROOT_ANG_VEL.start:ROOT_HEIGHT.stop] += rng.normal(0.0, 0.01, (rows, 7))
+    cfg = PrefixLoopConfig(segment_seconds=0.2, horizon_seconds=0.8, max_resamples=4, seed=seed)
+    generator = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+    _, trace = run_prefix_loop(prefix.copy(), neutral_features(1)[0], generator,
+                               rejecting_tracker(seed, rate), cfg, default_skeleton())
+    assert trace.features[:rows].tobytes() == prefix.tobytes()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from motion_forge.errors import ConfigError, NonFiniteError
+from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.router import (
     AddExpertConfig,
     RouterConfig,
@@ -86,6 +86,12 @@ class TestMlp:
         assert batched.shape == (7, 2)
         assert np.allclose(batched[2], mlp_forward(params, xs[2]))
 
+    def test_no_layers_is_a_config_error(self):
+        # an MLP without layers would hand back its input, which the
+        # in-place mixture would then scale
+        with pytest.raises(ConfigError, match="at least one layer"):
+            mlp_forward([], np.ones(3))
+
 
 class TestGate:
     def test_zero_gate_uniform_routing(self):
@@ -116,6 +122,22 @@ class TestGate:
         z[5] = bad
         with pytest.raises(NonFiniteError, match="latent"):
             gate_logits(z, state, pool)
+
+    @pytest.mark.parametrize("width", [5, 9])
+    def test_latent_narrower_or_wider_than_the_gate_is_a_typed_error(self, width):
+        rng = np.random.default_rng(4)
+        pool = small_pool(rng)
+        state = make_router(rng, pool.capacity, Z_DIM)
+        with pytest.raises(DimensionMismatchError, match="latent"):
+            gate_logits(rng.standard_normal(width), state, pool)
+
+    def test_pool_wider_than_the_gate_is_a_config_error(self):
+        # a 4-row gate would give 5 experts only 4 logits
+        rng = np.random.default_rng(4)
+        pool = small_pool(rng, n=5)
+        state = make_router(rng, 4, Z_DIM)
+        with pytest.raises(ConfigError, match="gate has 4 rows"):
+            gate_logits(rng.standard_normal(Z_DIM), state, pool)
 
     def test_ema_coeff_one_gives_raw(self):
         rng = np.random.default_rng(4)
@@ -270,6 +292,19 @@ class TestHardBias:
         )
         assert hits / n == pytest.approx(0.8, abs=0.01)
 
+    @pytest.mark.parametrize("l_max", [0, 3, 9])
+    def test_l_max_must_be_an_unlocked_level(self, l_max):
+        # with 2 of 3 experts unlocked, l_max=3 would hard-route to locked
+        # expert 2 and l_max=9 index past the pool
+        rng = np.random.default_rng(16)
+        pool = small_pool(rng, n=3, unlocked=2)
+        state = make_router(rng, pool.capacity, Z_DIM)
+        step(state, pool, rng.standard_normal(Z_DIM))
+        for seed in range(5):
+            with pytest.raises(ConfigError, match="l_max"):
+                hard_bias_route(np.zeros(OBS_DIM), l_max, l_max,
+                                np.random.default_rng(seed), state, pool)
+
 
 class TestLosses:
     def test_ce_loss_uniform_logits(self):
@@ -293,6 +328,16 @@ class TestLosses:
             route_ce_loss(logits, 3)
         with pytest.raises(ConfigError):
             route_ce_loss(logits, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ce_loss_rejects_nan_and_positive_inf(self, bad):
+        # a NaN must not drop out of the partition sum like a locked -inf
+        with pytest.raises(NonFiniteError):
+            route_ce_loss(np.array([0.2, bad, -np.inf]), 1)
+
+    def test_ce_loss_keeps_locked_experts_negative_inf(self):
+        assert route_ce_loss(np.array([0.0, 0.0, -np.inf]), 1, ce_weight=1.0) == \
+            pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_load_balance_uniform_and_collapse(self):
         k = 6
@@ -319,6 +364,10 @@ class TestLosses:
         assert np.allclose(best_q, 1.0 / k)
         assert best == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_history_is_a_typed_error(self):
+        with pytest.raises(NonFiniteError, match="weight history"):
+            load_balance_loss(np.array([[np.nan, 1.0]]))
+
     def test_empty_history_raises(self):
         with pytest.raises(ConfigError):
             load_balance_loss(np.zeros((0, 4)))
@@ -334,6 +383,21 @@ class TestDiagnosticsAndGrowth:
         one_hot[3] = 1.0
         assert routing_entropy(one_hot) == 0.0
         assert top_gap(one_hot) == 1.0
+
+    @pytest.mark.parametrize("measure", [routing_entropy, top_gap])
+    def test_nan_weights_are_a_typed_error(self, measure):
+        with pytest.raises(NonFiniteError, match="routing weights"):
+            measure(np.array([np.nan, 1.0]))
+
+    def test_top_gap_of_no_weights_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="at least one weight"):
+            top_gap(np.array([]))
+
+    def test_diagnostics_reject_nan_weights_and_store_nothing(self):
+        diag = RoutingDiagnostics()
+        with pytest.raises(NonFiniteError):
+            diag.update("file0", np.array([0.5, np.nan]))
+        assert diag.entropy_ema == {} and diag.gap_ema == {}
 
     def test_should_add_expert_window_logic(self):
         diag = RoutingDiagnostics(config=AddExpertConfig(required_windows=2))
@@ -413,6 +477,15 @@ class TestDiagnosticsAndGrowth:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert w[cold] == 0.1
         assert w[0] == w[1] == pytest.approx(0.45, abs=1e-12)
+
+    @pytest.mark.parametrize("source", [-1, 3, 7])
+    def test_add_expert_source_out_of_range_is_a_config_error(self, source):
+        rng = np.random.default_rng(19)
+        pool = small_pool(rng, n=3, unlocked=3)
+        state = make_router(rng, pool.capacity, Z_DIM)
+        with pytest.raises(ConfigError, match="source expert"):
+            add_expert(pool, state, source_index=source)
+        assert pool.num_experts == 3 and state.cold_expert is None
 
     def test_pool_capacity_guard(self):
         rng = np.random.default_rng(19)
