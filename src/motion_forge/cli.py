@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,6 +67,8 @@ def _read_json_file(path, what: str) -> dict:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
     return data
 
 
@@ -93,26 +96,25 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _override(section, args, names):
+    """`section` with the threshold flags in `names` that were given; like a
+    config file's numbers, each must be finite."""
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for name, value in overrides.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"threshold override {name}={value} is not a finite number")
+    return dataclasses.replace(section, **overrides)
+
+
 def cmd_metrics(args) -> int:
     cfg = _load_app_config(args)
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
     sim = load_motion(args.executed, skel)
-    ground, success_cfg = cfg.ground, cfg.success
-    overrides = {
-        name: getattr(args, name)
-        for name in ("ground_z", "contact_height_eps", "skate_disp_threshold")
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        ground = dataclasses.replace(ground, **overrides)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("pelvis_z_threshold", "trunk_gravity_threshold", "ee_z_threshold")
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        success_cfg = dataclasses.replace(success_cfg, **overrides)
+    ground = _override(cfg.ground, args, ("ground_z", "contact_height_eps",
+                                          "skate_disp_threshold"))
+    success_cfg = _override(cfg.success, args, ("pelvis_z_threshold",
+                                                 "trunk_gravity_threshold", "ee_z_threshold"))
     report = evaluate(ref, sim, skel, ground, success_cfg)
     _write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False), args.out)
     return 0
@@ -139,6 +141,8 @@ def cmd_curriculum_sim(args) -> int:
     allowed = {"id", "level", "start_error", "error_floor", "improve_rate", "success_scale"}
     files = []
     for i, item in enumerate(data["files"]):
+        if not isinstance(item, dict):
+            raise ConfigError(f"corpus file {i} must be a JSON object")
         unknown = set(item) - allowed
         if unknown:
             raise ConfigError(f"corpus file {i}: unknown keys {sorted(unknown)}")
@@ -235,6 +239,9 @@ def cmd_asfo_plan(args) -> int:
             raise ConfigError("sample list entries need 'id' and 'tags'") from exc
     if not isinstance(samples, dict) or not samples:
         raise ConfigError("samples file needs a 'samples' mapping or list")
+    for sample_id, tags in samples.items():
+        if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+            raise ConfigError(f"sample {sample_id!r}: tags must be a list of strings")
     catalog = TagCatalog.from_samples(
         samples, rho_max=cfg.asfo.rho_max, mirror_alpha=cfg.asfo.mirror_alpha
     )
@@ -262,7 +269,7 @@ def make_tracker(cfg: TrackerConfig):
 def _load_prefix_features(path, skel):
     """Features of a clip (told apart by its joint names) or features file."""
     data = _read_json_file(path, "prefix")
-    if isinstance(data, dict) and "joint_names" in data:
+    if "joint_names" in data:
         seq = canonicalize_heading(parse_motion(data, path, skel))
         return encode_features(seq, skel, detect_contacts(seq, skel)), seq.fps
     return parse_features(data, path)
@@ -359,6 +366,8 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except MotionForgeError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")

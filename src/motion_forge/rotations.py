@@ -99,16 +99,6 @@ def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vectors v (..., 3) by quaternions q (..., 4)."""
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    qvec = q[..., 1:]
-    uv = np.cross(qvec, v)
-    uuv = np.cross(qvec, uv)
-    return v + 2.0 * (q[..., :1] * uv + uuv)
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     w, x, y, z = (q[..., i] for i in range(4))
@@ -165,25 +155,12 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     return q.reshape(shape + (4,))
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
-
-
 def quat_from_yaw(yaw) -> np.ndarray:
     """Pure z-axis rotation quaternion(s); yaw may be scalar or (...,)."""
     yaw = np.asarray(yaw, dtype=np.float64)
     half = 0.5 * yaw
     zeros = np.zeros_like(half)
     return np.stack([np.cos(half), zeros, zeros, np.sin(half)], axis=-1)
-
-
-def yaw_from_matrix(rot: np.ndarray) -> np.ndarray:
-    """Heading of the rotated +X axis, atan2 of its xy projection."""
-    rot = np.asarray(rot, dtype=np.float64)
-    return np.arctan2(rot[..., 1, 0], rot[..., 0, 0])
 
 
 def yaw_from_quat(q: np.ndarray) -> np.ndarray:

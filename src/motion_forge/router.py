@@ -93,7 +93,8 @@ def clone_mlp(params: MLPParams) -> MLPParams:
 
 @dataclass
 class ExpertPool:
-    """Ordered expert parameter sets plus per-expert training metadata."""
+    """Ordered expert parameter sets plus per-expert training metadata.  The
+    constructor checks every pool invariant; growth keeps them."""
 
     experts: list[MLPParams]
     input_dim: int
@@ -104,13 +105,23 @@ class ExpertPool:
     lr_multipliers: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.experts:
+        n = len(self.experts)
+        if not n:
             raise ConfigError("expert pool needs at least one expert")
-        if len(self.experts) > self.capacity:
+        if n > self.capacity:
             raise ConfigError("more experts than capacity")
-        self.unlocked_count = min(self.unlocked_count, len(self.experts))
+        if not 1 <= self.unlocked_count <= n:
+            raise ConfigError(f"unlocked_count {self.unlocked_count} is not in 1..{n}")
         if not self.lr_multipliers:
-            self.lr_multipliers = [1.0] * len(self.experts)
+            self.lr_multipliers = [1.0] * n
+        elif len(self.lr_multipliers) != n:
+            raise ConfigError(f"{len(self.lr_multipliers)} lr_multipliers for {n} experts")
+        dims = [self.input_dim, *self.hidden, self.output_dim]
+        chain = [((d_out, d_in), (d_out,)) for d_in, d_out in zip(dims[:-1], dims[1:])]
+        for k, expert in enumerate(self.experts):
+            if [(w.shape, b.shape) for w, b in expert] != chain:
+                raise ConfigError(f"expert {k}: layer shapes do not chain "
+                                  f"input_dim -> hidden -> output_dim {dims}")
 
     @property
     def num_experts(self) -> int:
@@ -448,37 +459,30 @@ def should_add_expert(diag: RoutingDiagnostics) -> bool:
 
 
 def unlock_next_expert(pool: ExpertPool) -> int:
-    """Stage-I promotion: clone the newest unlocked expert and unlock it."""
-    if pool.num_experts >= pool.capacity:
-        raise ConfigError("expert pool is at capacity")
-    source = pool.unlocked_count - 1
-    pool.experts.append(clone_mlp(pool.experts[source]))
-    pool.lr_multipliers.append(1.0)
-    pool.unlocked_count += 1
-    return pool.num_experts - 1
+    """The growth rule of both stages: clone the newest unlocked expert into
+    the first locked slot, or append it (multiplier 1.0) when none is locked;
+    unlock that slot and return its index, the old `unlocked_count`.  With
+    all `capacity` slots unlocked it raises ConfigError and changes nothing."""
+    new = pool.unlocked_count
+    if new >= pool.capacity:
+        raise ConfigError(f"expert pool is at capacity ({pool.capacity} unlocked)")
+    if new == pool.num_experts:
+        pool.lr_multipliers.append(1.0)
+    pool.experts[new:new + 1] = [clone_mlp(pool.experts[new - 1])]
+    pool.unlocked_count = new + 1
+    return new
 
 
-def add_expert(
-    pool: ExpertPool,
-    state: RouterState,
-    source_index: int | None = None,
-) -> int:
-    """Stage-II dynamic addition: clone a source expert, cap its routing mass
-    for the cold-start budget, and bias learning rates toward it."""
-    if pool.num_experts >= pool.capacity:
-        raise ConfigError("expert pool is at capacity")
+def add_expert(pool: ExpertPool, state: RouterState) -> int:
+    """Stage-II dynamic addition: `unlock_next_expert`, then cap the new
+    expert's routing mass for the cold-start budget and bias learning rates."""
+    new = unlock_next_expert(pool)
     cfg = state.config
-    source = pool.num_experts - 1 if source_index is None else source_index
-    if not 0 <= source < pool.num_experts:
-        raise ConfigError(f"source expert {source} is not in 0..{pool.num_experts - 1}")
-    pool.experts.append(clone_mlp(pool.experts[source]))
     pool.lr_multipliers = [cfg.old_expert_lr_multiplier * m for m in pool.lr_multipliers]
-    pool.lr_multipliers.append(cfg.new_expert_lr_multiplier)
-    pool.unlocked_count += 1
-    new_index = pool.num_experts - 1
-    state.cold_expert = new_index
+    pool.lr_multipliers[new] = cfg.new_expert_lr_multiplier
+    state.cold_expert = new
     state.cold_steps_remaining = cfg.cold_start_steps
-    return new_index
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +524,9 @@ def pool_to_dict(pool: ExpertPool) -> dict:
 
 
 def pool_from_dict(data: dict) -> ExpertPool:
-    """Inverse of `pool_to_dict`.  A missing key, a non-number, or expert
-    layers that do not chain input_dim -> hidden -> output_dim raise
-    ConfigError; a NaN or infinite value raises NonFiniteError."""
+    """Inverse of `pool_to_dict`.  A missing key, a non-number, or a pool
+    that breaks an `ExpertPool` invariant raise ConfigError; a NaN or
+    infinite value raises NonFiniteError."""
     try:
         dims = [int(data["input_dim"]), *map(int, data["hidden"]), int(data["output_dim"])]
         experts = [mlp_from_dict(e, f"expert {k}") for k, e in enumerate(data["experts"])]
@@ -532,11 +536,6 @@ def pool_from_dict(data: dict) -> ExpertPool:
         raise ConfigError(f"expert pool: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"expert pool: {exc}") from exc
-    chain = [((d_out, d_in), (d_out,)) for d_in, d_out in zip(dims[:-1], dims[1:])]
-    for k, expert in enumerate(experts):
-        if [(w.shape, b.shape) for w, b in expert] != chain:
-            raise ConfigError(f"expert {k}: layer shapes do not chain "
-                              f"input_dim -> hidden -> output_dim {dims}")
     return ExpertPool(experts=experts, input_dim=dims[0], output_dim=dims[-1],
                       hidden=tuple(dims[1:-1]), capacity=capacity, unlocked_count=unlocked,
                       lr_multipliers=lr)

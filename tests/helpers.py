@@ -135,6 +135,14 @@ def make_walk_sequence(
     )
 
 
+def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
+    """Unit quaternion of a rotation by `angle` about `axis`."""
+    axis = np.asarray(axis, dtype=np.float64)
+    axis = axis / np.linalg.norm(axis)
+    half = 0.5 * angle
+    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
+
+
 def random_quaternions(rng: np.random.Generator, shape=()) -> np.ndarray:
     q = rng.standard_normal(shape + (4,))
     q = quat_normalize(q)

@@ -35,6 +35,16 @@ def run(argv, capsys=None):
     return code
 
 
+def one_error_line(code, captured, error="ConfigError") -> dict:
+    """Exit code 1 and exactly one JSON error object, of type `error`, on stderr."""
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    return err
+
+
 class TestEncodeDecode:
     def test_encode_writes_262_features(self, tmp_path, walk_file):
         out = tmp_path / "feats.json"
@@ -215,6 +225,12 @@ class TestCurriculumSimCli:
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+    def test_non_object_corpus_entry_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"files": [1]}))
+        err = one_error_line(*run(["curriculum-sim", "--corpus", path], capsys))
+        assert "corpus file 0 must be a JSON object" in err["message"]
+
     @pytest.mark.parametrize("field", ["trace_interval", "eval_interval"])
     def test_zero_interval_is_a_config_error(self, tmp_path, capsys, field):
         cfg_path = tmp_path / "cfg.json"
@@ -318,6 +334,21 @@ class TestRouteSimCli:
         assert err["error"] == "NonFiniteError"
         assert "expert 0 layer 1 'w'" in err["message"]
 
+    def test_records_list_document_rejected(self, tmp_path, capsys):
+        err = self.run_bad(tmp_path, capsys, records=[{"z": [0.1] * 8, "level": 1}])
+        assert err["error"] == "ConfigError" and "must be a JSON object" in err["message"]
+
+    @pytest.mark.parametrize("key, value, pattern", [
+        ("unlocked_count", 0, "unlocked_count 0 is not in 1..2"),
+        ("unlocked_count", 3, "unlocked_count 3 is not in 1..2"),
+        ("lr_multipliers", [1.0] * 5, "5 lr_multipliers for 2 experts"),
+    ], ids=["no_unlocked", "unlocked_above_experts", "lr_length"])
+    def test_pool_breaking_an_invariant_rejected(self, tmp_path, capsys, key, value, pattern):
+        pool = self.pool_doc()
+        pool[key] = value
+        err = self.run_bad(tmp_path, capsys, pool=pool)
+        assert err["error"] == "ConfigError" and pattern in err["message"]
+
     def test_record_without_latent_rejected(self, tmp_path, capsys):
         err = self.run_bad(tmp_path, capsys, records={"records": [
             {"z": [0.1] * 8, "level": 1}, {"level": 2}]})
@@ -361,6 +392,19 @@ class TestAsfoPlanCli:
         code, captured = run(["asfo-plan", samples], capsys)
         assert code == 0
         assert json.loads(captured.out)["plan_size"] == 2
+
+    @pytest.mark.parametrize("doc, pattern", [
+        ([{"id": "a", "tags": ["walk"]}], "must be a JSON object"),
+        ({"samples": {"a": 5}}, "sample 'a': tags must be a list of strings"),
+        ({"samples": {"a": ["walk", {"b": 1}]}}, "sample 'a': tags must be a list of strings"),
+    ], ids=["list_document", "number_tags", "dict_tag"])
+    def test_malformed_samples_are_a_config_error(self, tmp_path, capsys, doc, pattern):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(doc))
+        err = one_error_line(*run(["asfo-plan", samples, "--out", tmp_path / "plan.json"],
+                                  capsys))
+        assert pattern in err["message"]
+        assert not (tmp_path / "plan.json").exists()
 
 
 class TestPrefixRunCli:
@@ -483,6 +527,21 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert cli_dispatch(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "clip.json", "--out", "feats.json"],
+    ["decode", "feats.json"],
+    ["metrics", "ref.json", "sim.json"],
+    ["reward-eval", "ref.json", "sim.json"],
+    ["curriculum-sim", "--corpus", "corpus.json"],
+    ["route-sim", "records.json"],
+    ["asfo-plan", "samples.json"],
+    ["prefix-run", "prefix.json", "target.json", "--out", "out.json"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_config_error(capsys, argv):
+    err = one_error_line(*run(argv + ["--seed", -1], capsys))
+    assert "--seed must be >= 0" in err["message"]
+
+
 class TestMetricsThresholdFlags:
     def test_skate_threshold_flag_changes_ratio(self, tmp_path, skel, capsys):
         # feet slide while "planted": a loose threshold suppresses skating
@@ -517,3 +576,11 @@ class TestMetricsThresholdFlags:
         code, captured = run(["metrics", ref, sim, "--pelvis-z-threshold", 0.1], capsys)
         doc = json.loads(captured.out)
         assert doc["success"] is False and doc["failure_reason"] == "pelvis_z"
+
+    @pytest.mark.parametrize("flag", ["--pelvis-z-threshold=nan", "--ground-z=nan",
+                                      "--skate-threshold=inf", "--ee-z-threshold=-inf"])
+    def test_non_finite_threshold_is_a_config_error(self, walk_file, capsys, flag):
+        code, captured = run(["metrics", walk_file, walk_file, flag], capsys)
+        err = one_error_line(code, captured)
+        assert "is not a finite number" in err["message"]
+        assert captured.out == ""

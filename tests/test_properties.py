@@ -4,7 +4,8 @@ or feature frames twice is bit-exact, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
 bit, TP-MoE gate rows and router mixture weights lie on the simplex, the
 level quota and the router step match their reference formulas bit for
-bit, and the prefix loop carries its initial rows bit-exactly."""
+bit, expert-pool growth clones the newest unlocked expert into the next
+slot, and the prefix loop carries its initial rows bit-exactly."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.curriculum import apply_level_quota  # noqa: E402
+from motion_forge.errors import ConfigError  # noqa: E402
 from motion_forge.features import (  # noqa: E402
     FEATURE_DIM,
     ROOT_ANG_VEL,
@@ -56,6 +58,7 @@ from motion_forge.router import (  # noqa: E402
     mlp_forward,
     refresh_candidates,
     top_k_indices,
+    unlock_next_expert,
 )
 from motion_forge.rotations import sixd_to_rot  # noqa: E402
 
@@ -472,6 +475,50 @@ def test_seeded_stage_one_and_two_replay_matches_the_reference_bit_for_bit():
         runs.append(steps)
     assert runs[0] == runs[1]
     assert 0 < sum(hard for _, _, hard in runs[0]) < n // 2
+
+
+def pool_bytes(pool) -> list:
+    return [[(w.tobytes(), b.tobytes()) for w, b in expert] for expert in pool.experts]
+
+
+@given(seed=st.integers(0, 2**32 - 1), experts=st.integers(1, 5), locked=st.integers(0, 2),
+       spare=st.integers(0, 2), ops=st.lists(st.sampled_from(["unlock", "add"]),
+                                             min_size=1, max_size=5))
+def test_growth_clones_the_newest_unlocked_expert_into_the_next_slot(seed, experts, locked,
+                                                                      spare, ops):
+    """Both growth calls on pools with locked slots, up to and past capacity."""
+    rng = np.random.default_rng(seed)
+    pool = make_random_pool(rng, experts, 3, (4,), 2, capacity=experts + spare,
+                            unlocked_count=max(1, experts - locked))
+    cfg = RouterConfig(cold_start_steps=20)
+    state = make_router(rng, pool.capacity, 4, config=cfg)
+    for op in ops:
+        new = pool.unlocked_count
+        before = pool_bytes(pool), list(pool.lr_multipliers), new, pool.num_experts
+        cold = state.cold_expert, state.cold_steps_remaining
+        if new == pool.capacity:
+            with pytest.raises(ConfigError, match="at capacity"):
+                unlock_next_expert(pool) if op == "unlock" else add_expert(pool, state)
+            after = pool_bytes(pool), pool.lr_multipliers, pool.unlocked_count, pool.num_experts
+            assert after == before and (state.cold_expert, state.cold_steps_remaining) == cold
+            continue
+        index = unlock_next_expert(pool) if op == "unlock" else add_expert(pool, state)
+        assert index == new and pool.unlocked_count == new + 1
+        assert pool.num_experts == max(before[3], new + 1)
+        grown = pool_bytes(pool)
+        assert grown[index] == grown[new - 1]
+        assert grown[:index] + grown[index + 1:] == before[0][:index] + before[0][index + 1:]
+        for (w, b), (w_src, b_src) in zip(pool.experts[index], pool.experts[new - 1]):
+            assert not np.shares_memory(w, w_src) and not np.shares_memory(b, b_src)
+        assert len(pool.lr_multipliers) == pool.num_experts
+        if op == "add":
+            assert state.cold_expert == index
+            assert state.cold_steps_remaining == cfg.cold_start_steps
+            assert pool.lr_multipliers[index] == cfg.new_expert_lr_multiplier
+            others = [m for k, m in enumerate(before[1]) if k != index]
+            assert [m for k, m in enumerate(pool.lr_multipliers) if k != index] == [
+                cfg.old_expert_lr_multiplier * m for m in others]
+        assert state.cold_expert is None or state.cold_expert < pool.unlocked_count
 
 
 def rejecting_tracker(seed: int, rate: float):

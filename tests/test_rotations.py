@@ -1,24 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import random_quaternions, random_rotations
+from helpers import quat_from_axis_angle, random_quaternions, random_rotations
 from motion_forge.features import FEATURE_DIM, ROT6D, project_valid_rot6d
 from motion_forge.errors import DegenerateRotationError, InvalidRotationError
 from motion_forge.rotations import (
     matrix_geodesic_angle,
     matrix_to_quat,
-    quat_from_axis_angle,
     quat_from_yaw,
     quat_geodesic_angle,
     quat_multiply,
     quat_normalize,
-    quat_rotate,
     quat_to_matrix,
     rot_to_6d,
     rot_z,
     sixd_to_rot,
     wrap_angle,
-    yaw_from_matrix,
     yaw_from_quat,
 )
 
@@ -72,14 +69,6 @@ def test_quat_matrix_round_trip():
     assert np.all(dot > 1.0 - 1e-12)
 
 
-def test_quat_rotate_matches_matrix():
-    rng = np.random.default_rng(3)
-    q = random_quaternions(rng, (50,))
-    v = rng.standard_normal((50, 3))
-    expected = np.einsum("nij,nj->ni", quat_to_matrix(q), v)
-    assert np.allclose(quat_rotate(q, v), expected, atol=1e-12)
-
-
 def test_quat_multiply_composes():
     rng = np.random.default_rng(4)
     q1 = random_quaternions(rng, (20,))
@@ -90,7 +79,6 @@ def test_quat_multiply_composes():
 
 
 def test_yaw_extraction():
-    assert yaw_from_matrix(rot_z(0.7)) == pytest.approx(0.7)
     assert yaw_from_quat(quat_from_yaw(-1.2)) == pytest.approx(-1.2)
     # yaw of a pure pitch rotation is zero
     pitch = quat_from_axis_angle([0, 1, 0], 0.9)

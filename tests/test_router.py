@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -478,14 +479,29 @@ class TestDiagnosticsAndGrowth:
         assert w[cold] == 0.1
         assert w[0] == w[1] == pytest.approx(0.45, abs=1e-12)
 
-    @pytest.mark.parametrize("source", [-1, 3, 7])
-    def test_add_expert_source_out_of_range_is_a_config_error(self, source):
-        rng = np.random.default_rng(19)
-        pool = small_pool(rng, n=3, unlocked=3)
-        state = make_router(rng, pool.capacity, Z_DIM)
-        with pytest.raises(ConfigError, match="source expert"):
-            add_expert(pool, state, source_index=source)
-        assert pool.num_experts == 3 and state.cold_expert is None
+    def test_growth_clones_into_the_first_locked_slot(self):
+        def half_locked_pool():
+            return make_random_pool(np.random.default_rng(23), 4, 3, (4,), 2, capacity=8,
+                                    unlocked_count=2)
+
+        pool = half_locked_pool()
+        assert unlock_next_expert(pool) == 2
+        assert (pool.num_experts, pool.unlocked_count) == (4, 3)
+        for (w_new, b_new), (w_src, b_src) in zip(pool.experts[2], pool.experts[1]):
+            assert np.array_equal(w_new, w_src) and np.array_equal(b_new, b_src)
+            assert w_new is not w_src and b_new is not b_src
+        pool = half_locked_pool()
+        state = make_router(np.random.default_rng(0), pool.capacity, Z_DIM)
+        assert add_expert(pool, state) == 2 and state.cold_expert == 2
+        assert pool.lr_multipliers == [0.5, 0.5, 2.0, 0.5]
+
+    def test_full_pool_with_locked_slots_still_unlocks(self):
+        rng = np.random.default_rng(24)
+        pool = make_random_pool(rng, 4, 3, (4,), 2, capacity=4, unlocked_count=2)
+        assert [unlock_next_expert(pool), unlock_next_expert(pool)] == [2, 3]
+        assert pool.num_experts == pool.unlocked_count == 4
+        with pytest.raises(ConfigError, match="at capacity"):
+            unlock_next_expert(pool)
 
     def test_pool_capacity_guard(self):
         rng = np.random.default_rng(19)
@@ -506,6 +522,26 @@ def test_pool_json_round_trip():
     obs = rng.standard_normal(OBS_DIM)
     for i in range(3):
         assert np.array_equal(back.forward(i, obs), pool.forward(i, obs))
+
+
+@pytest.mark.parametrize("change, pattern", [
+    (dict(unlocked_count=0), "unlocked_count 0 is not in 1..3"),
+    (dict(unlocked_count=4), "unlocked_count 4 is not in 1..3"),
+    (dict(lr_multipliers=[1.0, 1.0]), "2 lr_multipliers for 3 experts"),
+    (dict(capacity=2), "more experts than capacity"),
+    (dict(hidden=(5, 3)), "do not chain"),
+    (dict(experts=[]), "at least one expert"),
+], ids=["no_unlocked", "unlocked_above_experts", "lr_length", "over_capacity", "chain",
+        "empty"])
+def test_pool_constructor_checks_every_invariant(change, pattern):
+    pool = make_random_pool(np.random.default_rng(25), 3, OBS_DIM, (5, 4), ACT_DIM)
+    with pytest.raises(ConfigError, match=pattern):
+        dataclasses.replace(pool, **change)
+
+
+def test_pool_constructor_fills_empty_lr_multipliers():
+    pool = make_random_pool(np.random.default_rng(26), 3, OBS_DIM, (5, 4), ACT_DIM)
+    assert dataclasses.replace(pool, lr_multipliers=[]).lr_multipliers == [1.0] * 3
 
 
 def test_unlocking_expert_recovers_finite_logits():
