@@ -151,12 +151,10 @@ def cmd_curriculum_sim(args) -> int:
         kwargs = dict(item)
         kwargs["file_id"] = kwargs.pop("id")
         files.append(cur.SyntheticFile(**kwargs))
-    sim_cfg = cur.SimConfig(
-        total_iters=args.iters if args.iters is not None else cfg.sim.total_iters,
-        rollouts_per_iter=cfg.sim.rollouts_per_iter,
-        eval_interval=cfg.sim.eval_interval,
-        trace_interval=cfg.sim.trace_interval,
+    sim_cfg = dataclasses.replace(
+        cfg.sim,
         seed=args.seed,
+        total_iters=args.iters if args.iters is not None else cfg.sim.total_iters,
     )
     trace = cur.run_curriculum_sim(files, cfg.curriculum, sim_cfg)
     _write_output(trace.to_csv(), args.out)
@@ -164,16 +162,21 @@ def cmd_curriculum_sim(args) -> int:
     return 0
 
 
-def _record_latent(rec, i: int) -> np.ndarray:
+# The vectors a route-sim record carries: key -> (article, noun) for errors.
+_RECORD_VECTORS = {"z": ("a", "latent"), "obs": ("an", "observation")}
+
+
+def _record_latent(rec, i: int, key: str = "z") -> np.ndarray:
+    article, noun = _RECORD_VECTORS[key]
     try:
-        z = np.asarray(rec["z"], dtype=np.float64)
+        values = np.asarray(rec[key], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"record {i} needs a latent 'z', a list of numbers") from exc
-    if z.ndim != 1:
-        raise ConfigError(f"record {i}: 'z' must be a list of numbers")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError(f"record {i}: latent 'z' holds NaN or infinite values")
-    return z
+        raise ConfigError(f"record {i} needs {article} {noun} '{key}', a list of numbers") from exc
+    if values.ndim != 1:
+        raise ConfigError(f"record {i}: '{key}' must be a list of numbers")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"record {i}: {noun} '{key}' holds NaN or infinite values")
+    return values
 
 
 def cmd_route_sim(args) -> int:
@@ -206,7 +209,7 @@ def cmd_route_sim(args) -> int:
         logits = rt.gate_logits(z, state, pool)
         rt.refresh_candidates(state, logits)
         if "obs" in rec:
-            obs = np.asarray(rec["obs"], dtype=np.float64)
+            obs = _record_latent(rec, i, "obs")
         elif pool.input_dim <= len(z):
             obs = z[: pool.input_dim]
         else:

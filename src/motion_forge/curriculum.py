@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -381,6 +382,22 @@ class SyntheticFile:
     error_floor: float = 0.02
     improve_rate: float = 5e-4
     success_scale: float = 0.15
+
+    def __post_init__(self):
+        for name in ("start_error", "error_floor", "improve_rate", "success_scale"):
+            value = getattr(self, name)
+            positive = name == "success_scale"
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+                or (positive and value == 0)
+            ):
+                kind = "positive" if positive else "non-negative"
+                raise ConfigError(
+                    f"corpus file {self.file_id!r}: {name} must be a finite, {kind} number"
+                )
 
     def error_at(self, exposures: int) -> float:
         return self.error_floor + (self.start_error - self.error_floor) * math.exp(

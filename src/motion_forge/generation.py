@@ -42,7 +42,6 @@ FFN_HIDDEN = 1024
 NUM_EXPERTS = 12
 MASK_SHARPNESS = 24.0
 MASK_THRESHOLD = 0.25
-BALANCE_WEIGHT = 0.01
 GUIDANCE_SCALE = 2.5
 # Expert-stack rows (w1 hidden units, w2 output features) that `tpmoe_apply`
 # mixes and applies per step.  Blocks split only output rows, so every sum
@@ -99,7 +98,6 @@ class TPMoEParams:
     gate_layers: list[tuple[np.ndarray, np.ndarray]]   # SiLU MLP, linear head
     mask_sharpness: float = MASK_SHARPNESS
     mask_threshold: float = MASK_THRESHOLD
-    balance_weight: float = BALANCE_WEIGHT
 
     def __post_init__(self):
         self._check_stack()

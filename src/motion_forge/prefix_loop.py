@@ -246,35 +246,9 @@ def validate_segment(
     return err <= tolerance, err
 
 
-# Decoded arrays cached per accepted frame (joints are zero, so not cached).
-# The frame-by-frame ones never change once cached; body_lin_vel is a finite
-# difference, so the last accepted frame's backward difference turns central
-# once frames follow it.
-_FRAMEWISE = ("root_pos", "root_quat", "body_pos", "body_rot", "body_ang_vel")
-_CACHED = _FRAMEWISE + ("body_lin_vel",)
-
-
-def _join(
-    cache: dict[str, np.ndarray], rows: int, fps: float, segment: MotionSequence
-) -> tuple[MotionSequence, np.ndarray]:
-    """A fresh MotionSequence over the first `rows` cached rows, followed by
-    the segment's rows after its first (which repeats the last cached row).
-
-    Also returns the window's velocity rows `rows - 1` to the end, the only
-    ones that differ from the cache: central differences and a backward one
-    on the last row, as `finite_difference` over the window computes them.
-    They come from the joined positions before any tracker sees them.
-    """
-    joined = {
-        name: np.concatenate([cache[name][:rows], getattr(segment, name)[1:]])
-        for name in _FRAMEWISE
-    }
-    pos = joined["body_pos"]
-    vel = np.empty((pos.shape[0] - rows + 1,) + pos.shape[1:])
-    vel[:-1] = (pos[rows:] - pos[rows - 2:-2]) * (0.5 * fps)
-    vel[-1] = (pos[-1] - pos[-2]) * fps
-    joined["body_lin_vel"] = np.concatenate([cache["body_lin_vel"][:rows - 1], vel])
-    return _motion(fps, **joined), vel
+# Decoded arrays stored per frame of the horizon (joints are zero, so not
+# stored).
+_CACHED = ("root_pos", "root_quat", "body_pos", "body_rot", "body_ang_vel", "body_lin_vel")
 
 
 def _end_state(frames: np.ndarray, fps: float, start: RootState = (0.0, 0.0, 0.0)) -> RootState:
@@ -300,13 +274,14 @@ def run_prefix_loop(
     bit-exactly.  Stops early with termination "exhausted_resamples" when a
     segment uses up its attempts.
 
-    Only the candidate is decoded per attempt: the last accepted frame plus
-    the candidate, from the cached root state of that frame.  The window
-    handed to the tracker joins copies of the cached rows with the new ones,
-    velocities included (only those from the last accepted frame on are
-    computed), equal bit for bit to decoding the whole window, and the
-    tracker may mutate it.  The generator sees the accepted frames as a
-    read-only view, so they cannot drift from their cached decode.
+    One horizon store holds the decoded rows.  Only the candidate is decoded
+    per attempt: the last accepted frame plus the candidate, from the stored
+    root state of that frame, into the rows just past the accepted ones.
+    Velocities from the last accepted frame on come from `finite_difference`.
+    The window handed to the tracker is one copy of the store, equal bit for
+    bit to decoding the whole window, and the tracker may mutate it.  The
+    generator sees the accepted frames as a read-only view, so they cannot
+    drift from their stored decode.
     """
     initial_prefix = validate_features(initial_prefix)
     rows = initial_prefix.shape[0]
@@ -317,9 +292,10 @@ def run_prefix_loop(
         raise ConfigError(f"target pose must have {FEATURE_DIM} dims")
     root = np.random.default_rng(cfg.seed)
     trace = LoopTrace()
-    # The accepted frames, their decoded rows and the root state of the last
-    # one.  The buffers are allocated once for the horizon, so no long-lived
-    # arrays pile up between the large per-attempt ones.
+    # The accepted frames, the decoded rows (accepted ones, then the current
+    # candidate's) and the root state of the last accepted frame.  The
+    # buffers are allocated once for the horizon, so no long-lived arrays
+    # pile up between the large per-attempt ones.
     horizon = rows + cfg.num_segments * cfg.segment_frames
     features = np.empty((horizon, FEATURE_DIM))
     features[:rows] = initial_prefix
@@ -327,6 +303,7 @@ def run_prefix_loop(
     cache = {name: np.empty((horizon,) + getattr(decoded, name).shape[1:]) for name in _CACHED}
     for name in _CACHED:
         cache[name][:rows] = getattr(decoded, name)
+    pos, vel = cache["body_pos"], cache["body_lin_vel"]
     start = _end_state(initial_prefix, cfg.fps)
 
     for _segment in range(cfg.num_segments):
@@ -348,18 +325,18 @@ def run_prefix_loop(
                 raise NonFiniteError("generator returned non-finite feature values")
             segment = np.vstack([prefix[-1:], candidate])
             decoded = features_to_motion(segment, cfg.fps, skel, start)
-            reference, vel = _join(cache, rows, cfg.fps, decoded)
+            end = rows + cfg.segment_frames
+            for name in _CACHED:
+                cache[name][rows:end] = getattr(decoded, name)[1:]
+            vel[rows - 1:end] = finite_difference(pos[rows - 2:end], cfg.fps)[1:]
+            reference = _motion(cfg.fps, **{name: cache[name][:end].copy() for name in _CACHED})
             ok, err = validate_segment(
                 reference, tracker, cfg.mpjpe_tolerance, cfg.tracked_bodies
             )
             seg_trace.attempts.append(AttemptRecord(mpjpe=err, accepted=ok))
             if ok:
-                new_rows = slice(rows, rows + cfg.segment_frames)
-                features[new_rows] = candidate
-                for name in _FRAMEWISE:
-                    cache[name][new_rows] = getattr(decoded, name)[1:]
-                cache["body_lin_vel"][rows - 1:new_rows.stop] = vel
-                rows += cfg.segment_frames
+                features[rows:end] = candidate
+                rows = end
                 start = _end_state(segment, cfg.fps, start)
                 accepted = True
                 break
@@ -367,6 +344,8 @@ def run_prefix_loop(
             trace.termination = TERMINATION_EXHAUSTED
             break
 
+    # A rejected attempt leaves a central difference in the last accepted row.
+    vel[rows - 1] = finite_difference(pos[rows - 2:rows], cfg.fps)[1]
     trace.features = features[:rows].copy()
     return _motion(cfg.fps, **{name: cache[name][:rows] for name in _CACHED}), trace
 

@@ -231,6 +231,22 @@ class TestCurriculumSimCli:
         err = one_error_line(*run(["curriculum-sim", "--corpus", path], capsys))
         assert "corpus file 0 must be a JSON object" in err["message"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("start_error", "x"),
+        ("error_floor", float("nan")),
+        ("improve_rate", -5),
+        ("success_scale", 0),
+        ("start_error", True),
+        ("success_scale", float("inf")),
+    ], ids=["string", "nan", "negative_rate", "zero_scale", "bool", "inf_scale"])
+    def test_bad_corpus_number_is_a_config_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"files": [{"id": "a", "level": 1, key: value}]}))
+        err = one_error_line(*run(["curriculum-sim", "--corpus", path,
+                                   "--out", tmp_path / "t.csv"], capsys))
+        assert "corpus file 'a'" in err["message"] and key in err["message"]
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("field", ["trace_interval", "eval_interval"])
     def test_zero_interval_is_a_config_error(self, tmp_path, capsys, field):
         cfg_path = tmp_path / "cfg.json"
@@ -366,6 +382,16 @@ class TestRouteSimCli:
         err = self.run_bad(tmp_path, capsys, records={"records": [
             {"z": [0.1] * 7 + [float("nan")], "level": 1}]})
         assert err["error"] == "NonFiniteError" and "record 0" in err["message"]
+
+    @pytest.mark.parametrize("obs, error", [
+        ("abc", "ConfigError"),
+        ([0.1] * 7 + [float("nan")], "NonFiniteError"),
+    ], ids=["string", "nan"])
+    def test_bad_obs_rejected(self, tmp_path, capsys, obs, error):
+        err = self.run_bad(tmp_path, capsys, records={"records": [
+            {"z": [0.1] * 8, "level": 1}, {"z": [0.1] * 8, "obs": obs, "level": 1}]})
+        assert err["error"] == error
+        assert "record 1" in err["message"] and "'obs'" in err["message"]
 
 
 class TestAsfoPlanCli:

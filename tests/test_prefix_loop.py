@@ -294,11 +294,15 @@ class TestIncrementalDecode:
 
     def test_exhausted_run_returns_the_accepted_prefix(self, skel):
         cfg = self.cfg(max_resamples=2)
-        tracker = make_failure_tracker(fail_after_frame=30 + 30 + 10)
-        motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
-        assert trace.termination == TERMINATION_EXHAUSTED
-        assert trace.features.shape[0] == 60
-        assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
+        # a tracker failing from frame 0 rejects every attempt on the first
+        # segment, and each rejected one rewrites the initial decode's last
+        # velocity row as a central difference
+        for fail_after_frame, accepted_frames in [(30 + 30 + 10, 60), (0, 30)]:
+            tracker = make_failure_tracker(fail_after_frame=fail_after_frame)
+            motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
+            assert trace.termination == TERMINATION_EXHAUSTED
+            assert trace.features.shape[0] == accepted_frames
+            assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
 
     def test_tracker_mutating_its_input_cannot_corrupt_the_loop(self, skel):
         cfg = self.cfg()
