@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -97,12 +96,8 @@ def cmd_decode(args) -> int:
 
 
 def _override(section, args, names):
-    """`section` with the threshold flags in `names` that were given; like a
-    config file's numbers, each must be finite."""
+    """`section` with the given threshold flags in `names`, checked by its field rule."""
     overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    for name, value in overrides.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"threshold override {name}={value} is not a finite number")
     return dataclasses.replace(section, **overrides)
 
 
@@ -197,11 +192,12 @@ def cmd_route_sim(args) -> int:
                                    hidden=(16,), output_dim=8, capacity=16)
     state = rt.make_router(rng, pool.capacity, latent_dim=z_dim, config=cfg.router)
     l_max = pool.unlocked_count
-    try:
-        stage = int(data.get("stage", 2))
-        levels = [int(rec.get("level", 1)) for rec in records]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"records: 'stage' and every 'level' must be integers: {exc}") from exc
+    stage = data.get("stage", 2)
+    levels = [rec.get("level", 1) for rec in records]
+    bad = [v for v in [stage, *levels] if type(v) is not int or v < 1]
+    if bad or stage > 2:
+        raise ConfigError("records: 'stage' and every 'level' must be integers, the stage 1 or 2 "
+                          f"and each level >= 1; got {bad[0] if bad else stage!r}")
     header = ["step", "level", "hard_routed", "entropy", "top_gap"]
     header += [f"w{j}" for j in range(pool.num_experts)]
     lines = [",".join(header)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .curriculum import SamplerConfig, SimConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .metrics import GroundModel, SuccessConfig
 from .prefix_loop import PrefixLoopConfig
 from .rewards import TASK_TERMS, RewardConfig, RewardTerm
@@ -43,6 +43,9 @@ class AsfoConfig:
     rho_max: int = 8
     mirror_alpha: float = 0.3
 
+    def __post_init__(self):
+        check_fields(self, positive=("rho_max",))
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -56,11 +59,15 @@ class TrackerConfig:
     def __post_init__(self):
         if self.kind not in ("identity", "perturbation", "failure"):
             raise ConfigError(f"unknown tracker kind '{self.kind}'")
+        check_fields(self, signed=("offset", "fail_offset"))
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     noise_scale: float = 0.005
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -79,7 +86,7 @@ class AppConfig:
 
 def _reward_term(value) -> RewardTerm:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return RewardTerm(float(value[0]), float(value[1]))
+        return RewardTerm(*value)
     raise ConfigError("reward terms must be [weight, sigma] pairs")
 
 

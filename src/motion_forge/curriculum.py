@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED = 0, 1, 2
 STATE_NAMES = ("active", "frozen", "dropped")   # JSONL spelling of each code
@@ -72,14 +71,14 @@ class SamplerConfig:
     level_mass_floor: float = 0.02  # minimum replay mass per unlocked level
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
+        check_fields(self, positive=(
+            "error_ema_alpha", "success_decay_beta", "error_norm_c", "temperature", "epsilon",
+            "success_eps", "tau_err", "tau_succ", "freeze_duration", "check_interval",
+            "intro_base_iters", "promote_consecutive",
+        ), at_most_one=("error_ema_alpha", "success_decay_beta", "success_weight_w", "epsilon",
+                        "intro_start_ratio", "level_mass_floor"))
+        if self.epsilon >= 1:
             raise ConfigError("epsilon must lie in (0, 1)")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        for name in ("error_ema_alpha", "success_decay_beta", "error_norm_c",
-                     "tau_err", "tau_succ", "freeze_duration", "check_interval"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 # per-file statistics columns and their dtypes, in JSONL key order
@@ -384,20 +383,7 @@ class SyntheticFile:
     success_scale: float = 0.15
 
     def __post_init__(self):
-        for name in ("start_error", "error_floor", "improve_rate", "success_scale"):
-            value = getattr(self, name)
-            positive = name == "success_scale"
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-                or value < 0
-                or (positive and value == 0)
-            ):
-                kind = "positive" if positive else "non-negative"
-                raise ConfigError(
-                    f"corpus file {self.file_id!r}: {name} must be a finite, {kind} number"
-                )
+        check_fields(self, positive=("success_scale",), where=f"corpus file {self.file_id!r}")
 
     def error_at(self, exposures: int) -> float:
         return self.error_floor + (self.start_error - self.error_floor) * math.exp(
@@ -427,9 +413,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("total_iters", "rollouts_per_iter", "eval_interval", "trace_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_fields(self, positive=("total_iters", "rollouts_per_iter", "eval_interval",
+                                     "trace_interval"))
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the config field rule."""
+
+import dataclasses
+import functools
+import math
+import numbers
 
 
 class MotionForgeError(Exception):
@@ -32,3 +37,30 @@ class FileFormatError(MotionForgeError):
 class NonFiniteError(MotionForgeError):
     """A plug-in output or a loaded file holds NaN or infinite values where
     finite ones are required."""
+
+
+@functools.cache
+def _number_fields(cls) -> tuple[tuple[str, type], ...]:
+    """(name, numbers ABC) of each field annotated `int` or `float` (or its string)."""
+    return tuple((f.name, numbers.Integral if f.type in (int, "int") else numbers.Real)
+                 for f in dataclasses.fields(cls) if f.type in (int, "int", float, "float"))
+
+
+def check_fields(obj, positive=(), at_most_one=(), signed=(), where=None) -> None:
+    """Raise ConfigError unless every `int` field of the dataclass `obj` holds
+    a whole number and every `float` field a real one (never a bool), finite,
+    >= 0 unless named in `signed`, > 0 if in `positive`, <= 1 if in `at_most_one`."""
+    where = where or type(obj).__name__
+    for name, kind in _number_fields(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "whole" if kind is numbers.Integral else "real"
+            raise ConfigError(f"{where}: {name} must be a {noun} number, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise ConfigError(f"{where}: {name}={value!r} is not a finite number")
+        if name in positive and value <= 0:
+            raise ConfigError(f"{where}: {name} must be > 0, got {value!r}")
+        if name not in signed and value < 0:
+            raise ConfigError(f"{where}: {name} must be >= 0, got {value!r}")
+        if name in at_most_one and value > 1:
+            raise ConfigError(f"{where}: {name} must be <= 1, got {value!r}")

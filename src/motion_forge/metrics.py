@@ -8,11 +8,11 @@ frame.  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ConfigError, check_fields
 from .motion import MotionSequence, Skeleton
 from .rotations import wrap_angle
 
@@ -36,8 +36,8 @@ class GroundModel:
                                                # as locomotion-like
 
     def __post_init__(self):
-        if self.contact_height_eps <= 0 or self.skate_disp_threshold <= 0:
-            raise ValueError("ground thresholds must be positive")
+        check_fields(self, positive=("contact_height_eps", "skate_disp_threshold"),
+                     signed=("ground_z",))
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,11 @@ class SuccessConfig:
     trunk_body: str = "torso_link"
     # end effectors default to feet plus hands
     ee_bodies: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.ee_bodies is not None and not self.ee_bodies:
+            raise ConfigError(f"ee_bodies: expected at least one body name, got {self.ee_bodies!r}")
 
 
 @dataclass
@@ -66,16 +71,7 @@ class MetricReport:
     failure_reason: str = FAILURE_NONE
 
     def to_dict(self) -> dict:
-        return {
-            "penetration_mm": self.penetration_mm,
-            "floating_mm": self.floating_mm,
-            "skating_ratio": self.skating_ratio,
-            "mpjpe_m": self.mpjpe_m,
-            "mpjae_rad": self.mpjae_rad,
-            "mpjve_rad_s": self.mpjve_rad_s,
-            "success": self.success,
-            "failure_reason": self.failure_reason,
-        }
+        return asdict(self)
 
 
 def penetration(seq: MotionSequence, ground: GroundModel) -> float:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, NonFiniteError
+from .errors import AlignmentError, ConfigError, NonFiniteError, check_fields
 from .features import (
     FEATURE_DIM,
     FOOT_CONTACT,
@@ -166,14 +166,12 @@ class PrefixLoopConfig:
     tracked_bodies: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.mpjpe_tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        if self.max_resamples < 1:
-            raise ConfigError("max_resamples must be >= 1")
-        if self.segment_seconds <= 0 or self.horizon_seconds <= 0:
-            raise ConfigError("segment and horizon durations must be positive")
         if self.tracked_bodies is not None:
             check_body_indices("tracked_bodies", self.tracked_bodies)
+        check_fields(self, positive=("fps", "mpjpe_tolerance", "max_resamples",
+                                     "segment_seconds", "horizon_seconds"))
+        if self.segment_frames < 1 or self.num_segments < 1:
+            raise ConfigError("PrefixLoopConfig: the horizon needs a segment of at least one frame")
 
     @property
     def segment_frames(self) -> int:

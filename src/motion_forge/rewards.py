@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_fields
 from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
 from .rotations import (
     matrix_geodesic_angle,
@@ -84,8 +84,7 @@ class RewardTerm:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_fields(self, positive=("sigma",), signed=("weight",))
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,8 @@ class RewardConfig:
         check_body_indices("anchor_body", self.anchor_body)
         if self.tracked_bodies is not None:
             check_body_indices("tracked_bodies", self.tracked_bodies)
+        check_fields(self, signed=("action_rate_weight", "joint_limit_weight",
+                                   "undesired_contact_weight"))
 
     def total_task_weight(self) -> float:
         return sum(getattr(self, name).weight for name in TASK_TERMS)
@@ -288,9 +289,7 @@ class ObservationNoiseConfig:
     joint_vel: float = 0.5
 
     def __post_init__(self):
-        for name in _NOISY_BLOCKS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} noise bound must be >= 0")
+        check_fields(self)
 
 
 def inject_obs_noise(

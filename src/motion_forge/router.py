@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields
 
 LATENT_DIM = 128
 RHO_HARD = 0.8
@@ -137,7 +137,6 @@ class RouterConfig:
     refresh_period: int = 10
     temperature: float = 1.0
     ema_coeff: float = 0.9            # weight on the newest logits; 1.0 = raw
-    ce_weight: float = 0.05
     rho_hard: float = RHO_HARD
     cold_start_cap: float = 0.1
     cold_start_steps: int = 2000
@@ -145,14 +144,8 @@ class RouterConfig:
     old_expert_lr_multiplier: float = 0.5
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if not 0.0 <= self.ema_coeff <= 1.0:
-            raise ConfigError("ema_coeff must lie in [0, 1]")
-        if not 0.0 < self.cold_start_cap <= 1.0:
-            raise ConfigError("cold_start_cap must lie in (0, 1]")
+        check_fields(self, positive=("top_k", "refresh_period", "temperature", "cold_start_cap"),
+                     at_most_one=("ema_coeff", "rho_hard", "cold_start_cap"))
 
 
 @dataclass
@@ -410,6 +403,9 @@ class AddExpertConfig:
     gap_threshold: float = 0.05     # and top-1/top-2 gap below this
     required_windows: int = 1
     ema_coeff: float = 0.1          # weight on the newest sample
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass

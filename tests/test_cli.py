@@ -373,7 +373,11 @@ class TestRouteSimCli:
     @pytest.mark.parametrize("doc", [
         {"records": [{"z": [0.1] * 8, "level": "two"}]},
         {"stage": "x", "records": [{"z": [0.1] * 8, "level": 1}]},
-    ], ids=["string_level", "string_stage"])
+        *({"stage": stage, "records": [{"z": [0.1] * 8, "level": 1}]} for stage in (3, 1.7, "1")),
+        *({"records": [{"z": [0.1] * 8, "level": 1}, {"z": [0.1] * 8, "level": level}]}
+          for level in (2.9, 0, -3, True)),
+    ], ids=["string_level", "string_stage", "stage_3", "fractional_stage", "stage_in_quotes",
+            "fractional_level", "level_0", "negative_level", "bool_level"])
     def test_non_integer_stage_or_level_rejected(self, tmp_path, capsys, doc):
         err = self.run_bad(tmp_path, capsys, records=doc)
         assert err["error"] == "ConfigError" and "must be integers" in err["message"]
@@ -566,6 +570,53 @@ def test_unknown_subcommand_exits_nonzero(capsys):
 def test_negative_seed_is_a_config_error(capsys, argv):
     err = one_error_line(*run(argv + ["--seed", -1], capsys))
     assert "--seed must be >= 0" in err["message"]
+
+
+# subcommand -> arguments before --config; the config is read before any input
+CONFIG_ARGV = {
+    "metrics": ["ref.json", "sim.json"],
+    "reward-eval": ["ref.json", "sim.json"],
+    "curriculum-sim": ["--corpus", "corpus.json"],
+    "route-sim": ["records.json"],
+    "asfo-plan": ["samples.json"],
+    "prefix-run": ["prefix.json", "target.json", "--out", "out.json"],
+}
+
+
+BAD_CONFIGS = [
+    ("metrics", {"success": {"ee_bodies": []}}, "ee_bodies: expected at least one body name"),
+    ("metrics", {"ground": {"floating_gate_height": -1}}, "floating_gate_height must be >= 0"),
+    ("reward-eval", {"rewards": {"anchor_pos": [True, 1]}}, "weight must be a real number"),
+    ("curriculum-sim", {"sim": {"total_iters": 2.5}}, "total_iters must be a whole number"),
+    ("curriculum-sim", {"curriculum": {"intro_base_iters": 0}}, "intro_base_iters must be > 0"),
+    ("curriculum-sim", {"curriculum": {"success_eps": 0}}, "success_eps must be > 0"),
+    ("route-sim", {"router": {"ce_weight": 0.05}}, r"unknown keys \['ce_weight'\]"),
+    ("route-sim", {"router": {"refresh_period": 0}}, "refresh_period must be > 0"),
+    ("asfo-plan", {"asfo": {"rho_max": "x"}}, "rho_max must be a whole number"),
+    ("prefix-run", {"prefix_loop": {"max_resamples": 1.5}}, "max_resamples must be a whole number"),
+    ("prefix-run", {"prefix_loop": {"segment_seconds": 0.001}}, "segment of at least one frame"),
+    ("prefix-run", {"prefix_loop": {"horizon_seconds": 0.4}}, "segment of at least one frame"),
+    ("prefix-run", {"tracker": {"kind": "perturbation", "noise_scale": -1}},
+     "noise_scale must be >= 0"),
+    ("prefix-run", {"tracker": {"seed": -1}}, "seed must be >= 0"),
+    ("prefix-run", {"tracker": {"seed": 1.5}}, "seed must be a whole number"),
+    ("prefix-run", {"tracker": {"kind": "failure", "fail_after_frame": 1.5}},
+     "fail_after_frame must be a whole number"),
+    ("prefix-run", {"generator": {"noise_scale": "x"}}, "noise_scale must be a real number"),
+]
+
+
+@pytest.mark.parametrize("command, config, pattern", BAD_CONFIGS, ids=[
+    f"{command}:" + ",".join(f"{s}.{k}={v!r}" for s, d in config.items() for k, v in d.items())
+    for command, config, _ in BAD_CONFIGS
+])
+def test_bad_config_value_is_one_json_config_error(tmp_path, capsys, command, config, pattern):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, *CONFIG_ARGV[command], "--config", cfg_path]
+    code, captured = run(argv, capsys)
+    assert re.search(pattern, one_error_line(code, captured)["message"])
+    assert captured.out == ""
 
 
 class TestMetricsThresholdFlags:

@@ -1,0 +1,88 @@
+"""The config field rule, generated from the dataclass fields.
+
+Every `int` or `float` field of every config section, of a corpus file
+(`SyntheticFile`) and of the library-only configs must refuse a bool, a
+string, NaN, inf, a fraction in an `int` field, a negative number unless the
+field is signed, zero where it must be positive and 2.0 where it must be at
+most 1, each with a ConfigError naming the field and never another
+exception.  The signed/positive/at-most-one tables are read from the call
+each class makes to `check_fields`, so a field added later is covered
+without new test code.
+"""
+
+import dataclasses
+import sys
+from unittest import mock
+
+import pytest
+
+from motion_forge.config import AppConfig, config_from_dict
+from motion_forge.curriculum import SyntheticFile
+from motion_forge.errors import ConfigError, check_fields
+from motion_forge.rewards import ObservationNoiseConfig, RewardTerm
+from motion_forge.router import AddExpertConfig
+
+RULES = ("positive", "at_most_one", "signed")
+
+
+def _section_builder(section):
+    return lambda values: config_from_dict({section: values})
+
+
+def _direct_builder(cls, **required):
+    return lambda values: cls(**{**required, **values})
+
+
+# class -> a function building it from {field: value}, the way its users do
+BUILDERS = {
+    **{f.default_factory: _section_builder(f.name) for f in dataclasses.fields(AppConfig)},
+    SyntheticFile: _direct_builder(SyntheticFile, file_id="a", level=1),
+    RewardTerm: _direct_builder(RewardTerm, weight=1.0, sigma=0.2),
+    ObservationNoiseConfig: _direct_builder(ObservationNoiseConfig),
+    AddExpertConfig: _direct_builder(AddExpertConfig),
+}
+
+
+def number_fields(cls) -> dict[str, str]:
+    """Field name -> "int" or "float" for every numeric field of `cls`."""
+    return {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)
+            if f.type in (int, "int", float, "float")}
+
+
+def rule_tables(cls) -> dict[str, tuple]:
+    """The tables `cls` hands `check_fields` when built from defaults."""
+    module = sys.modules[cls.__module__]
+    with mock.patch.object(module, "check_fields", wraps=check_fields) as spy:
+        BUILDERS[cls]({})
+    (call,) = [c for c in spy.call_args_list if type(c.args[0]) is cls]
+    return {rule: tuple(call.kwargs.get(rule, ())) for rule in RULES}
+
+
+TABLES = {cls: rule_tables(cls) for cls in BUILDERS}
+
+
+def bad_values(cls):
+    tables = TABLES[cls]
+    for name, kind in number_fields(cls).items():
+        values = [True, "x", float("nan"), float("inf")]
+        values += [1.5] * (kind == "int")
+        values += [-1] * (name not in tables["signed"])
+        values += [0] * (name in tables["positive"])
+        values += [2.0] * (name in tables["at_most_one"])
+        for value in values:
+            yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", [p for cls in BUILDERS for p in bad_values(cls)])
+def test_bad_number_is_a_config_error_naming_the_field(cls, name, value):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        BUILDERS[cls]({name: value})
+
+
+@pytest.mark.parametrize("cls", list(BUILDERS), ids=lambda cls: cls.__name__)
+def test_rule_tables_name_only_numeric_fields(cls):
+    numeric = number_fields(cls)
+    for rule, names in TABLES[cls].items():
+        assert set(names) <= set(numeric), f"{cls.__name__} {rule} names a non-numeric field"
+    assert not set(TABLES[cls]["signed"]) & set(TABLES[cls]["positive"])
+
