@@ -72,6 +72,7 @@ def _read_json_file(path, what: str) -> dict:
 
 
 def cmd_encode(args) -> int:
+    _load_app_config(args)   # checked like every subcommand's, though the codec has no section
     skel = default_skeleton()
     seq = load_motion(args.motion, skel)
     seq = canonicalize_heading(seq)
@@ -82,6 +83,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _load_app_config(args)
     feats, fps = load_features(args.features)
     pos, yaw = decode_root_trajectory(feats, fps)
     doc = {

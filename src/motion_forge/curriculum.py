@@ -98,7 +98,8 @@ class CorpusState:
 
     The columns are `file_id`, `level` and every name in COLUMNS;
     `freeze_state` holds STATE_* codes.  Columns not given start at zero
-    (active, never sampled); a scalar fills the column.
+    (active, never sampled); a scalar fills the column.  Every column holds
+    finite, non-negative numbers, whole ones in the integer columns.
     """
 
     def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
@@ -112,10 +113,17 @@ class CorpusState:
             raise ConfigError(f"every file needs a whole-number level in 1..{MAX_LEVEL}")
         self.level = raw.astype(np.int64)
         for name, dtype in COLUMNS.items():
+            value = np.asarray(columns.pop(name, 0))
+            if (value.dtype.kind not in "iuf" or not (np.isfinite(value) & (value >= 0)).all()
+                    or (dtype is not np.float64 and (value % 1).any())):
+                noun = "real" if dtype is np.float64 else "whole"
+                raise ConfigError(f"column {name} must hold finite, non-negative {noun} numbers")
+            if name == "freeze_state" and (value >= len(STATE_NAMES)).any():
+                raise ConfigError(f"column freeze_state must hold STATE_* codes 0..{len(STATE_NAMES) - 1}")
             setattr(self, name, np.zeros(n, dtype))
             try:
-                getattr(self, name)[:] = columns.pop(name, 0)
-            except (TypeError, ValueError) as exc:
+                getattr(self, name)[:] = value
+            except ValueError as exc:
                 raise ConfigError(f"column {name}: {exc}") from exc
         if columns:
             raise ConfigError(f"unknown curriculum columns {sorted(columns)}")
@@ -149,16 +157,23 @@ def update_file_stats(
     """Fold one batch of rollouts per row into the rows' EMA statistics.
 
     `rows` must be distinct; the batch arguments hold one value per row.
-    Errors, successes and failures must be finite and non-negative; a bad
-    value raises ValueError before any row changes.
+    Errors, successes and failures must be finite and non-negative, and
+    successes and failures whole numbers; a bad value raises ValueError
+    before any row changes.
     """
     batch_error = np.asarray(batch_error, dtype=np.float64)
     batch_successes = np.asarray(batch_successes)
     batch_failures = np.asarray(batch_failures)
-    for name, values in (("error", batch_error), ("successes", batch_successes),
-                         ("failures", batch_failures)):
-        if not (np.isfinite(values) & (values >= 0)).all():
-            raise ValueError(f"batch {name} must be finite and non-negative")
+    for name, values, noun in (("error", batch_error, ""),
+                               ("successes", batch_successes, " whole numbers"),
+                               ("failures", batch_failures, " whole numbers")):
+        # every value lies in [0, inf): a NaN fails both comparisons
+        bad = values.size and not (0.0 <= float(np.minimum.reduce(values, None))
+                                   <= float(np.maximum.reduce(values, None)) < math.inf)
+        if noun and not bad and values.dtype.kind == "f":
+            bad = (values % 1).any()
+        if bad:
+            raise ValueError(f"batch {name} must be finite and non-negative{noun}")
     a = cfg.error_ema_alpha
     b = cfg.success_decay_beta
     state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
@@ -187,16 +202,21 @@ def sampling_distribution(
     which sums to 1 and floors every active file at eps / N.
     """
     mask = active_mask(state, iteration, rows)
-    active = mask.nonzero()[0]
-    if not active.size:
+    n = np.count_nonzero(mask)
+    if not n:
         raise ConfigError("no active records to sample from")
-    scores = sampling_scores(state, cfg, iteration, rows)[active]
-    logits = np.log(scores + cfg.epsilon) / cfg.temperature
-    logits -= logits.max()
+    full = n == mask.size
+    active = rows if full else np.arange(state.level.size)[rows][mask]
+    logits = np.log(sampling_scores(state, cfg, iteration, active) + cfg.epsilon) / cfg.temperature
+    logits -= np.maximum.reduce(logits)
     soft = np.exp(logits)
-    soft /= soft.sum()
+    soft /= np.add.reduce(soft)
+    soft *= 1.0 - cfg.epsilon
+    soft += cfg.epsilon / n
+    if full:
+        return soft
     out = np.zeros(mask.size)
-    out[active] = (1.0 - cfg.epsilon) * soft + cfg.epsilon / active.size
+    out[mask] = soft
     return out
 
 
@@ -212,37 +232,38 @@ def apply_level_quota(
     starved level and paid proportionally by levels above the floor; the
     result still sums to 1.
     """
-    probs = np.asarray(probs, dtype=np.float64).copy()
+    probs = np.array(probs, dtype=np.float64)
     levels = np.asarray(levels)
     if (levels[1:] < levels[:-1]).any():
         raise ConfigError("apply_level_quota needs rows grouped by ascending level")
     cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
-    starts, ends = [0] + cuts, cuts + [levels.size]
+    bounds = list(zip([0] + cuts, cuts + [levels.size]))
     # each level's mass sums its contiguous slice: the same pairwise sum as a
     # masked gather of the level's rows
-    masses = np.array([probs[a:b].sum() for a, b in zip(starts, ends)])
-    present = masses > 0.0
-    if present.sum() < 2 or floor <= 0.0:
+    masses = [float(np.add.reduce(probs[a:b])) for a, b in bounds]
+    present = [m for m in masses if m > 0.0]
+    if len(present) < 2 or floor <= 0.0:
         return probs
-    deficit = np.where(present, np.maximum(0.0, floor - masses), 0.0)
-    total_deficit = sum(deficit[present].tolist())   # left to right, in level order
+    total_deficit = sum(max(0.0, floor - m) for m in present)   # left to right, in level order
     if total_deficit <= 0.0:
         return probs
-    surplus = np.where(present, np.maximum(0.0, masses - floor), 0.0)
-    total_surplus = sum(surplus[present].tolist())
+    total_surplus = sum(max(0.0, m - floor) for m in present)
     if total_surplus <= 0.0:
         return probs
-    sizes = np.subtract(ends, starts)
-    positive = probs > 0.0
-    seen = np.concatenate([[0], np.cumsum(positive)])
-    counts = np.maximum(seen[ends] - seen[starts], 1)   # 0 only where nothing is added
-    gains = positive & np.repeat(deficit > 0.0, sizes)   # absent levels have neither
-    pays = positive & np.repeat(surplus > 0.0, sizes)
-    probs[gains] += np.repeat(deficit / counts, sizes)[gains]
-    share = total_deficit * surplus / total_surplus
-    probs[pays] -= probs[pays] / np.repeat(masses, sizes)[pays] * np.repeat(share, sizes)[pays]
-    probs = np.maximum(probs, 0.0)
-    return probs / probs.sum()
+    for (a, b), m in zip(bounds, masses):
+        if not m > 0.0 or m == floor:   # absent, or exactly at the floor
+            continue
+        level = probs[a:b]
+        rows = level > 0.0   # only positive rows gain or pay
+        k = np.count_nonzero(rows)
+        if m < floor:
+            np.add(level, (floor - m) / k, out=level, where=rows)
+        else:
+            share = total_deficit * (m - floor) / total_surplus
+            np.subtract(level, level / m * share, out=level, where=rows)
+    np.maximum(probs, 0.0, out=probs)
+    probs /= np.add.reduce(probs)
+    return probs
 
 
 def check_freeze(state: CorpusState, cfg: SamplerConfig, iteration: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,19 +476,49 @@ class CurriculumTrace:
         return "\n".join(lines) + "\n"
 
 
-def _replay_distribution(
-    state: CorpusState,
-    rows: np.ndarray,
-    iteration: int,
-    cfg: SamplerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The active ones of the introduced `rows` and their level-floored
-    sampling probabilities."""
-    rows = rows[active_mask(state, iteration, rows)]
-    if not rows.size:
-        return rows, np.zeros(0)
-    probs = sampling_distribution(state, cfg, iteration, rows)
-    return rows, apply_level_quota(probs, state.level[rows], cfg.level_mass_floor)
+class ReplaySet:
+    """The rows a simulation samples from: the active introduced rows, level
+    by level in introduction order, and their levels.
+
+    The corpus's activity mask is recomputed only after `invalidate` (call
+    it whenever `check_freeze` has run), when the iteration reaches the
+    earliest `frozen_until` of a frozen row, or when it goes back; the rows
+    are rebuilt only then and when a level's introduced count changes.
+    `unlock_iters` is read on every call, so appending to it unlocks a level.
+    """
+
+    def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
+                 unlock_iters: Sequence[int], cfg: SamplerConfig):
+        self.state, self.orders, self.unlock_iters, self.cfg = state, orders, unlock_iters, cfg
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        self.active = None
+
+    def at(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """The active introduced rows at `iteration` and their levels."""
+        state = self.state
+        if self.active is None or not self.since <= iteration < self.thaw_at:
+            self.active = active_mask(state, iteration)
+            frozen = state.frozen_until[(state.freeze_state == STATE_FROZEN)
+                                        & (state.frozen_until > iteration)]
+            self.thaw_at = frozen.min().item() if frozen.size else math.inf
+            self.since, self.counts = iteration, None
+        counts = _introduced_counts(self.orders, self.unlock_iters, iteration, self.cfg)
+        if counts != self.counts:
+            rows = introduced_rows(self.orders, self.unlock_iters, iteration, self.cfg)
+            self.rows = rows[self.active[rows]]
+            self.levels = state.level[self.rows]
+            self.counts = counts
+        return self.rows, self.levels
+
+    def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`at(iteration)` and the rows' level-floored sampling probabilities."""
+        rows, levels = self.at(iteration)
+        if not rows.size:
+            return rows, levels, np.zeros(0)
+        probs = sampling_distribution(self.state, self.cfg, iteration, rows)
+        return rows, levels, apply_level_quota(probs, levels, self.cfg.level_mass_floor)
 
 
 def run_curriculum_sim(
@@ -494,22 +545,14 @@ def run_curriculum_sim(
     unlock_iters = [0]                 # unlock iteration of each opened level
     eval_history: list[float] = []     # eval means of the current level
     trace = CurriculumTrace()
-    # the introduced rows change only when a level's introduced count does:
-    # keep the latest rows under their counts
-    intro: dict[tuple[int, ...], np.ndarray] = {}
-
-    def introduced(iteration: int) -> np.ndarray:
-        counts = _introduced_counts(orders, unlock_iters, iteration, cfg)
-        if counts not in intro:
-            intro.clear()
-            intro[counts] = introduced_rows(orders, unlock_iters, iteration, cfg)
-        return intro[counts]
+    replay = ReplaySet(state, orders, unlock_iters, cfg)
 
     for it in range(sim.total_iters):
-        rows, probs = _replay_distribution(state, introduced(it), it, cfg)
+        rows, _, probs = replay.distribution(it)
         if rows.size:
             counts = rng.multinomial(sim.rollouts_per_iter, probs)
-            sampled, counts = rows[counts > 0], counts[counts > 0]
+            picked = counts.nonzero()[0]
+            sampled, counts = rows[picked], counts[picked]
             outcomes = [
                 error_process(files[row], attempts, count, rng)
                 for row, attempts, count in zip(
@@ -524,6 +567,7 @@ def run_curriculum_sim(
 
         if (it + 1) % cfg.check_interval == 0:
             hit, codes = check_freeze(state, cfg, it + 1)
+            replay.invalidate()
             trace.events.extend(
                 SimEvent(it + 1, "drop" if code == STATE_DROPPED else "freeze", file_id)
                 for file_id, code in zip(state.file_id[hit], codes.tolist())
@@ -542,8 +586,7 @@ def run_curriculum_sim(
                 trace.events.append(SimEvent(it + 1, "promote", f"level:{lv + 1}"))
 
         if (it + 1) % sim.trace_interval == 0:
-            rows, probs = _replay_distribution(state, introduced(it), it, cfg)
-            levels = state.level[rows]
+            rows, levels, probs = replay.distribution(it)
             mass = np.bincount(levels, weights=probs)
             trace.rows.append(TraceRow(
                 it + 1, len(unlock_iters), rows.size,

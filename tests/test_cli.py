@@ -574,6 +574,8 @@ def test_negative_seed_is_a_config_error(capsys, argv):
 
 # subcommand -> arguments before --config; the config is read before any input
 CONFIG_ARGV = {
+    "encode": ["clip.json", "--out", "features.json"],
+    "decode": ["features.json"],
     "metrics": ["ref.json", "sim.json"],
     "reward-eval": ["ref.json", "sim.json"],
     "curriculum-sim": ["--corpus", "corpus.json"],
@@ -584,6 +586,8 @@ CONFIG_ARGV = {
 
 
 BAD_CONFIGS = [
+    ("encode", {"sim": {"total_iters": 2.5}}, "total_iters must be a whole number"),
+    ("decode", {"curriculum": {"intro_base_iters": 0}}, "intro_base_iters must be > 0"),
     ("metrics", {"success": {"ee_bodies": []}}, "ee_bodies: expected at least one body name"),
     ("metrics", {"ground": {"floating_gate_height": -1}}, "floating_gate_height must be >= 0"),
     ("reward-eval", {"rewards": {"anchor_pos": [True, 1]}}, "weight must be a real number"),

@@ -61,6 +61,20 @@ class TestCorpusState:
         with pytest.raises(ConfigError, match="unique"):
             state(["a", "a"])
 
+    @pytest.mark.parametrize("column, value", [
+        ("ema_error", np.nan), ("success_count", np.inf), ("failure_count", -np.inf),
+        ("ema_error", -0.1), ("attempts", -1), ("frozen_until", 2.5), ("freeze_count", np.nan),
+        ("ema_error", "0.1"),
+    ])
+    def test_non_finite_negative_or_fractional_column_rejected(self, column, value):
+        with pytest.raises(ConfigError, match=f"column {column}"):
+            state(["a", "b"], **{column: [0, value]})
+
+    @pytest.mark.parametrize("codes", [[7, 0], [1.5, 0], [-1, 0]])
+    def test_freeze_state_outside_the_codes_rejected(self, codes):
+        with pytest.raises(ConfigError, match="column freeze_state"):
+            state(["a", "b"], freeze_state=codes)
+
 
 class TestFileStats:
     def test_error_ema_fixed_point(self):
@@ -109,6 +123,8 @@ class TestFileStats:
         ([0.1, 0.1], [1, 1], [np.nan, 0]),
         ([0.1, 0.1], [np.inf, 1], [0, 0]),
         ([0.1, 0.1], [1, 1], [0, -1]),
+        ([0.1, 0.1], [1.5, 1], [0.5, 0]),
+        ([0.1, 0.1], [1, 1], [0, 0.25]),
     ])
     def test_bad_batch_rejected_before_any_row_changes(self, batch):
         st = state(["a", "b"], ema_error=0.2, success_count=1.0, attempts=3)
@@ -488,6 +504,14 @@ class TestRecordPersistence:
         path = tmp_path / "records.jsonl"
         path.write_text('{"file_id": "a", "level": 1}\nnot json\n')
         with pytest.raises(ConfigError, match="line 2"):
+            load_records(path)
+
+    def test_non_finite_statistic_rejected(self, tmp_path):
+        from motion_forge.curriculum import load_records
+
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"file_id": "a", "level": 1, "ema_error": NaN}\n{"file_id": "b", "level": 1}\n')
+        with pytest.raises(ConfigError, match="column ema_error"):
             load_records(path)
 
     @pytest.mark.parametrize("line", [

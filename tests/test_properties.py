@@ -3,19 +3,37 @@ idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
 or feature frames twice is bit-exact, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
 bit, TP-MoE gate rows and router mixture weights lie on the simplex, the
-level quota and the router step match their reference formulas bit for
-bit, expert-pool growth clones the newest unlocked expert into the next
-slot, and the prefix loop carries its initial rows bit-exactly."""
+level quota, the sampling distribution, the replayed distribution and the
+router step match their reference formulas bit for bit, the sampling
+distribution floors every active row and sums to 1, the level quota keeps
+the simplex and lifts every level to its floor, the replay set equals the
+introduced active rows at every iteration, expert-pool growth clones the
+newest unlocked expert into the next slot, and the prefix loop carries its
+initial rows bit-exactly."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import make_random_sequence, neutral_features  # noqa: E402
-from motion_forge.curriculum import apply_level_quota  # noqa: E402
+from motion_forge.curriculum import (  # noqa: E402
+    MAX_LEVEL,
+    MAX_TRAINABLE_LEVEL,
+    STATE_FROZEN,
+    CorpusState,
+    ReplaySet,
+    SamplerConfig,
+    active_mask,
+    apply_level_quota,
+    check_freeze,
+    introduced_rows,
+    sampling_distribution,
+    sampling_scores,
+    update_file_stats,
+)
 from motion_forge.errors import ConfigError  # noqa: E402
 from motion_forge.features import (  # noqa: E402
     FEATURE_DIM,
@@ -306,6 +324,136 @@ def test_level_quota_matches_masked_formula_bit_for_bit(case):
     probs, levels, floor = case
     out = apply_level_quota(probs, levels, floor)
     assert out.tobytes() == masked_level_quota(probs, levels, floor).tobytes()
+
+
+@given(grouped_distributions())
+def test_level_quota_keeps_the_simplex_and_lifts_every_level_to_the_floor(case):
+    probs, levels, floor = case
+    assume(probs.sum() > 0.0)
+    out = apply_level_quota(probs, levels, floor)
+    assert abs(out.sum() - 1.0) <= 1e-12
+    present = [lv for lv in np.unique(levels) if probs[levels == lv].sum() > 0.0]
+    if floor * len(present) <= 1.0:
+        for lv in present:
+            assert out[levels == lv].sum() >= floor - 1e-12
+
+
+# The scheduler's per-iteration kernels as they stood before the replay set,
+# kept as the bit-for-bit oracle for sampling_distribution and the replayed
+# distribution.  The level quota inside is the masked oracle above.
+
+
+def reference_sampling_distribution(state, cfg, iteration, rows=slice(None)):
+    mask = active_mask(state, iteration, rows)
+    active = mask.nonzero()[0]
+    if not active.size:
+        raise ConfigError("no active records to sample from")
+    scores = sampling_scores(state, cfg, iteration, rows)[active]
+    logits = np.log(scores + cfg.epsilon) / cfg.temperature
+    logits -= logits.max()
+    soft = np.exp(logits)
+    soft /= soft.sum()
+    out = np.zeros(mask.size)
+    out[active] = (1.0 - cfg.epsilon) * soft + cfg.epsilon / active.size
+    return out
+
+
+def reference_replay_distribution(state, rows, iteration, cfg):
+    rows = rows[active_mask(state, iteration, rows)]
+    if not rows.size:
+        return rows, np.zeros(0)
+    probs = reference_sampling_distribution(state, cfg, iteration, rows)
+    return rows, masked_level_quota(probs, state.level[rows], cfg.level_mass_floor)
+
+
+@st.composite
+def corpus_states(draw):
+    """A corpus of 1..300 rows over every level, some frozen (with freezes
+    running out around the drawn iteration) or dropped, with statistics
+    from zero up to past the error cap; a config with a drawn warmup,
+    temperature and floor; and either every row or a random subset of rows
+    in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    iteration = draw(st.integers(0, 100))
+    codes = rng.choice(3, n, p=[0.6, 0.3, 0.1])
+    state = CorpusState(
+        [f"f{i}" for i in range(n)], rng.integers(1, MAX_LEVEL + 1, n),
+        ema_error=rng.exponential(0.2, n) * (rng.random(n) < 0.9),
+        success_count=rng.exponential(5.0, n) * (rng.random(n) < 0.8),
+        failure_count=rng.exponential(5.0, n) * (rng.random(n) < 0.8),
+        freeze_state=codes, frozen_until=rng.integers(0, 120, n),
+    )
+    cfg = SamplerConfig(success_warmup_iters=draw(st.integers(0, 100)),
+                        temperature=draw(st.floats(0.1, 5.0)), epsilon=draw(st.floats(0.01, 0.99)))
+    rows = draw(st.sampled_from([slice(None), "subset"]))
+    if rows == "subset":
+        rows = rng.permutation(n)[:draw(st.integers(1, n))]
+    return state, cfg, iteration, rows
+
+
+@given(corpus_states())
+def test_sampling_distribution_matches_the_reference_bit_for_bit(case):
+    state, cfg, iteration, rows = case
+    if not active_mask(state, iteration, rows).any():
+        with pytest.raises(ConfigError):
+            sampling_distribution(state, cfg, iteration, rows)
+        return
+    want = reference_sampling_distribution(state, cfg, iteration, rows)
+    assert same_bits(sampling_distribution(state, cfg, iteration, rows), want)
+
+
+@given(corpus_states())
+def test_sampling_distribution_floors_active_rows_and_sums_to_one(case):
+    state, cfg, iteration, rows = case
+    mask = active_mask(state, iteration, rows)
+    assume(mask.any())
+    probs = sampling_distribution(state, cfg, iteration, rows)
+    assert not probs[~mask].any() and not np.signbit(probs[~mask]).any()
+    assert (probs[mask] >= cfg.epsilon / np.count_nonzero(mask)).all()
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), check_interval=st.integers(2, 12),
+       freeze_duration=st.integers(1, 40))
+def test_replay_set_matches_introduced_active_rows_at_every_iteration(
+        seed, check_interval, freeze_duration):
+    """Random introductions (promotions), freezes, thaws between checks and
+    drops, driven in the simulation's order; the replay set must equal the
+    introduced rows filtered by `active_mask`, recomputed from scratch."""
+    assume(freeze_duration % check_interval)
+    rng = np.random.default_rng(seed)
+    state = CorpusState([f"f{i}" for i in range(240)], rng.integers(1, MAX_LEVEL + 1, 240))
+    cfg = SamplerConfig(n_min=6, check_interval=check_interval, freeze_duration=freeze_duration,
+                        intro_base_iters=15, intro_extra_iters=10, success_warmup_iters=30)
+    orders = [rng.permutation(np.flatnonzero(state.level == lv))
+              for lv in range(1, MAX_TRAINABLE_LEVEL + 1)]
+    unlock_iters = [0]
+    replay = ReplaySet(state, orders, unlock_iters, cfg)
+
+    def check(iteration):
+        intro = introduced_rows(orders, unlock_iters, iteration, cfg)
+        want = intro[active_mask(state, iteration, intro)]
+        rows, levels = replay.at(iteration)
+        assert rows.tolist() == want.tolist()
+        assert levels.tolist() == state.level[want].tolist()
+        got_rows, _, got = replay.distribution(iteration)
+        want_rows, want_probs = reference_replay_distribution(state, intro, iteration, cfg)
+        assert same_bits(got_rows, want_rows) and same_bits(got, want_probs)
+        return rows
+
+    for it in range(70):
+        rows = check(it)
+        batch = rows[rng.random(rows.size) < 0.4]
+        update_file_stats(state, batch, rng.uniform(0.0, 0.2, batch.size),
+                          rng.integers(0, 3, batch.size), rng.integers(0, 3, batch.size), cfg)
+        if (it + 1) % check_interval == 0:
+            check_freeze(state, cfg, it + 1)
+            replay.invalidate()
+        if len(unlock_iters) < MAX_TRAINABLE_LEVEL and rng.random() < 0.08:
+            unlock_iters.append(it + 1)
+        check(it)   # the trace row's query, after the freeze check and promotion
+    assert (state.freeze_state == STATE_FROZEN).any() or state.freeze_count.any()
 
 
 # The router's per-step formulas as they stood before the in-place rework,
