@@ -8,6 +8,7 @@ Library surface, one module per concern:
 - metrics: plausibility (penetration/floating/skating) and tracking errors
 - rewards: tracker reward engine and observation/command assembly
 - curriculum: adaptive sampling, freeze-and-drop, level scheduling
+- kernels: the shared softmax, log-sum-exp, activations and MLP
 - router: MoE gating, soft top-k routing, routing losses, expert growth
 - generation: TP-MoE parameter mixing, diffusion sampling, CFG, ASFO
 - prefix_loop: the generate/simulate/select receding-horizon loop

@@ -22,7 +22,7 @@ import numpy as np
 from . import curriculum as cur
 from . import router as rt
 from .config import AppConfig, TrackerConfig, load_config
-from .errors import ConfigError, MotionForgeError, NonFiniteError
+from .errors import ConfigError, MotionForgeError, check_finite
 from .features import (
     canonicalize_heading,
     decode_root_trajectory,
@@ -171,9 +171,7 @@ def _record_latent(rec, i: int, key: str = "z") -> np.ndarray:
         raise ConfigError(f"record {i} needs {article} {noun} '{key}', a list of numbers") from exc
     if values.ndim != 1:
         raise ConfigError(f"record {i}: '{key}' must be a list of numbers")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError(f"record {i}: {noun} '{key}' holds NaN or infinite values")
-    return values
+    return check_finite(values, f"record {i}: {noun} '{key}'")
 
 
 def cmd_route_sim(args) -> int:

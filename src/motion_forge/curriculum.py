@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, check_fields
+from .kernels import softmax_
 
 STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED = 0, 1, 2
 STATE_NAMES = ("active", "frozen", "dropped")   # JSONL spelling of each code
@@ -208,9 +209,7 @@ def sampling_distribution(
     full = n == mask.size
     active = rows if full else np.arange(state.level.size)[rows][mask]
     logits = np.log(sampling_scores(state, cfg, iteration, active) + cfg.epsilon) / cfg.temperature
-    logits -= np.maximum.reduce(logits)
-    soft = np.exp(logits)
-    soft /= np.add.reduce(soft)
+    soft = softmax_(logits)
     soft *= 1.0 - cfg.epsilon
     soft += cfg.epsilon / n
     if full:

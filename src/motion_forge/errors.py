@@ -1,9 +1,11 @@
-"""Exception types shared across the library, and the config field rule."""
+"""Exception types shared across the library, the non-finite check and the config field rule."""
 
 import dataclasses
 import functools
 import math
 import numbers
+
+import numpy as np
 
 
 class MotionForgeError(Exception):
@@ -37,6 +39,14 @@ class FileFormatError(MotionForgeError):
 class NonFiniteError(MotionForgeError):
     """A plug-in output or a loaded file holds NaN or infinite values where
     finite ones are required."""
+
+
+def check_finite(value, what: str) -> np.ndarray:
+    """`value` as a float64 array; NonFiniteError naming `what` if it holds NaN or inf."""
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise NonFiniteError(f"{what} holds NaN or infinite values")
+    return array
 
 
 @functools.cache

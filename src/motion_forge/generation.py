@@ -34,7 +34,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError
+from .errors import ConfigError, DimensionMismatchError, check_finite
+from .kernels import MLPParams, gelu, init_mlp, mlp_forward, silu, softmax_
 
 TOKEN_DIM = 768
 MODEL_DIM = 512
@@ -54,18 +55,6 @@ TPMOE_BLOCK_ROWS = 128
 #   denoiser(noisy_window: (T, D) float array, step: int in [1, num_steps],
 #            condition: object) -> predicted clean window, shape (T, D).
 Denoiser = Callable[[np.ndarray, int, object], np.ndarray]
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation; x * x * x, because numpy's x**3 is a slow pow() per element
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
-
-
-def silu(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):   # exp(-x) = inf below about -709: the limit, -0.0
-        return x / (1.0 + np.exp(-x))
 
 
 # FFN expert parameters: ((w1, b1), (w2, b2)) with GELU between the layers.
@@ -95,7 +84,7 @@ class TPMoEParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    gate_layers: list[tuple[np.ndarray, np.ndarray]]   # SiLU MLP, linear head
+    gate_layers: MLPParams             # SiLU MLP, linear head
     mask_sharpness: float = MASK_SHARPNESS
     mask_threshold: float = MASK_THRESHOLD
 
@@ -147,31 +136,20 @@ def init_tpmoe(
     for k in range(num_experts):   # draw order per expert: w1, then w2
         w1[k] = rng.normal(0.0, scale / np.sqrt(model_dim), w1.shape[1:])
         w2[k] = rng.normal(0.0, scale / np.sqrt(ffn_hidden), w2.shape[1:])
-    dims = [token_dim, gate_hidden, gate_hidden, num_experts]
-    gate_layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        gate_layers.append((rng.normal(0.0, scale / np.sqrt(d_in), (d_out, d_in)), np.zeros(d_out)))
     return TPMoEParams(w1=w1, b1=np.zeros((num_experts, ffn_hidden)),
                        w2=w2, b2=np.zeros((num_experts, model_dim)),
-                       gate_layers=gate_layers)
+                       gate_layers=init_mlp(rng, token_dim, (gate_hidden, gate_hidden),
+                                            num_experts, scale))
 
 
 def tpmoe_gate(token_embedding: np.ndarray, params: TPMoEParams) -> np.ndarray:
     """Per-token expert weights: softmax over the gate MLP's K outputs.
 
     One embedding (token_dim,) gives (K,); a batch (N, token_dim) gives
-    (N, K), one softmax per row.
+    (N, K), one softmax per row.  NaN or inf raises NonFiniteError.
     """
-    x = np.asarray(token_embedding, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("token embedding must be finite")
-    for i, (w, b) in enumerate(params.gate_layers):
-        x = x @ w.T + b
-        if i < len(params.gate_layers) - 1:
-            x = silu(x)
-    x = x - x.max(axis=-1, keepdims=True)
-    w = np.exp(x)
-    return w / w.sum(axis=-1, keepdims=True)
+    x = check_finite(token_embedding, "token embedding")
+    return softmax_(mlp_forward(params.gate_layers, x, silu))
 
 
 def _mix(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -202,9 +180,7 @@ def mix_expert_params(weights: np.ndarray, params: TPMoEParams) -> FFNParams:
 def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
                  beta: float = MASK_THRESHOLD) -> np.ndarray:
     """Sigmoid mask per (frame, token) against the token's attention peak."""
-    a = np.asarray(attention, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("attention must be finite")
+    a = check_finite(attention, "attention")
     col_max = a.max(axis=0, keepdims=True)
     with np.errstate(over="ignore"):   # an overflowing exp gives the limit, 0.0
         return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
@@ -229,7 +205,7 @@ def tpmoe_apply(
     `ffn_apply(mix_expert_params(routing, params), x)`, masked and summed
     over tokens, which is the reference this matches.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(x, "motion features")
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
     attention = np.asarray(attention, dtype=np.float64)
     if attention.shape != (x.shape[0], tokens.shape[0]):
@@ -258,8 +234,10 @@ def tpmoe_apply(
 
 
 def generator_balance_loss(routing_means: np.ndarray) -> float:
-    """K * sum_j (pbar_j - 1/K)^2; zero exactly at uniform usage."""
-    p = np.asarray(routing_means, dtype=np.float64)
+    """K * sum_j (pbar_j - 1/K)^2 over a non-empty (K,) array; zero exactly at uniform usage."""
+    p = check_finite(routing_means, "routing means")
+    if p.ndim != 1 or p.shape[0] == 0:
+        raise ConfigError("routing means must be a non-empty (K,) array")
     k = p.shape[0]
     return float(k * np.sum((p - 1.0 / k) ** 2))
 
@@ -328,10 +306,7 @@ def attention_pool_summary(
     context = np.empty(d)
     for head in range(h):
         sl = slice(head * dh, (head + 1) * dh)
-        scores = keys[:, sl] @ params.query[sl] / np.sqrt(dh)
-        scores = scores - scores.max()
-        alpha = np.exp(scores)
-        alpha /= alpha.sum()
+        alpha = softmax_(keys[:, sl] @ params.query[sl] / np.sqrt(dh))
         context[sl] = alpha @ values[:, sl]
     summary = context @ params.w_o.T
     memory = np.vstack([summary, tokens]) @ params.w_mem.T
@@ -394,7 +369,8 @@ def diffusion_loss(
 ) -> float:
     """Mean squared error between the clean window and the denoiser output."""
     clean = np.asarray(clean_window, dtype=np.float64)
-    pred = np.asarray(denoiser(np.asarray(noisy_window, dtype=np.float64), step, condition))
+    pred = check_finite(denoiser(np.asarray(noisy_window, dtype=np.float64), step, condition),
+                        f"denoiser output at step {step}")
     if pred.shape != clean.shape:
         raise DimensionMismatchError("denoiser changed the window shape")
     return float(np.mean((clean - pred) ** 2))
@@ -441,7 +417,7 @@ def ddpm_sample(
             raise DimensionMismatchError("prefix must be leading rows of the window shape")
     x = rng.standard_normal(shape)
     for step in range(schedule.num_steps, 0, -1):
-        pred = np.asarray(denoiser(x, step, condition), dtype=np.float64)
+        pred = check_finite(denoiser(x, step, condition), f"denoiser output at step {step}")
         if pred.shape != x.shape:
             raise DimensionMismatchError("denoiser changed the window shape")
         ab_t = schedule.alpha_bar[step]

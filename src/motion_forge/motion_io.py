@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FileFormatError, NonFiniteError
+from .errors import DimensionMismatchError, FileFormatError, check_finite
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
 from .motion import FIELDS, NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
@@ -79,8 +79,7 @@ def _require(data: dict, key: str, path) -> object:
 def _check_finite(path, **fields) -> None:
     """One whole-array check per field, on load and before every save."""
     for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"{path}: field '{name}' holds NaN or infinite values")
+        check_finite(value, f"{path}: field '{name}'")
 
 
 def _fps(data: dict, path) -> float:

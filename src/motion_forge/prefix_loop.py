@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, NonFiniteError, check_fields
+from .errors import AlignmentError, ConfigError, check_fields, check_finite
 from .features import (
     FEATURE_DIM,
     FOOT_CONTACT,
@@ -238,8 +238,8 @@ def validate_segment(
     executed = tracker(reference)
     if executed.num_frames != reference.num_frames:
         raise AlignmentError("tracker output is not frame-aligned with its input")
-    if not (np.isfinite(executed.body_pos).all() and np.isfinite(executed.root_pos).all()):
-        raise NonFiniteError("tracker returned non-finite body or root positions")
+    check_finite(executed.body_pos, "tracker output 'body_pos'")
+    check_finite(executed.root_pos, "tracker output 'root_pos'")
     err = mpjpe(given, executed, tracked_bodies)
     return err <= tolerance, err
 
@@ -312,15 +312,12 @@ def run_prefix_loop(
         prefix.flags.writeable = False
         for _attempt in range(cfg.max_resamples):
             attempt_rng = root.spawn(1)[0]
-            candidate = np.asarray(
-                generator(prefix, target, condition, attempt_rng), dtype=np.float64
-            )
+            candidate = check_finite(generator(prefix, target, condition, attempt_rng),
+                                     "generator candidate")
             if candidate.shape != (cfg.segment_frames, FEATURE_DIM):
                 raise ConfigError(
                     f"generator must return ({cfg.segment_frames}, {FEATURE_DIM}) frames"
                 )
-            if not np.isfinite(candidate).all():
-                raise NonFiniteError("generator returned non-finite feature values")
             segment = np.vstack([prefix[-1:], candidate])
             decoded = features_to_motion(segment, cfg.fps, skel, start)
             end = rows + cfg.segment_frames

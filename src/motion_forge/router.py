@@ -26,69 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields, check_finite
+from .kernels import MLPParams, clone_mlp, init_mlp, log_sum_exp, mlp_forward, softmax_
 
 LATENT_DIM = 128
 RHO_HARD = 0.8
-
-# Parameters of one MLP: list of (weight (out, in), bias (out,)) pairs,
-# ELU on every hidden layer, linear head.
-MLPParams = list[tuple[np.ndarray, np.ndarray]]
-
-
-def _finite(value, what: str) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        raise NonFiniteError(f"{what} holds NaN or infinite values")
-    return array
-
-
-def elu(x: np.ndarray) -> np.ndarray:
-    """expm1(min(x, 0)) + max(x, 0) in three calls and one temporary; equal
-    bit for bit, signed zeros included, to `where(x > 0, x, expm1(min(x, 0)))`."""
-    out = np.minimum(x, 0.0)
-    np.expm1(out, out=out)
-    out += np.maximum(x, 0.0)
-    return out
-
-
-def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate an ELU MLP; broadcasts over leading axes of x.  The bias is
-    added in place to each layer's fresh product."""
-    if not params:
-        raise ConfigError("an MLP needs at least one layer")
-    x = np.asarray(x, dtype=np.float64)
-    last = len(params) - 1
-    for i, (w, b) in enumerate(params):
-        if x.shape[-1] != w.shape[1]:
-            raise DimensionMismatchError(
-                f"layer {i}: input dim {x.shape[-1]} != weight columns {w.shape[1]}"
-            )
-        x = x @ w.T
-        x += b
-        if i < last:
-            x = elu(x)
-    return x
-
-
-def init_mlp(
-    rng: np.random.Generator,
-    input_dim: int,
-    hidden: tuple[int, ...],
-    output_dim: int,
-    scale: float = 0.2,
-) -> MLPParams:
-    params: MLPParams = []
-    dims = [input_dim, *hidden, output_dim]
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = rng.normal(0.0, scale / np.sqrt(d_in), (d_out, d_in))
-        b = np.zeros(d_out)
-        params.append((w, b))
-    return params
-
-
-def clone_mlp(params: MLPParams) -> MLPParams:
-    return [(w.copy(), b.copy()) for w, b in params]
 
 
 @dataclass
@@ -212,12 +154,10 @@ def gate_logits(z: np.ndarray, state: RouterState, pool: ExpertPool) -> np.ndarr
     NonFiniteError, and a pool with more experts than the gate has rows
     ConfigError.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = check_finite(z, "latent")
     if z.shape != state.gate_w.shape[1:]:
         raise DimensionMismatchError(
             f"latent has shape {z.shape}, the gate takes ({state.gate_w.shape[1]},)")
-    if not np.isfinite(z).all():
-        raise NonFiniteError("latent must be finite")
     n = pool.num_experts
     if n > state.gate_w.shape[0]:
         raise ConfigError(f"{n} experts, but the gate has {state.gate_w.shape[0]} rows")
@@ -265,13 +205,6 @@ def refresh_candidates(state: RouterState, logits: np.ndarray) -> RouterState:
     return state
 
 
-def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
-    logits -= logits.max()
-    np.exp(logits, out=logits)
-    logits /= logits.sum()
-    return logits
-
-
 def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
     """Mixture weights over the full expert list, supported on the candidates.
 
@@ -291,7 +224,7 @@ def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
     logits = state.logits_ema[cand]      # a gathered copy: the softmax runs in it
     logits /= temperature
     weights = np.zeros(pool.num_experts)
-    weights[cand] = _softmax_in_place(logits)
+    weights[cand] = softmax_(logits)
     cold = state.cold_expert
     if cold is not None and cold in cand and len(cand) > 1:
         cap = state.config.cold_start_cap
@@ -299,7 +232,7 @@ def candidate_weights(state: RouterState, pool: ExpertPool) -> np.ndarray:
             logits = state.logits_ema[cand]
             logits /= temperature
             logits[cand.index(cold)] = -np.inf   # exp gives 0: only the others share
-            weights[cand] = (1.0 - cap) * _softmax_in_place(logits)
+            weights[cand] = (1.0 - cap) * softmax_(logits)
             weights[cold] = cap
     return weights
 
@@ -359,9 +292,7 @@ def route_ce_loss(logits: np.ndarray, file_level: int, ce_weight: float = 0.05) 
     label = file_level - 1
     if not 0 <= label < len(logits) or not np.isfinite(logits[label]):
         raise ConfigError(f"file level {file_level} exceeds the unlocked experts")
-    finite = logits[np.isfinite(logits)]
-    m = finite.max()
-    log_z = m + np.log(np.sum(np.exp(finite - m)))
+    log_z = log_sum_exp(logits[np.isfinite(logits)])
     return float(ce_weight * (log_z - logits[label]))
 
 
@@ -371,7 +302,7 @@ def load_balance_loss(weight_history: np.ndarray) -> float:
     f_j is the empirical top-1 fraction and pbar_j the mean routing mass of
     expert j; uniform routing scores 1, total collapse scores K.
     """
-    weights = _finite(weight_history, "weight history")
+    weights = check_finite(weight_history, "weight history")
     if weights.ndim != 2 or weights.shape[0] == 0:
         raise ConfigError("weight history must be a non-empty (S, K) array")
     k = weights.shape[1]
@@ -382,13 +313,13 @@ def load_balance_loss(weight_history: np.ndarray) -> float:
 
 
 def routing_entropy(weights: np.ndarray) -> float:
-    w = _finite(weights, "routing weights")
+    w = check_finite(weights, "routing weights")
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
 def top_gap(weights: np.ndarray) -> float:
-    w = np.sort(_finite(weights, "routing weights"))[::-1]
+    w = np.sort(check_finite(weights, "routing weights"))[::-1]
     if len(w) == 0:
         raise ConfigError("top_gap needs at least one weight")
     if len(w) < 2:
@@ -500,7 +431,7 @@ def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:
     params: MLPParams = []
     for i, layer in enumerate(data["layers"]):
         at = f"{where} layer {i}"
-        w, b = _finite(layer["w"], f"{at} 'w'"), _finite(layer["b"], f"{at} 'b'")
+        w, b = check_finite(layer["w"], f"{at} 'w'"), check_finite(layer["b"], f"{at} 'b'")
         if w.size != np.prod(layer["shape"]):
             raise ConfigError(f"{at}: 'w' has {w.size} values for shape {layer['shape']}")
         params.append((w.reshape(layer["shape"]), b))
@@ -527,7 +458,7 @@ def pool_from_dict(data: dict) -> ExpertPool:
         dims = [int(data["input_dim"]), *map(int, data["hidden"]), int(data["output_dim"])]
         experts = [mlp_from_dict(e, f"expert {k}") for k, e in enumerate(data["experts"])]
         capacity, unlocked = int(data["capacity"]), int(data["unlocked_count"])
-        lr = [float(x) for x in _finite(data["lr_multipliers"], "lr_multipliers")]
+        lr = [float(x) for x in check_finite(data["lr_multipliers"], "lr_multipliers")]
     except KeyError as exc:
         raise ConfigError(f"expert pool: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -285,7 +285,7 @@ def test_criterion_06_router():
 
 
 def ffn_like(pool, index, obs):
-    from motion_forge.router import mlp_forward
+    from motion_forge.kernels import mlp_forward
 
     return mlp_forward(pool.experts[index], obs)
 

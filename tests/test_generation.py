@@ -18,7 +18,6 @@ from motion_forge.generation import (
     ddpm_sample,
     diffusion_loss,
     ffn_apply,
-    gelu,
     generator_balance_loss,
     init_attention_pool,
     init_tpmoe,
@@ -27,13 +26,13 @@ from motion_forge.generation import (
     mirror_probability,
     mix_expert_params,
     sample_multipliers,
-    silu,
     spatial_mask,
     swap_side_tags,
     tpmoe_apply,
     tpmoe_gate,
     zero_denoiser,
 )
+from motion_forge.kernels import gelu, silu
 
 
 def small_tpmoe(rng, num_experts=4):
@@ -97,6 +96,12 @@ class TestGate:
         token[3] = bad
         with pytest.raises(NonFiniteError, match="token embedding"):
             tpmoe_gate(token, params)
+
+    @pytest.mark.parametrize("shape", [(9,), (3, 11)])
+    def test_embedding_of_the_wrong_width_is_a_dimension_error(self, shape):
+        params = small_tpmoe(np.random.default_rng(2))
+        with pytest.raises(DimensionMismatchError, match="layer 0"):
+            tpmoe_gate(np.ones(shape), params)
 
 
 class TestParameterMixing:
@@ -316,6 +321,19 @@ class TestTpmoeApply:
         with pytest.raises(DimensionMismatchError):
             tpmoe_apply(np.zeros((4, 6)), np.zeros((3, 10)), np.zeros((4, 2)), params)
 
+    def test_token_embedding_of_the_wrong_width_raises(self):
+        params = small_tpmoe(np.random.default_rng(12))
+        with pytest.raises(DimensionMismatchError, match="layer 0: input dim 8"):
+            tpmoe_apply(np.zeros((4, 6)), np.zeros((3, 8)), np.zeros((4, 3)), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_motion_features_are_a_typed_error(self, bad):
+        params = small_tpmoe(np.random.default_rng(12))
+        x = np.zeros((4, 6))
+        x[2, 1] = bad
+        with pytest.raises(NonFiniteError, match="motion features"):
+            tpmoe_apply(x, np.ones((3, 10)), np.full((4, 3), 0.5), params)
+
     # (frames, tokens, experts, model dim, hidden): the library's default
     # widths, and small widths whose last block of rows is ragged
     STREAM_SHAPES = {
@@ -385,6 +403,18 @@ class TestBalanceLoss:
         for _ in range(100):
             p = rng.dirichlet(np.ones(12))
             assert generator_balance_loss(p) >= 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_means_are_a_typed_error(self, bad):
+        p = np.full(4, 0.25)
+        p[1] = bad
+        with pytest.raises(NonFiniteError, match="routing means"):
+            generator_balance_loss(p)
+
+    @pytest.mark.parametrize("means", [[], np.full((2, 3), 1.0 / 3), 0.5])
+    def test_empty_or_non_vector_means_are_a_config_error(self, means):
+        with pytest.raises(ConfigError, match="routing means"):
+            generator_balance_loss(means)
 
 
 class TestAttentionPool:
@@ -460,6 +490,39 @@ class TestDiffusion:
         base = diffusion_loss(clean, clean, 1, None, zero_denoiser)
         doubled = diffusion_loss(2 * clean, clean, 1, None, zero_denoiser)
         assert doubled == pytest.approx(4.0 * base, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_loss_rejects_a_non_finite_denoiser_output(self, bad):
+        clean = np.ones((3, 5))
+
+        def denoiser(noisy, step, condition):
+            return np.full_like(noisy, bad)
+
+        with pytest.raises(NonFiniteError, match="denoiser output at step 4"):
+            diffusion_loss(clean, clean, 4, None, denoiser)
+
+    def test_sampling_names_the_step_of_a_non_finite_denoiser_output(self):
+        calls = []
+
+        def denoiser(noisy, step, condition):
+            calls.append(step)
+            pred = np.zeros_like(noisy)
+            if step == 7:
+                pred[1, 2] = np.nan
+            return pred
+
+        with pytest.raises(NonFiniteError, match="denoiser output at step 7 "):
+            ddpm_sample(make_schedule(10), denoiser, None, (4, 3), np.random.default_rng(5))
+        assert calls == [10, 9, 8, 7]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sampling_rejects_an_all_non_finite_denoiser(self, bad):
+        def denoiser(noisy, step, condition):
+            return np.full_like(noisy, bad)
+
+        with pytest.raises(NonFiniteError, match="denoiser output at step 5"):
+            ddpm_sample(make_schedule(5), denoiser, None, (4, 3), np.random.default_rng(5),
+                        prefix=np.zeros((2, 3)))
 
     def test_cfg_exact_at_anchors(self):
         rng = np.random.default_rng(20)

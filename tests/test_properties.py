@@ -4,7 +4,10 @@ or feature frames twice is bit-exact, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
 bit, TP-MoE gate rows and router mixture weights lie on the simplex, the
 level quota, the sampling distribution, the replayed distribution and the
-router step match their reference formulas bit for bit, the sampling
+router step match their reference formulas bit for bit, the shared
+softmax, log-sum-exp and MLP kernels equal the formulas they replaced at
+the curriculum, TP-MoE gate, attention pool and routing-loss call sites
+bit for bit and the TP-MoE gate draws its layers as before, the sampling
 distribution floors every active row and sums to 1, the level quota keeps
 the simplex and lifts every level to its floor, the replay set equals the
 introduced active rows at every iteration, expert-pool growth clones the
@@ -47,7 +50,13 @@ from motion_forge.features import (  # noqa: E402
     normalized_dim_mask,
     project_valid_rot6d,
 )
-from motion_forge.generation import init_tpmoe, tpmoe_gate  # noqa: E402
+from motion_forge.generation import (  # noqa: E402
+    attention_pool_summary,
+    init_attention_pool,
+    init_tpmoe,
+    tpmoe_gate,
+)
+from motion_forge.kernels import elu, mlp_forward, softmax_  # noqa: E402
 from motion_forge.motion import (  # noqa: E402
     FIELDS,
     NUM_BODIES,
@@ -67,14 +76,13 @@ from motion_forge.router import (  # noqa: E402
     RouterConfig,
     add_expert,
     candidate_weights,
-    elu,
     gate_logits,
     hard_bias_route,
     make_random_pool,
     make_router,
     mixture_action,
-    mlp_forward,
     refresh_candidates,
+    route_ce_loss,
     top_k_indices,
     unlock_next_expert,
 )
@@ -667,6 +675,141 @@ def test_growth_clones_the_newest_unlocked_expert_into_the_next_slot(seed, exper
             assert [m for k, m in enumerate(pool.lr_multipliers) if k != index] == [
                 cfg.old_expert_lr_multiplier * m for m in others]
         assert state.cold_expert is None or state.cold_expert < pool.unlocked_count
+
+
+# The softmax, log-sum-exp and TP-MoE gate formulas as they stood at their
+# call sites before they moved into motion_forge.kernels, kept as the
+# bit-for-bit oracle for the shared kernels.
+
+
+def reference_curriculum_softmax(logits):
+    logits = logits.copy()
+    logits -= np.maximum.reduce(logits)
+    soft = np.exp(logits)
+    soft /= np.add.reduce(soft)
+    return soft
+
+
+def reference_silu(x):
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
+
+
+def reference_tpmoe_gate(token_embedding, params):
+    x = np.asarray(token_embedding, dtype=np.float64)
+    for i, (w, b) in enumerate(params.gate_layers):
+        x = x @ w.T + b
+        if i < len(params.gate_layers) - 1:
+            x = reference_silu(x)
+    x = x - x.max(axis=-1, keepdims=True)
+    w = np.exp(x)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def reference_init_tpmoe_gate(rng, token_dim, model_dim, ffn_hidden, num_experts,
+                              gate_hidden, scale):
+    """The gate layers `init_tpmoe` drew with its own per-layer loop, after
+    the experts' w1 and w2 draws."""
+    for _ in range(num_experts):
+        rng.normal(0.0, scale / np.sqrt(model_dim), (ffn_hidden, model_dim))
+        rng.normal(0.0, scale / np.sqrt(ffn_hidden), (model_dim, ffn_hidden))
+    dims = [token_dim, gate_hidden, gate_hidden, num_experts]
+    gate_layers = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        gate_layers.append((rng.normal(0.0, scale / np.sqrt(d_in), (d_out, d_in)), np.zeros(d_out)))
+    return gate_layers
+
+
+def reference_attention_pool_summary(tokens, params):
+    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
+    d = params.query.shape[0]
+    dh = d // params.num_heads
+    keys = tokens @ params.w_k.T
+    values = tokens @ params.w_v.T
+    context = np.empty(d)
+    for head in range(params.num_heads):
+        sl = slice(head * dh, (head + 1) * dh)
+        scores = keys[:, sl] @ params.query[sl] / np.sqrt(dh)
+        scores = scores - scores.max()
+        alpha = np.exp(scores)
+        alpha /= alpha.sum()
+        context[sl] = alpha @ values[:, sl]
+    summary = context @ params.w_o.T
+    return summary, np.vstack([summary, tokens]) @ params.w_mem.T
+
+
+def reference_route_ce_loss(logits, file_level, ce_weight):
+    finite = logits[np.isfinite(logits)]
+    m = finite.max()
+    log_z = m + np.log(np.sum(np.exp(finite - m)))
+    return float(ce_weight * (log_z - logits[file_level - 1]))
+
+
+def float_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@given(arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e4, 1e4)))
+def test_softmax_matches_the_curriculum_three_line_form_bit_for_bit(logits):
+    want = reference_curriculum_softmax(logits)
+    assert same_bits(softmax_(logits.copy()), want)
+
+
+@given(seed=st.integers(0, 2**32 - 1), experts=st.integers(1, 12), tokens=st.integers(0, 5),
+       scale=st.floats(0.05, 2.0), spread=st.floats(0.0, 50.0))
+def test_tpmoe_gate_matches_the_layer_loop_bit_for_bit(seed, experts, tokens, scale, spread):
+    # tokens == 0 draws one unbatched embedding, else an (N, token_dim) batch
+    rng = np.random.default_rng(seed)
+    params = init_tpmoe(rng, token_dim=10, model_dim=6, ffn_hidden=9, num_experts=experts,
+                        gate_hidden=7, scale=scale)
+    embedding = rng.normal(0.0, spread, (tokens, 10) if tokens else 10)
+    assert same_bits(tpmoe_gate(embedding, params), reference_tpmoe_gate(embedding, params))
+
+
+@pytest.mark.parametrize("tokens", [0, 4])
+def test_tpmoe_gate_matches_the_layer_loop_at_the_default_gate_widths(tokens):
+    rng = np.random.default_rng([16, tokens])
+    params = init_tpmoe(rng, model_dim=512, ffn_hidden=8)
+    embedding = rng.normal(0.0, 1.0, (tokens, 768) if tokens else 768)
+    assert same_bits(tpmoe_gate(embedding, params), reference_tpmoe_gate(embedding, params))
+
+
+@given(seed=st.integers(0, 2**32 - 1), token_dim=st.integers(1, 12),
+       model_dim=st.integers(1, 8), ffn_hidden=st.integers(1, 8), experts=st.integers(1, 12),
+       gate_hidden=st.integers(1, 9), scale=st.floats(0.05, 2.0))
+def test_tpmoe_gate_draws_its_layers_as_the_per_layer_loop_did(
+        seed, token_dim, model_dim, ffn_hidden, experts, gate_hidden, scale):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    params = init_tpmoe(rng, token_dim, model_dim, ffn_hidden, experts, gate_hidden, scale)
+    want = reference_init_tpmoe_gate(ref_rng, token_dim, model_dim, ffn_hidden, experts,
+                                     gate_hidden, scale)
+    assert len(params.gate_layers) == len(want) == 3
+    for (w, b), (w_ref, b_ref) in zip(params.gate_layers, want):
+        assert same_bits(w, w_ref) and same_bits(b, b_ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(seed=st.integers(0, 2**32 - 1), heads=st.sampled_from([1, 2, 4]),
+       head_dim=st.integers(1, 6), tokens=st.integers(1, 6), spread=st.floats(0.0, 20.0))
+def test_attention_pool_head_softmax_matches_the_old_form_bit_for_bit(seed, heads, head_dim,
+                                                                      tokens, spread):
+    rng = np.random.default_rng(seed)
+    params = init_attention_pool(rng, token_dim=heads * head_dim, model_dim=5, num_heads=heads)
+    embeddings = rng.normal(0.0, spread, (tokens, heads * head_dim))
+    summary, memory = attention_pool_summary(embeddings, params)
+    want_summary, want_memory = reference_attention_pool_summary(embeddings, params)
+    assert same_bits(summary, want_summary) and same_bits(memory, want_memory)
+
+
+@given(logits=st.lists(st.floats(-50.0, 50.0) | st.just(-np.inf), min_size=1, max_size=12),
+       pick=st.integers(0, 11), ce_weight=st.sampled_from([1.0, 0.05]) | st.floats(0.0, 2.0))
+def test_route_ce_loss_log_sum_exp_matches_the_old_form_bit_for_bit(logits, pick, ce_weight):
+    logits = np.array(logits)
+    finite = np.flatnonzero(np.isfinite(logits))
+    assume(finite.size)
+    file_level = int(finite[pick % finite.size]) + 1
+    assert float_bits(route_ce_loss(logits, file_level, ce_weight)) == float_bits(
+        reference_route_ce_loss(logits, file_level, ce_weight))
 
 
 def rejecting_tracker(seed: int, rate: float):

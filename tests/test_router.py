@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
+from motion_forge.kernels import clone_mlp, init_mlp, mlp_forward
 from motion_forge.router import (
     AddExpertConfig,
     RouterConfig,
     RoutingDiagnostics,
     add_expert,
     candidate_weights,
-    clone_mlp,
     gate_logits,
     hard_bias_route,
-    init_mlp,
     load_balance_loss,
     make_random_pool,
     make_router,
     mixture_action,
-    mlp_forward,
     pool_from_dict,
     pool_to_dict,
     refresh_candidates,
