@@ -22,7 +22,7 @@ import numpy as np
 from . import curriculum as cur
 from . import router as rt
 from .config import AppConfig, TrackerConfig, load_config
-from .errors import ConfigError, MotionForgeError, check_finite
+from .errors import ConfigError, MotionForgeError, check_finite, check_object
 from .features import (
     canonicalize_heading,
     decode_root_trajectory,
@@ -32,7 +32,14 @@ from .features import (
 from .generation import TagCatalog, asfo_multipliers, build_epoch_plan
 from .metrics import evaluate
 from .motion import default_skeleton
-from .motion_io import load_features, load_motion, parse_features, parse_motion, save_features
+from .motion_io import (
+    load_features,
+    load_motion,
+    parse_features,
+    parse_motion,
+    read_json,
+    save_features,
+)
 from .prefix_loop import (
     identity_tracker,
     make_failure_tracker,
@@ -57,18 +64,6 @@ def _load_app_config(args) -> AppConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     return AppConfig()
-
-
-def _read_json_file(path, what: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object")
-    return data
 
 
 def cmd_encode(args) -> int:
@@ -130,24 +125,21 @@ def cmd_reward_eval(args) -> int:
     return 0
 
 
+# corpus entry key -> SyntheticFile field; an entry spells file_id as id
+_CORPUS_FIELDS = {("id" if f.name == "file_id" else f.name): f.name
+                  for f in dataclasses.fields(cur.SyntheticFile)}
+
+
 def cmd_curriculum_sim(args) -> int:
     cfg = _load_app_config(args)
-    data = _read_json_file(args.corpus, "corpus spec")
-    if "files" not in data or not isinstance(data["files"], list):
+    data = check_object(read_json(args.corpus, "corpus spec", ConfigError),
+                        f"corpus spec {args.corpus}", ("files",), ("files",))
+    if not isinstance(data["files"], list):
         raise ConfigError("corpus spec needs a 'files' list")
-    allowed = {"id", "level", "start_error", "error_floor", "improve_rate", "success_scale"}
     files = []
     for i, item in enumerate(data["files"]):
-        if not isinstance(item, dict):
-            raise ConfigError(f"corpus file {i} must be a JSON object")
-        unknown = set(item) - allowed
-        if unknown:
-            raise ConfigError(f"corpus file {i}: unknown keys {sorted(unknown)}")
-        if "id" not in item or "level" not in item:
-            raise ConfigError(f"corpus file {i}: 'id' and 'level' are required")
-        kwargs = dict(item)
-        kwargs["file_id"] = kwargs.pop("id")
-        files.append(cur.SyntheticFile(**kwargs))
+        check_object(item, f"corpus file {i}", _CORPUS_FIELDS, ("id", "level"))
+        files.append(cur.SyntheticFile(**{_CORPUS_FIELDS[k]: value for k, value in item.items()}))
     sim_cfg = dataclasses.replace(
         cfg.sim,
         seed=args.seed,
@@ -167,7 +159,7 @@ def _record_latent(rec, i: int, key: str = "z") -> np.ndarray:
     article, noun = _RECORD_VECTORS[key]
     try:
         values = np.asarray(rec[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"record {i} needs {article} {noun} '{key}', a list of numbers") from exc
     if values.ndim != 1:
         raise ConfigError(f"record {i}: '{key}' must be a list of numbers")
@@ -176,17 +168,19 @@ def _record_latent(rec, i: int, key: str = "z") -> np.ndarray:
 
 def cmd_route_sim(args) -> int:
     cfg = _load_app_config(args)
-    data = _read_json_file(args.records, "records")
-    records = data.get("records")
+    data = check_object(read_json(args.records, "records", ConfigError),
+                        f"records {args.records}", ("stage", "records"), ("records",))
+    records = data["records"]
     if not isinstance(records, list) or not records:
         raise ConfigError("records file needs a non-empty 'records' list")
-    latents = [_record_latent(rec, i) for i, rec in enumerate(records)]
+    latents = [_record_latent(check_object(rec, f"record {i}", ("z", "obs", "level"), ("z",)), i)
+               for i, rec in enumerate(records)]
     z_dim = latents[0].shape[0]
     if any(z.shape != (z_dim,) for z in latents):
         raise ConfigError(f"every record's 'z' needs the {z_dim} values of record 0's")
     rng = np.random.default_rng(args.seed)
     if args.pool:
-        pool = rt.pool_from_dict(_read_json_file(args.pool, "expert pool"))
+        pool = rt.pool_from_dict(read_json(args.pool, "expert pool", ConfigError))
     else:
         pool = rt.make_random_pool(rng, num_experts=4, input_dim=z_dim,
                                    hidden=(16,), output_dim=8, capacity=16)
@@ -229,15 +223,18 @@ def cmd_route_sim(args) -> int:
 
 def cmd_asfo_plan(args) -> int:
     cfg = _load_app_config(args)
-    data = _read_json_file(args.samples, "samples")
-    samples = data.get("samples")
+    data = check_object(read_json(args.samples, "samples", ConfigError),
+                        f"samples {args.samples}", ("samples",), ("samples",))
+    samples = data["samples"]
     if isinstance(samples, list):
-        try:
-            samples = {item["id"]: item["tags"] for item in samples}
-        except (TypeError, KeyError) as exc:
-            raise ConfigError("sample list entries need 'id' and 'tags'") from exc
-    if not isinstance(samples, dict) or not samples:
-        raise ConfigError("samples file needs a 'samples' mapping or list")
+        for i, item in enumerate(samples):
+            check_object(item, f"sample {i}", ("id", "tags"), ("id", "tags"))
+            if not isinstance(item["id"], str):
+                raise ConfigError(f"sample {i}: 'id' must be a string")
+        samples = {item["id"]: item["tags"] for item in samples}
+    # the mapping's keys are sample ids, so it allows its own keys
+    if not check_object(samples, "samples file's 'samples'", samples):
+        raise ConfigError("samples file needs a non-empty 'samples' mapping or list")
     for sample_id, tags in samples.items():
         if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
             raise ConfigError(f"sample {sample_id!r}: tags must be a list of strings")
@@ -267,8 +264,8 @@ def make_tracker(cfg: TrackerConfig):
 
 def _load_prefix_features(path, skel):
     """Features of a clip (told apart by its joint names) or features file."""
-    data = _read_json_file(path, "prefix")
-    if "joint_names" in data:
+    data = read_json(path, "prefix", ConfigError)
+    if isinstance(data, dict) and "joint_names" in data:
         seq = canonicalize_heading(parse_motion(data, path, skel))
         return encode_features(seq, skel, detect_contacts(seq, skel)), seq.fps
     return parse_features(data, path)
@@ -367,13 +364,18 @@ def cli_dispatch(argv) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        # an input that drives the arithmetic past the float range fails
+        # here, not as a warning beside an infinite or NaN result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
+    except FloatingPointError as exc:
+        error, message = "NonFiniteError", f"the inputs drive a computation out of range: {exc}"
     except MotionForgeError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        error, message = type(exc).__name__, str(exc)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
-        return 1
+        error, message = "OSError", str(exc)
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    return 1
 
 
 def main() -> None:

@@ -7,28 +7,20 @@ config dataclass for the values and their meaning).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .curriculum import SamplerConfig, SimConfig
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_object
 from .metrics import GroundModel, SuccessConfig
+from .motion_io import read_json
 from .prefix_loop import PrefixLoopConfig
 from .rewards import TASK_TERMS, RewardConfig, RewardTerm
 from .router import RouterConfig
 
-def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
-
-def _build(cls, data: dict, where: str, converters: dict | None = None):
-    names = {f.name for f in fields(cls)}
-    _check_keys(data, names, where)
-    kwargs = dict(data)
+def _build(cls, data, where: str, converters: dict | None = None):
+    kwargs = dict(check_object(data, where, {f.name for f in fields(cls)}))
     try:
         for key, conv in (converters or {}).items():
             if key in kwargs:
@@ -113,8 +105,8 @@ _SECTIONS = {
 }
 
 
-def config_from_dict(data: dict) -> AppConfig:
-    _check_keys(data, set(_SECTIONS), "config")
+def config_from_dict(data) -> AppConfig:
+    check_object(data, "config", _SECTIONS)
     return AppConfig(**{
         name: _build(cls, data[name], name, converters)
         for name, (cls, converters) in _SECTIONS.items()
@@ -131,12 +123,4 @@ def load_config(path) -> AppConfig:
             raise ConfigError(f"config {path}: {literal} is not a finite number")
         return value
 
-    try:
-        data = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config", ConfigError, finite))

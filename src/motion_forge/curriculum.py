@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_object
 from .kernels import softmax_
 
 STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED = 0, 1, 2
@@ -106,8 +106,9 @@ class CorpusState:
     def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
         self.file_id = np.array(file_ids, dtype=object)
         n = self.file_id.size
-        if self.file_id.ndim != 1 or len(set(self.file_id)) != n:
-            raise ConfigError("file ids must be a list of unique ids")
+        if (self.file_id.ndim != 1 or not all(isinstance(f, str) for f in self.file_id)
+                or len(set(self.file_id)) != n):
+            raise ConfigError("file ids must be a list of unique strings")
         raw = np.asarray(levels)
         if (raw.shape != (n,) or raw.dtype.kind not in "iuf" or (raw % 1).any()
                 or ((raw < 1) | (raw > MAX_LEVEL)).any()):
@@ -362,21 +363,16 @@ def load_records(path) -> CorpusState:
     for i, line in enumerate(Path(path).read_text().splitlines()):
         if not line.strip():
             continue
+        where = f"{path}: record on line {i + 1}"
         try:
             row = json.loads(line)
-            if not isinstance(row, dict):
-                raise TypeError("a record must be a JSON object")
-            unknown = set(row) - set(_JSONL_KEYS)
-            if unknown:
-                raise TypeError(f"unknown keys {sorted(unknown)}")
-            if "file_id" not in row or "level" not in row:
-                raise TypeError("'file_id' and 'level' are required")
-            name = row.get("freeze_state", "active")
-            if name not in STATE_NAMES:
-                raise ValueError(f"freeze_state must be one of {STATE_NAMES}, got {name!r}")
-            row["freeze_state"] = STATE_NAMES.index(name)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad record on line {i + 1}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+        check_object(row, where, _JSONL_KEYS, ("file_id", "level"))
+        name = row.get("freeze_state", "active")
+        if name not in STATE_NAMES:
+            raise ConfigError(f"{where}: freeze_state must be one of {STATE_NAMES}, got {name!r}")
+        row["freeze_state"] = STATE_NAMES.index(name)
         records.append(row)
     columns = {key: [row.get(key, 0) for row in records] for key in _JSONL_KEYS}
     return CorpusState(columns.pop("file_id"), columns.pop("level"), **columns)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, the non-finite check and the config field rule."""
+"""Exception types shared across the library, the non-finite check, the
+config field rule and the JSON object rule."""
 
 import dataclasses
 import functools
@@ -47,6 +48,22 @@ def check_finite(value, what: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise NonFiniteError(f"{what} holds NaN or infinite values")
     return array
+
+
+def check_object(data, where, allowed, required=(), error=ConfigError) -> dict:
+    """`data` if it is a JSON object (a dict) with no key outside `allowed`
+    and every key in `required`; else `error` naming `where` and the key.
+    `data` itself as `allowed` lets every key through: a mapping whose keys
+    are data, not names, or a first look at a document's version."""
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object")
+    unknown = data.keys() - allowed
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    for key in required:
+        if key not in data:
+            raise error(f"{where}: missing required field '{key}'")
+    return data
 
 
 @functools.cache

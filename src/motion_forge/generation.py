@@ -293,7 +293,7 @@ def attention_pool_summary(
     summary above the tokens and projects everything to the model dim,
     giving an (1 + N, model_dim) array.
     """
-    tokens = np.atleast_2d(np.asarray(tokens, dtype=np.float64))
+    tokens = np.atleast_2d(check_finite(tokens, "attention pool tokens"))
     if tokens.shape[0] < 1:
         raise DimensionMismatchError("need at least one token")
     d = params.query.shape[0]
@@ -472,6 +472,9 @@ class TagCatalog:
             raise ConfigError("rho_max must be >= 1")
         if any(c < 1 for c in self.tag_counts.values()):
             raise ConfigError("tag counts must be >= 1")
+        uncounted = set().union(*self.sample_tags.values()) - self.tag_counts.keys()
+        if uncounted:
+            raise ConfigError(f"tag {min(uncounted, key=str)!r} has no count in tag_counts")
 
     @classmethod
     def from_samples(

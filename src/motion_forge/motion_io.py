@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FileFormatError, check_finite
+from .errors import DimensionMismatchError, FileFormatError, check_finite, check_object
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
 from .motion import FIELDS, NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
@@ -37,43 +37,38 @@ _REBUILT = {
     "body_lin_vel": lambda arrays, fps: finite_difference(arrays["body_pos"], fps),
     "body_ang_vel": lambda arrays, fps: np.zeros_like(arrays["body_pos"]),
 }
-_MOTION_KEYS = {"format_version", "fps", "joint_names", "body_names", *FIELDS}
+_MOTION_REQUIRED = ("fps", "joint_names", "body_names", *(n for n in FIELDS if n not in _REBUILT))
 
 
-def _read_json(path):
+def read_json(path, noun: str, error=FileFormatError, parse_number=None):
+    """The JSON document in file `path`; `error` naming the `noun` and the
+    path when the file cannot be read or is not valid JSON.  `parse_number`,
+    when given, reads every number with a fraction or an exponent and the
+    NaN and Infinity literals."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {noun} {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_number, parse_constant=parse_number)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"{noun} {path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
-def _check_header(data, path, version: int, keys) -> None:
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: expected a JSON object at the top level")
-    found = data.get("format_version")
-    if found is None:
-        raise FileFormatError(f"{path}: missing required field 'format_version'")
+def _check_header(data, path, version: int, required, optional=()) -> None:
+    """The object rule for a versioned document with the `required` and
+    `optional` keys.  Its version is checked before its keys, so a document
+    of another version reports the version."""
+    found = check_object(data, path, data, ("format_version",), FileFormatError)["format_version"]
     if found != version:
         raise FileFormatError(
             f"{path}: unsupported format_version {found!r} (this reader expects {version})"
         )
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise FileFormatError(f"{path}: unknown fields {sorted(unknown)}")
-
-
-def _require(data: dict, key: str, path) -> object:
-    if key not in data:
-        raise FileFormatError(f"{path}: missing required field '{key}'")
-    return data[key]
+    check_object(data, path, ("format_version", *required, *optional), required, FileFormatError)
 
 
 def _check_finite(path, **fields) -> None:
@@ -83,14 +78,14 @@ def _check_finite(path, **fields) -> None:
 
 
 def _fps(data: dict, path) -> float:
-    fps = _require(data, "fps", path)
+    fps = data["fps"]
     if isinstance(fps, bool) or not isinstance(fps, (int, float)):
         raise FileFormatError(f"{path}: 'fps' must be a number")
     return float(fps)
 
 
 def _names(data: dict, key: str, count: int, path) -> list[str]:
-    names = _require(data, key, path)
+    names = data[key]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise FileFormatError(f"{path}: '{key}' must be a list of strings")
     if len(names) != count:
@@ -143,7 +138,7 @@ def _rows(data: dict, name: str, width: int, t: int, path) -> np.ndarray:
 
 def load_motion(path, skel: Skeleton | None = None) -> MotionSequence:
     """Read and parse a motion clip file (see `parse_motion`)."""
-    return parse_motion(_read_json(path), path, skel)
+    return parse_motion(read_json(path, "motion clip"), path, skel)
 
 
 def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
@@ -153,7 +148,7 @@ def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
     The optional velocity arrays are read when the file has their key, and
     then they need a row for every frame.
     """
-    _check_header(data, path, MOTION_FORMAT_VERSION, _MOTION_KEYS)
+    _check_header(data, path, MOTION_FORMAT_VERSION, _MOTION_REQUIRED, _REBUILT)
     fps = _fps(data, path)
     joint_names = _names(data, "joint_names", NUM_JOINTS, path)
     body_names = _names(data, "body_names", NUM_BODIES, path)
@@ -162,9 +157,6 @@ def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
             raise DimensionMismatchError(f"{path}: joint names do not match the skeleton")
         if tuple(body_names) != skel.body_names:
             raise DimensionMismatchError(f"{path}: body names do not match the skeleton")
-    for name in FIELDS:
-        if name not in _REBUILT:
-            _require(data, name, path)
     if not isinstance(data["root_pos"], list) or len(data["root_pos"]) < 2:
         raise FileFormatError(f"{path}: 'root_pos' must list at least 2 frames")
 
@@ -196,14 +188,14 @@ def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:
 
 def load_features(path) -> tuple[np.ndarray, float]:
     """Read and parse a feature file (see `parse_features`)."""
-    return parse_features(_read_json(path), path)
+    return parse_features(read_json(path, "feature file"), path)
 
 
 def parse_features(data, path) -> tuple[np.ndarray, float]:
     """(features (T, 262), fps) from the parsed JSON document of file `path`."""
-    _check_header(data, path, FORMAT_VERSION, ("format_version", "fps", "features"))
+    _check_header(data, path, FORMAT_VERSION, ("fps", "features"))
     fps = _fps(data, path)
-    rows = _require(data, "features", path)
+    rows = data["features"]
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'features' must list at least 1 frame")
     feats = _rows(data, "features", FEATURE_DIM, len(rows), path)
@@ -218,12 +210,11 @@ def save_features(frames: np.ndarray, fps: float, path) -> None:
 
 
 def load_norm_stats(path) -> NormStats:
-    data = _read_json(path)
-    _check_header(data, path, FORMAT_VERSION,
-                  ("format_version", "mean", "std", "mask", "clamped"))
+    data = read_json(path, "norm stats")
+    _check_header(data, path, FORMAT_VERSION, ("mean", "std"), ("mask", "clamped"))
     shape = (FEATURE_DIM,)
-    mean = _array(_require(data, "mean", path), shape, "field 'mean'", path)
-    std = _array(_require(data, "std", path), shape, "field 'std'", path)
+    mean = _array(data["mean"], shape, "field 'mean'", path)
+    std = _array(data["std"], shape, "field 'std'", path)
     _check_finite(path, mean=mean, std=std)
     mask = _array(data.get("mask", normalized_dim_mask()), shape, "field 'mask'", path,
                   holds="booleans")

@@ -295,7 +295,11 @@ def run_prefix_loop(
     # buffers are allocated once for the horizon, so no long-lived arrays
     # pile up between the large per-attempt ones.
     horizon = rows + cfg.num_segments * cfg.segment_frames
-    features = np.empty((horizon, FEATURE_DIM))
+    try:
+        features = np.empty((horizon, FEATURE_DIM))
+    except (ValueError, MemoryError) as exc:   # numpy refuses the shape before it allocates
+        raise ConfigError(f"PrefixLoopConfig: horizon_seconds={cfg.horizon_seconds!r} at "
+                          f"fps={cfg.fps!r} is more frames than can be allocated") from exc
     features[:rows] = initial_prefix
     decoded = features_to_motion(initial_prefix, cfg.fps, skel)
     cache = {name: np.empty((horizon,) + getattr(decoded, name).shape[1:]) for name in _CACHED}

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields, check_finite
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteError,
+    check_fields,
+    check_finite,
+    check_object,
+)
 from .kernels import MLPParams, clone_mlp, init_mlp, log_sum_exp, mlp_forward, softmax_
 
 LATENT_DIM = 128
@@ -117,10 +124,11 @@ def make_router(
     config: RouterConfig | None = None,
     zero_gate: bool = False,
 ) -> RouterState:
-    if zero_gate:
-        w = np.zeros((capacity, latent_dim))
-    else:
-        w = rng.normal(0.0, 0.1, (capacity, latent_dim))
+    shape = (capacity, latent_dim)
+    try:
+        w = np.zeros(shape) if zero_gate else rng.normal(0.0, 0.1, shape)
+    except (ValueError, MemoryError) as exc:   # numpy refuses the shape before it draws
+        raise ConfigError(f"capacity {capacity}: a {shape} gate cannot be allocated") from exc
     return RouterState(gate_w=w, gate_b=np.zeros(capacity), config=config or RouterConfig())
 
 
@@ -416,6 +424,11 @@ def add_expert(pool: ExpertPool, state: RouterState) -> int:
 # Serialization (expert pools and router state as JSON-ready dicts)
 
 
+_LAYER_KEYS = ("shape", "w", "b")
+_POOL_KEYS = ("input_dim", "output_dim", "hidden", "capacity", "unlocked_count", "lr_multipliers",
+              "experts")
+
+
 def mlp_to_dict(params: MLPParams) -> dict:
     return {
         "layers": [
@@ -426,11 +439,13 @@ def mlp_to_dict(params: MLPParams) -> dict:
 
 
 def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:
-    """Inverse of `mlp_to_dict`; a `w` that does not fill its `shape` raises
-    ConfigError and a NaN or infinite value NonFiniteError."""
+    """Inverse of `mlp_to_dict`; a missing or unknown key or a `w` that does
+    not fill its `shape` raises ConfigError and a NaN or infinite value
+    NonFiniteError."""
     params: MLPParams = []
-    for i, layer in enumerate(data["layers"]):
+    for i, layer in enumerate(check_object(data, where, ("layers",), ("layers",))["layers"]):
         at = f"{where} layer {i}"
+        check_object(layer, at, _LAYER_KEYS, _LAYER_KEYS)
         w, b = check_finite(layer["w"], f"{at} 'w'"), check_finite(layer["b"], f"{at} 'b'")
         if w.size != np.prod(layer["shape"]):
             raise ConfigError(f"{at}: 'w' has {w.size} values for shape {layer['shape']}")
@@ -451,17 +466,16 @@ def pool_to_dict(pool: ExpertPool) -> dict:
 
 
 def pool_from_dict(data: dict) -> ExpertPool:
-    """Inverse of `pool_to_dict`.  A missing key, a non-number, or a pool
-    that breaks an `ExpertPool` invariant raise ConfigError; a NaN or
-    infinite value raises NonFiniteError."""
+    """Inverse of `pool_to_dict`.  A missing or unknown key, a non-number,
+    or a pool that breaks an `ExpertPool` invariant raise ConfigError; a NaN
+    or infinite value raises NonFiniteError."""
+    check_object(data, "expert pool", _POOL_KEYS, _POOL_KEYS)
     try:
         dims = [int(data["input_dim"]), *map(int, data["hidden"]), int(data["output_dim"])]
         experts = [mlp_from_dict(e, f"expert {k}") for k, e in enumerate(data["experts"])]
         capacity, unlocked = int(data["capacity"]), int(data["unlocked_count"])
         lr = [float(x) for x in check_finite(data["lr_multipliers"], "lr_multipliers")]
-    except KeyError as exc:
-        raise ConfigError(f"expert pool: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # int() of inf overflows
         raise ConfigError(f"expert pool: {exc}") from exc
     return ExpertPool(experts=experts, input_dim=dims[0], output_dim=dims[-1],
                       hidden=tuple(dims[1:-1]), capacity=capacity, unlocked_count=unlocked,

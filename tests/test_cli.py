@@ -665,3 +665,82 @@ class TestMetricsThresholdFlags:
         err = one_error_line(code, captured)
         assert "is not a finite number" in err["message"]
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("section", [5, None, 1.5, True, [1, 2], "ab"],
+                         ids=["int", "null", "float", "bool", "list", "string"])
+def test_config_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, section):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"router": section}))
+    err = one_error_line(*run(["route-sim", "records.json", "--config", cfg_path], capsys))
+    assert err["message"] == "router must be a JSON object"
+
+
+def _pool_doc(**extra) -> dict:
+    pool = rt.make_random_pool(np.random.default_rng(0), num_experts=2, input_dim=8,
+                               hidden=(4,), output_dim=3, capacity=4)
+    return {**rt.pool_to_dict(pool), **extra}
+
+
+_RECORD = {"z": [0.1] * 8, "level": 1}
+
+# input document -> (argv naming it {doc}, with {records} a valid records
+# file; the document; the error; a pattern of its message)
+INPUT_PROBES = {
+    "records_unknown_key": (["route-sim", "{doc}"], {"stgae": 1, "records": [_RECORD]},
+                            "ConfigError", r"records .*: unknown keys \['stgae'\]"),
+    "record_unknown_key": (["route-sim", "{doc}"], {"records": [{**_RECORD, "levle": 2}]},
+                           "ConfigError", r"record 0: unknown keys \['levle'\]"),
+    "corpus_spec_unknown_key": (["curriculum-sim", "--corpus", "{doc}"],
+                                {"files": [{"id": "a", "level": 1}], "file": []},
+                                "ConfigError", r"corpus spec .*: unknown keys \['file'\]"),
+    "corpus_file_without_level": (["curriculum-sim", "--corpus", "{doc}"],
+                                  {"files": [{"id": "a"}]},
+                                  "ConfigError", "corpus file 0: missing required field 'level'"),
+    "corpus_non_string_id": (["curriculum-sim", "--corpus", "{doc}"],
+                             {"files": [{"id": [1], "level": 1}, {"id": "b", "level": 2}]},
+                             "ConfigError", "file ids must be a list of unique strings"),
+    "samples_unknown_key": (["asfo-plan", "{doc}"], {"samples": {"a": ["walk"]}, "sample": 1},
+                            "ConfigError", r"samples .*: unknown keys \['sample'\]"),
+    "sample_entry_unknown_key": (["asfo-plan", "{doc}"],
+                                 {"samples": [{"id": "a", "tags": ["walk"], "tag": "run"}]},
+                                 "ConfigError", r"sample 0: unknown keys \['tag'\]"),
+    "sample_non_string_id": (["asfo-plan", "{doc}"], {"samples": [{"id": [1], "tags": ["walk"]}]},
+                             "ConfigError", "sample 0: 'id' must be a string"),
+    "pool_unknown_key": (["route-sim", "{records}", "--pool", "{doc}"], _pool_doc(extra=1),
+                         "ConfigError", r"expert pool: unknown keys \['extra'\]"),
+    "pool_huge_capacity": (["route-sim", "{records}", "--pool", "{doc}"],
+                           _pool_doc(capacity=1e300), "ConfigError", "capacity 1000000"),
+    "huge_horizon": (["prefix-run", "{features}", "{features}", "--out", "{out}", "--config",
+                      "{doc}"], {"prefix_loop": {"horizon_seconds": 1e300}},
+                     "ConfigError", r"horizon_seconds=1e\+300 at fps=30.0"),
+}
+
+
+@pytest.mark.parametrize("argv, doc, error, pattern", INPUT_PROBES.values(), ids=INPUT_PROBES)
+def test_bad_input_document_is_one_json_error(tmp_path, capsys, argv, doc, error, pattern):
+    files = {name: tmp_path / f"{name}.json" for name in ("doc", "records", "features", "out")}
+    files["doc"].write_text(json.dumps(doc))
+    files["records"].write_text(json.dumps({"records": [_RECORD]}))
+    save_features(neutral_features(3), 30.0, files["features"])
+    err = one_error_line(*run([arg.format(**files) for arg in argv], capsys), error)
+    assert re.search(pattern, err["message"]), err["message"]
+    assert not files["out"].exists()
+
+
+def test_input_that_overflows_the_arithmetic_is_one_json_error(tmp_path, capsys, walk_file):
+    # finite on load, but its squared distance to the reference overflows
+    doc = json.loads(walk_file.read_text())
+    doc["body_pos"][0][0] = 1e300
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps(doc))
+    err = one_error_line(*run(["metrics", walk_file, sim], capsys), "NonFiniteError")
+    assert "overflow" in err["message"]
+
+
+def test_file_that_is_not_utf8_is_one_json_error(tmp_path, capsys):
+    path = tmp_path / "clip.json"
+    path.write_bytes(b'{"fps": "\xff"}')
+    err = one_error_line(*run(["encode", path, "--out", tmp_path / "f.json"], capsys),
+                         "FileFormatError")
+    assert err["message"].startswith(f"cannot read motion clip {path}")

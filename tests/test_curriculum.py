@@ -53,6 +53,12 @@ class TestCorpusState:
         with pytest.raises(ConfigError):
             CorpusState(["a"], levels)
 
+    @pytest.mark.parametrize("file_ids", [[[1], "b"], [1, 2], [None, "b"], [float("nan"), "b"]],
+                             ids=["list", "ints", "null", "nan"])
+    def test_non_string_file_id_rejected(self, file_ids):
+        with pytest.raises(ConfigError, match="unique strings"):
+            CorpusState(file_ids, [1, 2])
+
     def test_bad_columns_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             state(recent_errors=[0.1])

@@ -469,6 +469,15 @@ class TestAttentionPool:
         with pytest.raises(DimensionMismatchError):
             attention_pool_summary(np.zeros((0, 8)), params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tokens_rejected(self, bad):
+        rng = np.random.default_rng(17)
+        params = init_attention_pool(rng, token_dim=8, model_dim=5, num_heads=2)
+        tokens = rng.standard_normal((3, 8))
+        tokens[1, 4] = bad
+        with pytest.raises(NonFiniteError, match="attention pool tokens"):
+            attention_pool_summary(tokens, params)
+
 
 class TestDiffusion:
     def test_loss_zero_with_oracle(self):
@@ -595,6 +604,10 @@ class TestAsfo:
                 samples[f"s{idx:04d}"] = (tag,)
                 idx += 1
         return TagCatalog.from_samples(samples)
+
+    def test_tag_without_a_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="tag 'b' has no count"):
+            TagCatalog(tag_counts={"a": 1}, sample_tags={"s": ("b",)})
 
     def test_multiplier_table(self):
         rho = asfo_multipliers(self.catalog())

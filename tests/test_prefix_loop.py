@@ -227,6 +227,20 @@ class TestRunPrefixLoop:
         with pytest.raises(ConfigError, match="tracked_bodies: expected body indices"):
             self.cfg(tracked_bodies=bodies)
 
+    def test_unallocatable_horizon_is_a_config_error(self, skel):
+        # numpy refuses a 1e300-frame store without allocating; no attempt runs
+        cfg = self.cfg(horizon_seconds=1e300)
+        calls = []
+
+        def generator(*args):
+            calls.append(args)
+            return neutral_features(cfg.segment_frames)
+
+        with pytest.raises(ConfigError, match=r"horizon_seconds=1e\+300 at fps=30.0"):
+            run_prefix_loop(neutral_features(30), standing_target(), generator,
+                            identity_tracker, cfg, skel)
+        assert calls == []
+
 
 def assert_same_motion(a, b):
     for name in FIELDS:

@@ -542,6 +542,33 @@ def test_pool_constructor_fills_empty_lr_multipliers():
     assert dataclasses.replace(pool, lr_multipliers=[]).lr_multipliers == [1.0] * 3
 
 
+@pytest.mark.parametrize("zero_gate", [False, True])
+def test_unallocatable_gate_is_a_config_error(zero_gate):
+    # numpy refuses the (1e300, latent) shape before it draws or allocates
+    with pytest.raises(ConfigError, match="capacity 1000000"):
+        make_router(np.random.default_rng(0), int(1e300), Z_DIM, zero_gate=zero_gate)
+
+
+@pytest.mark.parametrize("key, value, pattern", [
+    ("capacity", 1e300, "capacity 1000000"),
+    ("capacity", float("inf"), "expert pool: cannot convert float infinity"),
+    ("input_dim", float("inf"), "expert pool: cannot convert float infinity"),
+    ("typo", 1, r"expert pool: unknown keys \['typo'\]"),
+], ids=["huge_capacity", "inf_capacity", "inf_input_dim", "unknown_key"])
+def test_pool_document_errors_are_config_errors(key, value, pattern):
+    data = pool_to_dict(make_random_pool(np.random.default_rng(27), 2, OBS_DIM, (4,), ACT_DIM))
+    data[key] = value
+    with pytest.raises(ConfigError, match=pattern):
+        make_router(np.random.default_rng(0), pool_from_dict(data).capacity, Z_DIM)
+
+
+def test_pool_layer_without_bias_is_a_config_error():
+    data = pool_to_dict(make_random_pool(np.random.default_rng(27), 2, OBS_DIM, (4,), ACT_DIM))
+    del data["experts"][1]["layers"][0]["b"]
+    with pytest.raises(ConfigError, match="expert 1 layer 0: missing required field 'b'"):
+        pool_from_dict(data)
+
+
 def test_unlocking_expert_recovers_finite_logits():
     # an expert unlocked mid-stream must not inherit its -inf masked history
     rng = np.random.default_rng(21)
