@@ -22,7 +22,7 @@ import numpy as np
 from . import curriculum as cur
 from . import router as rt
 from .config import AppConfig, TrackerConfig, load_config
-from .errors import ConfigError, MotionForgeError, check_finite, check_object
+from .errors import ConfigError, MotionForgeError, check_numbers, check_object
 from .features import (
     canonicalize_heading,
     decode_root_trajectory,
@@ -151,21 +151,6 @@ def cmd_curriculum_sim(args) -> int:
     return 0
 
 
-# The vectors a route-sim record carries: key -> (article, noun) for errors.
-_RECORD_VECTORS = {"z": ("a", "latent"), "obs": ("an", "observation")}
-
-
-def _record_latent(rec, i: int, key: str = "z") -> np.ndarray:
-    article, noun = _RECORD_VECTORS[key]
-    try:
-        values = np.asarray(rec[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"record {i} needs {article} {noun} '{key}', a list of numbers") from exc
-    if values.ndim != 1:
-        raise ConfigError(f"record {i}: '{key}' must be a list of numbers")
-    return check_finite(values, f"record {i}: {noun} '{key}'")
-
-
 def cmd_route_sim(args) -> int:
     cfg = _load_app_config(args)
     data = check_object(read_json(args.records, "records", ConfigError),
@@ -173,7 +158,8 @@ def cmd_route_sim(args) -> int:
     records = data["records"]
     if not isinstance(records, list) or not records:
         raise ConfigError("records file needs a non-empty 'records' list")
-    latents = [_record_latent(check_object(rec, f"record {i}", ("z", "obs", "level"), ("z",)), i)
+    latents = [check_numbers(check_object(rec, f"record {i}", ("z", "obs", "level"), ("z",))["z"],
+                             f"record {i}: latent 'z'", (None,))
                for i, rec in enumerate(records)]
     z_dim = latents[0].shape[0]
     if any(z.shape != (z_dim,) for z in latents):
@@ -186,12 +172,12 @@ def cmd_route_sim(args) -> int:
                                    hidden=(16,), output_dim=8, capacity=16)
     state = rt.make_router(rng, pool.capacity, latent_dim=z_dim, config=cfg.router)
     l_max = pool.unlocked_count
-    stage = data.get("stage", 2)
-    levels = [rec.get("level", 1) for rec in records]
-    bad = [v for v in [stage, *levels] if type(v) is not int or v < 1]
-    if bad or stage > 2:
+    stage, *levels = map(int, check_numbers(
+        [data.get("stage", 2), *(rec.get("level", 1) for rec in records)],
+        "records: 'stage' and every 'level'", (None,), whole=True))
+    if stage not in (1, 2) or min(levels) < 1:
         raise ConfigError("records: 'stage' and every 'level' must be integers, the stage 1 or 2 "
-                          f"and each level >= 1; got {bad[0] if bad else stage!r}")
+                          f"and each level >= 1; got stage {stage}, lowest level {min(levels)}")
     header = ["step", "level", "hard_routed", "entropy", "top_gap"]
     header += [f"w{j}" for j in range(pool.num_experts)]
     lines = [",".join(header)]
@@ -199,7 +185,7 @@ def cmd_route_sim(args) -> int:
         logits = rt.gate_logits(z, state, pool)
         rt.refresh_candidates(state, logits)
         if "obs" in rec:
-            obs = _record_latent(rec, i, "obs")
+            obs = check_numbers(rec["obs"], f"record {i}: observation 'obs'", (None,))
         elif pool.input_dim <= len(z):
             obs = z[: pool.input_dim]
         else:
@@ -227,11 +213,14 @@ def cmd_asfo_plan(args) -> int:
                         f"samples {args.samples}", ("samples",), ("samples",))
     samples = data["samples"]
     if isinstance(samples, list):
-        for i, item in enumerate(samples):
+        listed, samples = samples, {}
+        for i, item in enumerate(listed):
             check_object(item, f"sample {i}", ("id", "tags"), ("id", "tags"))
             if not isinstance(item["id"], str):
                 raise ConfigError(f"sample {i}: 'id' must be a string")
-        samples = {item["id"]: item["tags"] for item in samples}
+            if item["id"] in samples:
+                raise ConfigError(f"sample {i}: id {item['id']!r} is already taken")
+            samples[item["id"]] = item["tags"]
     # the mapping's keys are sample ids, so it allows its own keys
     if not check_object(samples, "samples file's 'samples'", samples):
         raise ConfigError("samples file needs a non-empty 'samples' mapping or list")

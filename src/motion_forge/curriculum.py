@@ -36,8 +36,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, check_object
+from .errors import ConfigError, NonFiniteError, check_fields, check_numbers, check_object
 from .kernels import softmax_
+from .motion_io import parse_json
 
 STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED = 0, 1, 2
 STATE_NAMES = ("active", "frozen", "dropped")   # JSONL spelling of each code
@@ -100,7 +101,8 @@ class CorpusState:
     The columns are `file_id`, `level` and every name in COLUMNS;
     `freeze_state` holds STATE_* codes.  Columns not given start at zero
     (active, never sampled); a scalar fills the column.  Every column holds
-    finite, non-negative numbers, whole ones in the integer columns.
+    finite, non-negative numbers by the number rule, integers in the
+    integer columns; a column that breaks it raises ConfigError.
     """
 
     def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
@@ -109,17 +111,18 @@ class CorpusState:
         if (self.file_id.ndim != 1 or not all(isinstance(f, str) for f in self.file_id)
                 or len(set(self.file_id)) != n):
             raise ConfigError("file ids must be a list of unique strings")
-        raw = np.asarray(levels)
-        if (raw.shape != (n,) or raw.dtype.kind not in "iuf" or (raw % 1).any()
-                or ((raw < 1) | (raw > MAX_LEVEL)).any()):
+        levels = check_numbers(levels, "levels", (n,), whole=True)
+        if ((levels < 1) | (levels > MAX_LEVEL)).any():
             raise ConfigError(f"every file needs a whole-number level in 1..{MAX_LEVEL}")
-        self.level = raw.astype(np.int64)
+        self.level = levels.astype(np.int64)
         for name, dtype in COLUMNS.items():
-            value = np.asarray(columns.pop(name, 0))
-            if (value.dtype.kind not in "iuf" or not (np.isfinite(value) & (value >= 0)).all()
-                    or (dtype is not np.float64 and (value % 1).any())):
-                noun = "real" if dtype is np.float64 else "whole"
-                raise ConfigError(f"column {name} must hold finite, non-negative {noun} numbers")
+            try:
+                value = check_numbers(columns.pop(name, 0), f"column {name}",
+                                      whole=dtype is not np.float64)
+            except NonFiniteError as exc:   # a corpus statistic is configuration
+                raise ConfigError(str(exc)) from None
+            if (value < 0).any():
+                raise ConfigError(f"column {name} must hold non-negative numbers")
             if name == "freeze_state" and (value >= len(STATE_NAMES)).any():
                 raise ConfigError(f"column freeze_state must hold STATE_* codes 0..{len(STATE_NAMES) - 1}")
             setattr(self, name, np.zeros(n, dtype))
@@ -364,11 +367,8 @@ def load_records(path) -> CorpusState:
         if not line.strip():
             continue
         where = f"{path}: record on line {i + 1}"
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
-        check_object(row, where, _JSONL_KEYS, ("file_id", "level"))
+        row = check_object(parse_json(line, where, ConfigError), where, _JSONL_KEYS,
+                           ("file_id", "level"))
         name = row.get("freeze_state", "active")
         if name not in STATE_NAMES:
             raise ConfigError(f"{where}: freeze_state must be one of {STATE_NAMES}, got {name!r}")

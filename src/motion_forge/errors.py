@@ -1,8 +1,9 @@
 """Exception types shared across the library, the non-finite check, the
-config field rule and the JSON object rule."""
+config field rule, and the JSON object and number rules."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 
@@ -64,6 +65,54 @@ def check_object(data, where, allowed, required=(), error=ConfigError) -> dict:
         if key not in data:
             raise error(f"{where}: missing required field '{key}'")
     return data
+
+
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _holds_bool(value, depth: int) -> bool:
+    """Whether a bool hides in `value`, a rectangular nested list `depth` >= 1
+    deep (numpy reads [true, 1.5] as [1.0, 1.5]), by one C-level type scan."""
+    if isinstance(value, np.ndarray):   # its dtype already tells
+        return False
+    for _ in range(depth - 1):
+        value = itertools.chain.from_iterable(value)
+    return not _BOOLS.isdisjoint(map(type, value))
+
+
+def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> np.ndarray:
+    """The number rule for JSON input: `value`, a number or a rectangular
+    nested list of numbers (never a bool, string, null or object), as a
+    float64 array of `shape` if given (None matches any length), holding
+    integers (4.0 is one; none past 2**53 that float64 would round) if
+    `whole`; else `error` naming `where`.  NaN or inf raises NonFiniteError
+    among reals, `error` among integers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:   # ragged nested lists
+        array = None
+    scalar = shape == () or (shape is None and getattr(array, "ndim", 1) == 0)
+    if scalar:
+        rule = f"{where} must be {'an integer' if whole else 'a number'}, got {value!r:.40}"
+    else:
+        rule = f"{where} must {'be integers' if whole else 'hold only numbers'}"
+    if shape is not None and (array is None or array.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, array.shape))):
+        shown = str(tuple("n" if want is None else want for want in shape)).replace("'", "")
+        raise error(rule if scalar else f"{where} must have shape {shown}")
+    if (array is None or array.dtype.kind not in "iuf"
+            or (array.ndim and _holds_bool(value, array.ndim))):
+        raise error(rule)
+    if not whole:
+        return check_finite(array, where)
+    if not np.isfinite(array).all():
+        raise error(f"{where}: cannot convert float "
+                    f"{'NaN' if np.isnan(array).any() else 'infinity'} to integer")
+    if (array % 1).any():
+        raise error(rule)
+    if array.dtype.kind in "iu" and ((array > 2**53) | (array < -2**53)).any():
+        raise error(f"{where} holds an integer beyond 2**53, which float64 would round")
+    return array.astype(np.float64, copy=False)
 
 
 @functools.cache

@@ -23,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FileFormatError, check_finite, check_object
+from .errors import (
+    DimensionMismatchError,
+    FileFormatError,
+    check_finite,
+    check_numbers,
+    check_object,
+)
 from .features import FEATURE_DIM, NormStats, normalized_dim_mask, validate_features
 from .motion import FIELDS, NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton, finite_difference
 
@@ -40,19 +46,34 @@ _REBUILT = {
 _MOTION_REQUIRED = ("fps", "joint_names", "body_names", *(n for n in FIELDS if n not in _REBUILT))
 
 
+def parse_json(text: str, where: str, error=FileFormatError, parse_number=None):
+    """The JSON document `text`; `error` naming `where` when it is not valid
+    JSON or one of its objects repeats a key.  `parse_number`, when given,
+    reads every number with a fraction or an exponent and the NaN and
+    Infinity literals."""
+    def unique_keys(pairs):
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise error(f"{where} repeats the key {key!r} in one object")
+        return data
+
+    try:
+        return json.loads(text, parse_float=parse_number, parse_constant=parse_number,
+                          object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where} is not valid JSON: {exc}") from exc
+
+
 def read_json(path, noun: str, error=FileFormatError, parse_number=None):
-    """The JSON document in file `path`; `error` naming the `noun` and the
-    path when the file cannot be read or is not valid JSON.  `parse_number`,
-    when given, reads every number with a fraction or an exponent and the
-    NaN and Infinity literals."""
+    """The JSON document in file `path` (see `parse_json`); `error` naming
+    the `noun` and the path when the file cannot be read or parsed."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {noun} {path}: {exc}") from exc
-    try:
-        return json.loads(text, parse_float=parse_number, parse_constant=parse_number)
-    except json.JSONDecodeError as exc:
-        raise error(f"{noun} {path} is not valid JSON: {exc}") from exc
+    return parse_json(text, f"{noun} {path}", error, parse_number)
 
 
 def _write_json(doc: dict, path) -> None:
@@ -64,7 +85,7 @@ def _check_header(data, path, version: int, required, optional=()) -> None:
     `optional` keys.  Its version is checked before its keys, so a document
     of another version reports the version."""
     found = check_object(data, path, data, ("format_version",), FileFormatError)["format_version"]
-    if found != version:
+    if check_numbers(found, f"{path}: format_version", (), True, FileFormatError) != version:
         raise FileFormatError(
             f"{path}: unsupported format_version {found!r} (this reader expects {version})"
         )
@@ -72,16 +93,14 @@ def _check_header(data, path, version: int, required, optional=()) -> None:
 
 
 def _check_finite(path, **fields) -> None:
-    """One whole-array check per field, on load and before every save."""
+    """One whole-array check per field before every save (loading checks
+    through the number rule)."""
     for name, value in fields.items():
         check_finite(value, f"{path}: field '{name}'")
 
 
 def _fps(data: dict, path) -> float:
-    fps = data["fps"]
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise FileFormatError(f"{path}: 'fps' must be a number")
-    return float(fps)
+    return float(check_numbers(data["fps"], f"{path}: 'fps'", (), error=FileFormatError))
 
 
 def _names(data: dict, key: str, count: int, path) -> list[str]:
@@ -93,37 +112,36 @@ def _names(data: dict, key: str, count: int, path) -> list[str]:
     return names
 
 
-_KINDS = {"numbers": "iuf", "booleans": "b"}
-
-
-def _array(value, shape: tuple, what: str, path, holds: str = "numbers") -> np.ndarray:
-    """`value` as an array of `shape` holding only `holds` (numbers become
-    float64), or a typed error naming `what`."""
+def _array(value, shape: tuple, what: str, path, booleans: bool = False) -> np.ndarray:
+    """`value` as an array of `shape` holding only booleans, or else numbers
+    by the number rule (as float64); a typed error naming `what`:
+    DimensionMismatchError for the shape, FileFormatError for the rest."""
     try:
-        array = np.array(value)
+        array = np.asarray(value)
     except ValueError:   # ragged nested lists
         array = None
     if array is None or array.shape != shape:
         raise DimensionMismatchError(f"{path}: {what} must have shape {shape}")
-    if array.dtype.kind not in _KINDS[holds]:
-        raise FileFormatError(f"{path}: {what} must hold only {holds}")
-    return array.astype(np.float64, copy=False) if holds == "numbers" else array
+    if not booleans:
+        return check_numbers(value, f"{path}: {what}", error=FileFormatError)
+    if array.dtype.kind != "b":
+        raise FileFormatError(f"{path}: {what} must hold only booleans")
+    return array
 
 
 def _rows(data: dict, name: str, width: int, t: int, path) -> np.ndarray:
     """Field `name` as one (t, width) float array.
 
-    The whole field converts at once; only when that fails does a pass over
-    the rows find the first bad one (a row count that differs from
-    `root_pos`, a row of the wrong width, a non-number) and name its frame.
+    The whole field goes through the number rule at once; only when that
+    fails does a pass over the rows find the first bad one (a row count that
+    differs from `root_pos`, a row of the wrong width, a non-number) and
+    name its frame.
     """
     rows = data[name]
     try:
-        array = np.array(rows)
-    except ValueError:   # ragged rows
-        array = None
-    if array is not None and array.shape == (t, width) and array.dtype.kind in "iuf":
-        return array.astype(np.float64, copy=False)
+        return check_numbers(rows, f"{path}: field '{name}'", (t, width), error=FileFormatError)
+    except FileFormatError:
+        pass
     if not isinstance(rows, list):
         raise FileFormatError(f"{path}: field '{name}' must be a list of rows, one per frame")
     if len(rows) != t:
@@ -165,7 +183,6 @@ def parse_motion(data, path, skel: Skeleton | None = None) -> MotionSequence:
         name: _rows(data, name, prod(field.shape), t, path).reshape((t, *field.shape))
         for name, field in FIELDS.items() if name in data
     }
-    _check_finite(path, fps=fps, **arrays)
     for name, rebuild in _REBUILT.items():
         if name not in arrays:
             arrays[name] = rebuild(arrays, fps)
@@ -198,9 +215,7 @@ def parse_features(data, path) -> tuple[np.ndarray, float]:
     rows = data["features"]
     if not isinstance(rows, list) or not rows:
         raise FileFormatError(f"{path}: 'features' must list at least 1 frame")
-    feats = _rows(data, "features", FEATURE_DIM, len(rows), path)
-    _check_finite(path, fps=fps, features=feats)
-    return feats, fps
+    return _rows(data, "features", FEATURE_DIM, len(rows), path), fps
 
 
 def save_features(frames: np.ndarray, fps: float, path) -> None:
@@ -215,9 +230,7 @@ def load_norm_stats(path) -> NormStats:
     shape = (FEATURE_DIM,)
     mean = _array(data["mean"], shape, "field 'mean'", path)
     std = _array(data["std"], shape, "field 'std'", path)
-    _check_finite(path, mean=mean, std=std)
-    mask = _array(data.get("mask", normalized_dim_mask()), shape, "field 'mask'", path,
-                  holds="booleans")
+    mask = _array(data.get("mask", normalized_dim_mask()), shape, "field 'mask'", path, True)
     clamped = data.get("clamped", False)
     if not isinstance(clamped, bool):
         raise FileFormatError(f"{path}: field 'clamped' must be a boolean")

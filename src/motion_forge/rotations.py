@@ -34,7 +34,12 @@ def rot_to_6d(rot: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     if not np.all(np.abs(gram - eye) <= _ORTHO_TOL):
         raise InvalidRotationError("matrix is not orthonormal within 1e-6")
-    if not np.all(np.linalg.det(rot) > 0.0):
+    # an orthonormal matrix has det +-1, the triple product c0 . (c1 x c2)
+    c0, c1, c2 = rot[..., :, 0], rot[..., :, 1], rot[..., :, 2]
+    det = (c0[..., 0] * (c1[..., 1] * c2[..., 2] - c1[..., 2] * c2[..., 1])
+           + c0[..., 1] * (c1[..., 2] * c2[..., 0] - c1[..., 0] * c2[..., 2])
+           + c0[..., 2] * (c1[..., 0] * c2[..., 1] - c1[..., 1] * c2[..., 0]))
+    if not np.all(det > 0.0):
         raise InvalidRotationError("matrix has negative determinant")
     return np.concatenate([rot[..., :, 0], rot[..., :, 1]], axis=-1)
 

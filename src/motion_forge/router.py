@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteError,
     check_fields,
     check_finite,
+    check_numbers,
     check_object,
 )
 from .kernels import MLPParams, clone_mlp, init_mlp, log_sum_exp, mlp_forward, softmax_
@@ -438,18 +439,30 @@ def mlp_to_dict(params: MLPParams) -> dict:
     }
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return value
+
+
 def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:
-    """Inverse of `mlp_to_dict`; a missing or unknown key or a `w` that does
-    not fill its `shape` raises ConfigError and a NaN or infinite value
-    NonFiniteError."""
+    """Inverse of `mlp_to_dict`.  A missing or unknown key, a value outside
+    the number rule (`shape` is two integers >= 1, `w` and `b` lists of
+    reals), or a `w` that does not fill its `shape` raises ConfigError; a
+    NaN or infinite weight raises NonFiniteError."""
     params: MLPParams = []
-    for i, layer in enumerate(check_object(data, where, ("layers",), ("layers",))["layers"]):
+    for i, layer in enumerate(_list(check_object(data, where, ("layers",), ("layers",))["layers"],
+                                    f"{where}: 'layers'")):
         at = f"{where} layer {i}"
         check_object(layer, at, _LAYER_KEYS, _LAYER_KEYS)
-        w, b = check_finite(layer["w"], f"{at} 'w'"), check_finite(layer["b"], f"{at} 'b'")
-        if w.size != np.prod(layer["shape"]):
+        shape = check_numbers(layer["shape"], f"{at} 'shape'", (2,), whole=True)
+        w = check_numbers(layer["w"], f"{at} 'w'", (None,))
+        b = check_numbers(layer["b"], f"{at} 'b'", (None,))
+        if (shape < 1).any():
+            raise ConfigError(f"{at}: 'shape' entries must be >= 1, got {layer['shape']}")
+        if w.size != math.prod(shape.tolist()):
             raise ConfigError(f"{at}: 'w' has {w.size} values for shape {layer['shape']}")
-        params.append((w.reshape(layer["shape"]), b))
+        params.append((w.reshape(shape.astype(np.int64)), b))
     return params
 
 
@@ -466,17 +479,16 @@ def pool_to_dict(pool: ExpertPool) -> dict:
 
 
 def pool_from_dict(data: dict) -> ExpertPool:
-    """Inverse of `pool_to_dict`.  A missing or unknown key, a non-number,
-    or a pool that breaks an `ExpertPool` invariant raise ConfigError; a NaN
-    or infinite value raises NonFiniteError."""
+    """Inverse of `pool_to_dict`.  A missing or unknown key, a value outside
+    the number rule (the dims, `capacity` and `unlocked_count` are integers,
+    `lr_multipliers` reals), or a pool that breaks an `ExpertPool` invariant
+    raise ConfigError; a NaN or infinite weight or multiplier raises
+    NonFiniteError."""
     check_object(data, "expert pool", _POOL_KEYS, _POOL_KEYS)
-    try:
-        dims = [int(data["input_dim"]), *map(int, data["hidden"]), int(data["output_dim"])]
-        experts = [mlp_from_dict(e, f"expert {k}") for k, e in enumerate(data["experts"])]
-        capacity, unlocked = int(data["capacity"]), int(data["unlocked_count"])
-        lr = [float(x) for x in check_finite(data["lr_multipliers"], "lr_multipliers")]
-    except (TypeError, ValueError, OverflowError) as exc:   # int() of inf overflows
-        raise ConfigError(f"expert pool: {exc}") from exc
-    return ExpertPool(experts=experts, input_dim=dims[0], output_dim=dims[-1],
-                      hidden=tuple(dims[1:-1]), capacity=capacity, unlocked_count=unlocked,
-                      lr_multipliers=lr)
+    ints = {key: int(check_numbers(data[key], "expert pool", (), whole=True))
+            for key in ("input_dim", "output_dim", "capacity", "unlocked_count")}
+    hidden = check_numbers(data["hidden"], "expert pool: 'hidden'", (None,), whole=True)
+    lr = check_numbers(data["lr_multipliers"], "expert pool: 'lr_multipliers'", (None,))
+    experts = _list(data["experts"], "expert pool: 'experts'")
+    return ExpertPool(experts=[mlp_from_dict(e, f"expert {k}") for k, e in enumerate(experts)],
+                      hidden=tuple(map(int, hidden)), lr_multipliers=lr.tolist(), **ints)

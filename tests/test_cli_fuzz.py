@@ -8,19 +8,28 @@ mutation, `cli_dispatch` returns 0, or returns 1 with exactly one JSON error
 line that names a `MotionForgeError` subclass; it never raises, and it never
 succeeds on an input that holds a non-finite number.
 
+A second property targets inputs that would succeed wrongly: a number
+replaced by a bool or a numeric string, or a whole number (every valid
+document spells one as a JSON integer, and a real number with a fraction
+point) replaced by a fraction, must end in exit 1 with one JSON error line.
+A third fuzzes the numeric flags: a value argparse cannot read exits 2 with
+its usage message, and any other value exits 0 or 1 as above.
+
 Nodes are sampled, not swept: a list offers only its first and last
 elements, so a clip of thousands of numbers has about a hundred nodes.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_walk_sequence, neutral_features
@@ -38,6 +47,7 @@ UNKNOWN_KEY = "zz_unknown"
 REPLACEMENTS = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -1, "fraction": 0.5,
     "huge": 1e300, "string": "x", "null": None, "bool": True, "list": [1], "object": {"a": 1},
+    "numeric_string": "0.5",
 }
 MUTATIONS = ["drop", "unknown", *REPLACEMENTS]
 NON_FINITE = {"nan", "inf", "-inf"}
@@ -112,14 +122,21 @@ def _nodes(doc, path=()):
             yield from _nodes(doc[index], path + (index,))
 
 
-def _mutate(doc, path, mutation):
-    """A copy of `doc` with `mutation` applied at the node `path`; None
-    where it does not apply (dropping the whole document, or an unknown key
-    in a node that is not an object)."""
+def _copy_at(doc, path):
+    """A copy of `doc` inside a one-element list, and the container and key
+    of the node `path` in that copy."""
     holder = [copy.deepcopy(doc)]
     parent, key = holder, 0
     for step in path:
         parent, key = parent[key], step
+    return holder, parent, key
+
+
+def _mutate(doc, path, mutation):
+    """A copy of `doc` with `mutation` applied at the node `path`; None
+    where it does not apply (dropping the whole document, or an unknown key
+    in a node that is not an object)."""
+    holder, parent, key = _copy_at(doc, path)
     if mutation == "drop":
         if not path:
             return None
@@ -133,13 +150,15 @@ def _mutate(doc, path, mutation):
     return holder[0]
 
 
-def _run(workdir, command, documents) -> tuple[int, list[str]]:
-    """`cli_dispatch`'s return code and stderr lines for `command` on `documents`."""
+def _run(workdir, command, documents, flags=()) -> tuple[int, list[str]]:
+    """`cli_dispatch`'s return code and stderr lines for `command` on
+    `documents`, with any extra `flags`."""
     files = {"out": workdir / "out"}
     for name in _inputs(command):
         files[name] = workdir / f"{name}.json"
         files[name].write_text(json.dumps(documents[name]))
     argv = [arg.format(**files) for arg in COMMANDS[command]] + ["--config", str(files["config"])]
+    argv += flags
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = cli_dispatch(argv)
@@ -163,5 +182,58 @@ def test_one_node_mutation_is_success_or_one_json_error(workdir, documents, comm
     if code == 0:
         assert mutation not in NON_FINITE, f"{command} succeeded on a {mutation} input"
     else:
-        assert code == 1 and len(lines) == 1, (code, lines)
-        assert json.loads(lines[0])["error"] in ERRORS, lines[0]
+        _assert_one_json_error(code, lines)
+
+
+def _assert_one_json_error(code, lines):
+    assert code == 1 and len(lines) == 1, (code, lines)
+    assert json.loads(lines[0])["error"] in ERRORS, lines[0]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_number_replaced_by_a_non_number_is_one_json_error(workdir, documents, command, data):
+    name = data.draw(st.sampled_from(_inputs(command)), label="document")
+    numbers = {}
+    for path in _nodes(documents[name]):
+        value = functools.reduce(operator.getitem, path, documents[name])
+        if type(value) in (int, float):
+            numbers[path] = value
+    assume(numbers)
+    path = data.draw(st.sampled_from(sorted(numbers, key=str)), label="node")
+    value = numbers[path]
+    fraction = [value + 0.5] if type(value) is int else []
+    replacement = data.draw(st.sampled_from([True, False, str(value), *fraction]),
+                            label="replacement")
+    holder, parent, key = _copy_at(documents[name], path)
+    parent[key] = replacement
+    _assert_one_json_error(*_run(workdir, command, {**documents, name: holder[0]}))
+
+
+METRIC_FLAGS = ["--ground-z", "--contact-eps", "--skate-threshold", "--pelvis-z-threshold",
+                "--trunk-gravity-threshold", "--ee-z-threshold"]
+# flag -> (the subcommands that take it, the type argparse reads it with)
+FLAGS = {"--seed": (list(COMMANDS), int), "--iters": (["curriculum-sim"], int),
+         **{flag: (["metrics"], float) for flag in METRIC_FLAGS}}
+# no huge count for --iters: a valid request for 1e30 iterations would run
+FLAG_VALUES = ["0", "1", "-1", "0.5", "1e300", "1e999", "nan", "inf", "-inf", "x", "", "True"]
+
+
+@given(data=st.data())
+def test_numeric_flag_is_success_one_json_error_or_usage(workdir, documents, data):
+    flag = data.draw(st.sampled_from(list(FLAGS)), label="flag")
+    commands, kind = FLAGS[flag]
+    command = data.draw(st.sampled_from(commands), label="command")
+    extra = [str(10**30)] if flag == "--seed" else []
+    value = data.draw(st.sampled_from(FLAG_VALUES + extra), label="value")
+    code, lines = _run(workdir, command, documents, [f"{flag}={value}"])
+    try:
+        number = kind(value)
+    except ValueError:
+        assert code == 2, (code, lines)   # argparse's usage error
+        return
+    if code == 0:
+        assert math.isfinite(number), f"{command} succeeded on {flag}={value}"
+    else:
+        _assert_one_json_error(code, lines)
