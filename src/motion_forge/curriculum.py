@@ -28,8 +28,10 @@ evaluations (after at least 3000 iterations on the level).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -101,8 +103,9 @@ class CorpusState:
     The columns are `file_id`, `level` and every name in COLUMNS;
     `freeze_state` holds STATE_* codes.  Columns not given start at zero
     (active, never sampled); a scalar fills the column.  Every column holds
-    finite, non-negative numbers by the number rule, integers in the
-    integer columns; a column that breaks it raises ConfigError.
+    finite, non-negative numbers by the number rule, integers no larger
+    than 2**53 in the integer columns; a column that breaks it raises
+    ConfigError.
     """
 
     def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
@@ -123,6 +126,8 @@ class CorpusState:
                 raise ConfigError(str(exc)) from None
             if (value < 0).any():
                 raise ConfigError(f"column {name} must hold non-negative numbers")
+            if dtype is not np.float64 and (value > 2**53).any():   # before the int cast wraps it
+                raise ConfigError(f"column {name} holds an integer beyond 2**53")
             if name == "freeze_state" and (value >= len(STATE_NAMES)).any():
                 raise ConfigError(f"column freeze_state must hold STATE_* codes 0..{len(STATE_NAMES) - 1}")
             setattr(self, name, np.zeros(n, dtype))
@@ -163,8 +168,8 @@ def update_file_stats(
 
     `rows` must be distinct; the batch arguments hold one value per row.
     Errors, successes and failures must be finite and non-negative, and
-    successes and failures whole numbers; a bad value raises ValueError
-    before any row changes.
+    successes and failures whole numbers (integers or whole floats, never
+    bools); a bad value raises ValueError before any row changes.
     """
     batch_error = np.asarray(batch_error, dtype=np.float64)
     batch_successes = np.asarray(batch_successes)
@@ -172,11 +177,15 @@ def update_file_stats(
     for name, values, noun in (("error", batch_error, ""),
                                ("successes", batch_successes, " whole numbers"),
                                ("failures", batch_failures, " whole numbers")):
-        # every value lies in [0, inf): a NaN fails both comparisons
-        bad = values.size and not (0.0 <= float(np.minimum.reduce(values, None))
-                                   <= float(np.maximum.reduce(values, None)) < math.inf)
-        if noun and not bad and values.dtype.kind == "f":
-            bad = (values % 1).any()
+        if not values.size:
+            continue
+        low = np.minimum.reduce(values, None)
+        if values.dtype.kind in "iu":   # integers are finite: only the sign can fail
+            bad = low < 0
+        else:   # every value lies in [0, inf): a NaN fails both comparisons
+            bad = not 0.0 <= float(low) <= float(np.maximum.reduce(values, None)) < math.inf
+            if noun and not bad:   # whole numbers, and no bools: True + True is True
+                bad = values.dtype.kind == "b" or (values % 1).any()
         if bad:
             raise ValueError(f"batch {name} must be finite and non-negative{noun}")
     a = cfg.error_ema_alpha
@@ -184,7 +193,9 @@ def update_file_stats(
     state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
     state.success_count[rows] = b * state.success_count[rows] + batch_successes
     state.failure_count[rows] = b * state.failure_count[rows] + batch_failures
-    state.attempts[rows] += batch_successes + batch_failures
+    # not `+=`: whole-number floats must land in the int64 column, which an
+    # in-place add refuses to cast to
+    state.attempts[rows] = state.attempts[rows] + (batch_successes + batch_failures)
 
 
 def sampling_scores(state: CorpusState, cfg: SamplerConfig, iteration: int, rows=slice(None)) -> np.ndarray:
@@ -225,22 +236,23 @@ def sampling_distribution(
 
 def apply_level_quota(
     probs: np.ndarray,
-    levels: Sequence[int],
+    sizes: Sequence[int],
     floor: float,
 ) -> np.ndarray:
     """Raise any unlocked level's total mass to the replay floor.
 
-    Rows must come grouped by ascending level, as `introduced_rows` gives
-    them (else ConfigError).  Deficits are added uniformly within the
-    starved level and paid proportionally by levels above the floor; the
-    result still sums to 1.
+    Rows come grouped by level, as a `ReplaySet` holds them: `sizes` gives
+    each level's row count in row order, and must be non-negative and add
+    up to the rows (else ConfigError).  Deficits are added uniformly within
+    the starved level and paid proportionally by levels above the floor;
+    the result still sums to 1.
     """
     probs = np.array(probs, dtype=np.float64)
-    levels = np.asarray(levels)
-    if (levels[1:] < levels[:-1]).any():
-        raise ConfigError("apply_level_quota needs rows grouped by ascending level")
-    cuts = (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
-    bounds = list(zip([0] + cuts, cuts + [levels.size]))
+    if min(sizes, default=0) < 0 or sum(sizes) != probs.size:
+        raise ConfigError(f"apply_level_quota needs level sizes that add up to the "
+                          f"{probs.size} rows, got {list(sizes)}")
+    ends = list(itertools.accumulate(sizes))
+    bounds = list(zip([0, *ends], ends))
     # each level's mass sums its contiguous slice: the same pairwise sum as a
     # masked gather of the level's rows
     masses = [float(np.add.reduce(probs[a:b])) for a, b in bounds]
@@ -253,14 +265,13 @@ def apply_level_quota(
     total_surplus = sum(max(0.0, m - floor) for m in present)
     if total_surplus <= 0.0:
         return probs
+    positive = probs > 0.0   # only positive rows gain or pay
     for (a, b), m in zip(bounds, masses):
         if not m > 0.0 or m == floor:   # absent, or exactly at the floor
             continue
-        level = probs[a:b]
-        rows = level > 0.0   # only positive rows gain or pay
-        k = np.count_nonzero(rows)
+        level, rows = probs[a:b], positive[a:b]
         if m < floor:
-            np.add(level, (floor - m) / k, out=level, where=rows)
+            np.add(level, (floor - m) / np.count_nonzero(rows), out=level, where=rows)
         else:
             share = total_deficit * (m - floor) / total_surplus
             np.subtract(level, level / m * share, out=level, where=rows)
@@ -290,13 +301,18 @@ def check_freeze(state: CorpusState, cfg: SamplerConfig, iteration: int) -> tupl
     return hit, code[hit]
 
 
+def ramp_iters(level: int, cfg: SamplerConfig) -> int:
+    """Iterations a newly unlocked level takes to introduce all its files."""
+    if level >= cfg.intro_extra_level:
+        return cfg.intro_base_iters + cfg.intro_extra_iters
+    return cfg.intro_base_iters
+
+
 def introduction_ratio(iteration: int, unlock_iter: int, level: int, cfg: SamplerConfig) -> float:
     """Fraction of a newly unlocked level's files available at `iteration`."""
     if iteration < unlock_iter:
         raise ValueError("iteration precedes the level's unlock")
-    horizon = cfg.intro_base_iters
-    if level >= cfg.intro_extra_level:
-        horizon += cfg.intro_extra_iters
+    horizon = ramp_iters(level, cfg)
     progress = min(iteration - unlock_iter, horizon) / horizon
     return cfg.intro_start_ratio + progress * (1.0 - cfg.intro_start_ratio)
 
@@ -319,22 +335,14 @@ def promotion_check(eval_errors: Sequence[float], iters_on_level: int, cfg: Samp
     return True
 
 
-def _introduced_counts(
-    orders: Sequence[np.ndarray],
-    unlock_iters: Sequence[int],
-    iteration: int,
-    cfg: SamplerConfig,
-) -> tuple[int, ...]:
-    """How many rows of each unlocked level are introduced by `iteration`.
-
-    Level k + 1 unlocked at `unlock_iters[k]` and introduces the first
-    ceil(introduction_ratio * size) rows of `orders[k]`.
-    """
-    return tuple(
-        math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)
-        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
-        if iteration >= unlock
-    )
+def _introduced_count(order: np.ndarray, unlock_iter: int, level: int, iteration: int,
+                      cfg: SamplerConfig) -> int:
+    """How many rows of `order`, level `level` unlocked at `unlock_iter`,
+    are introduced by `iteration`: none before the unlock, then the leading
+    ceil(introduction_ratio * size)."""
+    if iteration < unlock_iter:
+        return 0
+    return math.ceil(introduction_ratio(iteration, unlock_iter, level, cfg) * order.size)
 
 
 def introduced_rows(
@@ -343,10 +351,15 @@ def introduced_rows(
     iteration: int,
     cfg: SamplerConfig,
 ) -> np.ndarray:
-    """Rows introduced by `iteration`, level by level in introduction order:
-    the leading `_introduced_counts` rows of each unlocked level's order."""
-    counts = _introduced_counts(orders, unlock_iters, iteration, cfg)
-    return np.concatenate([order[:n] for order, n in zip(orders, counts)])
+    """Rows introduced by `iteration`, level by level in introduction order.
+
+    Level k + 1 unlocked at `unlock_iters[k]` and introduces the leading
+    `_introduced_count` rows of `orders[k]`.
+    """
+    return np.concatenate([
+        order[:_introduced_count(order, unlock, lv, iteration, cfg)]
+        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
+    ])
 
 
 _JSONL_KEYS = ("file_id", "level", *COLUMNS)
@@ -382,7 +395,7 @@ def load_records(path) -> CorpusState:
 # Desk-scale curriculum simulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticFile:
     """Spec of one synthetic motion file for the scheduler driver.
 
@@ -416,7 +429,7 @@ def default_error_process(
     """(batch error, successes, failures) for `rollouts` draws of a file."""
     error = spec.error_at(exposures)
     p_succ = math.exp(-error / spec.success_scale)
-    successes = int(rng.binomial(rollouts, p_succ))
+    successes = rng.binomial(rollouts, p_succ)   # a Python int for scalar arguments
     return error, successes, rollouts - successes
 
 
@@ -473,38 +486,62 @@ class CurriculumTrace:
 
 class ReplaySet:
     """The rows a simulation samples from: the active introduced rows, level
-    by level in introduction order, and their levels.
+    by level in introduction order, their levels, and each unlocked level's
+    row count (`sizes`, for `apply_level_quota`).  `orders[k]` must hold
+    rows of level k + 1 only (else ConfigError).
 
     The corpus's activity mask is recomputed only after `invalidate` (call
     it whenever `check_freeze` has run), when the iteration reaches the
-    earliest `frozen_until` of a frozen row, or when it goes back; the rows
-    are rebuilt only then and when a level's introduced count changes.
-    `unlock_iters` is read on every call, so appending to it unlocks a level.
+    earliest `frozen_until` of a frozen row, or when it goes back; each
+    level's active rows in introduction order are kept with it.  A level
+    whose ramp has ended keeps its introduced count, so a call counts only
+    the levels still ramping, and every level after a recomputation, a step
+    back or an unlock; the rows are rebuilt only when the mask or a level's
+    size changes.  `unlock_iters` is read on every call, so appending to it
+    unlocks a level.
     """
 
     def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
                  unlock_iters: Sequence[int], cfg: SamplerConfig):
+        for lv, order in enumerate(orders, start=1):
+            if (state.level[order] != lv).any():
+                raise ConfigError(f"replay order {lv - 1} must hold rows of level {lv} only")
         self.state, self.orders, self.unlock_iters, self.cfg = state, orders, unlock_iters, cfg
         self.invalidate()
 
     def invalidate(self) -> None:
-        self.active = None
+        self.kept = None
 
     def at(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
         """The active introduced rows at `iteration` and their levels."""
-        state = self.state
-        if self.active is None or not self.since <= iteration < self.thaw_at:
-            self.active = active_mask(state, iteration)
+        state, unlocks = self.state, self.unlock_iters
+        stale = self.kept is None or not self.since <= iteration < self.thaw_at
+        if stale:
+            active = active_mask(state, iteration)
             frozen = state.frozen_until[(state.freeze_state == STATE_FROZEN)
                                         & (state.frozen_until > iteration)]
             self.thaw_at = frozen.min().item() if frozen.size else math.inf
-            self.since, self.counts = iteration, None
-        counts = _introduced_counts(self.orders, self.unlock_iters, iteration, self.cfg)
-        if counts != self.counts:
-            rows = introduced_rows(self.orders, self.unlock_iters, iteration, self.cfg)
-            self.rows = rows[self.active[rows]]
+            self.since = iteration
+            live = [active[order] for order in self.orders]
+            self.kept = [order[mask] for order, mask in zip(self.orders, live)]
+            # active_before[k][n]: active rows among the first n of orders[k]
+            self.active_before = [[0, *np.cumsum(mask).tolist()] for mask in live]
+        if stale or iteration < self.iteration or len(unlocks) != len(self.sizes):
+            self.sizes = [-1] * len(unlocks)
+            # (level index, iteration its ramp ends) of every level whose size may change
+            self.ramping = [(k, unlock + ramp_iters(k + 1, self.cfg))
+                            for k, unlock in enumerate(unlocks)]
+        self.iteration = iteration
+        changed = False
+        for k, _ in self.ramping:
+            size = self.active_before[k][
+                _introduced_count(self.orders[k], unlocks[k], k + 1, iteration, self.cfg)]
+            if size != self.sizes[k]:
+                self.sizes[k], changed = size, True
+        self.ramping = [(k, end) for k, end in self.ramping if iteration < end]
+        if changed:
+            self.rows = np.concatenate([kept[:n] for kept, n in zip(self.kept, self.sizes)])
             self.levels = state.level[self.rows]
-            self.counts = counts
         return self.rows, self.levels
 
     def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,7 +550,7 @@ class ReplaySet:
         if not rows.size:
             return rows, levels, np.zeros(0)
         probs = sampling_distribution(self.state, self.cfg, iteration, rows)
-        return rows, levels, apply_level_quota(probs, levels, self.cfg.level_mass_floor)
+        return rows, levels, apply_level_quota(probs, self.sizes, self.cfg.level_mass_floor)
 
 
 def run_curriculum_sim(
@@ -547,18 +584,18 @@ def run_curriculum_sim(
         if rows.size:
             counts = rng.multinomial(sim.rollouts_per_iter, probs)
             picked = counts.nonzero()[0]
-            sampled, counts = rows[picked], counts[picked]
+            sampled, rollouts = rows[picked], counts[picked].tolist()
             outcomes = [
                 error_process(files[row], attempts, count, rng)
                 for row, attempts, count in zip(
-                    sampled.tolist(), state.attempts[sampled].tolist(), counts.tolist()
+                    sampled.tolist(), state.attempts[sampled].tolist(), rollouts
                 )
             ]
-            if outcomes:
-                errors, successes, failures = (np.asarray(v) for v in zip(*outcomes))
-                if (successes + failures != counts).any():
-                    raise ConfigError("error process successes + failures must equal its rollouts")
-                update_file_stats(state, sampled, errors, successes, failures, cfg)
+            # the draws sum to rollouts_per_iter >= 1, so some file was sampled
+            errors, successes, failures = zip(*outcomes)
+            if list(map(operator.add, successes, failures)) != rollouts:
+                raise ConfigError("error process successes + failures must equal its rollouts")
+            update_file_stats(state, sampled, errors, successes, failures, cfg)
 
         if (it + 1) % cfg.check_interval == 0:
             hit, codes = check_freeze(state, cfg, it + 1)

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestCorpusState:
         assert st.ema_error.tolist() == [0.0, 0.0]
         assert st.freeze_state.tolist() == [STATE_ACTIVE, STATE_ACTIVE]
 
-    @pytest.mark.parametrize("levels", [[0], [13], [1.5], ["1"]])
+    @pytest.mark.parametrize("levels", [[0], [13], [1.5], ["1"], [1e300], [2**53 + 1]])
     def test_bad_level_rejected(self, levels):
         with pytest.raises(ConfigError):
             CorpusState(["a"], levels)
@@ -75,6 +76,14 @@ class TestCorpusState:
     def test_non_finite_negative_or_fractional_column_rejected(self, column, value):
         with pytest.raises(ConfigError, match=f"column {column}"):
             state(["a", "b"], **{column: [0, value]})
+
+    @pytest.mark.parametrize("value", [1e300, 2.0**55, 2**53 + 1], ids=["1e300", "2.0**55", "2**53+1"])
+    @pytest.mark.parametrize("column", ["attempts", "freeze_state", "frozen_until", "freeze_count"])
+    def test_integer_column_beyond_2_53_rejected_before_the_cast(self, column, value):
+        # the int64 cast would wrap 1e300 to a negative number with a RuntimeWarning
+        with pytest.raises(ConfigError, match=f"column {column}"):
+            state(["a", "b"], **{column: [0, value]})
+        assert state(["a"], attempts=2**53).attempts.tolist() == [2**53]
 
     @pytest.mark.parametrize("codes", [[7, 0], [1.5, 0], [-1, 0]])
     def test_freeze_state_outside_the_codes_rejected(self, codes):
@@ -116,6 +125,14 @@ class TestFileStats:
         assert st.attempts.tolist() == [8, 5, 8]
         assert st.success_count.tolist() == [3.0, 0.0, 1.0]
 
+    def test_whole_number_float_counts_update_like_integers(self):
+        ints, floats = (state(["a", "b", "c"], success_count=1.5, attempts=5) for _ in range(2))
+        update_file_stats(ints, [2, 0], [0.4, 0.0], [1, 3], [2, 0], CFG)
+        update_file_stats(floats, [2, 0], [0.4, 0.0], [1.0, 3.0], [2.0, 0.0], CFG)
+        for name in ("ema_error", "success_count", "failure_count", "attempts"):
+            assert getattr(floats, name).tobytes() == getattr(ints, name).tobytes(), name
+        assert floats.attempts.tolist() == [8, 5, 8]
+
     def test_negative_batch_error_rejected(self):
         st = state(["a", "b"], ema_error=0.2)
         with pytest.raises(ValueError, match="non-negative"):
@@ -131,6 +148,8 @@ class TestFileStats:
         ([0.1, 0.1], [1, 1], [0, -1]),
         ([0.1, 0.1], [1.5, 1], [0.5, 0]),
         ([0.1, 0.1], [1, 1], [0, 0.25]),
+        ([0.1, 0.1], [True, True], [False, True]),   # True + True would count one rollout
+        ([0.1, 0.1], [Fraction(9, 2), 1], [Fraction(1, 2), 0]),   # an object array
     ])
     def test_bad_batch_rejected_before_any_row_changes(self, batch):
         st = state(["a", "b"], ema_error=0.2, success_count=1.0, attempts=3)
@@ -225,20 +244,20 @@ class TestSamplingDistribution:
 class TestLevelQuota:
     def test_floor_enforced(self):
         probs = np.array([0.98, 0.01, 0.01])
-        levels = [1, 1, 2]
-        out = apply_level_quota(probs, levels, 0.05)
+        sizes = [2, 1]   # rows of levels 1, 1, 2
+        out = apply_level_quota(probs, sizes, 0.05)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert out[2] >= 0.05 - 1e-12
 
     def test_no_change_when_above_floor(self):
         probs = np.array([0.5, 0.3, 0.2])
-        out = apply_level_quota(probs, [1, 2, 3], 0.02)
+        out = apply_level_quota(probs, [1, 1, 1], 0.02)
         assert np.allclose(out, probs)
 
-    @pytest.mark.parametrize("levels", [[2, 1, 1], [1, 2, 1]])
-    def test_rows_must_be_grouped_by_ascending_level(self, levels):
-        with pytest.raises(ConfigError, match="grouped by ascending level"):
-            apply_level_quota(np.array([0.98, 0.01, 0.01]), levels, 0.05)
+    @pytest.mark.parametrize("sizes", [[2, 2], [1, 1], [], [4, -1], [3, 1, -1]])
+    def test_sizes_must_add_up_to_the_rows(self, sizes):
+        with pytest.raises(ConfigError, match="add up to the 3 rows"):
+            apply_level_quota(np.array([0.98, 0.01, 0.01]), sizes, 0.05)
 
 
 class TestFreezeAndDrop:
@@ -433,10 +452,11 @@ class TestSimulation:
         ((0.1, 0, 0), ConfigError),
         ((0.1, -90, 99), ValueError),       # sums to the 9 rollouts
         ((float("nan"), 9, 0), ValueError),
+        ((0.1, True, True), ValueError),    # sums to the 2 rollouts below
     ])
     def test_error_process_outputs_checked(self, outcome, error):
         files = [SyntheticFile("a", 1)]
-        sim = SimConfig(total_iters=10, rollouts_per_iter=9, seed=0)
+        sim = SimConfig(total_iters=10, rollouts_per_iter=2 if outcome[1] is True else 9, seed=0)
         with pytest.raises(error):
             run_curriculum_sim(files, sim=sim, error_process=lambda *_: outcome)
 
@@ -453,30 +473,47 @@ class TestSimulation:
         # 200 files over 10 levels with desk-scaled thresholds, so freezes,
         # thaws, drops and promotions all fire within 1500 iterations; the
         # digest pins the exact CSV bytes of the scheduler's seeded run
-        rng = np.random.default_rng(5)
-        files = [
-            SyntheticFile(
-                f"f{lv:02d}_{i:03d}", lv,
-                start_error=float(rng.uniform(0.15, 0.5)),
-                error_floor=float(rng.uniform(0.01, 0.14)),
-                improve_rate=float(10.0 ** rng.uniform(-3.5, -2.0)),
-                success_scale=float(rng.uniform(0.06, 0.2)),
-            )
-            for lv in range(1, 11)
-            for i in range(20)
-        ]
-        cfg = SamplerConfig(
-            n_min=200, check_interval=100, freeze_duration=300, success_warmup_iters=600,
-            intro_base_iters=300, intro_extra_iters=200, promote_min_iters=300,
-        )
-        sim = SimConfig(total_iters=1500, rollouts_per_iter=64, eval_interval=100,
-                        trace_interval=100, seed=0)
-        trace = run_curriculum_sim(files, cfg, sim)
+        trace = golden_trace(1500)
         kinds = [e.kind for e in trace.events]
         assert (kinds.count("freeze"), kinds.count("drop"), kinds.count("promote")) == (88, 33, 2)
         assert trace.final_level == 3
         digest = hashlib.sha256(trace.to_csv().encode()).hexdigest()
         assert digest == "d3fdd925de3998f46531883109a1a76b61d7958820f4a86165f6aa3727fc70bc"
+
+    def test_golden_trace_sha256_reaches_deep_levels(self):
+        # the same corpus run twice as long reaches level 7, so six level
+        # ramps start and end, some while freezes run out.  Like the digest
+        # above it depends on numpy's AVX-512 kernels (ROADMAP item 1).
+        trace = golden_trace(3000)
+        kinds = [e.kind for e in trace.events]
+        assert (kinds.count("freeze"), kinds.count("drop"), kinds.count("promote")) == (193, 77, 6)
+        assert trace.final_level == 7
+        digest = hashlib.sha256(trace.to_csv().encode()).hexdigest()
+        assert digest == "cb9e08313ee5cd763a2f332d477a0754ab9918c54dafe2c9bbb3a830c9ec7274"
+
+
+def golden_trace(total_iters: int):
+    """The golden digests' seeded run: 200 files over 10 levels with
+    desk-scaled thresholds, seed 0."""
+    rng = np.random.default_rng(5)
+    files = [
+        SyntheticFile(
+            f"f{lv:02d}_{i:03d}", lv,
+            start_error=float(rng.uniform(0.15, 0.5)),
+            error_floor=float(rng.uniform(0.01, 0.14)),
+            improve_rate=float(10.0 ** rng.uniform(-3.5, -2.0)),
+            success_scale=float(rng.uniform(0.06, 0.2)),
+        )
+        for lv in range(1, 11)
+        for i in range(20)
+    ]
+    cfg = SamplerConfig(
+        n_min=200, check_interval=100, freeze_duration=300, success_warmup_iters=600,
+        intro_base_iters=300, intro_extra_iters=200, promote_min_iters=300,
+    )
+    sim = SimConfig(total_iters=total_iters, rollouts_per_iter=64, eval_interval=100,
+                    trace_interval=100, seed=0)
+    return run_curriculum_sim(files, cfg, sim)
 
 
 class TestRecordPersistence:
@@ -518,6 +555,19 @@ class TestRecordPersistence:
         path = tmp_path / "records.jsonl"
         path.write_text('{"file_id": "a", "level": 1, "ema_error": NaN}\n{"file_id": "b", "level": 1}\n')
         with pytest.raises(ConfigError, match="column ema_error"):
+            load_records(path)
+
+    @pytest.mark.parametrize("line, column", [
+        ('{"file_id":"a","level":1,"frozen_until":1e300}', "column frozen_until"),
+        ('{"file_id":"a","level":1,"attempts":9007199254740993}', "column attempts"),
+        ('{"file_id":"a","level":1e300}', "level"),
+    ])
+    def test_integer_beyond_2_53_rejected(self, tmp_path, line, column):
+        from motion_forge.curriculum import load_records
+
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=column):
             load_records(path)
 
     @pytest.mark.parametrize("line", [

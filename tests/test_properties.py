@@ -14,6 +14,8 @@ introduced active rows at every iteration, expert-pool growth clones the
 newest unlocked expert into the next slot, and the prefix loop carries its
 initial rows bit-exactly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,20 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from helpers import make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.curriculum import (  # noqa: E402
+    COLUMNS,
     MAX_LEVEL,
     MAX_TRAINABLE_LEVEL,
     STATE_FROZEN,
     CorpusState,
     ReplaySet,
     SamplerConfig,
+    SyntheticFile,
     active_mask,
     apply_level_quota,
     check_freeze,
+    default_error_process,
     introduced_rows,
+    ramp_iters,
     sampling_distribution,
     sampling_scores,
     update_file_stats,
@@ -324,21 +330,21 @@ def grouped_distributions(draw):
     if probs.sum() > 0.0:
         probs /= probs.sum()
     floor = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]) | st.floats(0.0, 0.5))
-    return probs, levels, floor
+    return probs, sizes, levels, floor
 
 
 @given(grouped_distributions())
 def test_level_quota_matches_masked_formula_bit_for_bit(case):
-    probs, levels, floor = case
-    out = apply_level_quota(probs, levels, floor)
+    probs, sizes, levels, floor = case
+    out = apply_level_quota(probs, sizes, floor)
     assert out.tobytes() == masked_level_quota(probs, levels, floor).tobytes()
 
 
 @given(grouped_distributions())
 def test_level_quota_keeps_the_simplex_and_lifts_every_level_to_the_floor(case):
-    probs, levels, floor = case
+    probs, sizes, levels, floor = case
     assume(probs.sum() > 0.0)
-    out = apply_level_quota(probs, levels, floor)
+    out = apply_level_quota(probs, sizes, floor)
     assert abs(out.sum() - 1.0) <= 1e-12
     present = [lv for lv in np.unique(levels) if probs[levels == lv].sum() > 0.0]
     if floor * len(present) <= 1.0:
@@ -423,11 +429,16 @@ def test_sampling_distribution_floors_active_rows_and_sums_to_one(case):
 
 
 @given(seed=st.integers(0, 2**32 - 1), check_interval=st.integers(2, 12),
-       freeze_duration=st.integers(1, 40))
+       freeze_duration=st.integers(1, 40),
+       unlocks=st.lists(st.integers(1, 69), max_size=MAX_TRAINABLE_LEVEL - 1, unique=True),
+       turn=st.integers(0, 40))
 def test_replay_set_matches_introduced_active_rows_at_every_iteration(
-        seed, check_interval, freeze_duration):
-    """Random introductions (promotions), freezes, thaws between checks and
-    drops, driven in the simulation's order; the replay set must equal the
+        seed, check_interval, freeze_duration, unlocks, turn):
+    """Freezes, thaws between checks and drops, levels unlocked at drawn
+    iterations the way a promotion unlocks them (ramps of 15 and 25
+    iterations, so one level's ramp can end while the next one's runs), and
+    one step back in time, across the first ramp end from iteration `turn`
+    on, driven in the simulation's order; the replay set must equal the
     introduced rows filtered by `active_mask`, recomputed from scratch."""
     assume(freeze_duration % check_interval)
     rng = np.random.default_rng(seed)
@@ -445,23 +456,136 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
         rows, levels = replay.at(iteration)
         assert rows.tolist() == want.tolist()
         assert levels.tolist() == state.level[want].tolist()
+        assert replay.sizes == [np.count_nonzero(state.level[want] == lv)
+                                for lv in range(1, len(unlock_iters) + 1)]
         got_rows, _, got = replay.distribution(iteration)
         want_rows, want_probs = reference_replay_distribution(state, intro, iteration, cfg)
         assert same_bits(got_rows, want_rows) and same_bits(got, want_probs)
         return rows
 
+    stepped_back = False
     for it in range(70):
         rows = check(it)
+        ends = [unlock + ramp_iters(lv, cfg) for lv, unlock in enumerate(unlock_iters, start=1)]
+        if not stepped_back and it >= turn and it in ends:
+            check(it - 1)
+            stepped_back = True
         batch = rows[rng.random(rows.size) < 0.4]
         update_file_stats(state, batch, rng.uniform(0.0, 0.2, batch.size),
                           rng.integers(0, 3, batch.size), rng.integers(0, 3, batch.size), cfg)
         if (it + 1) % check_interval == 0:
             check_freeze(state, cfg, it + 1)
             replay.invalidate()
-        if len(unlock_iters) < MAX_TRAINABLE_LEVEL and rng.random() < 0.08:
+        if it + 1 in unlocks:
             unlock_iters.append(it + 1)
         check(it)   # the trace row's query, after the freeze check and promotion
     assert (state.freeze_state == STATE_FROZEN).any() or state.freeze_count.any()
+
+
+def test_replay_set_refuses_an_order_of_mixed_levels():
+    state = CorpusState(["a", "b", "c"], [1, 2, 1])
+    with pytest.raises(ConfigError, match="replay order 0 must hold rows of level 1 only"):
+        ReplaySet(state, [np.array([0, 1]), np.array([2])], [0], SamplerConfig())
+
+
+# update_file_stats and default_error_process as they stood before the
+# outcome path was trimmed, kept as the bit-for-bit oracle for both.
+
+
+def reference_update_file_stats(state, rows, batch_error, batch_successes, batch_failures, cfg):
+    batch_error = np.asarray(batch_error, dtype=np.float64)
+    batch_successes = np.asarray(batch_successes)
+    batch_failures = np.asarray(batch_failures)
+    for name, values, noun in (("error", batch_error, ""),
+                               ("successes", batch_successes, " whole numbers"),
+                               ("failures", batch_failures, " whole numbers")):
+        bad = values.size and not (0.0 <= float(np.minimum.reduce(values, None))
+                                   <= float(np.maximum.reduce(values, None)) < math.inf)
+        if noun and not bad and values.dtype.kind == "f":
+            bad = (values % 1).any()
+        if bad:
+            raise ValueError(f"batch {name} must be finite and non-negative{noun}")
+    a = cfg.error_ema_alpha
+    b = cfg.success_decay_beta
+    state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
+    state.success_count[rows] = b * state.success_count[rows] + batch_successes
+    state.failure_count[rows] = b * state.failure_count[rows] + batch_failures
+    state.attempts[rows] += batch_successes + batch_failures
+
+
+def reference_default_error_process(spec, exposures, rollouts, rng):
+    error = spec.error_at(exposures)
+    p_succ = math.exp(-error / spec.success_scale)
+    successes = int(rng.binomial(rollouts, p_succ))
+    return error, successes, rollouts - successes
+
+
+# One bad value in one batch: (batch index, value).  Index 0 is the error,
+# 1 the successes, 2 the failures.
+BAD_BATCH_VALUES = [(0, -0.1), (0, np.nan), (0, np.inf), (1, -1), (1, 1.5), (1, np.nan),
+                    (2, -3), (2, 0.25), (2, np.inf)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       whole=st.sampled_from(["int", "float"]), form=st.sampled_from(["array", "tuple"]),
+       bad=st.none() | st.sampled_from(BAD_BATCH_VALUES))
+def test_outcome_path_matches_the_reference_bit_for_bit(seed, n, whole, form, bad):
+    """`update_file_stats` on random states and batches (integer counts, or
+    floats holding whole numbers; arrays, or tuples of Python numbers as
+    the simulation passes them) leaves every column with the reference's
+    bytes, and a bad batch raises the reference's ValueError with no row
+    changed; `default_error_process` returns the reference's outcome and
+    leaves the generator in the same state."""
+    rng = np.random.default_rng(seed)
+
+    def corpus():
+        draws = np.random.default_rng(seed)
+        return CorpusState(
+            [f"f{i}" for i in range(n)], draws.integers(1, MAX_LEVEL + 1, n),
+            ema_error=draws.exponential(0.2, n), success_count=draws.exponential(5.0, n),
+            failure_count=draws.exponential(5.0, n), attempts=draws.integers(0, 10**6, n))
+
+    rows = rng.permutation(n)[:rng.integers(0, n + 1)]
+    batch = [rng.exponential(0.2, rows.size), rng.integers(0, 40, rows.size),
+             rng.integers(0, 40, rows.size)]
+    if whole == "float":
+        batch[1:] = [counts.astype(np.float64) for counts in batch[1:]]
+    if bad is not None and rows.size:
+        which, value = bad
+        batch[which] = batch[which].astype(np.result_type(batch[which], value))
+        batch[which][rng.integers(rows.size)] = value
+    if form == "tuple":
+        batch = [tuple(values.tolist()) for values in batch]
+    cfg = SamplerConfig(error_ema_alpha=float(rng.uniform(0.01, 1.0)),
+                        success_decay_beta=float(rng.uniform(0.01, 1.0)))
+    # the reference's in-place add cannot cast float counts (an empty tuple
+    # is one) into the int64 attempts column, so it gets whole counts as integers
+    counts = [np.asarray(values) for values in batch[1:]]
+    if bad is None or not rows.size:
+        counts = [values.astype(np.int64) for values in counts]
+    want, got = corpus(), corpus()
+    try:
+        reference_update_file_stats(want, rows, batch[0], *counts, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            update_file_stats(got, rows, *batch, cfg)
+        want = corpus()   # the reference refuses before any row changes, too
+    else:
+        update_file_stats(got, rows, *batch, cfg)
+    for name in ("level", *COLUMNS):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    spec = SyntheticFile("f", 1, start_error=float(rng.uniform(0.0, 1.0)),
+                         error_floor=float(rng.uniform(0.0, 0.2)),
+                         improve_rate=float(rng.uniform(0.0, 0.01)),
+                         success_scale=float(rng.uniform(0.01, 1.0)))
+    exposures, rollouts = int(rng.integers(0, 10**5)), int(rng.integers(1, 100))
+    draws_want, draws_got = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_outcome = reference_default_error_process(spec, exposures, rollouts, draws_want)
+    got_outcome = default_error_process(spec, exposures, rollouts, draws_got)
+    assert [type(v) for v in got_outcome] == [float, int, int]
+    assert got_outcome == want_outcome
+    assert draws_got.bit_generator.state == draws_want.bit_generator.state
 
 
 # The router's per-step formulas as they stood before the in-place rework,
