@@ -28,13 +28,15 @@ never mirrored and scarce ones almost always are.
 from __future__ import annotations
 
 import math
+import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, check_finite
+from .errors import ConfigError, DimensionMismatchError, check_fields, check_finite
 from .kernels import MLPParams, gelu, init_mlp, mlp_forward, silu, softmax_
 
 TOKEN_DIM = 768
@@ -186,6 +188,49 @@ def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
         return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
 
 
+@dataclass
+class _SampleMix:
+    """One prompt's mixed expert weights, stored for the rest of a diffusion
+    sample: w1 (N, H, D) and w2 (N, D, H), mixed under the routing whose
+    bytes are `routing` from the stack arrays `stack` = (params.w1, params.w2)
+    as they were then.  The arrays are held, not their ids, so a stack
+    reassigned in the sample can never match a stored mix."""
+
+    params: TPMoEParams
+    stack: tuple[np.ndarray, np.ndarray]
+    routing: bytes
+    w1: np.ndarray
+    w2: np.ndarray
+
+
+# The mixes stored in the diffusion sample being drawn; None outside
+# `ddpm_sample`, which opens a fresh list and closes it when it returns.
+_SAMPLE_MIXES: ContextVar[list[_SampleMix] | None] = ContextVar("sample_mixes", default=None)
+
+
+def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> tuple[_SampleMix | None, bool]:
+    """The current sample's mix of `routing` over `params`' weight stacks
+    and False; else a new, unfilled mix and True while the sample's mixes
+    hold at most K mixed experts with it; else, and outside a sample,
+    (None, False)."""
+    store = _SAMPLE_MIXES.get()
+    if store is None:
+        return None, False
+    stack = (params.w1, params.w2)
+    # a params object whose weights were reassigned cannot hit its old mixes
+    store[:] = [m for m in store
+                if m.params is not params or all(a is b for a, b in zip(m.stack, stack))]
+    key = routing.tobytes()
+    for mix in store:
+        if mix.params is params and mix.routing == key:
+            return mix, False
+    n = routing.shape[0]
+    if sum(m.w1.shape[0] for m in store) + n > params.num_experts:
+        return None, False
+    return _SampleMix(params, stack, key, np.empty((n,) + params.w1.shape[1:]),
+                      np.empty((n,) + params.w2.shape[1:])), True
+
+
 def tpmoe_apply(
     x: np.ndarray,
     token_embeddings: np.ndarray,
@@ -200,10 +245,16 @@ def tpmoe_apply(
     gated at once.  The expert stack streams through in blocks of
     TPMOE_BLOCK_ROWS rows: each block of w1 (hidden units) or w2 (output
     features) is mixed for every token and applied to the frames straight
-    away, so each expert tensor is read once per call and no mixed expert is
-    ever built whole.  Every sum keeps the length and order it has in
-    `ffn_apply(mix_expert_params(routing, params), x)`, masked and summed
-    over tokens, which is the reference this matches.
+    away, so each expert tensor is read once per call.  Outside a diffusion
+    sample no mixed expert is ever built whole.  Inside `ddpm_sample` the
+    mixed blocks of each prompt (routing) are also written to a store the
+    first time they stream, and every later call with the same routing and
+    the same stack arrays reads them back instead of mixing again.  The
+    prompts stored in one sample hold at most K mixed experts in all, never
+    more memory than the stack; any further prompt streams.  Every sum keeps
+    the length and order it has in `ffn_apply(mix_expert_params(routing,
+    params), x)`, masked and summed over tokens, which is the reference this
+    matches.
     """
     x = check_finite(x, "motion features")
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
@@ -216,19 +267,31 @@ def tpmoe_apply(
     mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
     routing = tpmoe_gate(tokens, params)
     n, t = tokens.shape[0], x.shape[0]
+    mix, fill = _sample_mix(params, routing)
+    mixed_w1, mixed_w2 = (mix.w1, mix.w2) if mix else (None, None)
 
-    def stream(source: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        # source (..., T, C) against every token's mixed stack rows: (N, T, rows)
+    def stream(source: np.ndarray, stack: np.ndarray, mixed: np.ndarray | None) -> np.ndarray:
+        # source (..., T, C) against every token's mixed stack rows: (N, T, rows).
+        # Blocks are mixed unless `mixed` holds them already; a mix being
+        # filled takes each one, and both read the same bits back.
         out = np.empty((n, t, stack.shape[1]))
         for start in range(0, stack.shape[1], TPMOE_BLOCK_ROWS):
             rows = slice(start, start + TPMOE_BLOCK_ROWS)
-            np.matmul(source, np.swapaxes(_mix(routing, stack[:, rows]), -1, -2),
-                      out=out[:, :, rows])
+            if mixed is None or fill:
+                block = _mix(routing, stack[:, rows])
+                if fill:
+                    mixed[:, rows] = block
+            else:
+                block = mixed[:, rows]
+            np.matmul(source, np.swapaxes(block, -1, -2), out=out[:, :, rows])
+            del block   # holding it into the next block's mix doubles the peak
         return out
 
-    hidden = gelu(stream(x, params.w1) + _mix(routing, params.b1)[:, None, :])
-    per_token = stream(hidden, params.w2)
+    hidden = gelu(stream(x, params.w1, mixed_w1) + _mix(routing, params.b1)[:, None, :])
+    per_token = stream(hidden, params.w2, mixed_w2)
     per_token += _mix(routing, params.b2)[:, None, :]
+    if fill:
+        _SAMPLE_MIXES.get().append(mix)
     delta = (mask.T[:, :, None] * per_token).sum(axis=0)
     return delta, x + delta, routing
 
@@ -329,8 +392,9 @@ class DiffusionSchedule:
         object.__setattr__(self, "betas", betas)
         if betas.ndim != 1 or betas.shape[0] < 1:
             raise ConfigError("betas must be a non-empty vector")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+        if not np.all((betas > 0.0) & (betas < 1.0)):   # NaN fails both
             raise ConfigError("betas must lie in (0, 1)")
+        check_fields(self, signed=("guidance_scale",))
         alphas = 1.0 - betas
         alpha_bar = np.concatenate([[1.0], np.cumprod(alphas)])
         object.__setattr__(self, "alphas", alphas)
@@ -354,7 +418,11 @@ def make_schedule(
 def add_noise(
     clean: np.ndarray, step: int, schedule: DiffusionSchedule, rng: np.random.Generator
 ) -> np.ndarray:
-    """Forward process: noise a clean window to diffusion step `step`."""
+    """Forward process: noise a clean window to diffusion step `step`, a
+    whole number in 0..num_steps (0 leaves it clean)."""
+    if (isinstance(step, bool) or not isinstance(step, numbers.Integral)
+            or not 0 <= step <= schedule.num_steps):
+        raise ConfigError(f"step must be a whole number in 0..{schedule.num_steps}, got {step!r}")
     ab = schedule.alpha_bar[step]
     noise = rng.standard_normal(np.shape(clean))
     return np.sqrt(ab) * np.asarray(clean) + np.sqrt(1.0 - ab) * noise
@@ -368,7 +436,7 @@ def diffusion_loss(
     denoiser: Denoiser,
 ) -> float:
     """Mean squared error between the clean window and the denoiser output."""
-    clean = np.asarray(clean_window, dtype=np.float64)
+    clean = check_finite(clean_window, "clean window")
     pred = check_finite(denoiser(np.asarray(noisy_window, dtype=np.float64), step, condition),
                         f"denoiser output at step {step}")
     if pred.shape != clean.shape:
@@ -409,35 +477,45 @@ def ddpm_sample(
 
     When `prefix` is given, its rows replace the head of the window at every
     step (re-noised to the step's level) and are copied verbatim into the
-    result, so prefix frames are returned bit-exactly.
+    result, so prefix frames are returned bit-exactly.  NaN or inf in the
+    prefix raises NonFiniteError.
+
+    The sample is one scope for `tpmoe_apply`: each prompt's mixed experts
+    are stored the first time they are built and read back on later steps
+    (see there), so a denoiser must not write into an expert stack in place
+    while the sample runs; assigning new arrays is safe.
     """
     if prefix is not None:
-        prefix = np.asarray(prefix, dtype=np.float64)
+        prefix = check_finite(prefix, "prefix")
         if prefix.ndim != 2 or prefix.shape[0] > shape[0] or prefix.shape[1] != shape[1]:
             raise DimensionMismatchError("prefix must be leading rows of the window shape")
-    x = rng.standard_normal(shape)
-    for step in range(schedule.num_steps, 0, -1):
-        pred = check_finite(denoiser(x, step, condition), f"denoiser output at step {step}")
-        if pred.shape != x.shape:
-            raise DimensionMismatchError("denoiser changed the window shape")
-        ab_t = schedule.alpha_bar[step]
-        ab_prev = schedule.alpha_bar[step - 1]
-        beta_t = schedule.betas[step - 1]
-        alpha_t = schedule.alphas[step - 1]
-        coef_clean = np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-        coef_noisy = np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)
-        x = coef_clean * pred + coef_noisy * x
-        if step > 1:
-            var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
-            x = x + np.sqrt(var) * rng.standard_normal(shape)
+    scope = _SAMPLE_MIXES.set([])
+    try:
+        x = rng.standard_normal(shape)
+        for step in range(schedule.num_steps, 0, -1):
+            pred = check_finite(denoiser(x, step, condition), f"denoiser output at step {step}")
+            if pred.shape != x.shape:
+                raise DimensionMismatchError("denoiser changed the window shape")
+            ab_t = schedule.alpha_bar[step]
+            ab_prev = schedule.alpha_bar[step - 1]
+            beta_t = schedule.betas[step - 1]
+            alpha_t = schedule.alphas[step - 1]
+            coef_clean = np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
+            coef_noisy = np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)
+            x = coef_clean * pred + coef_noisy * x
+            if step > 1:
+                var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
+                x = x + np.sqrt(var) * rng.standard_normal(shape)
+            if prefix is not None:
+                noise = rng.standard_normal(prefix.shape)
+                x[: prefix.shape[0]] = (
+                    np.sqrt(ab_prev) * prefix + np.sqrt(1.0 - ab_prev) * noise
+                )
         if prefix is not None:
-            noise = rng.standard_normal(prefix.shape)
-            x[: prefix.shape[0]] = (
-                np.sqrt(ab_prev) * prefix + np.sqrt(1.0 - ab_prev) * noise
-            )
-    if prefix is not None:
-        x[: prefix.shape[0]] = prefix
-    return x
+            x[: prefix.shape[0]] = prefix
+        return x
+    finally:
+        _SAMPLE_MIXES.reset(scope)
 
 
 def make_oracle_denoiser(target: np.ndarray) -> Denoiser:

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from motion_forge import generation
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
     TPMOE_BLOCK_ROWS,
     DiffusionSchedule,
+    TPMoEParams,
     PlanEntry,
     TagCatalog,
     add_noise,
@@ -343,10 +345,10 @@ class TestTpmoeApply:
         "one expert": (6, 2, 1, 11, TPMOE_BLOCK_ROWS + 9),
     }
 
-    @pytest.mark.parametrize("case", sorted(STREAM_SHAPES))
-    def test_streamed_blocks_match_mixed_experts(self, case):
+    def stream_case(self, case, rng):
+        """(params, x, tokens, attention) at one of the STREAM_SHAPES, with
+        nonzero biases."""
         frames, n, k, d, h = self.STREAM_SHAPES[case]
-        rng = np.random.default_rng(37)
         params = init_tpmoe(rng, token_dim=24, model_dim=d, ffn_hidden=h, num_experts=k,
                             gate_hidden=20)
         params.b1 = rng.standard_normal(params.b1.shape)
@@ -354,6 +356,11 @@ class TestTpmoeApply:
         x = rng.standard_normal((frames, d))
         tokens = rng.standard_normal((n, 24))
         attention = rng.uniform(0.0, 1.0, (frames, n))
+        return params, x, tokens, attention
+
+    @pytest.mark.parametrize("case", sorted(STREAM_SHAPES))
+    def test_streamed_blocks_match_mixed_experts(self, case):
+        params, x, tokens, attention = self.stream_case(case, np.random.default_rng(37))
         delta, out, routing = tpmoe_apply(x, tokens, attention, params)
 
         assert np.array_equal(routing, tpmoe_gate(tokens, params))
@@ -387,6 +394,106 @@ class TestTpmoeApply:
         routing = tpmoe_gate(tokens, params)
         assert peak_bytes(lambda: ffn_apply(mix_expert_params(routing, params), x)) > mixed_w1_bytes
         assert peak_bytes(lambda: tpmoe_apply(x, tokens, attention, params)) < mixed_w1_bytes / 2
+
+    @pytest.mark.parametrize("case", sorted(STREAM_SHAPES))
+    def test_sample_calls_match_calls_outside_a_sample(self, case):
+        # a CFG pair per step: the prompt, and a one-token negative prompt
+        # that fits the mix budget at every shape, even beside a prompt that
+        # does not (one expert, two tokens), so each case reads stored mixes
+        rng = np.random.default_rng(39)
+        params, x, tokens, attention = self.stream_case(case, rng)
+        negative, neg_attention = rng.standard_normal((1, 24)), attention[:, :1]
+        pair = ((tokens, attention), (negative, neg_attention))
+        outside = [tpmoe_apply(x, t, a, params) for t, a in pair]
+        stored = []
+
+        def denoiser(noisy, step, condition):
+            for (t, a), expected in zip(pair, outside):
+                got = tpmoe_apply(x, t, a, params)
+                assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            stored.append([m.w1.shape[0] for m in generation._SAMPLE_MIXES.get()])
+            return np.zeros_like(noisy)
+
+        ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(0))
+        expected = []
+        for size in (tokens.shape[0], 1):   # stored while they hold at most K experts
+            if sum(expected) + size <= params.num_experts:
+                expected.append(size)
+        assert stored == [expected] * 3 and expected
+
+    def test_sample_scope_closes_on_return_and_on_error(self):
+        params = small_tpmoe(np.random.default_rng(40))
+        seen = []
+
+        def denoiser(noisy, step, condition):
+            tpmoe_apply(np.ones((4, 6)), np.ones((2, 10)), np.full((4, 2), 0.5), params)
+            seen.append(len(generation._SAMPLE_MIXES.get()))
+            if condition == "fail" and step == 2:
+                raise RuntimeError("denoiser failed")
+            return np.zeros_like(noisy)
+
+        assert generation._SAMPLE_MIXES.get() is None
+        ddpm_sample(make_schedule(3), denoiser, None, (4, 3), np.random.default_rng(1))
+        assert generation._SAMPLE_MIXES.get() is None
+        with pytest.raises(RuntimeError, match="denoiser failed"):
+            ddpm_sample(make_schedule(3), denoiser, "fail", (4, 3), np.random.default_rng(1))
+        assert generation._SAMPLE_MIXES.get() is None
+        # each sample starts with an empty store: nothing outlives the first
+        assert seen == [1, 1, 1, 1, 1]
+
+    def test_prompts_over_the_mix_budget_stream(self):
+        # K = 4 experts at the default widths: one 4-token prompt fills the
+        # budget of K mixed experts, so a second prompt streams in blocks
+        rng = np.random.default_rng(41)
+        params = init_tpmoe(rng, num_experts=4)
+        n, frames = 4, 48
+        x = rng.standard_normal((frames, params.w1.shape[2]))
+        first, second = rng.standard_normal((2, n, params.gate_layers[0][0].shape[1]))
+        attention = rng.uniform(0.0, 1.0, (frames, n))
+        mixed_w1_bytes = n * params.w1[0].nbytes
+        peaks = {}
+
+        def peak_bytes(tokens):
+            tracemalloc.start()
+            try:
+                tpmoe_apply(x, tokens, attention, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def denoiser(noisy, step, condition):
+            peaks.setdefault(step, (peak_bytes(first), peak_bytes(second)))
+            return np.zeros_like(noisy)
+
+        ddpm_sample(make_schedule(2), denoiser, None, (3, 2), np.random.default_rng(2))
+        stores_first, streams_second = peaks[2]
+        reads_first, _ = peaks[1]
+        assert stores_first > mixed_w1_bytes
+        assert reads_first < mixed_w1_bytes / 2
+        assert streams_second < mixed_w1_bytes / 2
+
+    def test_sample_that_reassigns_the_experts_uses_the_new_ones(self):
+        rng = np.random.default_rng(42)
+        params, x, tokens, attention = self.stream_case("ragged blocks", rng)
+        new_experts = [tuple((rng.standard_normal(w.shape), rng.standard_normal(b.shape))
+                             for w, b in expert) for expert in params.experts]
+        old_delta = tpmoe_apply(x, tokens, attention, params)[0]
+        new_params = TPMoEParams(params.w1, params.b1, params.w2, params.b2, params.gate_layers)
+        new_params.experts = new_experts
+        new_delta = tpmoe_apply(x, tokens, attention, new_params)[0]
+        deltas = []
+
+        def denoiser(noisy, step, condition):
+            if step == 2:
+                params.experts = new_experts
+            deltas.append(tpmoe_apply(x, tokens, attention, params)[0])
+            # mixes of the replaced stack are dropped, the new one is stored
+            assert [m.stack[0] is params.w1 for m in generation._SAMPLE_MIXES.get()] == [True]
+            return np.zeros_like(noisy)
+
+        ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(3))
+        assert not np.array_equal(old_delta, new_delta)
+        assert [d.tobytes() for d in deltas] == [old_delta.tobytes()] + [new_delta.tobytes()] * 2
 
 
 class TestBalanceLoss:
@@ -533,6 +640,21 @@ class TestDiffusion:
             ddpm_sample(make_schedule(5), denoiser, None, (4, 3), np.random.default_rng(5),
                         prefix=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sampling_rejects_a_non_finite_prefix(self, bad):
+        prefix = np.zeros((2, 3))
+        prefix[1, 0] = bad
+        with pytest.raises(NonFiniteError, match="prefix"):
+            ddpm_sample(make_schedule(5), zero_denoiser, None, (4, 3), np.random.default_rng(5),
+                        prefix=prefix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_loss_rejects_a_non_finite_clean_window(self, bad):
+        clean = np.ones((3, 5))
+        clean[2, 4] = bad
+        with pytest.raises(NonFiniteError, match="clean window"):
+            diffusion_loss(clean, np.ones((3, 5)), 2, None, zero_denoiser)
+
     def test_cfg_exact_at_anchors(self):
         rng = np.random.default_rng(20)
         cond = rng.standard_normal((5, 3))
@@ -585,6 +707,25 @@ class TestDiffusion:
         assert s.num_steps == 30
         assert s.alpha_bar[0] == 1.0
         assert np.all(np.diff(s.alpha_bar) < 0.0)
+
+    @pytest.mark.parametrize("betas, guidance", [
+        ([0.1, np.nan], 2.5), ([np.nan], 2.5), ([0.1, 0.2], np.nan), ([0.1, 0.2], np.inf),
+        ([0.1, 0.2], -np.inf),
+    ])
+    def test_schedule_rejects_non_finite_values(self, betas, guidance):
+        with pytest.raises(ConfigError):
+            DiffusionSchedule(betas=np.array(betas), guidance_scale=guidance)
+
+    @pytest.mark.parametrize("step", [-1, 6, 9, 2.0, True])
+    def test_forward_noise_rejects_a_step_outside_the_schedule(self, step):
+        with pytest.raises(ConfigError, match="0..5"):
+            add_noise(np.zeros((3, 2)), step, make_schedule(5), np.random.default_rng(24))
+
+    def test_forward_noise_at_the_schedule_ends(self):
+        clean = np.arange(6.0).reshape(3, 2)
+        schedule = make_schedule(5)
+        assert np.array_equal(add_noise(clean, 0, schedule, np.random.default_rng(25)), clean)
+        assert add_noise(clean, np.int64(5), schedule, np.random.default_rng(25)).shape == (3, 2)
 
     def test_forward_noise_levels(self):
         rng = np.random.default_rng(23)
