@@ -21,7 +21,7 @@ import numpy as np
 
 from . import curriculum as cur
 from . import router as rt
-from .config import AppConfig, TrackerConfig, load_config
+from .config import AppConfig, TrackerConfig, config_from_dict, read_config
 from .errors import ConfigError, MotionForgeError, check_numbers, check_object
 from .features import (
     canonicalize_heading,
@@ -60,10 +60,20 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+# config keys the CLI sets itself, and what sets each
+_CLI_SET_KEYS = {("sim", "seed"): "--seed", ("prefix_loop", "seed"): "--seed",
+                 ("prefix_loop", "fps"): "the prefix file's fps"}
+
+
 def _load_app_config(args) -> AppConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return AppConfig()
+    if not getattr(args, "config", None):
+        return AppConfig()
+    data = read_config(args.config)
+    cfg = config_from_dict(data)
+    for (section, key), setter in _CLI_SET_KEYS.items():
+        if key in data.get(section, ()):
+            raise ConfigError(f"config {args.config}: {section}.{key} is set by {setter}")
+    return cfg
 
 
 def cmd_encode(args) -> int:

@@ -114,7 +114,8 @@ def config_from_dict(data) -> AppConfig:
     })
 
 
-def load_config(path) -> AppConfig:
+def read_config(path):
+    """A config file's JSON document; a NaN, Infinity or out-of-range number is a ConfigError."""
     def finite(literal: str) -> float:
         # every JSON number with a fraction or exponent, and the NaN/Infinity
         # literals Python's json reads, pass through here
@@ -123,4 +124,8 @@ def load_config(path) -> AppConfig:
             raise ConfigError(f"config {path}: {literal} is not a finite number")
         return value
 
-    return config_from_dict(read_json(path, "config", ConfigError, finite))
+    return read_json(path, "config", ConfigError, finite)
+
+
+def load_config(path) -> AppConfig:
+    return config_from_dict(read_config(path))

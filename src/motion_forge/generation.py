@@ -31,6 +31,7 @@ import math
 import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import attrgetter
 from statistics import median
 from typing import Callable, Mapping, Sequence
 
@@ -188,47 +189,33 @@ def spatial_mask(attention: np.ndarray, gamma: float = MASK_SHARPNESS,
         return 1.0 / (1.0 + np.exp(-gamma * (a - beta * col_max)))
 
 
-@dataclass
-class _SampleMix:
-    """One prompt's mixed expert weights, stored for the rest of a diffusion
-    sample: w1 (N, H, D) and w2 (N, D, H), mixed under the routing whose
-    bytes are `routing` from the stack arrays `stack` = (params.w1, params.w2)
-    as they were then.  The arrays are held, not their ids, so a stack
-    reassigned in the sample can never match a stored mix."""
-
-    params: TPMoEParams
-    stack: tuple[np.ndarray, np.ndarray]
-    routing: bytes
-    w1: np.ndarray
-    w2: np.ndarray
+# The current diffusion sample's mixes, keyed by the routing's bytes and the ids
+# of the four stack arrays: (params, those arrays, mix_expert_params(routing,
+# params)), holding the arrays so their ids stay unique.  None outside
+# `ddpm_sample`, which opens a fresh dict and closes it when it returns.
+_SAMPLE_MIXES: ContextVar[dict | None] = ContextVar("sample_mixes", default=None)
+_stack_arrays = attrgetter("w1", "b1", "w2", "b2")
 
 
-# The mixes stored in the diffusion sample being drawn; None outside
-# `ddpm_sample`, which opens a fresh list and closes it when it returns.
-_SAMPLE_MIXES: ContextVar[list[_SampleMix] | None] = ContextVar("sample_mixes", default=None)
-
-
-def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> tuple[_SampleMix | None, bool]:
-    """The current sample's mix of `routing` over `params`' weight stacks
-    and False; else a new, unfilled mix and True while the sample's mixes
-    hold at most K mixed experts with it; else, and outside a sample,
-    (None, False)."""
+def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> FFNParams | None:
+    """`mix_expert_params(routing, params)`, built on first use in the
+    current sample while its stored mixes hold at most K mixed experts with
+    it; None outside a sample and over that budget."""
     store = _SAMPLE_MIXES.get()
     if store is None:
-        return None, False
-    stack = (params.w1, params.w2)
-    # a params object whose weights were reassigned cannot hit its old mixes
-    store[:] = [m for m in store
-                if m.params is not params or all(a is b for a, b in zip(m.stack, stack))]
-    key = routing.tobytes()
-    for mix in store:
-        if mix.params is params and mix.routing == key:
-            return mix, False
-    n = routing.shape[0]
-    if sum(m.w1.shape[0] for m in store) + n > params.num_experts:
-        return None, False
-    return _SampleMix(params, stack, key, np.empty((n,) + params.w1.shape[1:]),
-                      np.empty((n,) + params.w2.shape[1:])), True
+        return None
+    # a mix whose params got new arrays can never hit again: drop it
+    for key, (owner, arrays, _) in list(store.items()):
+        if any(a is not b for a, b in zip(_stack_arrays(owner), arrays)):
+            del store[key]
+    arrays = _stack_arrays(params)
+    key = (routing.tobytes(), *map(id, arrays))
+    if key not in store:
+        stored = sum(mix[0][0].shape[0] for _, _, mix in store.values())
+        if stored + routing.shape[0] > params.num_experts:
+            return None
+        store[key] = (params, arrays, mix_expert_params(routing, params))
+    return store[key][2]
 
 
 def tpmoe_apply(
@@ -246,15 +233,15 @@ def tpmoe_apply(
     TPMOE_BLOCK_ROWS rows: each block of w1 (hidden units) or w2 (output
     features) is mixed for every token and applied to the frames straight
     away, so each expert tensor is read once per call.  Outside a diffusion
-    sample no mixed expert is ever built whole.  Inside `ddpm_sample` the
-    mixed blocks of each prompt (routing) are also written to a store the
-    first time they stream, and every later call with the same routing and
-    the same stack arrays reads them back instead of mixing again.  The
-    prompts stored in one sample hold at most K mixed experts in all, never
-    more memory than the stack; any further prompt streams.  Every sum keeps
-    the length and order it has in `ffn_apply(mix_expert_params(routing,
-    params), x)`, masked and summed over tokens, which is the reference this
-    matches.
+    sample no mixed expert is ever built whole.  Inside `ddpm_sample` each
+    prompt (routing) is stored as `mix_expert_params(routing, params)` the
+    first time it is applied, and every call in the sample with the same
+    routing and the same stack arrays reads the blocks and biases of that
+    mix.  The prompts stored in one sample hold at most K mixed experts in
+    all, never more memory than the stack; any further prompt streams.
+    Every sum keeps the length and order it has in
+    `ffn_apply(mix_expert_params(routing, params), x)`, masked and summed
+    over tokens, which is the reference this matches.
     """
     x = check_finite(x, "motion features")
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
@@ -267,31 +254,25 @@ def tpmoe_apply(
     mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
     routing = tpmoe_gate(tokens, params)
     n, t = tokens.shape[0], x.shape[0]
-    mix, fill = _sample_mix(params, routing)
-    mixed_w1, mixed_w2 = (mix.w1, mix.w2) if mix else (None, None)
+    stored = _sample_mix(params, routing)
+    if stored is None:   # outside a sample or over its budget: mix blocks as they stream
+        stored = ((None, _mix(routing, params.b1)), (None, _mix(routing, params.b2)))
+    (mixed_w1, b1), (mixed_w2, b2) = stored
 
     def stream(source: np.ndarray, stack: np.ndarray, mixed: np.ndarray | None) -> np.ndarray:
-        # source (..., T, C) against every token's mixed stack rows: (N, T, rows).
-        # Blocks are mixed unless `mixed` holds them already; a mix being
-        # filled takes each one, and both read the same bits back.
+        # source (..., T, C) against every token's mixed stack rows: (N, T, rows),
+        # blocks read from `mixed` when it is given, else mixed from `stack`
         out = np.empty((n, t, stack.shape[1]))
         for start in range(0, stack.shape[1], TPMOE_BLOCK_ROWS):
             rows = slice(start, start + TPMOE_BLOCK_ROWS)
-            if mixed is None or fill:
-                block = _mix(routing, stack[:, rows])
-                if fill:
-                    mixed[:, rows] = block
-            else:
-                block = mixed[:, rows]
+            block = _mix(routing, stack[:, rows]) if mixed is None else mixed[:, rows]
             np.matmul(source, np.swapaxes(block, -1, -2), out=out[:, :, rows])
             del block   # holding it into the next block's mix doubles the peak
         return out
 
-    hidden = gelu(stream(x, params.w1, mixed_w1) + _mix(routing, params.b1)[:, None, :])
+    hidden = gelu(stream(x, params.w1, mixed_w1) + b1[:, None, :])
     per_token = stream(hidden, params.w2, mixed_w2)
-    per_token += _mix(routing, params.b2)[:, None, :]
-    if fill:
-        _SAMPLE_MIXES.get().append(mix)
+    per_token += b2[:, None, :]
     delta = (mask.T[:, :, None] * per_token).sum(axis=0)
     return delta, x + delta, routing
 
@@ -423,9 +404,10 @@ def add_noise(
     if (isinstance(step, bool) or not isinstance(step, numbers.Integral)
             or not 0 <= step <= schedule.num_steps):
         raise ConfigError(f"step must be a whole number in 0..{schedule.num_steps}, got {step!r}")
+    clean = check_finite(clean, "clean window")
     ab = schedule.alpha_bar[step]
-    noise = rng.standard_normal(np.shape(clean))
-    return np.sqrt(ab) * np.asarray(clean) + np.sqrt(1.0 - ab) * noise
+    noise = rng.standard_normal(clean.shape)
+    return np.sqrt(ab) * clean + np.sqrt(1.0 - ab) * noise
 
 
 def diffusion_loss(
@@ -446,7 +428,10 @@ def diffusion_loss(
 
 def cfg_combine(cond_pred: np.ndarray, uncond_pred: np.ndarray,
                 scale: float = GUIDANCE_SCALE) -> np.ndarray:
-    """Standard guidance: uncond + s * (cond - uncond), exact at s in {0, 1}."""
+    """Standard guidance: uncond + s * (cond - uncond), exact at s in {0, 1}.
+    A NaN or infinite scale raises ConfigError."""
+    if not math.isfinite(scale):
+        raise ConfigError(f"guidance scale must be finite, got {scale!r}")
     cond_pred = np.asarray(cond_pred, dtype=np.float64)
     uncond_pred = np.asarray(uncond_pred, dtype=np.float64)
     if cond_pred.shape != uncond_pred.shape:
@@ -476,20 +461,21 @@ def ddpm_sample(
     """Ancestral sampling under the clean-sample parameterization.
 
     When `prefix` is given, its rows replace the head of the window at every
-    step (re-noised to the step's level) and are copied verbatim into the
+    step (`add_noise` to the step's level) and are copied verbatim into the
     result, so prefix frames are returned bit-exactly.  NaN or inf in the
     prefix raises NonFiniteError.
 
-    The sample is one scope for `tpmoe_apply`: each prompt's mixed experts
-    are stored the first time they are built and read back on later steps
-    (see there), so a denoiser must not write into an expert stack in place
-    while the sample runs; assigning new arrays is safe.
+    The sample is one scope for `tpmoe_apply`: each prompt is stored as
+    `mix_expert_params(routing, params)` the first time it is applied and
+    read back on later steps (see there), so a denoiser must not write into
+    an expert stack in place while the sample runs; assigning new arrays is
+    safe.
     """
     if prefix is not None:
         prefix = check_finite(prefix, "prefix")
         if prefix.ndim != 2 or prefix.shape[0] > shape[0] or prefix.shape[1] != shape[1]:
             raise DimensionMismatchError("prefix must be leading rows of the window shape")
-    scope = _SAMPLE_MIXES.set([])
+    scope = _SAMPLE_MIXES.set({})
     try:
         x = rng.standard_normal(shape)
         for step in range(schedule.num_steps, 0, -1):
@@ -507,10 +493,7 @@ def ddpm_sample(
                 var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
                 x = x + np.sqrt(var) * rng.standard_normal(shape)
             if prefix is not None:
-                noise = rng.standard_normal(prefix.shape)
-                x[: prefix.shape[0]] = (
-                    np.sqrt(ab_prev) * prefix + np.sqrt(1.0 - ab_prev) * noise
-                )
+                x[: prefix.shape[0]] = add_noise(prefix, step - 1, schedule, rng)
         if prefix is not None:
             x[: prefix.shape[0]] = prefix
         return x

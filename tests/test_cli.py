@@ -607,6 +607,11 @@ BAD_CONFIGS = [
     ("prefix-run", {"tracker": {"kind": "failure", "fail_after_frame": 1.5}},
      "fail_after_frame must be a whole number"),
     ("prefix-run", {"generator": {"noise_scale": "x"}}, "noise_scale must be a real number"),
+    # keys the CLI sets itself are refused, not silently overwritten
+    ("curriculum-sim", {"sim": {"seed": 7}}, r"sim\.seed is set by --seed"),
+    ("prefix-run", {"prefix_loop": {"seed": 7}}, r"prefix_loop\.seed is set by --seed"),
+    ("prefix-run", {"prefix_loop": {"fps": 60.0}},
+     r"prefix_loop\.fps is set by the prefix file's fps"),
 ]
 
 

@@ -411,7 +411,8 @@ class TestTpmoeApply:
             for (t, a), expected in zip(pair, outside):
                 got = tpmoe_apply(x, t, a, params)
                 assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-            stored.append([m.w1.shape[0] for m in generation._SAMPLE_MIXES.get()])
+            stored.append([mix[0][0].shape[0]
+                           for _, _, mix in generation._SAMPLE_MIXES.get().values()])
             return np.zeros_like(noisy)
 
         ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(0))
@@ -420,6 +421,52 @@ class TestTpmoeApply:
             if sum(expected) + size <= params.num_experts:
                 expected.append(size)
         assert stored == [expected] * 3 and expected
+
+    def test_sample_stores_each_prompt_as_mix_expert_params_once(self, monkeypatch):
+        # a CFG pair within the mix budget (3 + 1 tokens of K = 5) over 3 steps
+        rng = np.random.default_rng(43)
+        params, x, tokens, attention = self.stream_case("ragged blocks", rng)
+        pair = ((tokens, attention), (rng.standard_normal((1, 24)), attention[:, :1]))
+        built = []
+
+        def spy(weights, p):
+            built.append((weights.tobytes(), mix_expert_params(weights, p)))
+            return built[-1][1]
+
+        def flat(mix):
+            (w1, b1), (w2, b2) = mix
+            return w1, b1, w2, b2
+
+        def denoiser(noisy, step, condition):
+            for t, a in pair:
+                tpmoe_apply(x, t, a, params)
+            stored = [mix for _, _, mix in generation._SAMPLE_MIXES.get().values()]
+            assert len(stored) == len(built) == 2
+            for mix, (_, output) in zip(stored, built):
+                assert all(np.array_equal(s, o) for s, o in zip(flat(mix), flat(output)))
+            return np.zeros_like(noisy)
+
+        monkeypatch.setattr(generation, "mix_expert_params", spy)
+        ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(4))
+        assert [key for key, _ in built] == [tpmoe_gate(t, params).tobytes() for t, _ in pair]
+
+    def test_sample_keeps_apart_params_that_share_a_gate(self):
+        # equal routings over different expert stacks: each call must read its own mix
+        rng = np.random.default_rng(44)
+        params, x, tokens, attention = self.stream_case("one token", rng)
+        other = TPMoEParams(*(rng.standard_normal(a.shape)
+                              for a in (params.w1, params.b1, params.w2, params.b2)),
+                            params.gate_layers)
+        outside = [tpmoe_apply(x, tokens, attention, p)[0] for p in (params, other)]
+        assert not np.array_equal(*outside)
+
+        def denoiser(noisy, step, condition):
+            for p, expected in zip((params, other), outside):
+                assert tpmoe_apply(x, tokens, attention, p)[0].tobytes() == expected.tobytes()
+            assert len(generation._SAMPLE_MIXES.get()) == 2
+            return np.zeros_like(noisy)
+
+        ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(5))
 
     def test_sample_scope_closes_on_return_and_on_error(self):
         params = small_tpmoe(np.random.default_rng(40))
@@ -488,7 +535,9 @@ class TestTpmoeApply:
                 params.experts = new_experts
             deltas.append(tpmoe_apply(x, tokens, attention, params)[0])
             # mixes of the replaced stack are dropped, the new one is stored
-            assert [m.stack[0] is params.w1 for m in generation._SAMPLE_MIXES.get()] == [True]
+            held = [arrays for _, arrays, _ in generation._SAMPLE_MIXES.get().values()]
+            assert [[a is b for a, b in zip(arrays, (params.w1, params.b1, params.w2, params.b2))]
+                    for arrays in held] == [[True] * 4]
             return np.zeros_like(noisy)
 
         ddpm_sample(make_schedule(3), denoiser, None, (4, 2), np.random.default_rng(3))
@@ -671,6 +720,12 @@ class TestDiffusion:
         neg = np.array([-1.0])
         assert cfg_negative(cond, neg, 2.5)[0] == pytest.approx(-1.0 + 2.5 * 2.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_cfg_rejects_a_non_finite_scale(self, scale):
+        for guide in (cfg_combine, cfg_negative):
+            with pytest.raises(ConfigError, match="guidance scale"):
+                guide(np.ones(2), np.zeros(2), scale)
+
     def test_oracle_denoiser_recovers_target(self):
         rng = np.random.default_rng(21)
         target = rng.standard_normal((8, 12))
@@ -720,6 +775,10 @@ class TestDiffusion:
     def test_forward_noise_rejects_a_step_outside_the_schedule(self, step):
         with pytest.raises(ConfigError, match="0..5"):
             add_noise(np.zeros((3, 2)), step, make_schedule(5), np.random.default_rng(24))
+
+    def test_forward_noise_rejects_a_non_finite_window(self):
+        with pytest.raises(NonFiniteError, match="clean window"):
+            add_noise(np.array([np.nan, np.inf]), 2, make_schedule(5), np.random.default_rng(26))
 
     def test_forward_noise_at_the_schedule_ends(self):
         clean = np.arange(6.0).reshape(3, 2)
