@@ -3,8 +3,9 @@
 Every subcommand reads JSON inputs, writes JSON or CSV outputs, and exits 0
 on success.  Failures print one machine-readable JSON object to stderr
 ({"error": <type>, "message": <text>}) and exit nonzero.  A single --seed
-flag feeds every random consumer of a subcommand, so identical invocations
-produce byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
+flag feeds every random consumer of a subcommand, prefix-run's generator
+and reference tracker among them, so identical invocations produce
+byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import curriculum as cur
 from . import router as rt
-from .config import AppConfig, TrackerConfig, config_from_dict, read_config
+from .config import AppConfig, config_from_dict, read_config
 from .errors import ConfigError, MotionForgeError, check_numbers, check_object
 from .features import (
     canonicalize_heading,
@@ -40,13 +41,7 @@ from .motion_io import (
     read_json,
     save_features,
 )
-from .prefix_loop import (
-    identity_tracker,
-    make_failure_tracker,
-    make_interpolation_generator,
-    make_perturbation_tracker,
-    run_prefix_loop,
-)
+from .prefix_loop import make_interpolation_generator, make_perturbation_tracker, run_prefix_loop
 from .rewards import TASK_TERMS, task_rewards
 
 log = logging.getLogger("motion_forge")
@@ -253,14 +248,6 @@ def cmd_asfo_plan(args) -> int:
     return 0
 
 
-def make_tracker(cfg: TrackerConfig):
-    if cfg.kind == "identity":
-        return identity_tracker
-    if cfg.kind == "perturbation":
-        return make_perturbation_tracker(cfg.seed, cfg.noise_scale, cfg.offset)
-    return make_failure_tracker(cfg.fail_after_frame, cfg.fail_offset)
-
-
 def _load_prefix_features(path, skel):
     """Features of a clip (told apart by its joint names) or features file."""
     data = read_json(path, "prefix", ConfigError)
@@ -279,7 +266,8 @@ def cmd_prefix_run(args) -> int:
     generator = make_interpolation_generator(
         loop_cfg.segment_frames, cfg.generator.noise_scale
     )
-    tracker = make_tracker(cfg.tracker)
+    # --seed seeds the tracker too, through a stream apart from the loop's
+    tracker = make_perturbation_tracker([args.seed, 1], **dataclasses.asdict(cfg.tracker))
     motion, trace = run_prefix_loop(
         prefix, target_feats[0], generator, tracker, loop_cfg, skel
     )

@@ -41,17 +41,12 @@ class AsfoConfig:
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    kind: str = "identity"          # identity | perturbation | failure
-    seed: int = 0
     noise_scale: float = 0.0
-    offset: float = 0.0
-    fail_after_frame: int = 0
-    fail_offset: float = 10.0
+    offset: float = 0.0             # m, z lift from row offset_from_frame on
+    offset_from_frame: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "perturbation", "failure"):
-            raise ConfigError(f"unknown tracker kind '{self.kind}'")
-        check_fields(self, signed=("offset", "fail_offset"))
+        check_fields(self, signed=("offset",))
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,3 @@ def read_config(path):
         return value
 
     return read_json(path, "config", ConfigError, finite)
-
-
-def load_config(path) -> AppConfig:
-    return config_from_dict(read_config(path))

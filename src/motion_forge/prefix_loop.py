@@ -9,12 +9,12 @@ segments are resampled with a fresh random stream (one child generator per
 attempt) up to the resample budget; acceptance appends the segment and the
 loop re-conditions on the grown prefix until the horizon is reached.
 
-Trackers and generators are plug-ins.  The reference trackers cover the
-test spectrum: an identity tracker (perfect execution), a perturbation
-tracker (seeded bounded noise), and a failure tracker that diverges from a
-set frame onward.  The reference generator eases from the last prefix
-frame toward the target pose with seeded low-amplitude noise; real runs
-plug a diffusion sampler with the same callback signature:
+Trackers and generators are plug-ins.  The reference tracker lifts the
+window by a z offset from a set frame onward and adds seeded noise; with
+neither it is the identity tracker (perfect execution).  The reference
+generator eases from the last prefix frame toward the target pose with
+seeded low-amplitude noise; real runs plug a diffusion sampler with the
+same callback signature:
 
     generator(prefix: (P, 262), target: (262,), condition, rng) -> (S, 262)
     tracker(reference: MotionSequence) -> MotionSequence, frame-aligned
@@ -121,31 +121,23 @@ def identity_tracker(reference: MotionSequence) -> MotionSequence:
 
 
 def make_perturbation_tracker(
-    seed: int, noise_scale: float = 0.0, offset: float = 0.0
+    seed, noise_scale: float = 0.0, offset: float = 0.0, offset_from_frame: int = 0
 ) -> Tracker:
-    """Tracker adding a constant z offset and/or seeded positional noise."""
+    """Tracker lifting `body_pos` and `root_pos` by `offset` in z from row
+    `offset_from_frame` on, then adding seeded noise to `body_pos`; with
+    neither it is `identity_tracker`.  `seed` is anything
+    `numpy.random.default_rng` takes."""
+    if not noise_scale and not offset:
+        return identity_tracker
     rng = np.random.default_rng(seed)
 
     def tracker(reference: MotionSequence) -> MotionSequence:
         out = reference.copy()
         if offset:
-            out.body_pos[..., 2] += offset
-            out.root_pos[..., 2] += offset
+            out.body_pos[offset_from_frame:, :, 2] += offset
+            out.root_pos[offset_from_frame:, 2] += offset
         if noise_scale:
             out.body_pos[:] += rng.normal(0.0, noise_scale, out.body_pos.shape)
-        return out
-
-    return tracker
-
-
-def make_failure_tracker(fail_after_frame: int, offset: float = 10.0) -> Tracker:
-    """Tracker that diverges hard from `fail_after_frame` onward."""
-
-    def tracker(reference: MotionSequence) -> MotionSequence:
-        out = reference.copy()
-        if fail_after_frame < out.num_frames:
-            out.body_pos[fail_after_frame:, :, 2] += offset
-            out.root_pos[fail_after_frame:, 2] += offset
         return out
 
     return tracker

@@ -70,8 +70,8 @@ from motion_forge.prefix_loop import (
     TERMINATION_EXHAUSTED,
     PrefixLoopConfig,
     identity_tracker,
-    make_failure_tracker,
     make_interpolation_generator,
+    make_perturbation_tracker,
     run_prefix_loop,
 )
 from motion_forge.rewards import (
@@ -481,7 +481,8 @@ def test_criterion_12_prefix_loop():
         assert np.array_equal(trace.features[: prefix.shape[0]], prefix)
 
         # tracker diverging inside segment 3 exhausts exactly max_resamples
-        tracker = make_failure_tracker(prefix.shape[0] + 2 * int(fps) + 3)
+        tracker = make_perturbation_tracker(0, offset=10.0,
+                                            offset_from_frame=prefix.shape[0] + 2 * int(fps) + 3)
         _, trace = run_prefix_loop(prefix, target, gen, tracker, cfg, SKEL)
         assert trace.termination == TERMINATION_EXHAUSTED
         assert len(trace.segments) == 3

@@ -9,6 +9,7 @@ import pytest
 from helpers import MALFORMED_MOTION_CASES, make_walk_sequence, neutral_features, rigid_sequence
 from motion_forge import router as rt
 from motion_forge.cli import cli_dispatch
+from motion_forge.config import TrackerConfig
 from motion_forge.features import FEATURE_DIM
 from motion_forge.motion import default_skeleton
 from motion_forge.motion_io import load_features, save_features, save_motion
@@ -484,7 +485,7 @@ class TestPrefixRunCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "prefix_loop": {"horizon_seconds": 3.0, "max_resamples": 2},
-            "tracker": {"kind": "failure", "fail_after_frame": 0},
+            "tracker": {"offset": 10.0, "offset_from_frame": 0},
         }))
         out = tmp_path / "assembled.json"
         trace_path = tmp_path / "trace.json"
@@ -507,7 +508,7 @@ class TestPrefixRunCli:
         # backstop for a plug-in that produces NaN itself)
         cfg_path.write_text(
             '{"prefix_loop": {"horizon_seconds": 1.0},'
-            ' "tracker": {"kind": "perturbation", "offset": NaN}}'
+            ' "tracker": {"offset": NaN}}'
         )
         trace_path = tmp_path / "trace.json"
         code, captured = run(["prefix-run", prefix_path, target_path, "--config", cfg_path,
@@ -533,6 +534,44 @@ class TestPrefixRunCli:
         assert err["error"] == "ConfigError"
         assert "tracked_bodies: expected body indices in 0..29" in err["message"]
         assert not trace_path.exists()
+
+    @staticmethod
+    def output_bytes(tmp_path, config, seed):
+        """`--out` and `--trace` bytes of a 2 s prefix-run under `config` and `seed`."""
+        run_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        run_dir.mkdir()
+        save_features(neutral_features(30), 30.0, run_dir / "prefix.json")
+        save_features(neutral_features(2, height=0.9), 30.0, run_dir / "target.json")
+        (run_dir / "cfg.json").write_text(json.dumps(
+            {"prefix_loop": {"horizon_seconds": 2.0}, **config}))
+        code = run(["prefix-run", run_dir / "prefix.json", run_dir / "target.json",
+                    "--config", run_dir / "cfg.json", "--seed", seed,
+                    "--out", run_dir / "out.json", "--trace", run_dir / "trace.json"])
+        assert code == 0
+        return (run_dir / "out.json").read_bytes(), (run_dir / "trace.json").read_bytes()
+
+    # (the rest of the tracker section, the key set, its value): each key
+    # changes the output; where the lift starts matters once there is a lift
+    TRACKER_KEYS = [({}, "noise_scale", 0.01), ({}, "offset", 0.05),
+                    ({"offset": 0.05}, "offset_from_frame", 40)]
+
+    def test_every_tracker_key_is_covered(self):
+        assert ({key for _, key, _ in self.TRACKER_KEYS}
+                == {f.name for f in dataclasses.fields(TrackerConfig)})
+
+    @pytest.mark.parametrize("rest, key, value", TRACKER_KEYS, ids=[k for _, k, _ in TRACKER_KEYS])
+    def test_every_tracker_key_takes_effect(self, tmp_path, rest, key, value):
+        assert (self.output_bytes(tmp_path, {"tracker": {**rest, key: value}}, 3)
+                != self.output_bytes(tmp_path, {"tracker": rest}, 3))
+
+    def test_seed_alone_decides_the_tracker_noise(self, tmp_path):
+        # a noise-free generator makes the same segments under every seed, so
+        # a difference between seeds is the tracker's
+        quiet = {"generator": {"noise_scale": 0.0}}
+        noisy = {**quiet, "tracker": {"noise_scale": 0.02}}
+        assert self.output_bytes(tmp_path, noisy, 3) == self.output_bytes(tmp_path, noisy, 3)
+        assert self.output_bytes(tmp_path, quiet, 3) == self.output_bytes(tmp_path, quiet, 4)
+        assert self.output_bytes(tmp_path, noisy, 3) != self.output_bytes(tmp_path, noisy, 4)
 
     def test_each_input_file_is_parsed_once(self, tmp_path, skel, monkeypatch):
         seq = rigid_sequence(skel, np.tile([0.0, 0.0, 0.8], (30, 1)), np.zeros(30), 30.0)
@@ -600,12 +639,15 @@ BAD_CONFIGS = [
     ("prefix-run", {"prefix_loop": {"max_resamples": 1.5}}, "max_resamples must be a whole number"),
     ("prefix-run", {"prefix_loop": {"segment_seconds": 0.001}}, "segment of at least one frame"),
     ("prefix-run", {"prefix_loop": {"horizon_seconds": 0.4}}, "segment of at least one frame"),
-    ("prefix-run", {"tracker": {"kind": "perturbation", "noise_scale": -1}},
-     "noise_scale must be >= 0"),
-    ("prefix-run", {"tracker": {"seed": -1}}, "seed must be >= 0"),
-    ("prefix-run", {"tracker": {"seed": 1.5}}, "seed must be a whole number"),
-    ("prefix-run", {"tracker": {"kind": "failure", "fail_after_frame": 1.5}},
-     "fail_after_frame must be a whole number"),
+    ("prefix-run", {"tracker": {"noise_scale": -1}}, "noise_scale must be >= 0"),
+    # --seed seeds the tracker, and the tracker has no kind
+    ("prefix-run", {"tracker": {"kind": "failure"}}, r"tracker: unknown keys \['kind'\]"),
+    ("prefix-run", {"tracker": {"seed": 1}}, r"tracker: unknown keys \['seed'\]"),
+    ("prefix-run", {"tracker": {"fail_after_frame": 0}},
+     r"tracker: unknown keys \['fail_after_frame'\]"),
+    ("prefix-run", {"tracker": {"fail_offset": 10.0}}, r"tracker: unknown keys \['fail_offset'\]"),
+    ("prefix-run", {"tracker": {"offset_from_frame": 1.5}},
+     "offset_from_frame must be a whole number"),
     ("prefix-run", {"generator": {"noise_scale": "x"}}, "noise_scale must be a real number"),
     # keys the CLI sets itself are refused, not silently overwritten
     ("curriculum-sim", {"sim": {"seed": 7}}, r"sim\.seed is set by --seed"),

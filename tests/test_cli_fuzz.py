@@ -93,7 +93,7 @@ def documents(workdir):
             "curriculum": {"epsilon": 0.2, "n_min": 2}, "sim": {"rollouts_per_iter": 4},
             "router": {"top_k": 2, "temperature": 1.0}, "asfo": {"rho_max": 4},
             "prefix_loop": {"horizon_seconds": 1.0, "mpjpe_tolerance": 0.15},
-            "tracker": {"kind": "perturbation", "noise_scale": 0.001},
+            "tracker": {"noise_scale": 0.001},
             "generator": {"noise_scale": 0.005},
         },
         "clip": clip,

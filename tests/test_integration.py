@@ -89,13 +89,13 @@ def test_cli_chain_encode_prefix_metrics(tmp_path, skel):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "prefix_loop": {"horizon_seconds": 2.0},
-        "tracker": {"kind": "perturbation", "noise_scale": 0.002, "seed": 9},
+        "tracker": {"noise_scale": 0.002},
     }))
     assembled = tmp_path / "assembled.json"
     trace_path = tmp_path / "trace.json"
     code = cli_dispatch([
         "prefix-run", str(feats_path), str(target_path),
-        "--config", str(cfg_path), "--seed", "13",
+        "--config", str(cfg_path), "--seed", "9",
         "--out", str(assembled), "--trace", str(trace_path),
     ])
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import MALFORMED_MOTION_CASES, make_random_sequence, make_walk_sequence
 from motion_forge import errors
-from motion_forge.config import AppConfig, config_from_dict, load_config
+from motion_forge.config import AppConfig, config_from_dict, read_config
 from motion_forge.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -310,13 +310,13 @@ class TestConfig:
         cfg = config_from_dict({
             "curriculum": {"epsilon": 0.1, "temperature": 2.0},
             "rewards": {"anchor_pos": [0.9, 0.25]},
-            "tracker": {"kind": "failure", "fail_after_frame": 42},
+            "tracker": {"offset": 10.0, "offset_from_frame": 42},
             "prefix_loop": {"mpjpe_tolerance": 0.2},
         })
         assert cfg.curriculum.epsilon == 0.1
         assert cfg.rewards.anchor_pos.weight == 0.9
         assert cfg.rewards.anchor_pos.sigma == 0.25
-        assert cfg.tracker.fail_after_frame == 42
+        assert cfg.tracker.offset_from_frame == 42
         assert cfg.prefix_loop.mpjpe_tolerance == 0.2
 
     def test_unknown_section_rejected(self):
@@ -336,25 +336,25 @@ class TestConfig:
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"curriculum": {"epsilon": 1.5}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown keys \['kind'\]"):
             config_from_dict({"tracker": {"kind": "nope"}})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"router": {"top_k": 3}}))
-        cfg = load_config(path)
+        cfg = config_from_dict(read_config(path))
         assert cfg.router.top_k == 3
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
-            load_config(path)
+            config_from_dict(read_config(path))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_rejected(self, tmp_path, literal):
         # Python's json reads NaN/Infinity, and 1e999 overflows to inf
         path = tmp_path / "cfg.json"
-        path.write_text('{"tracker": {"kind": "perturbation", "offset": %s}}' % literal)
+        path.write_text('{"tracker": {"offset": %s}}' % literal)
         with pytest.raises(ConfigError, match=f"{literal} is not a finite number"):
-            load_config(path)
+            config_from_dict(read_config(path))

@@ -15,7 +15,6 @@ from motion_forge.prefix_loop import (
     PrefixLoopConfig,
     features_to_motion,
     identity_tracker,
-    make_failure_tracker,
     make_interpolation_generator,
     make_perturbation_tracker,
     run_prefix_loop,
@@ -56,11 +55,72 @@ class TestFeaturesToMotion:
         assert np.allclose(seq.body_rot, np.eye(3), atol=1e-12)
 
 
+def parent_perturbation_tracker(seed, noise_scale=0.0, offset=0.0):
+    """Oracle: the perturbation tracker as it was before the failure tracker
+    was folded into it."""
+    rng = np.random.default_rng(seed)
+
+    def tracker(reference):
+        out = reference.copy()
+        if offset:
+            out.body_pos[..., 2] += offset
+            out.root_pos[..., 2] += offset
+        if noise_scale:
+            out.body_pos[:] += rng.normal(0.0, noise_scale, out.body_pos.shape)
+        return out
+
+    return tracker
+
+
+def parent_failure_tracker(fail_after_frame, offset=10.0):
+    """Oracle: the failure tracker that diverged from `fail_after_frame` on."""
+
+    def tracker(reference):
+        out = reference.copy()
+        if fail_after_frame < out.num_frames:
+            out.body_pos[fail_after_frame:, :, 2] += offset
+            out.root_pos[fail_after_frame:, 2] += offset
+        return out
+
+    return tracker
+
+
+def assert_same_windows(tracker, oracle, window, calls=3):
+    """`tracker` and `oracle` execute `calls` windows in turn to the same bytes."""
+    for _ in range(calls):
+        got, want = tracker(window.copy()), oracle(window.copy())
+        for name in FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class TestTrackers:
     def test_identity(self, skel):
         frames = neutral_features(8)
         seq = features_to_motion(frames, 30.0, skel)
         assert identity_tracker(seq) is seq
+
+    def test_no_noise_and_no_offset_is_the_identity_tracker(self):
+        assert make_perturbation_tracker(seed=4) is identity_tracker
+        assert make_perturbation_tracker(seed=4, offset_from_frame=7) is identity_tracker
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_matches_the_parent_perturbation_tracker(self, skel, seed):
+        window = make_walk_sequence(skel, 1.0, 0.1, 20, 30.0)
+        for noise_scale in (0.0, 0.01, 0.3):
+            for offset in (0.0, 0.125, -0.4):
+                assert_same_windows(make_perturbation_tracker(seed, noise_scale, offset),
+                                    parent_perturbation_tracker(seed, noise_scale, offset),
+                                    window)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_matches_the_parent_failure_tracker(self, skel, seed):
+        window = make_walk_sequence(skel, 1.0, 0.1, 20, 30.0)
+        for fail_after_frame in (0, 1, 10, 19, 20, 45):
+            for offset in (10.0, 0.5, -2.0):
+                tracker = make_perturbation_tracker(seed, offset=offset,
+                                                    offset_from_frame=fail_after_frame)
+                assert_same_windows(tracker, parent_failure_tracker(fail_after_frame, offset),
+                                    window)
 
     def test_perturbation_offset_gives_exact_mpjpe(self, skel):
         frames = neutral_features(8)
@@ -81,7 +141,7 @@ class TestTrackers:
     def test_failure_tracker_diverges_after_frame(self, skel):
         frames = neutral_features(20)
         seq = features_to_motion(frames, 30.0, skel)
-        tracker = make_failure_tracker(fail_after_frame=10, offset=10.0)
+        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=10)
         out = tracker(seq)
         assert np.array_equal(out.body_pos[:10], seq.body_pos[:10])
         assert np.all(out.body_pos[10:, :, 2] > 9.0)
@@ -153,7 +213,7 @@ class TestRunPrefixLoop:
         cfg = self.cfg(horizon_seconds=5.0, max_resamples=3)
         prefix = neutral_features(30)
         # diverge once the window reaches into the third generated second
-        tracker = make_failure_tracker(fail_after_frame=30 + 2 * 30 + 5)
+        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=30 + 2 * 30 + 5)
         gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, tracker, cfg, skel
@@ -180,7 +240,7 @@ class TestRunPrefixLoop:
     def test_total_attempts_bounded(self, skel):
         cfg = self.cfg(horizon_seconds=5.0, max_resamples=2)
         prefix = neutral_features(30)
-        tracker = make_failure_tracker(fail_after_frame=0)
+        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=0)
         gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, tracker, cfg, skel
@@ -311,8 +371,9 @@ class TestIncrementalDecode:
         # a tracker failing from frame 0 rejects every attempt on the first
         # segment, and each rejected one rewrites the initial decode's last
         # velocity row as a central difference
-        for fail_after_frame, accepted_frames in [(30 + 30 + 10, 60), (0, 30)]:
-            tracker = make_failure_tracker(fail_after_frame=fail_after_frame)
+        for offset_from_frame, accepted_frames in [(30 + 30 + 10, 60), (0, 30)]:
+            tracker = make_perturbation_tracker(seed=0, offset=10.0,
+                                                offset_from_frame=offset_from_frame)
             motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
             assert trace.termination == TERMINATION_EXHAUSTED
             assert trace.features.shape[0] == accepted_frames
