@@ -2,10 +2,12 @@
 
 Every subcommand reads JSON inputs, writes JSON or CSV outputs, and exits 0
 on success.  Failures print one machine-readable JSON object to stderr
-({"error": <type>, "message": <text>}) and exit nonzero.  A single --seed
-flag feeds every random consumer of a subcommand, prefix-run's generator
-and reference tracker among them, so identical invocations produce
-byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
+({"error": <type>, "message": <text>}) and exit nonzero.  Every tunable
+value, thresholds and iteration counts among them, comes from the --config
+file; flags name only files and the seed.  A single --seed flag feeds every
+random consumer of a subcommand, prefix-run's generator and reference
+tracker among them, so identical invocations produce byte-identical
+outputs.  Set MOTIONFORGE_LOG to adjust log level.
 """
 
 from __future__ import annotations
@@ -97,22 +99,12 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _override(section, args, names):
-    """`section` with the given threshold flags in `names`, checked by its field rule."""
-    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    return dataclasses.replace(section, **overrides)
-
-
 def cmd_metrics(args) -> int:
     cfg = _load_app_config(args)
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
     sim = load_motion(args.executed, skel)
-    ground = _override(cfg.ground, args, ("ground_z", "contact_height_eps",
-                                          "skate_disp_threshold"))
-    success_cfg = _override(cfg.success, args, ("pelvis_z_threshold",
-                                                 "trunk_gravity_threshold", "ee_z_threshold"))
-    report = evaluate(ref, sim, skel, ground, success_cfg)
+    report = evaluate(ref, sim, skel, cfg.ground, cfg.success)
     _write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False), args.out)
     return 0
 
@@ -145,11 +137,7 @@ def cmd_curriculum_sim(args) -> int:
     for i, item in enumerate(data["files"]):
         check_object(item, f"corpus file {i}", _CORPUS_FIELDS, ("id", "level"))
         files.append(cur.SyntheticFile(**{_CORPUS_FIELDS[k]: value for k, value in item.items()}))
-    sim_cfg = dataclasses.replace(
-        cfg.sim,
-        seed=args.seed,
-        total_iters=args.iters if args.iters is not None else cfg.sim.total_iters,
-    )
+    sim_cfg = dataclasses.replace(cfg.sim, seed=args.seed)
     trace = cur.run_curriculum_sim(files, cfg.curriculum, sim_cfg)
     _write_output(trace.to_csv(), args.out)
     log.info("simulated %d iterations, %d events", sim_cfg.total_iters, len(trace.events))
@@ -217,18 +205,9 @@ def cmd_asfo_plan(args) -> int:
     data = check_object(read_json(args.samples, "samples", ConfigError),
                         f"samples {args.samples}", ("samples",), ("samples",))
     samples = data["samples"]
-    if isinstance(samples, list):
-        listed, samples = samples, {}
-        for i, item in enumerate(listed):
-            check_object(item, f"sample {i}", ("id", "tags"), ("id", "tags"))
-            if not isinstance(item["id"], str):
-                raise ConfigError(f"sample {i}: 'id' must be a string")
-            if item["id"] in samples:
-                raise ConfigError(f"sample {i}: id {item['id']!r} is already taken")
-            samples[item["id"]] = item["tags"]
     # the mapping's keys are sample ids, so it allows its own keys
     if not check_object(samples, "samples file's 'samples'", samples):
-        raise ConfigError("samples file needs a non-empty 'samples' mapping or list")
+        raise ConfigError("samples file needs a non-empty 'samples' mapping")
     for sample_id, tags in samples.items():
         if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
             raise ConfigError(f"sample {sample_id!r}: tags must be a list of strings")
@@ -305,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference")
     p.add_argument("executed")
     p.add_argument("--out")
-    p.add_argument("--ground-z", dest="ground_z", type=float)
-    p.add_argument("--contact-eps", dest="contact_height_eps", type=float)
-    p.add_argument("--skate-threshold", dest="skate_disp_threshold", type=float)
-    p.add_argument("--pelvis-z-threshold", dest="pelvis_z_threshold", type=float)
-    p.add_argument("--trunk-gravity-threshold", dest="trunk_gravity_threshold", type=float)
-    p.add_argument("--ee-z-threshold", dest="ee_z_threshold", type=float)
 
     p = add("reward-eval", cmd_reward_eval, "per-frame task rewards as CSV")
     p.add_argument("reference")
@@ -319,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("curriculum-sim", cmd_curriculum_sim, "run the scheduler on a synthetic corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--iters", type=int)
     p.add_argument("--out")
 
     p = add("route-sim", cmd_route_sim, "replay (z, level) records through the router")

@@ -345,23 +345,6 @@ def _introduced_count(order: np.ndarray, unlock_iter: int, level: int, iteration
     return math.ceil(introduction_ratio(iteration, unlock_iter, level, cfg) * order.size)
 
 
-def introduced_rows(
-    orders: Sequence[np.ndarray],
-    unlock_iters: Sequence[int],
-    iteration: int,
-    cfg: SamplerConfig,
-) -> np.ndarray:
-    """Rows introduced by `iteration`, level by level in introduction order.
-
-    Level k + 1 unlocked at `unlock_iters[k]` and introduces the leading
-    `_introduced_count` rows of `orders[k]`.
-    """
-    return np.concatenate([
-        order[:_introduced_count(order, unlock, lv, iteration, cfg)]
-        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
-    ])
-
-
 _JSONL_KEYS = ("file_id", "level", *COLUMNS)
 
 

@@ -64,15 +64,6 @@ Denoiser = Callable[[np.ndarray, int, object], np.ndarray]
 FFNParams = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def ffn_apply(params: FFNParams, x: np.ndarray) -> np.ndarray:
-    """GELU FFN over the frames of x (T, D).  Parameters stacked along
-    leading axes (w1 (..., H, D), b1 (..., H), ...) give one output per
-    stacked expert, shape (..., T, D)."""
-    (w1, b1), (w2, b2) = params
-    h = gelu(np.asarray(x, dtype=np.float64) @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
-    return h @ np.swapaxes(w2, -1, -2) + b2[..., None, :]
-
-
 @dataclass
 class TPMoEParams:
     """Expert pool, gate MLP, and mask constants for one TP-MoE block.
@@ -239,9 +230,10 @@ def tpmoe_apply(
     routing and the same stack arrays reads the blocks and biases of that
     mix.  The prompts stored in one sample hold at most K mixed experts in
     all, never more memory than the stack; any further prompt streams.
-    Every sum keeps the length and order it has in
-    `ffn_apply(mix_expert_params(routing, params), x)`, masked and summed
-    over tokens, which is the reference this matches.
+    With ((w1, b1), (w2, b2)) = mix_expert_params(routing, params), one
+    mixed expert per token n, delta = sum_n mask[:, n] * (gelu(x @ w1[n].T
+    + b1[n]) @ w2[n].T + b2[n]), and every sum keeps the length and order
+    it has when that formula is evaluated on the whole mixed tensors.
     """
     x = check_finite(x, "motion features")
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))

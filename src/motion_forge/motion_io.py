@@ -100,7 +100,11 @@ def _check_finite(path, **fields) -> None:
 
 
 def _fps(data: dict, path) -> float:
-    return float(check_numbers(data["fps"], f"{path}: 'fps'", (), error=FileFormatError))
+    """The document's 'fps', a positive number, so every rate derived from it is finite."""
+    fps = float(check_numbers(data["fps"], f"{path}: 'fps'", (), error=FileFormatError))
+    if fps <= 0:
+        raise FileFormatError(f"{path}: 'fps' must be > 0, got {fps!r}")
+    return fps
 
 
 def _names(data: dict, key: str, count: int, path) -> list[str]:
@@ -221,6 +225,7 @@ def parse_features(data, path) -> tuple[np.ndarray, float]:
 def save_features(frames: np.ndarray, fps: float, path) -> None:
     frames = validate_features(frames)
     _check_finite(path, fps=fps, features=frames)
+    _fps({"fps": fps}, path)   # the loader's rule, so every file written here loads
     _write_json({"format_version": FORMAT_VERSION, "fps": fps, "features": frames.tolist()}, path)
 
 

@@ -485,7 +485,7 @@ def pool_from_dict(data: dict) -> ExpertPool:
     raise ConfigError; a NaN or infinite weight or multiplier raises
     NonFiniteError."""
     check_object(data, "expert pool", _POOL_KEYS, _POOL_KEYS)
-    ints = {key: int(check_numbers(data[key], "expert pool", (), whole=True))
+    ints = {key: int(check_numbers(data[key], f"expert pool: '{key}'", (), whole=True))
             for key in ("input_dim", "output_dim", "capacity", "unlocked_count")}
     hidden = check_numbers(data["hidden"], "expert pool: 'hidden'", (None,), whole=True)
     lr = check_numbers(data["lr_multipliers"], "expert pool: 'lr_multipliers'", (None,))

@@ -1,9 +1,14 @@
-"""Synthetic motion builders shared by the test suite."""
+"""Synthetic motion builders shared by the test suite, and the whole-array
+oracles that kernels built for speed are checked against."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from motion_forge.curriculum import introduction_ratio
+from motion_forge.kernels import gelu
 from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
 from motion_forge.rotations import (
     matrix_to_quat,
@@ -220,6 +225,10 @@ def _string_fps(doc):
     doc["fps"] = "thirty"
 
 
+def _zero_fps(doc):
+    doc["fps"] = 0
+
+
 def _numeric_joint_names(doc):
     doc["joint_names"] = 5
 
@@ -246,6 +255,29 @@ MALFORMED_MOTION_CASES = {
     "missing_body_pos": (_drop_body_pos, "FileFormatError",
                          r"clip\.json: missing required field 'body_pos'"),
     "string_fps": (_string_fps, "FileFormatError", r"clip\.json: 'fps' must be a number"),
+    "zero_fps": (_zero_fps, "FileFormatError", r"clip\.json: 'fps' must be > 0"),
     "numeric_joint_names": (_numeric_joint_names, "FileFormatError",
                             r"clip\.json: 'joint_names' must be a list of strings"),
 }
+
+
+def ffn_apply(params, x: np.ndarray) -> np.ndarray:
+    """GELU FFN over the frames of x (T, D), the oracle of `tpmoe_apply`.
+    params is ((w1, b1), (w2, b2)); parameters stacked along leading axes
+    (w1 (..., H, D), b1 (..., H), ...) give one output per stacked expert,
+    shape (..., T, D)."""
+    (w1, b1), (w2, b2) = params
+    h = gelu(np.asarray(x, dtype=np.float64) @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    return h @ np.swapaxes(w2, -1, -2) + b2[..., None, :]
+
+
+def introduced_rows(orders, unlock_iters, iteration: int, cfg) -> np.ndarray:
+    """Rows introduced by `iteration`, level by level in introduction order,
+    the oracle of `ReplaySet`: level k + 1, unlocked at `unlock_iters[k]`,
+    introduces none of `orders[k]` before its unlock, then the leading
+    ceil(introduction_ratio * size)."""
+    return np.concatenate([
+        order[:0 if iteration < unlock
+              else math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)]
+        for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
+    ])

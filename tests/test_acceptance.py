@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ffn_apply,
     make_random_sequence,
     make_standing_sequence,
     make_walk_sequence,
@@ -46,7 +47,6 @@ from motion_forge.generation import (
     build_epoch_plan,
     cfg_combine,
     ddpm_sample,
-    ffn_apply,
     generator_balance_loss,
     init_tpmoe,
     make_oracle_denoiser,

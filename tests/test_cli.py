@@ -6,7 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_MOTION_CASES, make_walk_sequence, neutral_features, rigid_sequence
+from helpers import (
+    MALFORMED_MOTION_CASES,
+    make_standing_sequence,
+    make_walk_sequence,
+    neutral_features,
+    quat_from_axis_angle,
+    rigid_sequence,
+)
 from motion_forge import router as rt
 from motion_forge.cli import cli_dispatch
 from motion_forge.config import TrackerConfig
@@ -46,6 +53,13 @@ def one_error_line(code, captured, error="ConfigError") -> dict:
     return err
 
 
+def write_config(tmp_path, text):
+    """A config file holding `text`, a JSON document or its Python dict."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    return path
+
+
 class TestEncodeDecode:
     def test_encode_writes_262_features(self, tmp_path, walk_file):
         out = tmp_path / "feats.json"
@@ -69,7 +83,9 @@ class TestEncodeDecode:
          r"feats\.json: 'fps' must be a number"),
         (lambda doc: doc["features"][3].__setitem__(10, "x"), "FileFormatError",
          r"feats\.json: frame 3 field 'features' must hold only numbers"),
-    ], ids=["string_fps", "string_feature"])
+        (lambda doc: doc.update(fps=0), "FileFormatError", r"feats\.json: 'fps' must be > 0"),
+        (lambda doc: doc.update(fps=-30), "FileFormatError", r"feats\.json: 'fps' must be > 0"),
+    ], ids=["string_fps", "string_feature", "zero_fps", "negative_fps"])
     def test_malformed_features_are_a_json_error(self, tmp_path, walk_file, capsys,
                                                  edit, error, pattern):
         path = tmp_path / "feats.json"
@@ -204,7 +220,8 @@ class TestCurriculumSimCli:
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run(["curriculum-sim", "--corpus", self.corpus(tmp_path),
-                    "--iters", 2000, "--seed", 3, "--out", out])
+                    "--config", write_config(tmp_path, {"sim": {"total_iters": 2000}}),
+                    "--seed", 3, "--out", out])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("iteration,")
@@ -213,7 +230,8 @@ class TestCurriculumSimCli:
     def test_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         argv = ["curriculum-sim", "--corpus", self.corpus(tmp_path),
-                "--iters", 1500, "--seed", 5]
+                "--config", write_config(tmp_path, {"sim": {"total_iters": 1500}}),
+                "--seed", 5]
         run(argv + ["--out", out1])
         run(argv + ["--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
@@ -413,16 +431,6 @@ class TestAsfoPlanCli:
         assert doc["plan_size"] == len(doc["plan"])
         rare_copies = [e for e in doc["plan"] if e["sample_id"] == "rare"]
         assert len(rare_copies) == doc["multipliers"]["cartwheel"]
-
-    def test_sample_list_form(self, tmp_path, capsys):
-        samples = tmp_path / "samples.json"
-        samples.write_text(json.dumps({"samples": [
-            {"id": "a", "tags": ["walk"]},
-            {"id": "b", "tags": ["walk"]},
-        ]}))
-        code, captured = run(["asfo-plan", samples], capsys)
-        assert code == 0
-        assert json.loads(captured.out)["plan_size"] == 2
 
     @pytest.mark.parametrize("doc, pattern", [
         ([{"id": "a", "tags": ["walk"]}], "must be a JSON object"),
@@ -670,8 +678,28 @@ def test_bad_config_value_is_one_json_config_error(tmp_path, capsys, command, co
     assert captured.out == ""
 
 
-class TestMetricsThresholdFlags:
-    def test_skate_threshold_flag_changes_ratio(self, tmp_path, skel, capsys):
+class TestMetricsThresholdConfig:
+    """Each metrics threshold is read from --config, and only from there."""
+
+    def pair(self, tmp_path, skel, edit):
+        """A standing clip (feet at z=0.03) and its copy changed by `edit`."""
+        seq = make_standing_sequence(skel)
+        moved = seq.copy()
+        edit(moved)
+        ref, sim = tmp_path / "ref.json", tmp_path / "sim.json"
+        save_motion(seq, ref, skel)
+        save_motion(moved, sim, skel)
+        return ref, sim
+
+    def reports(self, tmp_path, capsys, ref, sim, config):
+        """The report with default thresholds and the one under `config`."""
+        default = run(["metrics", ref, sim], capsys)
+        configured = run(["metrics", ref, sim, "--config", write_config(tmp_path, config)],
+                         capsys)
+        assert default[0] == configured[0] == 0
+        return json.loads(default[1].out), json.loads(configured[1].out)
+
+    def test_skate_threshold_changes_ratio(self, tmp_path, skel, capsys):
         # feet slide while "planted": a loose threshold suppresses skating
         seq = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
         ref = tmp_path / "ref.json"
@@ -684,14 +712,11 @@ class TestMetricsThresholdFlags:
         sim = tmp_path / "sim.json"
         save_motion(slid, sim, skel)
 
-        code, captured = run(["metrics", ref, sim], capsys)
-        assert code == 0
-        strict = json.loads(captured.out)["skating_ratio"]
-        code, captured = run(["metrics", ref, sim, "--skate-threshold", 1.0], capsys)
-        loose = json.loads(captured.out)["skating_ratio"]
-        assert strict == 1.0 and loose == 0.0
+        strict, loose = self.reports(tmp_path, capsys, ref, sim,
+                                     {"ground": {"skate_disp_threshold": 1.0}})
+        assert strict["skating_ratio"] == 1.0 and loose["skating_ratio"] == 0.0
 
-    def test_pelvis_threshold_flag(self, tmp_path, skel, capsys):
+    def test_pelvis_threshold(self, tmp_path, skel, capsys):
         seq = make_walk_sequence(skel, 1.0, 0.0, 10, 30.0)
         ref = tmp_path / "ref.json"
         save_motion(seq, ref, skel)
@@ -699,19 +724,83 @@ class TestMetricsThresholdFlags:
         moved.root_pos[5:, 2] += 0.2
         sim = tmp_path / "sim.json"
         save_motion(moved, sim, skel)
-        code, captured = run(["metrics", ref, sim], capsys)
-        assert json.loads(captured.out)["success"] is True
-        code, captured = run(["metrics", ref, sim, "--pelvis-z-threshold", 0.1], capsys)
-        doc = json.loads(captured.out)
+        default, doc = self.reports(tmp_path, capsys, ref, sim,
+                                    {"success": {"pelvis_z_threshold": 0.1}})
+        assert default["success"] is True
         assert doc["success"] is False and doc["failure_reason"] == "pelvis_z"
 
-    @pytest.mark.parametrize("flag", ["--pelvis-z-threshold=nan", "--ground-z=nan",
-                                      "--skate-threshold=inf", "--ee-z-threshold=-inf"])
-    def test_non_finite_threshold_is_a_config_error(self, walk_file, capsys, flag):
-        code, captured = run(["metrics", walk_file, walk_file, flag], capsys)
+    def test_ground_z_moves_penetration(self, tmp_path, skel, capsys):
+        ref, sim = self.pair(tmp_path, skel, lambda seq: None)
+        default, doc = self.reports(tmp_path, capsys, ref, sim, {"ground": {"ground_z": 0.05}})
+        assert default["penetration_mm"] == 0.0
+        assert doc["penetration_mm"] == pytest.approx(20.0)
+
+    def test_contact_height_eps_tolerates_hover(self, tmp_path, skel, capsys):
+        def hover(seq):   # 2 cm up: feet at 5 cm, too high for a contact
+            seq.root_pos[:, 2] += 0.02
+            seq.body_pos[..., 2] += 0.02
+
+        ref, sim = self.pair(tmp_path, skel, hover)
+        default, doc = self.reports(tmp_path, capsys, ref, sim,
+                                    {"ground": {"contact_height_eps": 0.1}})
+        assert default["floating_mm"] == pytest.approx(45.0)
+        assert doc["floating_mm"] == 0.0
+
+    def test_trunk_gravity_threshold(self, tmp_path, skel, capsys):
+        def lean(seq):   # torso pitched by 0.5 rad: gravity mismatch 2 sin(0.25) = 0.49
+            trunk = skel.body_index("torso_link")
+            seq.body_rot[:, trunk] = quat_to_matrix(quat_from_axis_angle([0, 1, 0], 0.5))
+
+        ref, sim = self.pair(tmp_path, skel, lean)
+        default, doc = self.reports(tmp_path, capsys, ref, sim,
+                                    {"success": {"trunk_gravity_threshold": 0.2}})
+        assert default["success"] is True
+        assert doc["success"] is False and doc["failure_reason"] == "trunk_gravity"
+
+    def test_ee_z_threshold(self, tmp_path, skel, capsys):
+        def raise_hand(seq):
+            seq.body_pos[:, skel.hand_body_indices[0], 2] += 0.2
+
+        ref, sim = self.pair(tmp_path, skel, raise_hand)
+        default, doc = self.reports(tmp_path, capsys, ref, sim,
+                                    {"success": {"ee_z_threshold": 0.1}})
+        assert default["success"] is True
+        assert doc["success"] is False and doc["failure_reason"] == "ee_z"
+
+    @pytest.mark.parametrize("config", ['{"success": {"pelvis_z_threshold": NaN}}',
+                                        '{"ground": {"ground_z": NaN}}',
+                                        '{"ground": {"skate_disp_threshold": Infinity}}',
+                                        '{"success": {"ee_z_threshold": -Infinity}}'],
+                             ids=["pelvis_nan", "ground_nan", "skate_inf", "ee_minus_inf"])
+    def test_non_finite_threshold_is_a_config_error(self, tmp_path, walk_file, capsys, config):
+        code, captured = run(["metrics", walk_file, walk_file,
+                              "--config", write_config(tmp_path, config)], capsys)
         err = one_error_line(code, captured)
         assert "is not a finite number" in err["message"]
         assert captured.out == ""
+
+
+# the values these flags set come from --config
+REMOVED_FLAGS = {
+    "--ground-z": "metrics", "--contact-eps": "metrics", "--skate-threshold": "metrics",
+    "--pelvis-z-threshold": "metrics", "--trunk-gravity-threshold": "metrics",
+    "--ee-z-threshold": "metrics", "--iters": "curriculum-sim",
+}
+
+
+@pytest.mark.parametrize("flag, command", REMOVED_FLAGS.items(), ids=REMOVED_FLAGS)
+def test_removed_flag_is_a_usage_error(tmp_path, walk_file, capsys, flag, command):
+    if command == "metrics":
+        argv = ["metrics", walk_file, walk_file]
+    else:
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"files": [{"id": "a", "level": 1}]}))
+        argv = ["curriculum-sim", "--corpus", corpus]
+    code, captured = run(argv + [flag, "5"], capsys)
+    assert code == 2
+    assert captured.err.startswith("usage: motion-forge ")
+    assert f"error: unrecognized arguments: {flag} 5" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("section", [5, None, 1.5, True, [1, 2], "ab"],
@@ -749,11 +838,8 @@ INPUT_PROBES = {
                              "ConfigError", "file ids must be a list of unique strings"),
     "samples_unknown_key": (["asfo-plan", "{doc}"], {"samples": {"a": ["walk"]}, "sample": 1},
                             "ConfigError", r"samples .*: unknown keys \['sample'\]"),
-    "sample_entry_unknown_key": (["asfo-plan", "{doc}"],
-                                 {"samples": [{"id": "a", "tags": ["walk"], "tag": "run"}]},
-                                 "ConfigError", r"sample 0: unknown keys \['tag'\]"),
-    "sample_non_string_id": (["asfo-plan", "{doc}"], {"samples": [{"id": [1], "tags": ["walk"]}]},
-                             "ConfigError", "sample 0: 'id' must be a string"),
+    "samples_list_form": (["asfo-plan", "{doc}"], {"samples": [{"id": "a", "tags": ["walk"]}]},
+                          "ConfigError", "samples file's 'samples' must be a JSON object"),
     "pool_unknown_key": (["route-sim", "{records}", "--pool", "{doc}"], _pool_doc(extra=1),
                          "ConfigError", r"expert pool: unknown keys \['extra'\]"),
     "pool_huge_capacity": (["route-sim", "{records}", "--pool", "{doc}"],

@@ -9,6 +9,7 @@ from motion_forge.curriculum import (
     STATE_DROPPED,
     STATE_FROZEN,
     CorpusState,
+    ReplaySet,
     SamplerConfig,
     SimConfig,
     SyntheticFile,
@@ -16,7 +17,6 @@ from motion_forge.curriculum import (
     apply_level_quota,
     check_freeze,
     default_error_process,
-    introduced_rows,
     introduction_ratio,
     promotion_check,
     run_curriculum_sim,
@@ -333,18 +333,23 @@ class TestIntroductionRatio:
 
 class TestLevelSchedule:
     def test_introduced_rows_follow_ramp_and_unlocks(self):
-        # level 1 holds rows 0..9, level 2 rows 10..14, in a shuffled order
+        # level 1 holds rows 0..9, level 2 rows 10..14, in a shuffled order;
+        # every row of a fresh state is active, so the replay set holds
+        # exactly the introduced rows
         orders = [np.array([3, 7, 0, 9, 1, 8, 2, 6, 4, 5]), np.array([12, 10, 14, 11, 13])]
+
+        def rows_at(unlock_iters, iteration):
+            fresh = state([f"f{i}" for i in range(15)], levels=[1] * 10 + [2] * 5)
+            rows, _ = ReplaySet(fresh, orders, unlock_iters, CFG).at(iteration)
+            return rows.tolist()
+
         # level 1 at ratio 0.2 + 0.8 * 999 / 3000; level 2 not yet unlocked
-        rows = introduced_rows(orders, [0, 1000], 999, CFG)
-        assert rows.tolist() == [3, 7, 0, 9, 1]
+        assert rows_at([0, 1000], 999) == [3, 7, 0, 9, 1]
         # level 2 opens at its unlock iteration with ceil(0.2 * 5) = 1 row
-        rows = introduced_rows(orders, [0, 1000], 1000, CFG)
-        assert rows.tolist() == [3, 7, 0, 9, 1, 12]
-        rows = introduced_rows(orders, [0, 1000], 4000, CFG)
-        assert rows.tolist() == orders[0].tolist() + orders[1].tolist()
+        assert rows_at([0, 1000], 1000) == [3, 7, 0, 9, 1, 12]
+        assert rows_at([0, 1000], 4000) == orders[0].tolist() + orders[1].tolist()
         # a level not yet unlocked contributes nothing
-        assert introduced_rows(orders, [0], 4000, CFG).tolist() == orders[0].tolist()
+        assert rows_at([0], 4000) == orders[0].tolist()
 
 
 class TestPromotion:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import ffn_apply
 from motion_forge import generation
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
@@ -19,7 +20,6 @@ from motion_forge.generation import (
     cfg_negative,
     ddpm_sample,
     diffusion_loss,
-    ffn_apply,
     generator_balance_loss,
     init_attention_pool,
     init_tpmoe,

@@ -238,7 +238,9 @@ class TestFeatureAndStatsFiles:
          r"feats\.json: frame 1 field 'features' must hold only numbers"),
         (lambda doc: doc["features"].__setitem__(1, None), DimensionMismatchError,
          r"feats\.json: frame 1 field 'features' must have shape \(262,\)"),
-    ], ids=["string_fps", "string_feature", "null_row"])
+        (lambda doc: doc.update(fps=0), FileFormatError, r"feats\.json: 'fps' must be > 0"),
+        (lambda doc: doc.update(fps=-30), FileFormatError, r"feats\.json: 'fps' must be > 0"),
+    ], ids=["string_fps", "string_feature", "null_row", "zero_fps", "negative_fps"])
     def test_features_typed_errors(self, tmp_path, edit, error, pattern):
         path = tmp_path / "feats.json"
         doc = {"format_version": 1, "fps": 30.0, "features": [[0.0] * 262 for _ in range(3)]}
@@ -275,6 +277,13 @@ class TestFeatureAndStatsFiles:
         path = tmp_path / "feats.json"
         with pytest.raises(NonFiniteError, match=r"feats\.json: field 'features'"):
             save_features(feats, 30.0, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fps", [0, -30.0])
+    def test_save_features_rejects_non_positive_fps(self, tmp_path, fps):
+        path = tmp_path / "feats.json"
+        with pytest.raises(FileFormatError, match=r"feats\.json: 'fps' must be > 0"):
+            save_features(np.zeros((3, 262)), fps, path)
         assert not path.exists()
 
     def test_save_norm_stats_rejects_non_finite(self, tmp_path, skel):

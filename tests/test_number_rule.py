@@ -117,7 +117,7 @@ class TestRouteSimProbes:
     def test_pool_number_that_breaks_the_rule(self, tmp_path, capsys, key, value):
         pool = _pool()
         pool[key] = value
-        self._route(tmp_path, capsys, pool)
+        assert f"expert pool: '{key}' must" in self._route(tmp_path, capsys, pool)["message"]
 
     @pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "numeric_string"])
     @pytest.mark.parametrize("key", ["w", "b"])
@@ -230,12 +230,11 @@ class TestRepeatedKeys:
         with pytest.raises(ConfigError, match="line 2 repeats the key 'level'"):
             load_records(path)
 
-    def test_asfo_list_with_a_repeated_id(self, tmp_path, capsys):
+    def test_asfo_mapping_with_a_repeated_id(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
-        path.write_text(json.dumps({"samples": [{"id": "a", "tags": ["walk"]},
-                                                {"id": "a", "tags": ["flip"]}]}))
+        path.write_text('{"samples": {"a": ["walk"], "a": ["flip"]}}')
         err = _run(["asfo-plan", path], capsys)
-        assert err["error"] == "ConfigError" and "sample 1: id 'a'" in err["message"]
+        assert err["error"] == "ConfigError" and "repeats the key 'a'" in err["message"]
 
     def test_clip_with_a_repeated_field(self, tmp_path):
         skel = default_skeleton()

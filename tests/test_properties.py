@@ -23,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from helpers import make_random_sequence, neutral_features  # noqa: E402
+from helpers import introduced_rows, make_random_sequence, neutral_features  # noqa: E402
 from motion_forge.curriculum import (  # noqa: E402
     COLUMNS,
     MAX_LEVEL,
@@ -37,7 +37,6 @@ from motion_forge.curriculum import (  # noqa: E402
     apply_level_quota,
     check_freeze,
     default_error_process,
-    introduced_rows,
     ramp_iters,
     sampling_distribution,
     sampling_scores,

@@ -551,8 +551,8 @@ def test_unallocatable_gate_is_a_config_error(zero_gate):
 
 @pytest.mark.parametrize("key, value, pattern", [
     ("capacity", 1e300, "capacity 1000000"),
-    ("capacity", float("inf"), "expert pool: cannot convert float infinity"),
-    ("input_dim", float("inf"), "expert pool: cannot convert float infinity"),
+    ("capacity", float("inf"), "expert pool: 'capacity': cannot convert float infinity"),
+    ("input_dim", float("inf"), "expert pool: 'input_dim': cannot convert float infinity"),
     ("typo", 1, r"expert pool: unknown keys \['typo'\]"),
 ], ids=["huge_capacity", "inf_capacity", "inf_input_dim", "unknown_key"])
 def test_pool_document_errors_are_config_errors(key, value, pattern):
