@@ -8,6 +8,7 @@ immutable and return new instances.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, make_dataclass, replace
 from typing import NamedTuple
 
@@ -126,6 +127,9 @@ class Skeleton:
     hand_body_indices: tuple[int, ...]
     joint_limits: np.ndarray
     mirror_map: MirrorMap
+    # the reward terms' stock tracked bodies: root, trunk ("torso_link") and
+    # the 12 informative bodies, as a read-only index array
+    key_body_indices: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.joint_names) != NUM_JOINTS:
@@ -149,6 +153,9 @@ class Skeleton:
             raise ConfigError(f"joint_limits must have shape ({NUM_JOINTS}, 2)")
         if not np.all(limits[:, 0] < limits[:, 1]):
             raise ConfigError("every joint limit must satisfy min < max")
+        key_bodies = np.array([0, self.body_index("torso_link"), *self.ric_body_indices])
+        key_bodies.flags.writeable = False
+        object.__setattr__(self, "key_body_indices", key_bodies)
 
     def body_index(self, name: str) -> int:
         try:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, check_fields
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields
 from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
 from .rotations import (
     matrix_geodesic_angle,
@@ -121,17 +121,15 @@ class RewardConfig:
         return sum(getattr(self, name).weight for name in TASK_TERMS)
 
 
-def default_key_bodies(skel: Skeleton) -> tuple[int, ...]:
-    trunk = skel.body_index("torso_link")
-    return tuple([0, trunk] + list(skel.ric_body_indices))
-
-
-def exp_kernel_reward(error_sq, sigma: float):
-    """exp(-e / sigma^2) for squared errors e >= 0, a scalar or an array."""
+def exp_kernel_reward(error_sq, sigma):
+    """exp(-e / sigma^2) for squared errors e >= 0, a scalar or an array;
+    sigma > 0 broadcasts against e (one sigma per row of stacked errors)."""
     error_sq = np.asarray(error_sq, dtype=np.float64)
-    if (error_sq < 0).any():
+    if not (error_sq >= 0).all():   # the one check: false for NaN as for e < 0
+        if np.isnan(error_sq).any():
+            raise NonFiniteError("squared error holds NaN")
         raise ValueError("squared error must be non-negative")
-    if sigma <= 0:
+    if not (np.asarray(sigma) > 0).all():
         raise ValueError("sigma must be positive")
     return np.exp(-error_sq / (sigma * sigma))
 
@@ -147,7 +145,8 @@ def task_rewards(
     Broadcasts over leading axes: a pair of clips gives a (T,) array per
     term and for the total, a pair of `Frame`s gives scalars.  Relative
     terms are expressed in the anchor (pelvis) frame; body terms average
-    squared errors over the tracked body set before the kernel.
+    squared errors over the tracked body set before the kernel.  The six
+    squared errors go through `exp_kernel_reward` as one stack.
     """
     cfg = cfg or RewardConfig()
     for name in ("root_quat", "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
@@ -157,43 +156,39 @@ def task_rewards(
     if cfg.tracked_bodies is not None:
         bodies = np.array(cfg.tracked_bodies)
     elif skel is not None:
-        bodies = np.array(default_key_bodies(skel))
+        bodies = skel.key_body_indices
     else:
         bodies = np.arange(ref.body_pos.shape[-2])
     a = cfg.anchor_body
 
     # Gathering with `take` keeps each body set frame-major in memory, so the
     # body means reduce in the same order for one frame and for a whole clip.
-    def rel_pos(state):   # row-vector form of R_a^T (p_b - p_a)
-        offsets = state.body_pos.take(bodies, axis=-2) - state.body_pos[..., a, None, :]
-        return offsets @ state.body_rot[..., a, :, :]
+    def anchored(state):   # p_a, then R_a^T (p_b - p_a) in row-vector form and R_a^T R_b
+        anchor_pos = state.body_pos[..., a, :]
+        anchor_rot = state.body_rot[..., a, :, :]
+        offsets = state.body_pos.take(bodies, axis=-2) - anchor_pos[..., None, :]
+        return (anchor_pos, offsets @ anchor_rot,
+                np.einsum("...ji,...bjk->...bik", anchor_rot, state.body_rot.take(bodies, axis=-3)))
 
-    def rel_rot(state):   # R_a^T R_b
-        return np.einsum("...ji,...bjk->...bik", state.body_rot[..., a, :, :],
-                         state.body_rot.take(bodies, axis=-3))
-
-    def sq_dist(x, y):
-        return np.add.reduce((x - y) ** 2, axis=-1)
-
-    def body_mean(values):   # np.mean's sum and divide, without its overhead
-        return np.add.reduce(values, axis=-1) / values.shape[-1]
-
-    def vel_err(name):
-        return body_mean(sq_dist(getattr(ref, name).take(bodies, axis=-2),
-                                 getattr(sim, name).take(bodies, axis=-2)))
-
-    errors = {
-        "anchor_pos": sq_dist(ref.body_pos[..., a, :], sim.body_pos[..., a, :]),
-        "anchor_ori": quat_geodesic_angle(ref.root_quat, sim.root_quat) ** 2,
-        "rel_body_pos": body_mean(sq_dist(rel_pos(ref), rel_pos(sim))),
-        "rel_body_ori": body_mean(matrix_geodesic_angle(rel_rot(ref), rel_rot(sim)) ** 2),
-        "body_lin_vel": vel_err("body_lin_vel"),
-        "body_ang_vel": vel_err("body_ang_vel"),
-    }
-    terms = {name: exp_kernel_reward(errors[name], getattr(cfg, name).sigma)
-             for name in TASK_TERMS}
-    total = sum(getattr(cfg, name).weight * terms[name] for name in TASK_TERMS)
-    return terms, total
+    ref_anchor, ref_pos, ref_rot = anchored(ref)
+    sim_anchor, sim_pos, sim_rot = anchored(sim)
+    # one squared-distance reduction for the three per-body vector errors,
+    # then one body mean for the four per-body terms
+    diffs = np.array([ref_pos - sim_pos,
+                      (ref.body_lin_vel - sim.body_lin_vel).take(bodies, axis=-2),
+                      (ref.body_ang_vel - sim.body_ang_vel).take(bodies, axis=-2)])
+    pos_sq, lin_sq, ang_sq = np.add.reduce(diffs ** 2, axis=-1)
+    per_body = np.array([pos_sq, matrix_geodesic_angle(ref_rot, sim_rot) ** 2, lin_sq, ang_sq])
+    errors = np.array([   # (6, ...) in TASK_TERMS order
+        np.add.reduce((ref_anchor - sim_anchor) ** 2, axis=-1),
+        quat_geodesic_angle(ref.root_quat, sim.root_quat) ** 2,
+        *(np.add.reduce(per_body, axis=-1) / per_body.shape[-1]),
+    ])
+    specs = [getattr(cfg, name) for name in TASK_TERMS]
+    sigma = np.array([spec.sigma for spec in specs]).reshape((-1,) + (1,) * (errors.ndim - 1))
+    rewards = exp_kernel_reward(errors, sigma)
+    total = sum(spec.weight * reward for spec, reward in zip(specs, rewards))
+    return dict(zip(TASK_TERMS, rewards)), total
 
 
 def regularization_rewards(
@@ -232,9 +227,13 @@ def assemble_command(motion: MotionSequence, frame_idx) -> np.ndarray:
 
     Each of the 8 frames contributes its 65-dim descriptor (joint pos, joint
     vel, root pos, root quat); indices past the clip clamp to the last
-    frame.  An array of frame indices gives one command per index.
+    frame; a negative index raises ConfigError.  An array of frame indices
+    gives one command per index.
     """
-    idx = np.minimum(np.asarray(frame_idx)[..., None] + COMMAND_OFFSETS, motion.num_frames - 1)
+    frame_idx = np.asarray(frame_idx)
+    if (frame_idx < 0).any():
+        raise ConfigError(f"frame indices must be non-negative, got {frame_idx.min()}")
+    idx = np.minimum(frame_idx[..., None] + COMMAND_OFFSETS, motion.num_frames - 1)
     frames = np.concatenate([motion.joint_pos[idx], motion.joint_vel[idx],
                              motion.root_pos[idx], motion.root_quat[idx]], axis=-1)
     return frames.reshape(idx.shape[:-1] + (COMMAND_DIM,))

@@ -203,14 +203,14 @@ def quat_geodesic_angle(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Geodesic angle between two unit quaternions, 2*acos(|<q1, q2>|)."""
     q1 = np.asarray(q1, dtype=np.float64)
     q2 = np.asarray(q2, dtype=np.float64)
-    dot = np.abs(np.sum(q1 * q2, axis=-1))
-    return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+    dot = np.abs(np.add.reduce(q1 * q2, axis=-1))   # np.sum's reduction, without its wrapper
+    return 2.0 * np.arccos(np.minimum(dot, 1.0))   # |.| >= 0 or NaN, so only the top clamps
 
 
 def matrix_geodesic_angle(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Geodesic angle between rotation matrices via the relative trace."""
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
-    rel = np.einsum("...ji,...jk->...ik", r1, r2)
-    trace = rel[..., 0, 0] + rel[..., 1, 1] + rel[..., 2, 2]
-    return np.arccos(np.clip((trace - 1.0) * 0.5, -1.0, 1.0))
+    diag = np.einsum("...ji,...ji->...i", r1, r2)   # the diagonal of r1^T r2
+    trace = diag[..., 0] + diag[..., 1] + diag[..., 2]
+    return np.arccos(np.minimum(np.maximum((trace - 1.0) * 0.5, -1.0), 1.0))

@@ -10,6 +10,7 @@ import numpy as np
 from motion_forge.curriculum import introduction_ratio
 from motion_forge.kernels import gelu
 from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
+from motion_forge.rewards import TASK_TERMS, RewardConfig
 from motion_forge.rotations import (
     matrix_to_quat,
     quat_normalize,
@@ -281,3 +282,58 @@ def introduced_rows(orders, unlock_iters, iteration: int, cfg) -> np.ndarray:
               else math.ceil(introduction_ratio(iteration, unlock, lv, cfg) * order.size)]
         for lv, (order, unlock) in enumerate(zip(orders, unlock_iters), start=1)
     ])
+
+
+def reference_task_rewards(ref, sim, cfg: RewardConfig | None = None, skel: Skeleton | None = None):
+    """The six task terms one at a time, each through its own exp-kernel
+    call, with the geodesic angles written out with `np.clip`: the oracle of
+    `task_rewards`, which stacks the six squared errors through one kernel."""
+    cfg = cfg or RewardConfig()
+    if cfg.tracked_bodies is not None:
+        bodies = np.array(cfg.tracked_bodies)
+    elif skel is not None:
+        bodies = np.array((0, skel.body_index("torso_link"), *skel.ric_body_indices))
+    else:
+        bodies = np.arange(ref.body_pos.shape[-2])
+    a = cfg.anchor_body
+
+    def rel_pos(state):   # row-vector form of R_a^T (p_b - p_a)
+        offsets = state.body_pos.take(bodies, axis=-2) - state.body_pos[..., a, None, :]
+        return offsets @ state.body_rot[..., a, :, :]
+
+    def rel_rot(state):   # R_a^T R_b
+        return np.einsum("...ji,...bjk->...bik", state.body_rot[..., a, :, :],
+                         state.body_rot.take(bodies, axis=-3))
+
+    def sq_dist(x, y):
+        return np.add.reduce((x - y) ** 2, axis=-1)
+
+    def body_mean(values):
+        return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+    def vel_err(name):
+        return body_mean(sq_dist(getattr(ref, name).take(bodies, axis=-2),
+                                 getattr(sim, name).take(bodies, axis=-2)))
+
+    def quat_angle(q1, q2):
+        return 2.0 * np.arccos(np.clip(np.abs(np.sum(q1 * q2, axis=-1)), -1.0, 1.0))
+
+    def matrix_angle(r1, r2):
+        rel = np.einsum("...ji,...jk->...ik", r1, r2)
+        trace = rel[..., 0, 0] + rel[..., 1, 1] + rel[..., 2, 2]
+        return np.arccos(np.clip((trace - 1.0) * 0.5, -1.0, 1.0))
+
+    errors = {
+        "anchor_pos": sq_dist(ref.body_pos[..., a, :], sim.body_pos[..., a, :]),
+        "anchor_ori": quat_angle(ref.root_quat, sim.root_quat) ** 2,
+        "rel_body_pos": body_mean(sq_dist(rel_pos(ref), rel_pos(sim))),
+        "rel_body_ori": body_mean(matrix_angle(rel_rot(ref), rel_rot(sim)) ** 2),
+        "body_lin_vel": vel_err("body_lin_vel"),
+        "body_ang_vel": vel_err("body_ang_vel"),
+    }
+    terms = {}
+    for name in TASK_TERMS:
+        sigma = getattr(cfg, name).sigma
+        terms[name] = np.exp(-np.asarray(errors[name], dtype=np.float64) / (sigma * sigma))
+    total = sum(getattr(cfg, name).weight * terms[name] for name in TASK_TERMS)
+    return terms, total

@@ -2,7 +2,8 @@
 idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
 or feature frames twice is bit-exact, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
-bit, TP-MoE gate rows and router mixture weights lie on the simplex, the
+bit and task rewards match their one-term-at-a-time reference bit for bit,
+TP-MoE gate rows and router mixture weights lie on the simplex, the
 level quota, the sampling distribution, the replayed distribution and the
 router step match their reference formulas bit for bit, the shared
 softmax, log-sum-exp and MLP kernels equal the formulas they replaced at
@@ -23,7 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from helpers import introduced_rows, make_random_sequence, neutral_features  # noqa: E402
+from helpers import (  # noqa: E402
+    introduced_rows,
+    make_random_sequence,
+    neutral_features,
+    reference_task_rewards,
+)
 from motion_forge.curriculum import (  # noqa: E402
     COLUMNS,
     MAX_LEVEL,
@@ -75,7 +81,7 @@ from motion_forge.prefix_loop import (  # noqa: E402
     make_interpolation_generator,
     run_prefix_loop,
 )
-from motion_forge.rewards import TASK_TERMS, RewardConfig, task_rewards  # noqa: E402
+from motion_forge.rewards import TASK_TERMS, RewardConfig, RewardTerm, task_rewards  # noqa: E402
 from motion_forge.router import (  # noqa: E402
     LATENT_DIM,
     RouterConfig,
@@ -237,6 +243,42 @@ def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked, anchor):
     for name in TASK_TERMS:
         assert np.array_equal(terms[name], [t[name] for t, _ in per_frame]), name
     assert np.array_equal(total, [tot for _, tot in per_frame])
+
+
+@st.composite
+def reward_configs(draw):
+    """Any anchor, the stock key bodies or any tracked list (repeats
+    allowed), and a signed weight and a positive sigma per task term."""
+    tracked = draw(st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1),
+                                                 min_size=1, max_size=2 * NUM_BODIES)))
+    terms = {name: RewardTerm(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 10.0)))
+             for name in TASK_TERMS}
+    return RewardConfig(**terms, anchor_body=draw(st.integers(0, NUM_BODIES - 1)),
+                        tracked_bodies=None if tracked is None else tuple(tracked))
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6), cfg=reward_configs(),
+       per_frame=st.booleans(), with_skeleton=st.booleans())
+def test_task_rewards_match_the_reference_bit_for_bit(seed, num_frames, cfg, per_frame,
+                                                      with_skeleton):
+    """A pair of random clips, or one frame of each; without a skeleton the
+    stock body set is every body."""
+    skel = default_skeleton()
+    rng = np.random.default_rng(seed)
+    ref = make_random_sequence(skel, rng, num_frames)
+    sim = make_random_sequence(skel, rng, num_frames)
+    if per_frame:
+        i = int(rng.integers(num_frames))
+        ref, sim = ref.frame(i), sim.frame(i)
+    skel = skel if with_skeleton else None
+    terms, total = task_rewards(ref, sim, cfg, skel)
+    want_terms, want_total = reference_task_rewards(ref, sim, cfg, skel)
+    assert list(terms) == list(TASK_TERMS)
+    for name in TASK_TERMS:
+        assert type(terms[name]) is type(want_terms[name]), name
+        assert np.asarray(terms[name]).tobytes() == np.asarray(want_terms[name]).tobytes(), name
+    assert type(total) is type(want_total)
+    assert np.asarray(total).tobytes() == np.asarray(want_total).tobytes()
 
 
 def on_simplex(weights: np.ndarray) -> bool:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
-from motion_forge.errors import DimensionMismatchError
+from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.motion import Frame, default_skeleton
 from motion_forge.rewards import (
     COMMAND_DIM,
@@ -16,7 +16,6 @@ from motion_forge.rewards import (
     assemble_command,
     assemble_critic_obs,
     assemble_policy_obs,
-    default_key_bodies,
     exp_kernel_reward,
     inject_obs_noise,
     orientation_error_6d,
@@ -55,6 +54,22 @@ class TestExpKernel:
             exp_kernel_reward(-0.1, 0.2)
         with pytest.raises(ValueError):
             exp_kernel_reward(0.1, 0.0)
+        with pytest.raises(ValueError):
+            exp_kernel_reward(np.array([[0.1], [0.2]]), np.array([[0.3], [-0.3]]))
+
+    def test_nan_error_is_not_finite(self):
+        with pytest.raises(NonFiniteError):
+            exp_kernel_reward(np.array([0.1, np.nan]), 0.2)
+        with pytest.raises(NonFiniteError):
+            exp_kernel_reward(np.nan, 0.2)
+
+    def test_sigma_column_equals_one_call_per_row(self):
+        errors = np.array([[0.0, 0.04, 0.5], [0.16, 1.0, 2.5]])
+        sigma = np.array([[0.2], [3.14]])
+        out = exp_kernel_reward(errors, sigma)
+        for row in range(2):
+            want = exp_kernel_reward(errors[row], float(sigma[row, 0]))
+            assert out[row].tobytes() == want.tobytes()
 
 
 class TestTaskRewards:
@@ -92,8 +107,23 @@ class TestTaskRewards:
         t2, _ = task_rewards(ref, offset_frame(0.4), skel=skel)
         assert t2["body_lin_vel"] == pytest.approx(t1["body_lin_vel"] ** 4, rel=1e-9)
 
-    def test_key_body_default_count(self, skel):
-        assert len(default_key_bodies(skel)) == 14
+    def test_key_bodies_are_root_trunk_and_informative_bodies(self, skel):
+        key = skel.key_body_indices
+        assert key.tolist() == [0, skel.body_index("torso_link"), *skel.ric_body_indices]
+        assert len(key) == 14
+        assert not key.flags.writeable
+
+    def test_nan_executed_anchor_raises(self, skel):
+        ref = make_walk_sequence(skel, 1.0, 0.2, 10, 30.0)
+        sim = ref.copy()
+        sim.body_pos[4, 0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            task_rewards(ref, sim, skel=skel)
+        with pytest.raises(NonFiniteError):
+            task_rewards(ref.frame(4), sim.frame(4), skel=skel)
+        # the other frames score as before
+        terms, _ = task_rewards(ref.frame(3), sim.frame(3), skel=skel)
+        assert terms["anchor_pos"] == 1.0
 
     @pytest.mark.parametrize("cfg", [
         RewardConfig(),
@@ -197,6 +227,12 @@ class TestCommand:
         ])
         for j in range(8):
             assert np.allclose(cmd[65 * j: 65 * (j + 1)], last)
+
+    @pytest.mark.parametrize("frame_idx", [-1, -10, [3, -1], [[0, 7], [-2, 9]]])
+    def test_negative_frame_index_raises(self, skel, frame_idx):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 10, 30.0)
+        with pytest.raises(ConfigError, match="non-negative"):
+            assemble_command(seq, frame_idx)
 
     def test_array_of_frames_gives_one_command_each(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.3, 50, 30.0)
