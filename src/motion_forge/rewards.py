@@ -19,7 +19,10 @@ end-effector bodies excluded).
 The motion command is an 8-frame window of 65-dim frame descriptors
 (joint pos 29 + joint vel 29 + root pos 3 + root quat 4): the current frame,
 the next two frames, and five long-horizon frames at stride 20.  Policy
-observations are 616-dim, critic observations 748-dim.
+observations are 616-dim, critic observations 748-dim, both from named blocks
+by `assemble_obs`.  It and `inject_obs_noise` work over leading axes; the noise
+for T frames is one (T, width) uniform draw per noisy block, in `_NOISY_BLOCKS`
+order (root orientation, angular velocity, joint positions, joint velocities).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields, check_object
 from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
 from .rotations import (
     matrix_geodesic_angle,
@@ -45,7 +48,7 @@ NUM_KEY_BODIES = 14
 COMMAND_OFFSETS = np.array([0, 1, 2, 20, 40, 60, 80, 100])
 
 # Observation layouts: block name -> width, in the order the blocks are
-# concatenated.  The assemblers take their blocks under these names.
+# concatenated.  `assemble_obs` takes its blocks under these names.
 POLICY_LAYOUT = {
     "command": COMMAND_DIM,
     "anchor_ori_6d": 6,
@@ -245,27 +248,19 @@ def orientation_error_6d(ref_quat: np.ndarray, sim_quat: np.ndarray) -> np.ndarr
     return rot_to_6d(rel)
 
 
-def _assemble(layout: dict[str, int], blocks: dict) -> np.ndarray:
-    """Concatenate `blocks` flattened in `layout` order, checking widths."""
-    flat = []
-    for name, width in layout.items():
-        value = np.asarray(blocks[name], dtype=np.float64).reshape(-1)
-        if value.shape[0] != width:
-            raise DimensionMismatchError(f"{name}: expected {width} dims, got {value.shape[0]}")
-        flat.append(value)
-    return np.concatenate(flat)
-
-
-def assemble_policy_obs(command, anchor_ori_6d, ang_vel, joint_pos, joint_vel,
-                        prev_actions) -> np.ndarray:
-    """616-dim policy observation in the `POLICY_LAYOUT` order."""
-    return _assemble(POLICY_LAYOUT, locals())
-
-
-def assemble_critic_obs(command, anchor_pos_err, anchor_ori_6d, key_body_pos, key_body_ori_6d,
-                        lin_vel, ang_vel, joint_pos, joint_vel, prev_actions) -> np.ndarray:
-    """748-dim privileged critic observation in the `CRITIC_LAYOUT` order."""
-    return _assemble(CRITIC_LAYOUT, locals())
+def assemble_obs(layout: dict[str, int], **blocks) -> np.ndarray:
+    """Concatenate the named `blocks` along the last axis in `layout` order:
+    `POLICY_LAYOUT` gives (..., 616) policy observations, `CRITIC_LAYOUT`
+    (..., 748) critic ones.  Each block is (..., width) with its layout width
+    and the first block's leading axes; a constant block is broadcast by the
+    caller."""
+    check_object(blocks, "observation blocks", layout, layout, DimensionMismatchError)
+    arrays = [np.asarray(blocks[name], dtype=np.float64) for name in layout]
+    for (name, width), array in zip(layout.items(), arrays):
+        if array.shape != arrays[0].shape[:-1] + (width,):
+            raise DimensionMismatchError(
+                f"{name}: expected {arrays[0].shape[:-1] + (width,)}, got {array.shape}")
+    return np.concatenate(arrays, axis=-1)
 
 
 # ObservationNoiseConfig field -> the policy-observation block it perturbs,
@@ -296,14 +291,16 @@ def inject_obs_noise(
     noise_cfg: ObservationNoiseConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Add uniform noise to the noisy policy-obs blocks; command and previous
-    actions pass through untouched."""
+    """Add uniform noise to the noisy blocks of (..., 616) policy observations;
+    command and previous actions pass through untouched.  One (..., width)
+    draw per noisy block, in `_NOISY_BLOCKS` order."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (POLICY_OBS_DIM,):
-        raise DimensionMismatchError(f"expected ({POLICY_OBS_DIM},) observation")
+    if obs.shape[-1:] != (POLICY_OBS_DIM,):
+        raise DimensionMismatchError(f"expected (..., {POLICY_OBS_DIM}) observations")
     out = obs.copy()
     for name, block in _NOISY_BLOCKS.items():
         bound = getattr(noise_cfg, name)
         if bound > 0:
-            out[POLICY_BLOCKS[block]] += rng.uniform(-bound, bound, POLICY_LAYOUT[block])
+            out[..., POLICY_BLOCKS[block]] += rng.uniform(
+                -bound, bound, obs.shape[:-1] + (POLICY_LAYOUT[block],))
     return out

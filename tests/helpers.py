@@ -8,9 +8,16 @@ import math
 import numpy as np
 
 from motion_forge.curriculum import introduction_ratio
+from motion_forge.errors import DimensionMismatchError
 from motion_forge.kernels import gelu
 from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
-from motion_forge.rewards import TASK_TERMS, RewardConfig
+from motion_forge.rewards import (
+    CRITIC_LAYOUT,
+    POLICY_LAYOUT,
+    POLICY_OBS_DIM,
+    TASK_TERMS,
+    RewardConfig,
+)
 from motion_forge.rotations import (
     matrix_to_quat,
     quat_normalize,
@@ -337,3 +344,46 @@ def reference_task_rewards(ref, sim, cfg: RewardConfig | None = None, skel: Skel
         terms[name] = np.exp(-np.asarray(errors[name], dtype=np.float64) / (sigma * sigma))
     total = sum(getattr(cfg, name).weight * terms[name] for name in TASK_TERMS)
     return terms, total
+
+
+def _flat_concat(layout: dict[str, int], blocks: dict) -> np.ndarray:
+    flat = []
+    for name, width in layout.items():
+        value = np.asarray(blocks[name], dtype=np.float64).reshape(-1)
+        if value.shape[0] != width:
+            raise DimensionMismatchError(f"{name}: expected {width} dims, got {value.shape[0]}")
+        flat.append(value)
+    return np.concatenate(flat)
+
+
+def reference_policy_obs(command, anchor_ori_6d, ang_vel, joint_pos, joint_vel, prev_actions):
+    """One frame's 616-dim policy observation, each block flattened and
+    concatenated in `POLICY_LAYOUT` order: the oracle of
+    `assemble_obs(POLICY_LAYOUT, ...)` for one frame."""
+    return _flat_concat(POLICY_LAYOUT, locals())
+
+
+def reference_critic_obs(command, anchor_pos_err, anchor_ori_6d, key_body_pos, key_body_ori_6d,
+                         lin_vel, ang_vel, joint_pos, joint_vel, prev_actions):
+    """One frame's 748-dim critic observation, the same way in `CRITIC_LAYOUT`
+    order: the oracle of `assemble_obs(CRITIC_LAYOUT, ...)` for one frame."""
+    return _flat_concat(CRITIC_LAYOUT, locals())
+
+
+# noise field -> the policy-observation columns it perturbs, in draw order
+_NOISY_COLUMNS = (("root_ori", 520, 526), ("ang_vel", 526, 529),
+                  ("joint_pos", 529, 558), ("joint_vel", 558, 587))
+
+
+def reference_obs_noise(obs, noise_cfg, rng: np.random.Generator) -> np.ndarray:
+    """One (616,) observation plus one uniform draw of each noisy block's
+    width, in draw order: the oracle of `inject_obs_noise` for one frame."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.shape != (POLICY_OBS_DIM,):
+        raise DimensionMismatchError(f"expected ({POLICY_OBS_DIM},) observation")
+    out = obs.copy()
+    for name, start, stop in _NOISY_COLUMNS:
+        bound = getattr(noise_cfg, name)
+        if bound > 0:
+            out[start:stop] += rng.uniform(-bound, bound, stop - start)
+    return out

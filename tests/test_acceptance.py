@@ -76,12 +76,13 @@ from motion_forge.prefix_loop import (
 )
 from motion_forge.rewards import (
     COMMAND_DIM,
+    CRITIC_LAYOUT,
     CRITIC_OBS_DIM,
+    POLICY_LAYOUT,
     POLICY_OBS_DIM,
     RewardConfig,
     assemble_command,
-    assemble_critic_obs,
-    assemble_policy_obs,
+    assemble_obs,
     exp_kernel_reward,
     regularization_rewards,
     task_rewards,
@@ -454,13 +455,11 @@ def test_criterion_11_rewards_and_observations():
 
         cmd = assemble_command(seq, 10)
         assert cmd.shape == (COMMAND_DIM,) == (520,)
-        obs = assemble_policy_obs(cmd, np.array([1.0, 0, 0, 0, 1, 0]), np.zeros(3),
-                                  np.zeros(29), np.zeros(29), np.zeros(29))
+        blocks = {name: np.zeros(width) for name, width in CRITIC_LAYOUT.items()}
+        blocks.update(command=cmd, anchor_ori_6d=np.array([1.0, 0, 0, 0, 1, 0]))
+        obs = assemble_obs(POLICY_LAYOUT, **{name: blocks[name] for name in POLICY_LAYOUT})
         assert obs.shape == (POLICY_OBS_DIM,) == (616,)
-        critic = assemble_critic_obs(cmd, np.zeros(3), np.array([1.0, 0, 0, 0, 1, 0]),
-                                     np.zeros(42), np.zeros(84), np.zeros(3),
-                                     np.zeros(3), np.zeros(29), np.zeros(29),
-                                     np.zeros(29))
+        critic = assemble_obs(CRITIC_LAYOUT, **blocks)
         assert critic.shape == (CRITIC_OBS_DIM,) == (748,)
 
 

@@ -236,6 +236,12 @@ class TestSamplingDistribution:
         assert sampling_distribution(st, CFG, 499)[1] == 0.0
         assert sampling_distribution(st, CFG, 500)[1] > 0.0
 
+    def test_epsilon_of_one_is_rejected(self):
+        # epsilon = 1 would leave no weight for the scores: a uniform sampler
+        with pytest.raises(ConfigError, match="epsilon"):
+            SamplerConfig(epsilon=1.0)
+        assert SamplerConfig(epsilon=0.99).epsilon == 0.99
+
     def test_empty_active_set_raises(self):
         with pytest.raises(ConfigError):
             sampling_distribution(state(freeze_state=STATE_DROPPED), CFG, 0)

@@ -209,6 +209,19 @@ class TestRunPrefixLoop:
         )
         assert np.array_equal(trace.features[:30], prefix)
 
+    def test_one_frame_segments_run_to_completion(self, skel):
+        cfg = self.cfg(segment_seconds=1 / 30, horizon_seconds=5 / 30)
+        assert (cfg.segment_frames, cfg.num_segments) == (1, 5)
+        prefix = neutral_features(30)
+        prefix[:, 6] += np.linspace(0.0, 0.01, 30)
+        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.001)
+        motion, trace = run_prefix_loop(
+            prefix, standing_target(), gen, identity_tracker, cfg, skel
+        )
+        assert trace.termination == TERMINATION_COMPLETED
+        assert motion.num_frames == 35 and trace.features.shape == (35, FEATURE_DIM)
+        assert np.array_equal(trace.features[:30], prefix)
+
     def test_failure_in_third_segment_exhausts(self, skel):
         cfg = self.cfg(horizon_seconds=5.0, max_resamples=3)
         prefix = neutral_features(30)

@@ -28,6 +28,7 @@ from helpers import (  # noqa: E402
     introduced_rows,
     make_random_sequence,
     neutral_features,
+    random_quaternions,
     reference_task_rewards,
 )
 from motion_forge.curriculum import (  # noqa: E402
@@ -81,7 +82,13 @@ from motion_forge.prefix_loop import (  # noqa: E402
     make_interpolation_generator,
     run_prefix_loop,
 )
-from motion_forge.rewards import TASK_TERMS, RewardConfig, RewardTerm, task_rewards  # noqa: E402
+from motion_forge.rewards import (  # noqa: E402
+    TASK_TERMS,
+    RewardConfig,
+    RewardTerm,
+    orientation_error_6d,
+    task_rewards,
+)
 from motion_forge.router import (  # noqa: E402
     LATENT_DIM,
     RouterConfig,
@@ -97,7 +104,7 @@ from motion_forge.router import (  # noqa: E402
     top_k_indices,
     unlock_next_expert,
 )
-from motion_forge.rotations import sixd_to_rot  # noqa: E402
+from motion_forge.rotations import quat_to_matrix, sixd_to_rot  # noqa: E402
 
 # Columns near parallel lose orthogonality to rounding (the error grows like
 # 1 / sin of their angle), which is no defect, so the strategies keep the
@@ -131,6 +138,16 @@ def test_sixd_to_rot_is_a_rotation(vec):
     gram = np.einsum("...ji,...jk->...ik", rot, rot)
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
     assert np.max(np.abs(np.linalg.det(rot) - 1.0)) <= 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+def test_orientation_error_6d_rotates_the_executed_onto_the_reference(seed, shape):
+    # R_sim @ R(err) = R_ref: the error is sim^-1 * ref, not its inverse or ref * sim
+    q_ref, q_sim = random_quaternions(np.random.default_rng(seed), (2, *shape))
+    err = orientation_error_6d(q_ref, q_sim)
+    assert err.shape == (*shape, 6)
+    rebuilt = quat_to_matrix(q_sim) @ sixd_to_rot(err)
+    assert np.max(np.abs(rebuilt - quat_to_matrix(q_ref))) <= 16 * np.finfo(np.float64).eps
 
 
 @given(sixd_blocks(1, 29))

@@ -3,19 +3,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
+from helpers import (
+    make_random_sequence,
+    make_standing_sequence,
+    make_walk_sequence,
+    reference_critic_obs,
+    reference_obs_noise,
+    reference_policy_obs,
+)
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.motion import Frame, default_skeleton
 from motion_forge.rewards import (
     COMMAND_DIM,
+    CRITIC_LAYOUT,
     CRITIC_OBS_DIM,
+    POLICY_BLOCKS,
+    POLICY_LAYOUT,
     POLICY_OBS_DIM,
     TASK_TERMS,
     ObservationNoiseConfig,
     RewardConfig,
     assemble_command,
-    assemble_critic_obs,
-    assemble_policy_obs,
+    assemble_obs,
     exp_kernel_reward,
     inject_obs_noise,
     orientation_error_6d,
@@ -166,6 +175,13 @@ class TestRegularization:
         out = regularization_rewards(actions, np.zeros(29), np.zeros(29), np.zeros(30), skel)
         assert out["action_rate"] == pytest.approx(-0.1 * 0.09, abs=1e-12)
 
+    def test_action_rate_is_the_squared_difference(self, skel):
+        actions, prev = np.random.default_rng(20).uniform(0.5, 2.0, (2, 29))
+        assert not np.array_equal(actions, prev)
+        out = regularization_rewards(actions, prev, np.zeros(29), np.zeros(30), skel)
+        assert out["action_rate"] == pytest.approx(-0.1 * np.sum((actions - prev) ** 2),
+                                                   rel=1e-12)
+
     def test_joint_limit_penalty(self, skel):
         joint_pos = np.zeros(29)
         joint_pos[0] = skel.joint_limits[0, 1] + 0.01
@@ -219,6 +235,16 @@ class TestCommand:
             src = t + 20 * (j + 1)
             assert np.allclose(block[58:61], seq.root_pos[src]), j
 
+    @pytest.mark.parametrize("t", [0, 5, 45, 98, 119])
+    def test_each_block_comes_from_its_offset_frame(self, skel, t):
+        seq = make_random_sequence(skel, np.random.default_rng(21), 120)
+        cmd = assemble_command(seq, t)
+        for j, k in enumerate((0, 1, 2, 20, 40, 60, 80, 100)):
+            src = min(t + k, seq.num_frames - 1)
+            expected = np.concatenate([seq.joint_pos[src], seq.joint_vel[src],
+                                       seq.root_pos[src], seq.root_quat[src]])
+            assert np.array_equal(cmd[65 * j: 65 * (j + 1)], expected), k
+
     def test_end_of_motion_clamps(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
         cmd = assemble_command(seq, 19)
@@ -243,12 +269,18 @@ class TestCommand:
             assert np.array_equal(cmds[i, j], assemble_command(seq, int(frames[i, j])))
 
 
+def random_blocks(layout, rng, lead=()):
+    return {name: rng.standard_normal(lead + (width,)) for name, width in layout.items()}
+
+
 class TestObservations:
     def test_policy_obs_length_and_zero_state(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.0, 150, 30.0)
         cmd = assemble_command(seq, 0)
         ori = orientation_error_6d(np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        obs = assemble_policy_obs(cmd, ori, np.zeros(3), np.zeros(29), np.zeros(29), np.zeros(29))
+        obs = assemble_obs(POLICY_LAYOUT, command=cmd, anchor_ori_6d=ori, ang_vel=np.zeros(3),
+                           joint_pos=np.zeros(29), joint_vel=np.zeros(29),
+                           prev_actions=np.zeros(29))
         assert obs.shape == (POLICY_OBS_DIM,)
         assert np.allclose(obs[:520], cmd)
         assert np.allclose(obs[520:526], [1, 0, 0, 0, 1, 0])
@@ -256,25 +288,46 @@ class TestObservations:
 
     def test_critic_obs_length(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.0, 150, 30.0)
-        cmd = assemble_command(seq, 3)
-        obs = assemble_critic_obs(
-            cmd, np.zeros(3), np.array([1.0, 0, 0, 0, 1, 0]),
-            np.zeros(42), np.zeros(84), np.zeros(3), np.zeros(3),
-            np.zeros(29), np.zeros(29), np.zeros(29),
-        )
-        assert obs.shape == (CRITIC_OBS_DIM,)
+        blocks = {name: np.zeros(width) for name, width in CRITIC_LAYOUT.items()}
+        blocks["command"] = assemble_command(seq, 3)
+        assert assemble_obs(CRITIC_LAYOUT, **blocks).shape == (CRITIC_OBS_DIM,)
 
-    def test_dim_mismatch_raises(self, skel):
-        seq = make_walk_sequence(skel, 1.0, 0.0, 150, 30.0)
-        cmd = assemble_command(seq, 0)
+    @pytest.mark.parametrize("layout, oracle", [(POLICY_LAYOUT, reference_policy_obs),
+                                                (CRITIC_LAYOUT, reference_critic_obs)])
+    def test_one_frame_equals_the_oracle_bit_for_bit(self, layout, oracle):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            blocks = random_blocks(layout, rng)
+            assert np.array_equal(assemble_obs(layout, **blocks), oracle(**blocks))
+
+    @pytest.mark.parametrize("layout", [POLICY_LAYOUT, CRITIC_LAYOUT])
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)])
+    def test_rollout_equals_the_stack_of_frames(self, layout, lead):
+        blocks = random_blocks(layout, np.random.default_rng(11), lead)
+        frames = [assemble_obs(layout, **{name: value[i] for name, value in blocks.items()})
+                  for i in np.ndindex(lead)]
+        assert np.array_equal(assemble_obs(layout, **blocks),
+                              np.stack(frames).reshape(lead + (-1,)))
+
+    @pytest.mark.parametrize("change", [
+        {"anchor_ori_6d": np.zeros(5)},            # wrong width
+        {"anchor_ori_6d": np.zeros((2, 3))},       # flattens to 6, but is not (6,)
+        {"ang_vel": np.zeros((1, 3))},             # other leading axes
+        {"command": np.zeros(())},                 # a scalar first block
+        {"command": None},                         # missing name
+        {"lin_vel": np.zeros(3)},                  # unknown name
+    ])
+    def test_bad_blocks_raise(self, change):
+        blocks = random_blocks(POLICY_LAYOUT, np.random.default_rng(14))
+        blocks.update(change)
+        blocks = {name: value for name, value in blocks.items() if value is not None}
         with pytest.raises(DimensionMismatchError):
-            assemble_policy_obs(cmd, np.zeros(5), np.zeros(3), np.zeros(29),
-                                np.zeros(29), np.zeros(29))
+            assemble_obs(POLICY_LAYOUT, **blocks)
 
 
 class TestObsNoise:
     def test_zero_width_is_identity(self):
-        obs = np.random.default_rng(0).standard_normal(POLICY_OBS_DIM)
+        obs = np.random.default_rng(0).standard_normal((3, POLICY_OBS_DIM))
         cfg = ObservationNoiseConfig(root_ori=0.0, ang_vel=0.0, joint_pos=0.0, joint_vel=0.0)
         out = inject_obs_noise(obs, cfg, np.random.default_rng(1))
         assert np.array_equal(out, obs)
@@ -286,29 +339,47 @@ class TestObsNoise:
         b = inject_obs_noise(obs, cfg, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
-    def test_command_block_untouched_and_bounds_hold(self):
-        rng = np.random.default_rng(3)
-        obs = np.zeros(POLICY_OBS_DIM)
+    @pytest.mark.parametrize("cfg", [ObservationNoiseConfig(),
+                                     ObservationNoiseConfig(ang_vel=0.0, joint_vel=1.5)])
+    def test_one_frame_equals_the_oracle_bit_for_bit(self, cfg):
+        obs = np.random.default_rng(16).standard_normal(POLICY_OBS_DIM)
+        rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(3):   # the streams stay in step from call to call
+            assert np.array_equal(inject_obs_noise(obs, cfg, rng),
+                                  reference_obs_noise(obs, cfg, oracle_rng))
+
+    def test_rollout_draws_one_block_per_noisy_block_in_order(self):
+        obs = np.random.default_rng(18).standard_normal((7, POLICY_OBS_DIM))
         cfg = ObservationNoiseConfig()
-        deltas = []
-        for _ in range(200):
-            out = inject_obs_noise(obs, cfg, rng)
-            assert np.array_equal(out[:520], obs[:520])
-            assert np.array_equal(out[587:], obs[587:])
-            deltas.append(out)
-        deltas = np.array(deltas)
-        assert np.max(np.abs(deltas[:, 529:558])) <= 0.01
-        assert np.max(np.abs(deltas[:, 558:587])) <= 0.5
-        assert np.max(np.abs(deltas[:, 520:526])) <= 0.05
-        assert np.max(np.abs(deltas[:, 526:529])) <= 0.2
+        out = inject_obs_noise(obs, cfg, np.random.default_rng(19))
+        expected = obs.copy()
+        draws = np.random.default_rng(19)
+        for bound, start, stop in ((cfg.root_ori, 520, 526), (cfg.ang_vel, 526, 529),
+                                   (cfg.joint_pos, 529, 558), (cfg.joint_vel, 558, 587)):
+            expected[:, start:stop] += draws.uniform(-bound, bound, (7, stop - start))
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out[:, POLICY_BLOCKS["command"]], obs[:, :520])
+        assert np.array_equal(out[:, POLICY_BLOCKS["prev_actions"]], obs[:, 587:])
+
+    @pytest.mark.parametrize("shape", [(), (615,), (POLICY_OBS_DIM, 1), (3, CRITIC_OBS_DIM)])
+    def test_other_widths_raise(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            inject_obs_noise(np.zeros(shape), ObservationNoiseConfig(), np.random.default_rng(0))
+
+    def test_command_block_untouched_and_bounds_hold(self):
+        obs = np.zeros((200, POLICY_OBS_DIM))
+        out = inject_obs_noise(obs, ObservationNoiseConfig(), np.random.default_rng(3))
+        assert np.array_equal(out[:, :520], obs[:, :520])
+        assert np.array_equal(out[:, 587:], obs[:, 587:])
+        assert np.max(np.abs(out[:, 529:558])) <= 0.01
+        assert np.max(np.abs(out[:, 558:587])) <= 0.5
+        assert np.max(np.abs(out[:, 520:526])) <= 0.05
+        assert np.max(np.abs(out[:, 526:529])) <= 0.2
 
     def test_joint_pos_noise_fills_range(self):
         # many draws cover the +-0.01 interval without ever leaving it
-        rng = np.random.default_rng(4)
-        obs = np.zeros(POLICY_OBS_DIM)
-        samples = np.array([
-            inject_obs_noise(obs, ObservationNoiseConfig(), rng)[529:558]
-            for _ in range(2000)
-        ]).ravel()
+        obs = np.zeros((2000, POLICY_OBS_DIM))
+        out = inject_obs_noise(obs, ObservationNoiseConfig(), np.random.default_rng(4))
+        samples = out[:, 529:558]
         assert samples.max() <= 0.01 and samples.min() >= -0.01
         assert samples.max() > 0.0095 and samples.min() < -0.0095
