@@ -165,9 +165,9 @@ def cmd_route_sim(args) -> int:
                                    hidden=(16,), output_dim=8, capacity=16)
     state = rt.make_router(rng, pool.capacity, latent_dim=z_dim, config=cfg.router)
     l_max = pool.unlocked_count
-    stage, *levels = map(int, check_numbers(
+    stage, *levels = check_numbers(
         [data.get("stage", 2), *(rec.get("level", 1) for rec in records)],
-        "records: 'stage' and every 'level'", (None,), whole=True))
+        "records: 'stage' and every 'level'", (None,), whole=True).tolist()
     if stage not in (1, 2) or min(levels) < 1:
         raise ConfigError("records: 'stage' and every 'level' must be integers, the stage 1 or 2 "
                           f"and each level >= 1; got stage {stage}, lowest level {min(levels)}")

@@ -103,9 +103,8 @@ class CorpusState:
     The columns are `file_id`, `level` and every name in COLUMNS;
     `freeze_state` holds STATE_* codes.  Columns not given start at zero
     (active, never sampled); a scalar fills the column.  Every column holds
-    finite, non-negative numbers by the number rule, integers no larger
-    than 2**53 in the integer columns; a column that breaks it raises
-    ConfigError.
+    finite, non-negative numbers by the number rule, exact int64 integers
+    in the integer columns; a column that breaks it raises ConfigError.
     """
 
     def __init__(self, file_ids: Sequence[str], levels: Sequence[int], **columns):
@@ -114,10 +113,9 @@ class CorpusState:
         if (self.file_id.ndim != 1 or not all(isinstance(f, str) for f in self.file_id)
                 or len(set(self.file_id)) != n):
             raise ConfigError("file ids must be a list of unique strings")
-        levels = check_numbers(levels, "levels", (n,), whole=True)
-        if ((levels < 1) | (levels > MAX_LEVEL)).any():
+        self.level = check_numbers(levels, "levels", (n,), whole=True)
+        if ((self.level < 1) | (self.level > MAX_LEVEL)).any():
             raise ConfigError(f"every file needs a whole-number level in 1..{MAX_LEVEL}")
-        self.level = levels.astype(np.int64)
         for name, dtype in COLUMNS.items():
             try:
                 value = check_numbers(columns.pop(name, 0), f"column {name}",
@@ -126,8 +124,6 @@ class CorpusState:
                 raise ConfigError(str(exc)) from None
             if (value < 0).any():
                 raise ConfigError(f"column {name} must hold non-negative numbers")
-            if dtype is not np.float64 and (value > 2**53).any():   # before the int cast wraps it
-                raise ConfigError(f"column {name} holds an integer beyond 2**53")
             if name == "freeze_state" and (value >= len(STATE_NAMES)).any():
                 raise ConfigError(f"column freeze_state must hold STATE_* codes 0..{len(STATE_NAMES) - 1}")
             setattr(self, name, np.zeros(n, dtype))

@@ -82,11 +82,11 @@ def _holds_bool(value, depth: int) -> bool:
 
 def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> np.ndarray:
     """The number rule for JSON input: `value`, a number or a rectangular
-    nested list of numbers (never a bool, string, null or object), as a
-    float64 array of `shape` if given (None matches any length), holding
-    integers (4.0 is one; none past 2**53 that float64 would round) if
-    `whole`; else `error` naming `where`.  NaN or inf raises NonFiniteError
-    among reals, `error` among integers."""
+    nested list of numbers (never a bool, string, null or object), as an
+    array of `shape` if given (None matches any length): float64, or exact
+    int64 if `whole` (4.0 is an integer; one outside int64 is refused);
+    else `error` naming `where`.  NaN or inf raises NonFiniteError among
+    reals, `error` among integers."""
     try:
         array = np.asarray(value)
     except ValueError:   # ragged nested lists
@@ -110,9 +110,12 @@ def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> n
                     f"{'NaN' if np.isnan(array).any() else 'infinity'} to integer")
     if (array % 1).any():
         raise error(rule)
-    if array.dtype.kind in "iu" and ((array > 2**53) | (array < -2**53)).any():
-        raise error(f"{where} holds an integer beyond 2**53, which float64 would round")
-    return array.astype(np.float64, copy=False)
+    if isinstance(value, np.ndarray | np.generic):
+        value = value.tolist()   # numpy's own cast would wrap or warn out of range
+    try:   # from the Python numbers: `array` rounds integers listed with floats
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        raise error(f"{where} holds an integer outside int64") from None
 
 
 @functools.cache

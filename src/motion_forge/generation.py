@@ -493,20 +493,6 @@ def ddpm_sample(
         _SAMPLE_MIXES.reset(scope)
 
 
-def make_oracle_denoiser(target: np.ndarray) -> Denoiser:
-    """Denoiser that always predicts a fixed clean window (ground truth)."""
-    target = np.asarray(target, dtype=np.float64)
-
-    def denoiser(noisy, step, condition):
-        return np.broadcast_to(target, np.shape(noisy)).copy()
-
-    return denoiser
-
-
-def zero_denoiser(noisy, step, condition) -> np.ndarray:
-    return np.zeros_like(np.asarray(noisy, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # ASFO: frequency-aware oversampling with left-right mirroring
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_fields, check_object
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteError,
+    check_fields,
+    check_numbers,
+    check_object,
+)
 from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
 from .rotations import (
     matrix_geodesic_angle,
@@ -230,13 +237,15 @@ def assemble_command(motion: MotionSequence, frame_idx) -> np.ndarray:
 
     Each of the 8 frames contributes its 65-dim descriptor (joint pos, joint
     vel, root pos, root quat); indices past the clip clamp to the last
-    frame; a negative index raises ConfigError.  An array of frame indices
-    gives one command per index.
+    frame.  The indices follow the number rule for integers (2.0 is frame 2,
+    2.5 or a bool is refused) and must be non-negative, else ConfigError.
+    An array of frame indices gives one command per index.
     """
-    frame_idx = np.asarray(frame_idx)
+    frame_idx = check_numbers(frame_idx, "frame indices", whole=True)
     if (frame_idx < 0).any():
         raise ConfigError(f"frame indices must be non-negative, got {frame_idx.min()}")
-    idx = np.minimum(frame_idx[..., None] + COMMAND_OFFSETS, motion.num_frames - 1)
+    last = motion.num_frames - 1   # clamped before the offsets, which could overflow int64
+    idx = np.minimum(np.minimum(frame_idx, last)[..., None] + COMMAND_OFFSETS, last)
     frames = np.concatenate([motion.joint_pos[idx], motion.joint_vel[idx],
                              motion.root_pos[idx], motion.root_quat[idx]], axis=-1)
     return frames.reshape(idx.shape[:-1] + (COMMAND_DIM,))

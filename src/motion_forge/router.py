@@ -462,7 +462,7 @@ def mlp_from_dict(data: dict, where: str = "mlp") -> MLPParams:
             raise ConfigError(f"{at}: 'shape' entries must be >= 1, got {layer['shape']}")
         if w.size != math.prod(shape.tolist()):
             raise ConfigError(f"{at}: 'w' has {w.size} values for shape {layer['shape']}")
-        params.append((w.reshape(shape.astype(np.int64)), b))
+        params.append((w.reshape(shape), b))
     return params
 
 
@@ -491,4 +491,4 @@ def pool_from_dict(data: dict) -> ExpertPool:
     lr = check_numbers(data["lr_multipliers"], "expert pool: 'lr_multipliers'", (None,))
     experts = _list(data["experts"], "expert pool: 'experts'")
     return ExpertPool(experts=[mlp_from_dict(e, f"expert {k}") for k, e in enumerate(experts)],
-                      hidden=tuple(map(int, hidden)), lr_multipliers=lr.tolist(), **ints)
+                      hidden=tuple(hidden.tolist()), lr_multipliers=lr.tolist(), **ints)

@@ -279,6 +279,21 @@ def ffn_apply(params, x: np.ndarray) -> np.ndarray:
     return h @ np.swapaxes(w2, -1, -2) + b2[..., None, :]
 
 
+def make_oracle_denoiser(target: np.ndarray):
+    """Denoiser that always predicts a fixed clean window (ground truth)."""
+    target = np.asarray(target, dtype=np.float64)
+
+    def denoiser(noisy, step, condition):
+        return np.broadcast_to(target, np.shape(noisy)).copy()
+
+    return denoiser
+
+
+def zero_denoiser(noisy, step, condition) -> np.ndarray:
+    """Denoiser that always predicts an all-zero clean window."""
+    return np.zeros_like(np.asarray(noisy, dtype=np.float64))
+
+
 def introduced_rows(orders, unlock_iters, iteration: int, cfg) -> np.ndarray:
     """Rows introduced by `iteration`, level by level in introduction order,
     the oracle of `ReplaySet`: level k + 1, unlocked at `unlock_iters[k]`,

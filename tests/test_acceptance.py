@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ffn_apply,
+    make_oracle_denoiser,
     make_random_sequence,
     make_standing_sequence,
     make_walk_sequence,
@@ -49,7 +50,6 @@ from motion_forge.generation import (
     ddpm_sample,
     generator_balance_loss,
     init_tpmoe,
-    make_oracle_denoiser,
     make_schedule,
     mirror_probability,
     mix_expert_params,

@@ -843,7 +843,12 @@ INPUT_PROBES = {
     "pool_unknown_key": (["route-sim", "{records}", "--pool", "{doc}"], _pool_doc(extra=1),
                          "ConfigError", r"expert pool: unknown keys \['extra'\]"),
     "pool_huge_capacity": (["route-sim", "{records}", "--pool", "{doc}"],
-                           _pool_doc(capacity=1e300), "ConfigError", "capacity 1000000"),
+                           _pool_doc(capacity=1e300), "ConfigError",
+                           "expert pool: 'capacity' holds an integer outside int64"),
+    "pool_unallocatable_capacity": (["route-sim", "{records}", "--pool", "{doc}"],
+                                    _pool_doc(capacity=2**62), "ConfigError",
+                                    r"capacity 4611686018427387904: a \(4611686018427387904, 8\) "
+                                    "gate cannot be allocated"),
     "huge_horizon": (["prefix-run", "{features}", "{features}", "--out", "{out}", "--config",
                       "{doc}"], {"prefix_loop": {"horizon_seconds": 1e300}},
                      "ConfigError", r"horizon_seconds=1e\+300 at fps=30.0"),

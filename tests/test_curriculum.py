@@ -77,13 +77,20 @@ class TestCorpusState:
         with pytest.raises(ConfigError, match=f"column {column}"):
             state(["a", "b"], **{column: [0, value]})
 
-    @pytest.mark.parametrize("value", [1e300, 2.0**55, 2**53 + 1], ids=["1e300", "2.0**55", "2**53+1"])
+    @pytest.mark.parametrize("value", [2**53 + 1, 2.0**55, 2**63 - 1],
+                             ids=["2**53+1", "2.0**55", "2**63-1"])
+    @pytest.mark.parametrize("first", [0, 1.0], ids=["after_an_int", "after_a_float"])
+    @pytest.mark.parametrize("column", ["attempts", "frozen_until", "freeze_count"])
+    def test_integer_column_holds_exact_int64(self, column, first, value):
+        # float64 would round 2**53 + 1 to 2**53, and a list with a float in it reads as float64
+        column_values = getattr(state(["a", "b"], **{column: [first, value]}), column)
+        assert column_values.dtype == np.int64 and column_values.tolist() == [first, value]
+
+    @pytest.mark.parametrize("value", [1e300, 2**63], ids=["1e300", "2**63"])
     @pytest.mark.parametrize("column", ["attempts", "freeze_state", "frozen_until", "freeze_count"])
-    def test_integer_column_beyond_2_53_rejected_before_the_cast(self, column, value):
-        # the int64 cast would wrap 1e300 to a negative number with a RuntimeWarning
+    def test_integer_column_outside_int64_rejected(self, column, value):
         with pytest.raises(ConfigError, match=f"column {column}"):
             state(["a", "b"], **{column: [0, value]})
-        assert state(["a"], attempts=2**53).attempts.tolist() == [2**53]
 
     @pytest.mark.parametrize("codes", [[7, 0], [1.5, 0], [-1, 0]])
     def test_freeze_state_outside_the_codes_rejected(self, codes):
@@ -570,16 +577,35 @@ class TestRecordPersistence:
 
     @pytest.mark.parametrize("line, column", [
         ('{"file_id":"a","level":1,"frozen_until":1e300}', "column frozen_until"),
-        ('{"file_id":"a","level":1,"attempts":9007199254740993}', "column attempts"),
-        ('{"file_id":"a","level":1e300}', "level"),
+        ('{"file_id":"a","level":1,"attempts":9223372036854775808}', "column attempts"),
+        ('{"file_id":"a","level":1e300}', "levels"),
     ])
-    def test_integer_beyond_2_53_rejected(self, tmp_path, line, column):
+    def test_integer_outside_int64_rejected(self, tmp_path, line, column):
         from motion_forge.curriculum import load_records
 
         path = tmp_path / "records.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match=column):
+        with pytest.raises(ConfigError, match=f"{column} holds an integer outside int64"):
             load_records(path)
+
+    def test_integer_columns_load_exactly(self, tmp_path):
+        from motion_forge.curriculum import load_records
+
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"file_id":"a","level":1,"attempts":9007199254740993,'
+                        '"frozen_until":3.602879701896397e16}\n')
+        back = load_records(path)
+        assert back.attempts.tolist() == [2**53 + 1] and back.frozen_until.tolist() == [2**55]
+
+    def test_round_trip_keeps_integers_past_2_53_exact(self, tmp_path):
+        from motion_forge.curriculum import load_records, save_records
+
+        path = tmp_path / "records.jsonl"
+        st = state(["a", "b"], attempts=[2**53 + 1, 3], frozen_until=[0, 2**63 - 1])
+        save_records(st, path)
+        back = load_records(path)
+        assert back.attempts.tolist() == [2**53 + 1, 3]
+        assert back.frozen_until.tolist() == [0, 2**63 - 1]
 
     @pytest.mark.parametrize("line", [
         '{"file_id": "a", "level": 1, "recent_errors": [0.1]}',

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import ffn_apply
+from helpers import ffn_apply, make_oracle_denoiser, zero_denoiser
 from motion_forge import generation
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
@@ -23,7 +23,6 @@ from motion_forge.generation import (
     generator_balance_loss,
     init_attention_pool,
     init_tpmoe,
-    make_oracle_denoiser,
     make_schedule,
     mirror_probability,
     mix_expert_params,
@@ -32,7 +31,6 @@ from motion_forge.generation import (
     swap_side_tags,
     tpmoe_apply,
     tpmoe_gate,
-    zero_denoiser,
 )
 from motion_forge.kernels import gelu, silu
 

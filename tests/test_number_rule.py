@@ -1,11 +1,13 @@
 """The number rule (`errors.check_numbers`) and the inputs that used to
 succeed wrongly: bools, numeric strings and fractions among JSON numbers,
-and JSON objects that repeat a key."""
+JSON integers that float64 would round, and JSON objects that repeat a key."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import make_walk_sequence
 from motion_forge import errors
@@ -60,15 +62,43 @@ class TestCheckNumbers:
         assert check_numbers([1.0, 2.0, 3.0], "x", (None,)).shape == (3,)
 
     def test_whole_numbers_reject_fractions_and_accept_integral_floats(self):
-        assert check_numbers([4.0, 2, 0], "x", whole=True).tolist() == [4, 2, 0]
+        out = check_numbers([4.0, 2, 0], "x", whole=True)
+        assert out.dtype == np.int64 and out.tolist() == [4, 2, 0]
         with pytest.raises(ConfigError, match=r"x must be an integer, got 4\.9"):
             check_numbers(4.9, "x", (), whole=True)
         with pytest.raises(ConfigError, match="x must be integers"):
             check_numbers([1, 3.7], "x", whole=True)
-        # 2**53 + 1 would load as 2**53; a float that large is taken as written
-        with pytest.raises(ConfigError, match=r"x holds an integer beyond 2\*\*53"):
-            check_numbers([1, 2**53 + 1], "x", whole=True)
-        assert check_numbers(1e300, "x", (), whole=True) == 1e300
+        # float64 would round 2**53 + 1 to 2**53; int64 holds it
+        assert check_numbers([1, 2**53 + 1], "x", whole=True).tolist() == [1, 2**53 + 1]
+        assert check_numbers(2.0**55, "x", (), whole=True) == 2**55
+        with pytest.raises(ConfigError, match="x holds an integer outside int64"):
+            check_numbers(1e300, "x", (), whole=True)
+
+    @given(st.integers(-2**63, 2**63 - 1))
+    @example(-2**63)
+    @example(2**63 - 1)
+    @example(2**53 + 1)   # the first integer float64 rounds
+    def test_every_int64_reads_back_exactly(self, n):
+        for text, want in [(f"{n}", n), (f"[{n}]", [n]), (f"[0, {n}]", [0, n]),
+                           (f"[1.0, {n}]", [1, n])]:
+            out = check_numbers(json.loads(text), "x", whole=True)
+            assert out.dtype == np.int64 and out.tolist() == want, text
+
+    @given(st.integers(max_value=-2**63 - 1) | st.integers(min_value=2**63))
+    @example(-2**63 - 1)
+    @example(2**63)
+    def test_every_integer_outside_int64_is_refused(self, n):
+        for text in [f"{n}", f"[{n}]", f"[0, {n}]", f"[1.0, {n}]"]:
+            with pytest.raises(ConfigError, match="^x (must be|holds an integer outside int64)"):
+                check_numbers(json.loads(text), "x", whole=True)
+
+    @pytest.mark.parametrize("value", [
+        np.array([2.0**63]), np.array([2**63], dtype=np.uint64), np.float64(-2.0**64), 2.0**63,
+    ], ids=["float64_array", "uint64_array", "float64_scalar", "float"])
+    def test_numpy_input_outside_int64_is_refused_without_a_cast_warning(self, value):
+        # numpy's own int64 cast would warn (float64) or wrap (uint64)
+        with pytest.raises(ConfigError, match="x holds an integer outside int64"):
+            check_numbers(value, "x", whole=True)
 
     @pytest.mark.parametrize("bad, word", [(np.nan, "NaN"), (np.inf, "infinity")])
     def test_non_finite_values(self, bad, word):
@@ -108,6 +138,21 @@ class TestRouteSimProbes:
         path.write_text(json.dumps({"records": [{"z": z}]}))
         err = _run(["route-sim", path, "--out", tmp_path / "out.csv"], capsys)
         assert err["error"] == "ConfigError" and "record 0: latent 'z'" in err["message"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_level_past_2_53_is_printed_exactly(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps({"records": [{"z": [0.1] * 8, "level": 2**53 + 1}]}))
+        assert cli_dispatch(["route-sim", str(path)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:2] == ["0", "9007199254740993"]
+
+    def test_level_outside_int64_is_one_config_error(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps({"records": [{"z": [0.1] * 8, "level": 9223372036854775813}]}))
+        err = _run(["route-sim", path, "--out", tmp_path / "out.csv"], capsys)
+        assert err == {"error": "ConfigError", "message": "records: 'stage' and every 'level' "
+                                                          "holds an integer outside int64"}
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -260,6 +260,21 @@ class TestCommand:
         with pytest.raises(ConfigError, match="non-negative"):
             assemble_command(seq, frame_idx)
 
+    @pytest.mark.parametrize("frame_idx, same_as", [
+        (2.0, 2), (np.array([2.0, 5.0]), [2, 5]), ([], []), (2**63 - 1, 9),
+        (2.5, None), (True, None), ([0.5, 1.0], None), (np.array([1.5]), None),
+    ], ids=["whole_float", "whole_float_array", "empty", "int64_max_clamps", "fraction", "bool",
+            "fraction_in_a_list", "fraction_in_an_array"])
+    def test_frame_indices_follow_the_integer_rule(self, skel, frame_idx, same_as):
+        seq = make_walk_sequence(skel, 1.0, 0.0, 10, 30.0)
+        if same_as is None:
+            with pytest.raises(ConfigError, match="^frame indices must be"):
+                assemble_command(seq, frame_idx)
+        else:
+            cmd = assemble_command(seq, frame_idx)
+            assert cmd.shape == np.shape(frame_idx) + (COMMAND_DIM,)
+            assert np.array_equal(cmd, assemble_command(seq, np.array(same_as, dtype=np.int64)))
+
     def test_array_of_frames_gives_one_command_each(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.3, 50, 30.0)
         frames = np.array([[0, 7], [31, 49]])

@@ -550,11 +550,15 @@ def test_unallocatable_gate_is_a_config_error(zero_gate):
 
 
 @pytest.mark.parametrize("key, value, pattern", [
-    ("capacity", 1e300, "capacity 1000000"),
+    ("capacity", 1e300, "expert pool: 'capacity' holds an integer outside int64"),
+    # numpy refuses the (2**62, latent) shape before it draws or allocates
+    ("capacity", 2**62, r"capacity 4611686018427387904: a \(4611686018427387904, 8\) gate "
+                        "cannot be allocated"),
     ("capacity", float("inf"), "expert pool: 'capacity': cannot convert float infinity"),
     ("input_dim", float("inf"), "expert pool: 'input_dim': cannot convert float infinity"),
     ("typo", 1, r"expert pool: unknown keys \['typo'\]"),
-], ids=["huge_capacity", "inf_capacity", "inf_input_dim", "unknown_key"])
+], ids=["huge_capacity", "unallocatable_capacity", "inf_capacity", "inf_input_dim",
+        "unknown_key"])
 def test_pool_document_errors_are_config_errors(key, value, pattern):
     data = pool_to_dict(make_random_pool(np.random.default_rng(27), 2, OBS_DIM, (4,), ACT_DIM))
     data[key] = value
