@@ -15,52 +15,4 @@ Library surface, one module per concern:
 - motion_io / config / cli: file formats, configuration, command line
 """
 
-from .features import (
-    FEATURE_DIM,
-    NormStats,
-    canonicalize_heading,
-    decode_root_trajectory,
-    denormalize_features,
-    detect_contacts,
-    encode_features,
-    fit_norm_stats,
-    mirror_features,
-    normalize_features,
-)
-from .metrics import GroundModel, MetricReport, evaluate, mpjae, mpjpe, mpjve, success
-from .motion import (
-    MotionSequence,
-    Skeleton,
-    default_skeleton,
-    mirror_sequence,
-)
-from .rotations import rot_to_6d, sixd_to_rot
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FEATURE_DIM",
-    "GroundModel",
-    "MetricReport",
-    "MotionSequence",
-    "NormStats",
-    "Skeleton",
-    "canonicalize_heading",
-    "decode_root_trajectory",
-    "default_skeleton",
-    "denormalize_features",
-    "detect_contacts",
-    "encode_features",
-    "evaluate",
-    "fit_norm_stats",
-    "mirror_features",
-    "mirror_sequence",
-    "mpjae",
-    "mpjpe",
-    "mpjve",
-    "normalize_features",
-    "rot_to_6d",
-    "sixd_to_rot",
-    "success",
-    "__version__",
-]

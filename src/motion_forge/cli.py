@@ -1,19 +1,23 @@
 """motion-forge command line: encode/decode, metrics, rewards, simulators.
 
 Every subcommand reads JSON inputs, writes JSON or CSV outputs, and exits 0
-on success.  Failures print one machine-readable JSON object to stderr
-({"error": <type>, "message": <text>}) and exit nonzero.  Every tunable
-value, thresholds and iteration counts among them, comes from the --config
-file; flags name only files and the seed.  A single --seed flag feeds every
-random consumer of a subcommand, prefix-run's generator and reference
-tracker among them, so identical invocations produce byte-identical
-outputs.  Set MOTIONFORGE_LOG to adjust log level.
+on success.  Each is one row of `COMMANDS`, run by one dispatch
+(`cli_dispatch`) that reads --config before any input and writes the text a
+subcommand returns through one writer (stdout, or --out).  Failures print
+one machine-readable JSON object to stderr ({"error": <type>, "message":
+<text>}) and exit nonzero.  Every tunable value, thresholds and iteration
+counts among them, comes from the --config file; flags name only files and
+the seed.  A single --seed flag feeds every random consumer of a
+subcommand, prefix-run's generator and reference tracker among them, so
+identical invocations produce byte-identical outputs.  Set MOTIONFORGE_LOG
+to adjust log level.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -62,55 +66,42 @@ _CLI_SET_KEYS = {("sim", "seed"): "--seed", ("prefix_loop", "seed"): "--seed",
                  ("prefix_loop", "fps"): "the prefix file's fps"}
 
 
-def _load_app_config(args) -> AppConfig:
-    if not getattr(args, "config", None):
+def _load_app_config(path) -> AppConfig:
+    if not path:
         return AppConfig()
-    data = read_config(args.config)
+    data = read_config(path)
     cfg = config_from_dict(data)
     for (section, key), setter in _CLI_SET_KEYS.items():
         if key in data.get(section, ()):
-            raise ConfigError(f"config {args.config}: {section}.{key} is set by {setter}")
+            raise ConfigError(f"config {path}: {section}.{key} is set by {setter}")
     return cfg
 
 
-def cmd_encode(args) -> int:
-    _load_app_config(args)   # checked like every subcommand's, though the codec has no section
+def cmd_encode(args, cfg) -> None:
     skel = default_skeleton()
-    seq = load_motion(args.motion, skel)
-    seq = canonicalize_heading(seq)
+    seq = canonicalize_heading(load_motion(args.motion, skel))
     feats = encode_features(seq, skel, detect_contacts(seq, skel))
     save_features(feats, seq.fps, args.out)
     log.info("encoded %d frames -> %s", feats.shape[0], args.out)
-    return 0
 
 
-def cmd_decode(args) -> int:
-    _load_app_config(args)
+def cmd_decode(args, cfg) -> str:
     feats, fps = load_features(args.features)
     pos, yaw = decode_root_trajectory(feats, fps)
-    doc = {
-        "fps": fps,
-        "trajectory": [
-            {"root_pos": pos[i].tolist(), "yaw": float(yaw[i])}
-            for i in range(len(pos))
-        ],
-    }
-    _write_output(json.dumps(doc, indent=1), args.out)
-    return 0
+    # one {"root_pos", "yaw"} object per frame, built by C-level iteration
+    frames = map(zip, itertools.repeat(("root_pos", "yaw")), zip(pos.tolist(), yaw.tolist()))
+    return json.dumps({"fps": fps, "trajectory": list(map(dict, frames))}, indent=1)
 
 
-def cmd_metrics(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_metrics(args, cfg) -> str:
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
     sim = load_motion(args.executed, skel)
     report = evaluate(ref, sim, skel, cfg.ground, cfg.success)
-    _write_output(json.dumps(report.to_dict(), indent=1, allow_nan=False), args.out)
-    return 0
+    return json.dumps(report.to_dict(), indent=1, allow_nan=False)
 
 
-def cmd_reward_eval(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_reward_eval(args, cfg) -> str:
     skel = default_skeleton()
     ref = load_motion(args.reference, skel)
     sim = load_motion(args.executed, skel)
@@ -118,8 +109,7 @@ def cmd_reward_eval(args) -> int:
     table = np.column_stack([terms[name] for name in TASK_TERMS] + [total]).tolist()
     lines = ["frame," + ",".join(TASK_TERMS) + ",total"]
     lines += [f"{i}," + ",".join(format(v, ".10g") for v in row) for i, row in enumerate(table)]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # corpus entry key -> SyntheticFile field; an entry spells file_id as id
@@ -127,8 +117,7 @@ _CORPUS_FIELDS = {("id" if f.name == "file_id" else f.name): f.name
                   for f in dataclasses.fields(cur.SyntheticFile)}
 
 
-def cmd_curriculum_sim(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_curriculum_sim(args, cfg) -> str:
     data = check_object(read_json(args.corpus, "corpus spec", ConfigError),
                         f"corpus spec {args.corpus}", ("files",), ("files",))
     if not isinstance(data["files"], list):
@@ -139,21 +128,27 @@ def cmd_curriculum_sim(args) -> int:
         files.append(cur.SyntheticFile(**{_CORPUS_FIELDS[k]: value for k, value in item.items()}))
     sim_cfg = dataclasses.replace(cfg.sim, seed=args.seed)
     trace = cur.run_curriculum_sim(files, cfg.curriculum, sim_cfg)
-    _write_output(trace.to_csv(), args.out)
     log.info("simulated %d iterations, %d events", sim_cfg.total_iters, len(trace.events))
-    return 0
+    return trace.to_csv()
 
 
-def cmd_route_sim(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_route_sim(args, cfg) -> str:
     data = check_object(read_json(args.records, "records", ConfigError),
                         f"records {args.records}", ("stage", "records"), ("records",))
+    stage = check_numbers(data.get("stage", 2), "records: 'stage'", (), whole=True).item()
+    if stage not in (1, 2):
+        raise ConfigError(f"records: 'stage' must be 1 or 2, got {stage}")
     records = data["records"]
     if not isinstance(records, list) or not records:
         raise ConfigError("records file needs a non-empty 'records' list")
-    latents = [check_numbers(check_object(rec, f"record {i}", ("z", "obs", "level"), ("z",))["z"],
-                             f"record {i}: latent 'z'", (None,))
-               for i, rec in enumerate(records)]
+    latents, levels = [], []
+    for i, rec in enumerate(records):
+        check_object(rec, f"record {i}", ("z", "obs", "level"), ("z",))
+        latents.append(check_numbers(rec["z"], f"record {i}: latent 'z'", (None,)))
+        levels.append(check_numbers(rec.get("level", 1), f"record {i}: 'level'", (),
+                                    whole=True).item())
+        if levels[-1] < 1:
+            raise ConfigError(f"record {i}: 'level' must be >= 1, got {levels[-1]}")
     z_dim = latents[0].shape[0]
     if any(z.shape != (z_dim,) for z in latents):
         raise ConfigError(f"every record's 'z' needs the {z_dim} values of record 0's")
@@ -165,12 +160,6 @@ def cmd_route_sim(args) -> int:
                                    hidden=(16,), output_dim=8, capacity=16)
     state = rt.make_router(rng, pool.capacity, latent_dim=z_dim, config=cfg.router)
     l_max = pool.unlocked_count
-    stage, *levels = check_numbers(
-        [data.get("stage", 2), *(rec.get("level", 1) for rec in records)],
-        "records: 'stage' and every 'level'", (None,), whole=True).tolist()
-    if stage not in (1, 2) or min(levels) < 1:
-        raise ConfigError("records: 'stage' and every 'level' must be integers, the stage 1 or 2 "
-                          f"and each level >= 1; got stage {stage}, lowest level {min(levels)}")
     header = ["step", "level", "hard_routed", "entropy", "top_gap"]
     header += [f"w{j}" for j in range(pool.num_experts)]
     lines = [",".join(header)]
@@ -182,10 +171,8 @@ def cmd_route_sim(args) -> int:
         elif pool.input_dim <= len(z):
             obs = z[: pool.input_dim]
         else:
-            raise ConfigError(
-                f"record {i} has no 'obs' and its latent has {len(z)} values, "
-                f"fewer than the pool's input_dim {pool.input_dim}"
-            )
+            raise ConfigError(f"record {i} has no 'obs' and its latent has {len(z)} values, "
+                              f"fewer than the pool's input_dim {pool.input_dim}")
         if stage == 1:
             _, weights, hard = rt.hard_bias_route(obs, level, l_max, rng, state, pool)
         else:
@@ -196,12 +183,10 @@ def cmd_route_sim(args) -> int:
                format(rt.top_gap(weights), ".10g")]
         row += [format(w, ".10g") for w in weights]
         lines.append(",".join(row))
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_asfo_plan(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_asfo_plan(args, cfg) -> str:
     data = check_object(read_json(args.samples, "samples", ConfigError),
                         f"samples {args.samples}", ("samples",), ("samples",))
     samples = data["samples"]
@@ -211,20 +196,13 @@ def cmd_asfo_plan(args) -> int:
     for sample_id, tags in samples.items():
         if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
             raise ConfigError(f"sample {sample_id!r}: tags must be a list of strings")
-    catalog = TagCatalog.from_samples(
-        samples, rho_max=cfg.asfo.rho_max, mirror_alpha=cfg.asfo.mirror_alpha
-    )
+    catalog = TagCatalog.from_samples(samples, rho_max=cfg.asfo.rho_max,
+                                      mirror_alpha=cfg.asfo.mirror_alpha)
     plan = build_epoch_plan(catalog, np.random.default_rng(args.seed))
-    doc = {
-        "multipliers": asfo_multipliers(catalog),
-        "plan_size": len(plan),
-        "plan": [
-            {"sample_id": e.sample_id, "mirrored": e.mirrored, "tags": list(e.tags)}
-            for e in plan
-        ],
-    }
-    _write_output(json.dumps(doc, indent=1), args.out)
-    return 0
+    entries = [{"sample_id": e.sample_id, "mirrored": e.mirrored, "tags": list(e.tags)}
+               for e in plan]
+    return json.dumps({"multipliers": asfo_multipliers(catalog), "plan_size": len(plan),
+                       "plan": entries}, indent=1)
 
 
 def _load_prefix_features(path, skel):
@@ -236,26 +214,42 @@ def _load_prefix_features(path, skel):
     return parse_features(data, path)
 
 
-def cmd_prefix_run(args) -> int:
-    cfg = _load_app_config(args)
+def cmd_prefix_run(args, cfg) -> None:
     skel = default_skeleton()
     prefix, fps = _load_prefix_features(args.prefix, skel)
     target_feats, _ = _load_prefix_features(args.target, skel)
     loop_cfg = dataclasses.replace(cfg.prefix_loop, fps=fps, seed=args.seed)
-    generator = make_interpolation_generator(
-        loop_cfg.segment_frames, cfg.generator.noise_scale
-    )
+    generator = make_interpolation_generator(loop_cfg.segment_frames, cfg.generator.noise_scale)
     # --seed seeds the tracker too, through a stream apart from the loop's
     tracker = make_perturbation_tracker([args.seed, 1], **dataclasses.asdict(cfg.tracker))
-    motion, trace = run_prefix_loop(
-        prefix, target_feats[0], generator, tracker, loop_cfg, skel
-    )
+    _, trace = run_prefix_loop(prefix, target_feats[0], generator, tracker, loop_cfg, skel)
     save_features(trace.features, fps, args.out)
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace.to_dict(), indent=1, allow_nan=False))
     log.info("prefix run: %s after %d segments, %d attempts",
              trace.termination, len(trace.segments), trace.total_attempts)
-    return 0
+
+
+# name -> (function, help text, positional file arguments, options and their
+# argparse keywords); every subcommand also takes --seed and --config
+COMMANDS = {
+    "encode": (cmd_encode, "motion clip -> 262-D feature file", ["motion"],
+               {"--out": {"required": True}}),
+    "decode": (cmd_decode, "feature file -> root trajectory JSON", ["features"], {"--out": {}}),
+    "metrics": (cmd_metrics, "reference + executed clips -> metric report",
+                ["reference", "executed"], {"--out": {}}),
+    "reward-eval": (cmd_reward_eval, "per-frame task rewards as CSV", ["reference", "executed"],
+                    {"--out": {}}),
+    "curriculum-sim": (cmd_curriculum_sim, "run the scheduler on a synthetic corpus", [],
+                       {"--corpus": {"required": True}, "--out": {}}),
+    "route-sim": (cmd_route_sim, "replay (z, level) records through the router", ["records"],
+                  {"--pool": {"help": "expert pool JSON (random pool when omitted)"},
+                   "--out": {}}),
+    "asfo-plan": (cmd_asfo_plan, "tagged samples -> oversampling epoch plan", ["samples"],
+                  {"--out": {}}),
+    "prefix-run": (cmd_prefix_run, "grow a validated prefix to the horizon", ["prefix", "target"],
+                   {"--out": {"required": True}, "--trace": {}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,51 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="robot-native motion codec, metrics, and schedulers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (fn, help_text, files, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--config", help="JSON config file")
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("encode", cmd_encode, "motion clip -> 262-D feature file")
-    p.add_argument("motion")
-    p.add_argument("--out", required=True)
-
-    p = add("decode", cmd_decode, "feature file -> root trajectory JSON")
-    p.add_argument("features")
-    p.add_argument("--out")
-
-    p = add("metrics", cmd_metrics, "reference + executed clips -> metric report")
-    p.add_argument("reference")
-    p.add_argument("executed")
-    p.add_argument("--out")
-
-    p = add("reward-eval", cmd_reward_eval, "per-frame task rewards as CSV")
-    p.add_argument("reference")
-    p.add_argument("executed")
-    p.add_argument("--out")
-
-    p = add("curriculum-sim", cmd_curriculum_sim, "run the scheduler on a synthetic corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out")
-
-    p = add("route-sim", cmd_route_sim, "replay (z, level) records through the router")
-    p.add_argument("records")
-    p.add_argument("--pool", help="expert pool JSON (random pool when omitted)")
-    p.add_argument("--out")
-
-    p = add("asfo-plan", cmd_asfo_plan, "tagged samples -> oversampling epoch plan")
-    p.add_argument("samples")
-    p.add_argument("--out")
-
-    p = add("prefix-run", cmd_prefix_run, "grow a validated prefix to the horizon")
-    p.add_argument("prefix")
-    p.add_argument("target")
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace")
-
+        for file in files:
+            p.add_argument(file)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -326,7 +284,10 @@ def cli_dispatch(argv) -> int:
         # an input that drives the arithmetic past the float range fails
         # here, not as a warning beside an infinite or NaN result
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.fn(args)
+            text = args.fn(args, _load_app_config(args.config))
+        if text is not None:
+            _write_output(text, args.out)
+        return 0
     except FloatingPointError as exc:
         error, message = "NonFiniteError", f"the inputs drive a computation out of range: {exc}"
     except MotionForgeError as exc:

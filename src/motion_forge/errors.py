@@ -80,6 +80,15 @@ def _holds_bool(value, depth: int) -> bool:
     return not _BOOLS.isdisjoint(map(type, value))
 
 
+def _beyond_int64(array) -> bool:
+    """Whether an object array holds only whole numbers, one of them an int
+    outside int64: numpy keeps such an int (2**64, or a huge one listed
+    with floats) as a Python object."""
+    items = array.ravel().tolist()
+    return (all(type(x) is int or type(x) is float and x.is_integer() for x in items)
+            and any(type(x) is int and not -2**63 <= x < 2**63 for x in items))
+
+
 def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> np.ndarray:
     """The number rule for JSON input: `value`, a number or a rectangular
     nested list of numbers (never a bool, string, null or object), as an
@@ -102,6 +111,8 @@ def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> n
         raise error(rule if scalar else f"{where} must have shape {shown}")
     if (array is None or array.dtype.kind not in "iuf"
             or (array.ndim and _holds_bool(value, array.ndim))):
+        if whole and array is not None and array.dtype == object and _beyond_int64(array):
+            raise error(f"{where} holds an integer outside int64")
         raise error(rule)
     if not whole:
         return check_finite(array, where)

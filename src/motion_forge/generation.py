@@ -84,8 +84,10 @@ class TPMoEParams:
 
     def __post_init__(self):
         self._check_stack()
-        if self.mask_sharpness <= 0 or not 0.0 < self.mask_threshold < 1.0:
-            raise ConfigError("mask constants out of range")
+        check_fields(self, positive=("mask_sharpness", "mask_threshold"))
+        if self.mask_threshold >= 1:
+            raise ConfigError(f"TPMoEParams: mask_threshold must be < 1, "
+                              f"got {self.mask_threshold!r}")
 
     def _check_stack(self) -> None:
         k, h, d = self.w1.shape if self.w1.ndim == 3 else (0, 0, 0)
@@ -294,6 +296,7 @@ class AttentionPoolParams:
     num_heads: int = 4
 
     def __post_init__(self):
+        check_fields(self, positive=("num_heads",))
         d = self.query.shape[0]
         if d % self.num_heads != 0:
             raise ConfigError("token dim must divide evenly into heads")
@@ -507,8 +510,7 @@ class TagCatalog:
     mirror_alpha: float = 0.3
 
     def __post_init__(self):
-        if self.rho_max < 1:
-            raise ConfigError("rho_max must be >= 1")
+        check_fields(self, positive=("rho_max",))
         if any(c < 1 for c in self.tag_counts.values()):
             raise ConfigError("tag counts must be >= 1")
         uncounted = set().union(*self.sample_tags.values()) - self.tag_counts.keys()

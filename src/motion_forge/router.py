@@ -55,6 +55,7 @@ class ExpertPool:
     lr_multipliers: list[float] = field(default_factory=list)
 
     def __post_init__(self):
+        check_fields(self, positive=("input_dim", "output_dim"))
         n = len(self.experts)
         if not n:
             raise ConfigError("expert pool needs at least one expert")

@@ -60,6 +60,30 @@ def write_config(tmp_path, text):
     return path
 
 
+def save_tracked_pair(tmp_path, skel):
+    """ref.json, a reference walk, and sim.json, a seeded imperfect execution
+    of it: position noise, a yaw jitter per frame and body (the root's also
+    turns the root quaternion), and noisy linear and angular velocities, so
+    that no reward term sits at 1."""
+    ref = make_walk_sequence(skel, 1.2, 0.3, 60, 30.0, start_yaw=0.4)
+    rng = np.random.default_rng(11)
+    jitter = rot_z(rng.normal(0.0, 0.08, (60, 30)))
+    body_pos = ref.body_pos + rng.normal(0.0, 0.03, ref.body_pos.shape)
+    sim = dataclasses.replace(
+        ref,
+        root_pos=body_pos[:, 0],
+        root_quat=matrix_to_quat(jitter[:, 0] @ quat_to_matrix(ref.root_quat)),
+        body_pos=body_pos,
+        body_rot=jitter @ ref.body_rot,
+        body_lin_vel=ref.body_lin_vel + rng.normal(0.0, 0.4, ref.body_lin_vel.shape),
+        body_ang_vel=ref.body_ang_vel + rng.normal(0.0, 0.9, ref.body_ang_vel.shape),
+    )
+    paths = tmp_path / "ref.json", tmp_path / "sim.json"
+    save_motion(ref, paths[0], skel)
+    save_motion(sim, paths[1], skel)
+    return paths
+
+
 class TestEncodeDecode:
     def test_encode_writes_262_features(self, tmp_path, walk_file):
         out = tmp_path / "feats.json"
@@ -178,26 +202,7 @@ class TestRewardEvalCli:
         assert not out.exists()
 
     def test_tracked_pair_matches_golden_sha256(self, tmp_path, skel):
-        # A reference walk against a seeded imperfect execution: position
-        # noise, a yaw jitter per frame and body (the root's also turns the
-        # root quaternion), and noisy linear and angular velocities, so that
-        # no term sits at 1.
-        ref = make_walk_sequence(skel, 1.2, 0.3, 60, 30.0, start_yaw=0.4)
-        rng = np.random.default_rng(11)
-        jitter = rot_z(rng.normal(0.0, 0.08, (60, 30)))
-        body_pos = ref.body_pos + rng.normal(0.0, 0.03, ref.body_pos.shape)
-        sim = dataclasses.replace(
-            ref,
-            root_pos=body_pos[:, 0],
-            root_quat=matrix_to_quat(jitter[:, 0] @ quat_to_matrix(ref.root_quat)),
-            body_pos=body_pos,
-            body_rot=jitter @ ref.body_rot,
-            body_lin_vel=ref.body_lin_vel + rng.normal(0.0, 0.4, ref.body_lin_vel.shape),
-            body_ang_vel=ref.body_ang_vel + rng.normal(0.0, 0.9, ref.body_ang_vel.shape),
-        )
-        paths = tmp_path / "ref.json", tmp_path / "sim.json"
-        save_motion(ref, paths[0], skel)
-        save_motion(sim, paths[1], skel)
+        paths = save_tracked_pair(tmp_path, skel)
         out = tmp_path / "rewards.csv"
         assert run(["reward-eval", *paths, "--out", out]) == 0
         text = out.read_text()
@@ -389,17 +394,24 @@ class TestRouteSimCli:
             {"z": [0.1] * 8, "level": 1}, {"level": 2}]})
         assert err["error"] == "ConfigError" and "record 1" in err["message"]
 
-    @pytest.mark.parametrize("doc", [
-        {"records": [{"z": [0.1] * 8, "level": "two"}]},
-        {"stage": "x", "records": [{"z": [0.1] * 8, "level": 1}]},
-        *({"stage": stage, "records": [{"z": [0.1] * 8, "level": 1}]} for stage in (3, 1.7, "1")),
-        *({"records": [{"z": [0.1] * 8, "level": 1}, {"z": [0.1] * 8, "level": level}]}
-          for level in (2.9, 0, -3, True)),
+    @pytest.mark.parametrize("doc, message", [
+        ({"records": [{"z": [0.1] * 8, "level": "two"}]},
+         "record 0: 'level' must be an integer, got 'two'"),
+        ({"stage": "x", "records": [{"z": [0.1] * 8, "level": 1}]},
+         "records: 'stage' must be an integer, got 'x'"),
+        *(({"stage": stage, "records": [{"z": [0.1] * 8, "level": 1}]},
+           f"records: 'stage' must {message}")
+          for stage, message in ((3, "be 1 or 2, got 3"), (1.7, "be an integer, got 1.7"),
+                                 ("1", "be an integer, got '1'"))),
+        *(({"records": [{"z": [0.1] * 8, "level": 1}, {"z": [0.1] * 8, "level": level}]},
+           f"record 1: 'level' must {message}")
+          for level, message in ((2.9, "be an integer, got 2.9"), (0, "be >= 1, got 0"),
+                                 (-3, "be >= 1, got -3"), (True, "be an integer, got True"))),
     ], ids=["string_level", "string_stage", "stage_3", "fractional_stage", "stage_in_quotes",
             "fractional_level", "level_0", "negative_level", "bool_level"])
-    def test_non_integer_stage_or_level_rejected(self, tmp_path, capsys, doc):
+    def test_non_integer_stage_or_level_rejected(self, tmp_path, capsys, doc, message):
         err = self.run_bad(tmp_path, capsys, records=doc)
-        assert err["error"] == "ConfigError" and "must be integers" in err["message"]
+        assert err == {"error": "ConfigError", "message": message}
 
     def test_nan_latent_rejected(self, tmp_path, capsys):
         err = self.run_bad(tmp_path, capsys, records={"records": [
@@ -598,6 +610,69 @@ class TestPrefixRunCli:
         code = run(["prefix-run", prefix_path, target_path, "--out", tmp_path / "out.json"])
         assert code == 0
         assert sorted(parsed) == sorted([prefix_path.read_text(), target_path.read_text()])
+
+
+def save_golden_inputs(tmp_path, skel) -> dict:
+    """The input files of the golden runs below, by name."""
+    files = dict(zip(("ref", "sim"), save_tracked_pair(tmp_path, skel)))
+    docs = {
+        "corpus": {"files": [
+            {"id": f"clip_{i:02d}", "level": 1 + i % 4, "start_error": 0.1 + 0.01 * i,
+             "error_floor": 0.005 * (i % 6), "improve_rate": 1e-4 * (1 + i % 5),
+             "success_scale": 0.05 + 0.01 * (i % 7)} for i in range(30)]},
+        # short intervals, so that 1500 iterations freeze, drop and promote
+        "sim_cfg": {
+            "sim": {"total_iters": 1500, "trace_interval": 100, "eval_interval": 100},
+            "curriculum": {"n_min": 500, "freeze_duration": 200, "check_interval": 100,
+                           "intro_base_iters": 300, "intro_extra_iters": 100,
+                           "promote_min_iters": 300, "success_warmup_iters": 200}},
+        "samples": {"samples": {
+            **{f"w{i}": ["walk", "left_turn"] if i % 3 else ["walk"] for i in range(10)},
+            "rare": ["cartwheel"], "r2": ["right_kick", "walk"]}},
+        "loop_cfg": {"prefix_loop": {"horizon_seconds": 2.0}, "tracker": {"noise_scale": 0.02}},
+    }
+    rng = np.random.default_rng(0)
+    docs["records"] = {"stage": 1, "records": [
+        {"z": rng.standard_normal(8).tolist(), "level": int(rng.integers(1, 4))}
+        for _ in range(20)]}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    files["prefix"], files["target"] = tmp_path / "prefix.json", tmp_path / "target.json"
+    save_features(neutral_features(30), 30.0, files["prefix"])
+    save_features(neutral_features(2, height=0.9), 30.0, files["target"])
+    return files
+
+
+# subcommand -> (its arguments, with {name} an input file above and {out}
+# the output file, stdout when absent; the output's sha256).  The bytes of
+# encode, of decode and of prefix-run's --out features depend on numpy's
+# SIMD arctan2 (ROADMAP item 1), so they have no digest here.
+GOLDEN_OUTPUTS = {
+    "metrics": (["{ref}", "{sim}"],
+                "ba39da4213913726e0eaeec0d1337066245e28941a7ad83b8237de4d4855557b"),
+    "curriculum-sim": (["--corpus", "{corpus}", "--config", "{sim_cfg}", "--seed", "5",
+                        "--out", "{out}"],
+                       "ebdf32ee2a64bff535673d4fbd62881818b622773a98a77c01e2d9b534273fde"),
+    "route-sim": (["{records}", "--seed", "9", "--out", "{out}"],
+                  "151170c6701982f5398150a8a9c563945101bd5a792203430ad3d3d834dc98d8"),
+    "asfo-plan": (["{samples}", "--seed", "2"],
+                  "853f1108df621be4bee1f31578f071bad17b3ef5a0f5f87c67ea26f811261195"),
+    "prefix-run": (["{prefix}", "{target}", "--config", "{loop_cfg}", "--seed", "3",
+                    "--out", "{features}", "--trace", "{out}"],
+                   "ae049b7bbba04b8b874ccb708f1ce29a80bb4ab3f47566665c23e3e66c9eda4f"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_OUTPUTS)
+def test_output_matches_golden_sha256(tmp_path, skel, capsys, command):
+    argv, digest = GOLDEN_OUTPUTS[command]
+    files = {**save_golden_inputs(tmp_path, skel), "out": tmp_path / "out",
+             "features": tmp_path / "features.json"}
+    code, captured = run([command, *(arg.format(**files) for arg in argv)], capsys)
+    assert code == 0
+    text = files["out"].read_text() if "{out}" in argv else captured.out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

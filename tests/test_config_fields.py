@@ -1,7 +1,8 @@
 """The config field rule, generated from the dataclass fields.
 
 Every `int` or `float` field of every config section, of a corpus file
-(`SyntheticFile`) and of the library-only configs must refuse a bool, a
+(`SyntheticFile`), of the library-only configs and of the parameter classes
+(`TPMoEParams`, `AttentionPoolParams`, `TagCatalog`, `ExpertPool`) must refuse a bool, a
 string, NaN, inf, a fraction in an `int` field, a negative number unless the
 field is signed, zero where it must be positive and 2.0 where it must be at
 most 1, each with a ConfigError naming the field and never another
@@ -14,13 +15,21 @@ import dataclasses
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from motion_forge.config import AppConfig, config_from_dict
 from motion_forge.curriculum import SyntheticFile
 from motion_forge.errors import ConfigError, check_fields
+from motion_forge.generation import (
+    AttentionPoolParams,
+    TagCatalog,
+    TPMoEParams,
+    init_attention_pool,
+    init_tpmoe,
+)
 from motion_forge.rewards import ObservationNoiseConfig, RewardTerm
-from motion_forge.router import AddExpertConfig
+from motion_forge.router import AddExpertConfig, ExpertPool, make_random_pool
 
 RULES = ("positive", "at_most_one", "signed")
 
@@ -33,6 +42,10 @@ def _direct_builder(cls, **required):
     return lambda values: cls(**{**required, **values})
 
 
+def _replace_builder(obj):
+    return lambda values: dataclasses.replace(obj, **values)
+
+
 # class -> a function building it from {field: value}, the way its users do
 BUILDERS = {
     **{f.default_factory: _section_builder(f.name) for f in dataclasses.fields(AppConfig)},
@@ -40,6 +53,11 @@ BUILDERS = {
     RewardTerm: _direct_builder(RewardTerm, weight=1.0, sigma=0.2),
     ObservationNoiseConfig: _direct_builder(ObservationNoiseConfig),
     AddExpertConfig: _direct_builder(AddExpertConfig),
+    TPMoEParams: _replace_builder(init_tpmoe(np.random.default_rng(0), 8, 4, 6, 2)),
+    AttentionPoolParams: _replace_builder(init_attention_pool(np.random.default_rng(0), 8, 4)),
+    TagCatalog: _direct_builder(TagCatalog, tag_counts={"walk": 1}, sample_tags={"a": ("walk",)}),
+    ExpertPool: _replace_builder(make_random_pool(np.random.default_rng(0), 2, 4, (3,), 2,
+                                                  capacity=4)),
 }
 
 
@@ -86,3 +104,19 @@ def test_rule_tables_name_only_numeric_fields(cls):
         assert set(names) <= set(numeric), f"{cls.__name__} {rule} names a non-numeric field"
     assert not set(TABLES[cls]["signed"]) & set(TABLES[cls]["positive"])
 
+
+
+# each of these was accepted, or raised ZeroDivisionError, before the
+# parameter classes took the field rule
+@pytest.mark.parametrize("cls, name, value", [
+    (TPMoEParams, "mask_sharpness", float("nan")), (TPMoEParams, "mask_sharpness", float("inf")),
+    (TagCatalog, "mirror_alpha", float("nan")), (TagCatalog, "mirror_alpha", -1.0),
+    (TagCatalog, "rho_max", True), (TagCatalog, "rho_max", 2.5),
+    (ExpertPool, "capacity", 2.5), (ExpertPool, "unlocked_count", 1.5),
+    (ExpertPool, "input_dim", 4.0),
+    (AttentionPoolParams, "num_heads", 0), (AttentionPoolParams, "num_heads", -2),
+    (AttentionPoolParams, "num_heads", 2.0),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_parameter_class_refuses_a_bad_number(cls, name, value):
+    with pytest.raises(ConfigError, match=rf"^{cls.__name__}: {name}\b"):
+        BUILDERS[cls]({name: value})

@@ -66,8 +66,10 @@ class TestCheckNumbers:
         assert out.dtype == np.int64 and out.tolist() == [4, 2, 0]
         with pytest.raises(ConfigError, match=r"x must be an integer, got 4\.9"):
             check_numbers(4.9, "x", (), whole=True)
-        with pytest.raises(ConfigError, match="x must be integers"):
-            check_numbers([1, 3.7], "x", whole=True)
+        # also beside an integer numpy keeps as an object
+        for value in [[1, 3.7], [1.5, 2**64], [True, 2**64]]:
+            with pytest.raises(ConfigError, match="^x must be integers$"):
+                check_numbers(value, "x", whole=True)
         # float64 would round 2**53 + 1 to 2**53; int64 holds it
         assert check_numbers([1, 2**53 + 1], "x", whole=True).tolist() == [1, 2**53 + 1]
         assert check_numbers(2.0**55, "x", (), whole=True) == 2**55
@@ -89,8 +91,14 @@ class TestCheckNumbers:
     @example(2**63)
     def test_every_integer_outside_int64_is_refused(self, n):
         for text in [f"{n}", f"[{n}]", f"[0, {n}]", f"[1.0, {n}]"]:
-            with pytest.raises(ConfigError, match="^x (must be|holds an integer outside int64)"):
+            with pytest.raises(ConfigError, match="^x holds an integer outside int64$"):
                 check_numbers(json.loads(text), "x", whole=True)
+
+    @pytest.mark.parametrize("value", [2**64, -2**63 - 1, [1.0, 10**400], [[1, 2**64], [3, 4]]],
+                             ids=["2**64", "-2**63-1", "huge_after_a_float", "in_a_row"])
+    def test_integer_numpy_keeps_as_an_object_is_outside_int64(self, value):
+        with pytest.raises(ConfigError, match="^x holds an integer outside int64$"):
+            check_numbers(value, "x", whole=True)
 
     @pytest.mark.parametrize("value", [
         np.array([2.0**63]), np.array([2**63], dtype=np.uint64), np.float64(-2.0**64), 2.0**63,
@@ -151,8 +159,8 @@ class TestRouteSimProbes:
         path = tmp_path / "records.json"
         path.write_text(json.dumps({"records": [{"z": [0.1] * 8, "level": 9223372036854775813}]}))
         err = _run(["route-sim", path, "--out", tmp_path / "out.csv"], capsys)
-        assert err == {"error": "ConfigError", "message": "records: 'stage' and every 'level' "
-                                                          "holds an integer outside int64"}
+        assert err == {"error": "ConfigError",
+                       "message": "record 0: 'level' holds an integer outside int64"}
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
