@@ -30,12 +30,7 @@ from . import curriculum as cur
 from . import router as rt
 from .config import AppConfig, config_from_dict, read_config
 from .errors import ConfigError, MotionForgeError, check_numbers, check_object
-from .features import (
-    canonicalize_heading,
-    decode_root_trajectory,
-    detect_contacts,
-    encode_features,
-)
+from .features import canonicalize_heading, decode_root_trajectory, encode_features
 from .generation import TagCatalog, asfo_multipliers, build_epoch_plan
 from .metrics import evaluate
 from .motion import default_skeleton
@@ -80,7 +75,7 @@ def _load_app_config(path) -> AppConfig:
 def cmd_encode(args, cfg) -> None:
     skel = default_skeleton()
     seq = canonicalize_heading(load_motion(args.motion, skel))
-    feats = encode_features(seq, skel, detect_contacts(seq, skel))
+    feats = encode_features(seq, skel)
     save_features(feats, seq.fps, args.out)
     log.info("encoded %d frames -> %s", feats.shape[0], args.out)
 
@@ -210,7 +205,7 @@ def _load_prefix_features(path, skel):
     data = read_json(path, "prefix", ConfigError)
     if isinstance(data, dict) and "joint_names" in data:
         seq = canonicalize_heading(parse_motion(data, path, skel))
-        return encode_features(seq, skel, detect_contacts(seq, skel)), seq.fps
+        return encode_features(seq, skel), seq.fps
     return parse_features(data, path)
 
 
@@ -281,6 +276,8 @@ def cli_dispatch(argv) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed >= 2**63:   # the config rule's bound on every seed field
+            raise ConfigError("--seed holds an integer outside int64")
         # an input that drives the arithmetic past the float range fails
         # here, not as a warning beside an infinite or NaN result
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -80,13 +80,12 @@ def _holds_bool(value, depth: int) -> bool:
     return not _BOOLS.isdisjoint(map(type, value))
 
 
-def _beyond_int64(array) -> bool:
-    """Whether an object array holds only whole numbers, one of them an int
-    outside int64: numpy keeps such an int (2**64, or a huge one listed
-    with floats) as a Python object."""
-    items = array.ravel().tolist()
-    return (all(type(x) is int or type(x) is float and x.is_integer() for x in items)
-            and any(type(x) is int and not -2**63 <= x < 2**63 for x in items))
+def _python_reals(array) -> list:
+    """The items of an object array if each is a Python int or float, else
+    []: numpy keeps an int outside 64 bits (2**64, or a huge one listed with
+    floats) as a Python object."""
+    items = array.ravel().tolist() if array is not None and array.dtype == object else []
+    return items if all(type(x) is int or type(x) is float for x in items) else []
 
 
 def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> np.ndarray:
@@ -111,7 +110,14 @@ def check_numbers(value, where, shape=None, whole=False, error=ConfigError) -> n
         raise error(rule if scalar else f"{where} must have shape {shown}")
     if (array is None or array.dtype.kind not in "iuf"
             or (array.ndim and _holds_bool(value, array.ndim))):
-        if whole and array is not None and array.dtype == object and _beyond_int64(array):
+        reals = _python_reals(array)
+        if reals and not whole:
+            try:
+                return check_finite(np.array(reals, dtype=np.float64).reshape(array.shape), where)
+            except OverflowError:   # an int past float64's range, as 1e400 reads as inf
+                raise NonFiniteError(f"{where} holds NaN or infinite values") from None
+        if reals and all(type(x) is int or x.is_integer() for x in reals) and any(
+                type(x) is int and not -2**63 <= x < 2**63 for x in reals):
             raise error(f"{where} holds an integer outside int64")
         raise error(rule)
     if not whole:
@@ -138,15 +144,22 @@ def _number_fields(cls) -> tuple[tuple[str, type], ...]:
 
 def check_fields(obj, positive=(), at_most_one=(), signed=(), where=None) -> None:
     """Raise ConfigError unless every `int` field of the dataclass `obj` holds
-    a whole number and every `float` field a real one (never a bool), finite,
-    >= 0 unless named in `signed`, > 0 if in `positive`, <= 1 if in `at_most_one`."""
+    a whole number in int64 and every `float` field a real one finite in
+    float64 (never a bool), >= 0 unless named in `signed`, > 0 if in
+    `positive`, <= 1 if in `at_most_one`."""
     where = where or type(obj).__name__
     for name, kind in _number_fields(type(obj)):
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, kind):
             noun = "whole" if kind is numbers.Integral else "real"
             raise ConfigError(f"{where}: {name} must be a {noun} number, got {value!r}")
-        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        if kind is numbers.Integral and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{where}: {name} holds an integer outside int64")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an int past float64's range
+            raise ConfigError(f"{where}: {name} lies outside float64's range") from None
+        if not finite:
             raise ConfigError(f"{where}: {name}={value!r} is not a finite number")
         if name in positive and value <= 0:
             raise ConfigError(f"{where}: {name} must be > 0, got {value!r}")

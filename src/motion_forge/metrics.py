@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, check_fields
+from .features import detect_contacts
 from .motion import MotionSequence, Skeleton
 from .rotations import wrap_angle
 
@@ -244,8 +245,6 @@ def evaluate(
     A clip that fails as non_finite is not measured: its six metric values
     are None, since NaN frames would make them NaN or skew them unseen.
     """
-    from .features import detect_contacts
-
     ok, reason = success(ref, sim, skel, success_cfg)
     if reason == FAILURE_NON_FINITE:
         return MetricReport(None, None, None, None, None, None, success=ok, failure_reason=reason)

@@ -78,28 +78,13 @@ class MirrorMap:
     joint_sign: np.ndarray
     body_perm: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "joint_perm", np.asarray(self.joint_perm, dtype=np.intp))
-        object.__setattr__(self, "joint_sign", np.asarray(self.joint_sign, dtype=np.float64))
-        object.__setattr__(self, "body_perm", np.asarray(self.body_perm, dtype=np.intp))
-        for perm, n, name in (
-            (self.joint_perm, NUM_JOINTS, "joint_perm"),
-            (self.body_perm, NUM_BODIES, "body_perm"),
-        ):
-            if perm.shape != (n,):
-                raise ConfigError(f"{name} must have shape ({n},), got {perm.shape}")
-            if not np.array_equal(perm[perm], np.arange(n)):
-                raise ConfigError(f"{name} is not an involution")
-        if self.joint_sign.shape != (NUM_JOINTS,):
-            raise ConfigError("joint_sign must have one entry per joint")
-        if not np.all(np.abs(self.joint_sign) == 1.0):
-            raise ConfigError("joint_sign entries must be +1 or -1")
-        if not np.array_equal(self.joint_sign[self.joint_perm], self.joint_sign):
-            raise ConfigError("joint_sign must match across mirrored pairs")
-
 
 def _mirror_perm(names: tuple[str, ...]) -> np.ndarray:
+    """The involution that swaps each left_/right_ name with its partner."""
     index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        duplicate = next(name for i, name in enumerate(names) if index[name] != i)
+        raise ConfigError(f"duplicate name '{duplicate}'")
     perm = np.arange(len(names), dtype=np.intp)
     for i, name in enumerate(names):
         if name.startswith("left_"):
@@ -116,17 +101,20 @@ def _mirror_perm(names: tuple[str, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Static robot description: orderings, feature index sets, limits."""
+    """Static robot description.  Its inputs are the joint and body orderings,
+    the 12 informative bodies, the feet, the hands and the joint limits; the
+    262-D layout's velocity and 6D body sets, the mirror map and the reward
+    key bodies derive from them."""
 
     joint_names: tuple[str, ...]
     body_names: tuple[str, ...]
     ric_body_indices: tuple[int, ...]
-    vel_body_indices: tuple[int, ...]
-    rot6d_body_indices: tuple[int, ...]
     foot_body_indices: tuple[int, ...]
     hand_body_indices: tuple[int, ...]
     joint_limits: np.ndarray
-    mirror_map: MirrorMap
+    vel_body_indices: tuple[int, ...] = dataclasses.field(init=False, compare=False)
+    rot6d_body_indices: tuple[int, ...] = dataclasses.field(init=False, compare=False)
+    mirror_map: MirrorMap = dataclasses.field(init=False, compare=False)
     # the reward terms' stock tracked bodies: root, trunk ("torso_link") and
     # the 12 informative bodies, as a read-only index array
     key_body_indices: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
@@ -138,10 +126,6 @@ class Skeleton:
             raise ConfigError(f"expected {NUM_BODIES} bodies, got {len(self.body_names)}")
         if len(self.ric_body_indices) != 12:
             raise ConfigError("ric_body_indices must list 12 bodies")
-        if len(self.vel_body_indices) != 13:
-            raise ConfigError("vel_body_indices must list 13 bodies")
-        if len(self.rot6d_body_indices) != 29:
-            raise ConfigError("rot6d_body_indices must list 29 bodies")
         if not all(1 <= i < NUM_BODIES for i in self.ric_body_indices):
             raise ConfigError("ric_body_indices must lie in [1, 30)")
         for name, idx in (("foot_body_indices", 4), ("hand_body_indices", 2)):
@@ -153,6 +137,12 @@ class Skeleton:
             raise ConfigError(f"joint_limits must have shape ({NUM_JOINTS}, 2)")
         if not np.all(limits[:, 0] < limits[:, 1]):
             raise ConfigError("every joint limit must satisfy min < max")
+        object.__setattr__(self, "vel_body_indices", (*self.ric_body_indices, 0))
+        object.__setattr__(self, "rot6d_body_indices", tuple(range(1, NUM_BODIES)))
+        joint_sign = np.array([-1.0 if "roll" in n or "yaw" in n else 1.0
+                               for n in self.joint_names])
+        object.__setattr__(self, "mirror_map", MirrorMap(
+            _mirror_perm(self.joint_names), joint_sign, _mirror_perm(self.body_names)))
         key_bodies = np.array([0, self.body_index("torso_link"), *self.ric_body_indices])
         key_bodies.flags.writeable = False
         object.__setattr__(self, "key_body_indices", key_bodies)
@@ -213,26 +203,13 @@ def default_skeleton() -> Skeleton:
     limits = np.array(
         [_DEFAULT_JOINT_LIMITS[n.replace("left_", "").replace("right_", "")] for n in joint_names]
     )
-    joint_sign = np.array(
-        [-1.0 if ("roll" in n or "yaw" in n) else 1.0 for n in joint_names]
-    )
-    names_j = tuple(joint_names)
-    names_b = tuple(body_names)
-    mirror = MirrorMap(
-        joint_perm=_mirror_perm(names_j),
-        joint_sign=joint_sign,
-        body_perm=_mirror_perm(names_b),
-    )
     return Skeleton(
-        joint_names=names_j,
-        body_names=names_b,
+        joint_names=tuple(joint_names),
+        body_names=tuple(body_names),
         ric_body_indices=(7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 29),
-        vel_body_indices=(7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 29, 0),
-        rot6d_body_indices=tuple(range(1, NUM_BODIES)),
         foot_body_indices=(18, 19, 24, 25),
         hand_body_indices=(28, 29),
         joint_limits=limits,
-        mirror_map=mirror,
     )
 
 

@@ -303,7 +303,6 @@ def run_prefix_loop(
     for _segment in range(cfg.num_segments):
         seg_trace = SegmentTrace()
         trace.segments.append(seg_trace)
-        accepted = False
         prefix = features[:rows]
         prefix.flags.writeable = False
         for _attempt in range(cfg.max_resamples):
@@ -329,9 +328,8 @@ def run_prefix_loop(
                 features[rows:end] = candidate
                 rows = end
                 start = _end_state(segment, cfg.fps, start)
-                accepted = True
                 break
-        if not accepted:
+        if not seg_trace.accepted:
             trace.termination = TERMINATION_EXHAUSTED
             break
 

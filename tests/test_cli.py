@@ -679,7 +679,8 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert cli_dispatch(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
+# every subcommand, with input files it never reaches
+SEED_ARGV = [
     ["encode", "clip.json", "--out", "feats.json"],
     ["decode", "feats.json"],
     ["metrics", "ref.json", "sim.json"],
@@ -688,10 +689,45 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     ["route-sim", "records.json"],
     ["asfo-plan", "samples.json"],
     ["prefix-run", "prefix.json", "target.json", "--out", "out.json"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", SEED_ARGV, ids=lambda argv: argv[0])
 def test_negative_seed_is_a_config_error(capsys, argv):
     err = one_error_line(*run(argv + ["--seed", -1], capsys))
     assert "--seed must be >= 0" in err["message"]
+
+
+@pytest.mark.parametrize("argv", SEED_ARGV, ids=lambda argv: argv[0])
+def test_seed_outside_int64_is_a_config_error(capsys, argv):
+    # every subcommand takes the bound that the config rule puts on seed fields
+    err = one_error_line(*run(argv + ["--seed", 2**63], capsys))
+    assert err["message"] == "--seed holds an integer outside int64"
+    assert run(argv + ["--seed", 2**63 - 1]) == 1   # past the seed check: a missing file
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("curriculum-sim", {"curriculum": {"temperature": 10**400}},
+     "SamplerConfig: temperature lies outside float64's range"),
+    ("curriculum-sim", {"curriculum": {"n_min": 1, "check_interval": 1, "freeze_duration": 10**30}},
+     "SamplerConfig: freeze_duration holds an integer outside int64"),
+    ("reward-eval", {"rewards": {"anchor_pos": [1, 10**400]}},
+     "RewardTerm: sigma lies outside float64's range"),
+    ("metrics", {"ground": {"ground_z": 10**400}},
+     "GroundModel: ground_z lies outside float64's range"),
+], ids=["temperature", "freeze_duration", "anchor_pos", "ground_z"])
+def test_config_number_past_the_library_range_is_one_config_error(
+        tmp_path, walk_file, capsys, command, config, message):
+    if command == "curriculum-sim":   # a corpus that freezes, so freeze_duration is used
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"files": [
+            {"id": "a", "level": 1, "start_error": 0.5, "error_floor": 0.5}]}))
+        argv = [command, "--corpus", corpus]
+        config = {**config, "sim": {"total_iters": 20}}
+    else:
+        argv = [command, walk_file, walk_file]
+    err = one_error_line(*run(argv + ["--config", write_config(tmp_path, config)], capsys))
+    assert err["message"] == message
 
 
 # subcommand -> arguments before --config; the config is read before any input

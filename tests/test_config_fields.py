@@ -3,7 +3,8 @@
 Every `int` or `float` field of every config section, of a corpus file
 (`SyntheticFile`), of the library-only configs and of the parameter classes
 (`TPMoEParams`, `AttentionPoolParams`, `TagCatalog`, `ExpertPool`) must refuse a bool, a
-string, NaN, inf, a fraction in an `int` field, a negative number unless the
+string, NaN, inf, a fraction in an `int` field, an integer past int64 in an
+`int` field or past float64 in a `float` field, a negative number unless the
 field is signed, zero where it must be positive and 2.0 where it must be at
 most 1, each with a ConfigError naming the field and never another
 exception.  The signed/positive/at-most-one tables are read from the call
@@ -28,7 +29,7 @@ from motion_forge.generation import (
     init_attention_pool,
     init_tpmoe,
 )
-from motion_forge.rewards import ObservationNoiseConfig, RewardTerm
+from motion_forge.rewards import ObservationNoiseConfig, RewardConfig, RewardTerm
 from motion_forge.router import AddExpertConfig, ExpertPool, make_random_pool
 
 RULES = ("positive", "at_most_one", "signed")
@@ -94,6 +95,31 @@ def bad_values(cls):
 @pytest.mark.parametrize("cls, name, value", [p for cls in BUILDERS for p in bad_values(cls)])
 def test_bad_number_is_a_config_error_naming_the_field(cls, name, value):
     with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        BUILDERS[cls]({name: value})
+
+
+# fields that a narrower rule bounds before the field rule does
+BODY_INDEX_FIELDS = {(RewardConfig, "anchor_body")}
+
+
+def out_of_range_values(cls):
+    """An `int` field gets 2**63, past int64; a `float` field a 401-digit
+    integer, past float64 (Python's json reads 1e400 as inf, but this as an int)."""
+    for name, kind in number_fields(cls).items():
+        if (cls, name) in BODY_INDEX_FIELDS:
+            continue
+        if kind == "int":
+            yield pytest.param(cls, name, 2**63, "holds an integer outside int64",
+                               id=f"{cls.__name__}.{name}=2**63")
+        else:
+            yield pytest.param(cls, name, 10**400, "lies outside float64's range",
+                               id=f"{cls.__name__}.{name}=10**400")
+
+
+@pytest.mark.parametrize("cls, name, value, message",
+                         [p for cls in BUILDERS for p in out_of_range_values(cls)])
+def test_number_the_library_cannot_compute_in_is_a_config_error(cls, name, value, message):
+    with pytest.raises(ConfigError, match=rf"\b{name} {message}$"):
         BUILDERS[cls]({name: value})
 
 

@@ -13,7 +13,6 @@ from motion_forge.motion import (
     MIRROR_ROT,
     MIRROR_VECTOR,
     Frame,
-    MirrorMap,
     MotionSequence,
     Skeleton,
     default_skeleton,
@@ -52,11 +51,41 @@ def test_mirror_map_is_involution(skel):
     assert mm.joint_perm[left_elbow] == right_elbow
 
 
-def test_mirror_map_rejects_bad_perm():
-    perm = np.arange(29)
-    perm[0], perm[1], perm[2] = 1, 2, 0  # 3-cycle, not an involution
-    with pytest.raises(ConfigError):
-        MirrorMap(joint_perm=perm, joint_sign=np.ones(29), body_perm=np.arange(30))
+# the default skeleton's mirror map, as its names derive it
+_JOINT_PERM = [0, 1, 2, 10, 11, 12, 13, 14, 15, 16, 3, 4, 5, 6, 7, 8, 9,
+               23, 24, 25, 26, 27, 28, 17, 18, 19, 20, 21, 22]
+_BODY_PERM = [0, 1, 2, 3, 9, 10, 11, 12, 13, 4, 5, 6, 7, 8, 20, 21, 22, 23, 24, 25,
+              14, 15, 16, 17, 18, 19, 27, 26, 29, 28]
+_JOINT_SIGN = [-1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1,
+               1, -1, -1, 1, 1, -1, 1, -1, -1, 1, 1, -1]
+
+
+def test_default_skeleton_derived_values(skel):
+    mm = skel.mirror_map
+    assert mm.joint_perm.dtype == np.intp and mm.joint_perm.tolist() == _JOINT_PERM
+    assert mm.body_perm.dtype == np.intp and mm.body_perm.tolist() == _BODY_PERM
+    assert mm.joint_sign.dtype == np.float64 and mm.joint_sign.tolist() == _JOINT_SIGN
+    assert skel.vel_body_indices == (*skel.ric_body_indices, 0)
+    assert skel.rot6d_body_indices == tuple(range(1, 30))
+
+
+def _skeleton(skel, **changes):
+    """`skel`'s inputs with `changes`, as a new Skeleton."""
+    inputs = {f.name: getattr(skel, f.name) for f in dataclasses.fields(Skeleton) if f.init}
+    return Skeleton(**{**inputs, **changes})
+
+
+def test_skeleton_rejects_missing_mirror_partner(skel):
+    body_names = tuple("right_hand_link" if n == "right_palm_link" else n
+                       for n in skel.body_names)
+    with pytest.raises(ConfigError, match="missing mirror partner for 'left_palm_link'"):
+        _skeleton(skel, body_names=body_names)
+
+
+def test_skeleton_rejects_duplicate_joint_name(skel):
+    joint_names = ("waist_yaw", "waist_yaw", *skel.joint_names[2:])
+    with pytest.raises(ConfigError, match="^duplicate name 'waist_yaw'$"):
+        _skeleton(skel, joint_names=joint_names)
 
 
 def test_skeleton_rejects_bad_limits(skel):
@@ -67,12 +96,9 @@ def test_skeleton_rejects_bad_limits(skel):
             joint_names=skel.joint_names,
             body_names=skel.body_names,
             ric_body_indices=skel.ric_body_indices,
-            vel_body_indices=skel.vel_body_indices,
-            rot6d_body_indices=skel.rot6d_body_indices,
             foot_body_indices=skel.foot_body_indices,
             hand_body_indices=skel.hand_body_indices,
             joint_limits=limits,
-            mirror_map=skel.mirror_map,
         )
 
 

@@ -108,6 +108,22 @@ class TestCheckNumbers:
         with pytest.raises(ConfigError, match="x holds an integer outside int64"):
             check_numbers(value, "x", whole=True)
 
+    @pytest.mark.parametrize("value", [2**64, -2**64, [1.0, 2**64], [[1, 2**64], [3.5, 4]]],
+                             ids=["2**64", "-2**64", "after_a_float", "in_a_row"])
+    def test_integer_numpy_keeps_as_an_object_is_a_real(self, value):
+        out = check_numbers(value, "x")
+        assert out.dtype == np.float64 and out.tolist() == np.array(value, dtype=float).tolist()
+        # a bool beside it is still no number
+        with pytest.raises(ConfigError, match="^x must hold only numbers$"):
+            check_numbers([True, value], "x")
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, [1.0, 10**400]],
+                             ids=["10**400", "-10**400", "after_a_float"])
+    def test_integer_past_float64_is_non_finite_like_1e400(self, value):
+        # json reads the literal 1e400 as inf, which is a NonFiniteError
+        with pytest.raises(NonFiniteError, match="^x holds NaN or infinite values$"):
+            check_numbers(value, "x")
+
     @pytest.mark.parametrize("bad, word", [(np.nan, "NaN"), (np.inf, "infinity")])
     def test_non_finite_values(self, bad, word):
         with pytest.raises(NonFiniteError, match="x holds NaN or infinite values"):
