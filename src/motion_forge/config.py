@@ -15,17 +15,29 @@ from .errors import ConfigError, check_fields, check_object
 from .metrics import GroundModel, SuccessConfig
 from .motion_io import read_json
 from .prefix_loop import PrefixLoopConfig
-from .rewards import TASK_TERMS, RewardConfig, RewardTerm
+from .rewards import RewardConfig, RewardTerm
 from .router import RouterConfig
 
 
-def _build(cls, data, where: str, converters: dict | None = None):
-    kwargs = dict(check_object(data, where, {f.name for f in fields(cls)}))
+def _from_json(annotation: str, value):
+    """`value` in the JSON form of its field's (string) annotation: a RewardTerm
+    is a [weight, sigma] pair, a tuple a list, and null passes only `| None`."""
+    if value is None and annotation.endswith("| None"):
+        return None
+    if annotation == "RewardTerm":
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return RewardTerm(*value)
+        raise ConfigError("reward terms must be [weight, sigma] pairs")
+    if annotation.startswith("tuple["):
+        return tuple(value)
+    return value
+
+
+def _build(cls, data, where: str):
+    check_object(data, where, {f.name for f in fields(cls)})
     try:
-        for key, conv in (converters or {}).items():
-            if key in kwargs:
-                kwargs[key] = conv(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{f.name: _from_json(f.type, data[f.name])
+                      for f in fields(cls) if f.name in data})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -71,42 +83,12 @@ class AppConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
 
-def _reward_term(value) -> RewardTerm:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return RewardTerm(*value)
-    raise ConfigError("reward terms must be [weight, sigma] pairs")
-
-
-def _optional_tuple(value) -> tuple | None:
-    return tuple(value) if value is not None else None
-
-
-# AppConfig field -> (config class, converters for the section's raw values)
-_SECTIONS = {
-    "ground": (GroundModel, {}),
-    "success": (SuccessConfig, {"ee_bodies": _optional_tuple}),
-    "rewards": (RewardConfig, {
-        **dict.fromkeys(TASK_TERMS, _reward_term),
-        "excluded_contact_bodies": tuple,
-        "tracked_bodies": _optional_tuple,
-    }),
-    "curriculum": (SamplerConfig, {}),
-    "sim": (SimConfig, {}),
-    "router": (RouterConfig, {}),
-    "asfo": (AsfoConfig, {}),
-    "prefix_loop": (PrefixLoopConfig, {"tracked_bodies": _optional_tuple}),
-    "tracker": (TrackerConfig, {}),
-    "generator": (GeneratorConfig, {}),
-}
-
-
 def config_from_dict(data) -> AppConfig:
-    check_object(data, "config", _SECTIONS)
-    return AppConfig(**{
-        name: _build(cls, data[name], name, converters)
-        for name, (cls, converters) in _SECTIONS.items()
-        if name in data
-    })
+    """One section per AppConfig field, read into its default factory's class."""
+    sections = {f.name: f.default_factory for f in fields(AppConfig)}
+    check_object(data, "config", sections)
+    return AppConfig(**{name: _build(cls, data[name], name)
+                        for name, cls in sections.items() if name in data})
 
 
 def read_config(path):

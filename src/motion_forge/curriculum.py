@@ -293,7 +293,8 @@ def check_freeze(state: CorpusState, cfg: SamplerConfig, iteration: int) -> tupl
     code[hit] = np.where(drop, STATE_DROPPED, STATE_FROZEN)
     frozen = hit[~drop]
     state.freeze_count[frozen] += 1
-    state.frozen_until[frozen] = iteration + cfg.freeze_duration
+    # a freeze that would outlast int64 lasts for the rest of the run
+    state.frozen_until[frozen] = min(iteration + cfg.freeze_duration, 2**63 - 1)
     return hit, code[hit]
 
 
@@ -423,6 +424,9 @@ class SimConfig:
     def __post_init__(self):
         check_fields(self, positive=("total_iters", "rollouts_per_iter", "eval_interval",
                                      "trace_interval"))
+        # bounds every file's int64 `attempts` column over the run
+        if self.total_iters * self.rollouts_per_iter >= 2**63:
+            raise ConfigError("SimConfig: total_iters * rollouts_per_iter must be below 2**63")
 
 
 @dataclass
@@ -534,8 +538,8 @@ class ReplaySet:
 
 def run_curriculum_sim(
     files: Sequence[SyntheticFile],
-    cfg: SamplerConfig | None = None,
-    sim: SimConfig | None = None,
+    cfg: SamplerConfig = SamplerConfig(),
+    sim: SimConfig = SimConfig(),
     error_process: ErrorProcess = default_error_process,
 ) -> CurriculumTrace:
     """Drive the scheduler end to end on synthetic files, deterministically.
@@ -545,8 +549,6 @@ def run_curriculum_sim(
     `error_process` is called once per sampled file, in sampling order,
     and must account for every rollout: successes + failures == rollouts.
     """
-    cfg = cfg or SamplerConfig()
-    sim = sim or SimConfig()
     rng = np.random.default_rng(sim.seed)
     state = CorpusState([f.file_id for f in files], [f.level for f in files])
     # seed-shuffled introduction order of each trainable level's rows

@@ -34,8 +34,6 @@ from .motion import (
     MIRROR_6D,
     MIRROR_PSEUDO,
     MIRROR_VECTOR,
-    NUM_BODIES,
-    NUM_JOINTS,
     MotionSequence,
     Skeleton,
 )
@@ -130,8 +128,6 @@ def encode_features(
     contacts: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Encode a (canonicalized) sequence as a (T, 262) feature array."""
-    if seq.body_pos.shape[1] != NUM_BODIES or seq.joint_pos.shape[1] != NUM_JOINTS:
-        raise DimensionMismatchError("sequence does not match the 29-joint/30-body layout")
     t = seq.num_frames
     yaw = yaw_from_quat(seq.root_quat)
     heading_inv = rot_z(-yaw)                       # (T, 3, 3)

@@ -192,7 +192,7 @@ def success(
     ref: MotionSequence,
     sim: MotionSequence,
     skel: Skeleton,
-    cfg: SuccessConfig | None = None,
+    cfg: SuccessConfig = SuccessConfig(),
 ) -> tuple[bool, str]:
     """Episode success: no frame crosses a terminal-failure threshold.
 
@@ -202,7 +202,6 @@ def success(
     non_finite before any threshold is looked at (NaN compares False, so it
     would otherwise pass every threshold).
     """
-    cfg = cfg or SuccessConfig()
     _check_aligned(ref.body_pos, sim.body_pos)
     if not all(np.all(np.isfinite(a)) for a in (sim.root_pos, sim.body_rot, sim.body_pos)):
         return False, FAILURE_NON_FINITE
@@ -236,9 +235,8 @@ def evaluate(
     ref: MotionSequence,
     sim: MotionSequence,
     skel: Skeleton,
-    ground: GroundModel | None = None,
-    success_cfg: SuccessConfig | None = None,
-    foot_contacts: np.ndarray | None = None,
+    ground: GroundModel = GroundModel(),
+    success_cfg: SuccessConfig = SuccessConfig(),
 ) -> MetricReport:
     """Full metric report: plausibility of `sim`, tracking of `sim` vs `ref`.
 
@@ -248,9 +246,7 @@ def evaluate(
     ok, reason = success(ref, sim, skel, success_cfg)
     if reason == FAILURE_NON_FINITE:
         return MetricReport(None, None, None, None, None, None, success=ok, failure_reason=reason)
-    ground = ground or GroundModel()
-    if foot_contacts is None:
-        foot_contacts, _ = detect_contacts(sim, skel)
+    foot_contacts, _ = detect_contacts(sim, skel)
     return MetricReport(
         penetration_mm=penetration(sim, ground),
         floating_mm=floating(sim, ground, foot_contacts, skel),

@@ -25,6 +25,7 @@ Non-finite generator frames or tracked positions raise NonFiniteError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,6 +37,7 @@ from .features import (
     FOOT_CONTACT,
     HAND_CONTACT,
     RIC_POS,
+    ROOT_ANG_VEL,
     ROT6D,
     RootState,
     decode_root_trajectory,
@@ -88,7 +90,7 @@ def features_to_motion(
     body_rot[:, list(skel.rot6d_body_indices)] = rots
 
     body_ang_vel = np.zeros((t, NUM_BODIES, 3))
-    body_ang_vel[:, 0] = np.einsum("tij,tj->ti", heading, frames[:, 0:3])
+    body_ang_vel[:, 0] = np.einsum("tij,tj->ti", heading, frames[:, ROOT_ANG_VEL])
 
     return _motion(
         fps,
@@ -162,6 +164,10 @@ class PrefixLoopConfig:
             check_body_indices("tracked_bodies", self.tracked_bodies)
         check_fields(self, positive=("fps", "mpjpe_tolerance", "max_resamples",
                                      "segment_seconds", "horizon_seconds"))
+        segment = float(self.segment_seconds)   # int * int could pass float64's range
+        if not (math.isfinite(self.fps * segment) and math.isfinite(self.horizon_seconds / segment)):
+            raise ConfigError("PrefixLoopConfig: fps * segment_seconds and "
+                              "horizon_seconds / segment_seconds must be finite")
         if self.segment_frames < 1 or self.num_segments < 1:
             raise ConfigError("PrefixLoopConfig: the horizon needs a segment of at least one frame")
 

@@ -147,7 +147,7 @@ def exp_kernel_reward(error_sq, sigma):
 def task_rewards(
     ref: Frame | MotionSequence,
     sim: Frame | MotionSequence,
-    cfg: RewardConfig | None = None,
+    cfg: RewardConfig = RewardConfig(),
     skel: Skeleton | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per-term task rewards of an aligned ref/sim pair, plus weighted sum.
@@ -158,7 +158,6 @@ def task_rewards(
     squared errors over the tracked body set before the kernel.  The six
     squared errors go through `exp_kernel_reward` as one stack.
     """
-    cfg = cfg or RewardConfig()
     for name in ("root_quat", "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
         if getattr(ref, name).shape != getattr(sim, name).shape:
             raise DimensionMismatchError(f"{name}: reference shape {getattr(ref, name).shape}"
@@ -207,11 +206,10 @@ def regularization_rewards(
     joint_pos: np.ndarray,
     contact_forces: np.ndarray,
     skel: Skeleton,
-    cfg: RewardConfig | None = None,
+    cfg: RewardConfig = RewardConfig(),
 ) -> dict[str, np.ndarray]:
     """Smoothness/safety penalties; all values are <= 0.  Broadcasts over
     leading axes like `task_rewards`."""
-    cfg = cfg or RewardConfig()
     actions = np.asarray(actions, dtype=np.float64)
     prev_actions = np.asarray(prev_actions, dtype=np.float64)
     if actions.shape[-1:] != (NUM_JOINTS,) or prev_actions.shape != actions.shape:

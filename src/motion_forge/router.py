@@ -123,7 +123,7 @@ def make_router(
     rng: np.random.Generator,
     capacity: int,
     latent_dim: int = LATENT_DIM,
-    config: RouterConfig | None = None,
+    config: RouterConfig = RouterConfig(),
     zero_gate: bool = False,
 ) -> RouterState:
     shape = (capacity, latent_dim)
@@ -131,7 +131,7 @@ def make_router(
         w = np.zeros(shape) if zero_gate else rng.normal(0.0, 0.1, shape)
     except (ValueError, MemoryError) as exc:   # numpy refuses the shape before it draws
         raise ConfigError(f"capacity {capacity}: a {shape} gate cannot be allocated") from exc
-    return RouterState(gate_w=w, gate_b=np.zeros(capacity), config=config or RouterConfig())
+    return RouterState(gate_w=w, gate_b=np.zeros(capacity), config=config)
 
 
 def make_random_pool(

@@ -752,12 +752,15 @@ BAD_CONFIGS = [
     ("curriculum-sim", {"sim": {"total_iters": 2.5}}, "total_iters must be a whole number"),
     ("curriculum-sim", {"curriculum": {"intro_base_iters": 0}}, "intro_base_iters must be > 0"),
     ("curriculum-sim", {"curriculum": {"success_eps": 0}}, "success_eps must be > 0"),
+    ("curriculum-sim", {"sim": {"total_iters": 6, "rollouts_per_iter": 2**62}},
+     r"total_iters \* rollouts_per_iter must be below 2\*\*63"),
     ("route-sim", {"router": {"ce_weight": 0.05}}, r"unknown keys \['ce_weight'\]"),
     ("route-sim", {"router": {"refresh_period": 0}}, "refresh_period must be > 0"),
     ("asfo-plan", {"asfo": {"rho_max": "x"}}, "rho_max must be a whole number"),
     ("prefix-run", {"prefix_loop": {"max_resamples": 1.5}}, "max_resamples must be a whole number"),
     ("prefix-run", {"prefix_loop": {"segment_seconds": 0.001}}, "segment of at least one frame"),
     ("prefix-run", {"prefix_loop": {"horizon_seconds": 0.4}}, "segment of at least one frame"),
+    ("prefix-run", {"prefix_loop": {"segment_seconds": 1e307}}, "PrefixLoopConfig: .* must be finite"),
     ("prefix-run", {"tracker": {"noise_scale": -1}}, "noise_scale must be >= 0"),
     # --seed seeds the tracker, and the tracker has no kind
     ("prefix-run", {"tracker": {"kind": "failure"}}, r"tracker: unknown keys \['kind'\]"),

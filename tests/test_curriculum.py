@@ -327,6 +327,17 @@ class TestFreezeAndDrop:
         assert st.freeze_count.tolist() == [2, 0, 1, 0]
         assert st.frozen_until.tolist() == [0, 0, 4500, 0]
 
+    def test_freeze_past_int64_lasts_for_the_rest_of_the_run(self):
+        # freeze_duration lies in int64 but its end does not: the end saturates
+        cfg = SamplerConfig(n_min=1, check_interval=1, freeze_duration=2**63 - 1)
+        st = state(ema_error=0.5, attempts=25000)
+        _, codes = check_freeze(st, cfg, 500)
+        assert codes.tolist() == [STATE_FROZEN]
+        assert st.frozen_until[0] == 2**63 - 1
+        files = [SyntheticFile("a", 1, start_error=0.5, error_floor=0.5)]
+        trace = run_curriculum_sim(files, cfg, SimConfig(total_iters=20))
+        assert [(e.iteration, e.kind) for e in trace.events] == [(1, "freeze")]
+
 
 class TestIntroductionRatio:
     def test_three_point_check(self):
@@ -486,6 +497,12 @@ class TestSimulation:
             SimConfig(**{name: 0})
         with pytest.raises(ConfigError, match=name):
             SimConfig(**{name: -3})
+
+    def test_sim_config_bounds_the_attempts_column(self):
+        # every file's attempts stay inside int64 over the whole run
+        SimConfig(total_iters=1, rollouts_per_iter=2**63 - 1)
+        with pytest.raises(ConfigError, match=r"total_iters \* rollouts_per_iter must be below 2\*\*63"):
+            SimConfig(total_iters=6, rollouts_per_iter=2**62)
 
     def test_golden_trace_sha256(self):
         # 200 files over 10 levels with desk-scaled thresholds, so freezes,

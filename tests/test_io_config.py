@@ -23,6 +23,7 @@ from motion_forge.motion_io import (
     save_motion,
     save_norm_stats,
 )
+from motion_forge.rewards import RewardTerm
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +309,52 @@ class TestFeatureAndStatsFiles:
         assert np.array_equal(back.mask, stats.mask)
 
 
+def _non_default(annotation: str, default):
+    """(JSON value, the value it loads as) of a legal non-default value for a
+    config field annotated `annotation` whose default is `default`."""
+    if annotation == "RewardTerm":
+        pair = [default.weight / 2, default.sigma / 2]
+        return pair, RewardTerm(*pair)
+    if annotation.startswith("tuple[str, ...]"):
+        return ["left_ankle_roll_link"], ("left_ankle_roll_link",)
+    if annotation.startswith("tuple[int, ...]"):
+        return [0, 1], (0, 1)
+    if annotation == "str":
+        return "pelvis", "pelvis"
+    if annotation == "int":
+        return default + 1, default + 1
+    if annotation == "float":   # halving keeps every sign, > 0 and <= 1 rule
+        value = default / 2 if default else 0.5
+        return value, value
+    raise AssertionError(f"no JSON form for a field annotated {annotation!r}")
+
+
+CONFIG_FIELDS = [(section, f) for section in dataclasses.fields(AppConfig)
+                 for f in dataclasses.fields(section.default_factory)]
+
+
 class TestConfig:
+    @pytest.mark.parametrize("section, field", CONFIG_FIELDS,
+                             ids=[f"{s.name}.{f.name}" for s, f in CONFIG_FIELDS])
+    def test_every_field_reads_back(self, section, field):
+        # each AppConfig field is a section; each field of its class is a key
+        default = section.default_factory()
+        text, value = _non_default(field.type, getattr(default, field.name))
+        assert value != getattr(default, field.name)
+        cfg = config_from_dict(json.loads(json.dumps({section.name: {field.name: text}})))
+        assert getattr(cfg, section.name) == dataclasses.replace(default, **{field.name: value})
+
+    @pytest.mark.parametrize("section, field", [(s, f) for s, f in CONFIG_FIELDS
+                                                if f.type.startswith("tuple[")],
+                             ids=lambda f: f.name)
+    def test_null_loads_only_for_optional_body_lists(self, section, field):
+        document = {section.name: {field.name: None}}
+        if field.type.endswith("| None"):
+            assert getattr(getattr(config_from_dict(document), section.name), field.name) is None
+        else:
+            with pytest.raises(ConfigError, match="'NoneType' object is not iterable"):
+                config_from_dict(document)
+
     def test_default_round_trip(self):
         cfg = config_from_dict({})
         assert isinstance(cfg, AppConfig)

@@ -300,6 +300,15 @@ class TestRunPrefixLoop:
         with pytest.raises(ConfigError, match="tracked_bodies: expected body indices"):
             self.cfg(tracked_bodies=bodies)
 
+    @pytest.mark.parametrize("kw", [
+        dict(fps=1e308, segment_seconds=10.0),                            # frames per segment
+        dict(fps=1e300, segment_seconds=1e-10, horizon_seconds=1e300),    # segments
+        dict(fps=10**300, segment_seconds=10**300),                       # an int product
+    ], ids=["segment_frames", "num_segments", "int_product"])
+    def test_frame_counts_past_float64_are_a_config_error(self, kw):
+        with pytest.raises(ConfigError, match="PrefixLoopConfig: .* must be finite"):
+            PrefixLoopConfig(**kw)
+
     def test_unallocatable_horizon_is_a_config_error(self, skel):
         # numpy refuses a 1e300-frame store without allocating; no attempt runs
         cfg = self.cfg(horizon_seconds=1e300)
