@@ -152,6 +152,9 @@ def active_mask(state: CorpusState, iteration: int, rows=slice(None)) -> np.ndar
     )
 
 
+_PAST_INT64 = "batch successes and failures would push attempts past 2**63 - 1"
+
+
 def update_file_stats(
     state: CorpusState,
     rows,
@@ -165,7 +168,8 @@ def update_file_stats(
     `rows` must be distinct; the batch arguments hold one value per row.
     Errors, successes and failures must be finite and non-negative, and
     successes and failures whole numbers (integers or whole floats, never
-    bools); a bad value raises ValueError before any row changes.
+    bools), and no row's int64 `attempts` may pass 2**63 - 1.  A bad batch
+    raises ValueError before any row changes.
     """
     batch_error = np.asarray(batch_error, dtype=np.float64)
     batch_successes = np.asarray(batch_successes)
@@ -184,14 +188,30 @@ def update_file_stats(
                 bad = values.dtype.kind == "b" or (values % 1).any()
         if bad:
             raise ValueError(f"batch {name} must be finite and non-negative{noun}")
+    # the counts in int64: whole counts below 2**63 convert exactly (and add to
+    # the float columns with the same bits), and a sum past 2**63 - 1 wraps
+    # below the count it started from
+    counts = []
+    for values in (batch_successes, batch_failures):
+        if values.dtype != np.int64:
+            if values.size and not np.maximum.reduce(values, None) < 2**63:
+                raise ValueError(_PAST_INT64)
+            values = values.astype(np.int64)
+        counts.append(values)
+    attempts = state.attempts[rows]
+    new_attempts = np.add(attempts, np.add(*counts))
+    if np.count_nonzero(new_attempts < attempts):
+        raise ValueError(_PAST_INT64)
     a = cfg.error_ema_alpha
     b = cfg.success_decay_beta
-    state.ema_error[rows] = (1.0 - a) * state.ema_error[rows] + a * batch_error
-    state.success_count[rows] = b * state.success_count[rows] + batch_successes
-    state.failure_count[rows] = b * state.failure_count[rows] + batch_failures
-    # not `+=`: whole-number floats must land in the int64 column, which an
-    # in-place add refuses to cast to
-    state.attempts[rows] = state.attempts[rows] + (batch_successes + batch_failures)
+    for column, keep, batch in ((state.ema_error, 1.0 - a, a * batch_error),
+                                (state.success_count, b, counts[0]),
+                                (state.failure_count, b, counts[1])):
+        values = column[rows]
+        values *= keep
+        values += batch
+        column[rows] = values
+    state.attempts[rows] = new_attempts
 
 
 def sampling_scores(state: CorpusState, cfg: SamplerConfig, iteration: int, rows=slice(None)) -> np.ndarray:
@@ -206,28 +226,23 @@ def sampling_distribution(
     state: CorpusState,
     cfg: SamplerConfig,
     iteration: int,
-    rows=slice(None),
+    rows: np.ndarray,
 ) -> np.ndarray:
-    """Sampling probability per row; inactive rows get exactly zero.
+    """Sampling probability of each of `rows`, an index array of rows that
+    are active at `iteration` (as a `ReplaySet` hands them over; the mask
+    is not recomputed here).
 
-    Active rows receive (1 - eps) * softmax(log(r + eps) / T) + eps / N,
-    which sums to 1 and floors every active file at eps / N.
+    The rows receive (1 - eps) * softmax(log(r + eps) / T) + eps / N, which
+    sums to 1 and floors every one of the N rows at eps / N.
     """
-    mask = active_mask(state, iteration, rows)
-    n = np.count_nonzero(mask)
+    n = rows.size
     if not n:
         raise ConfigError("no active records to sample from")
-    full = n == mask.size
-    active = rows if full else np.arange(state.level.size)[rows][mask]
-    logits = np.log(sampling_scores(state, cfg, iteration, active) + cfg.epsilon) / cfg.temperature
+    logits = np.log(sampling_scores(state, cfg, iteration, rows) + cfg.epsilon) / cfg.temperature
     soft = softmax_(logits)
     soft *= 1.0 - cfg.epsilon
     soft += cfg.epsilon / n
-    if full:
-        return soft
-    out = np.zeros(mask.size)
-    out[mask] = soft
-    return out
+    return soft
 
 
 def apply_level_quota(
@@ -262,15 +277,19 @@ def apply_level_quota(
     if total_surplus <= 0.0:
         return probs
     positive = probs > 0.0   # only positive rows gain or pay
-    for (a, b), m in zip(bounds, masses):
-        if not m > 0.0 or m == floor:   # absent, or exactly at the floor
-            continue
-        level, rows = probs[a:b], positive[a:b]
-        if m < floor:
-            np.add(level, (floor - m) / np.count_nonzero(rows), out=level, where=rows)
-        else:
-            share = total_deficit * (m - floor) / total_surplus
-            np.subtract(level, level / m * share, out=level, where=rows)
+    # per level: what each positive row gains, and the mass it pays a share
+    # of; a level that neither gains nor pays takes p + 0.0 and then
+    # p - p / 1.0 * 0.0, both exactly p
+    per_level = np.array([[0.0] * len(masses), [1.0] * len(masses), [0.0] * len(masses)])
+    gain, mass, pay = per_level
+    for k, ((a, b), m) in enumerate(zip(bounds, masses)):
+        if 0.0 < m < floor:
+            gain[k] = (floor - m) / np.count_nonzero(positive[a:b])
+        elif m > floor:
+            mass[k], pay[k] = m, total_deficit * (m - floor) / total_surplus
+    gain, mass, pay = np.repeat(per_level, sizes, axis=1)
+    np.add(probs, gain, out=probs, where=positive)
+    np.subtract(probs, probs / mass * pay, out=probs, where=positive)
     np.maximum(probs, 0.0, out=probs)
     probs /= np.add.reduce(probs)
     return probs
@@ -478,10 +497,12 @@ class ReplaySet:
     earliest `frozen_until` of a frozen row, or when it goes back; each
     level's active rows in introduction order are kept with it.  A level
     whose ramp has ended keeps its introduced count, so a call counts only
-    the levels still ramping, and every level after a recomputation, a step
-    back or an unlock; the rows are rebuilt only when the mask or a level's
-    size changes.  `unlock_iters` is read on every call, so appending to it
-    unlocks a level.
+    the levels still ramping (every level after a rebuild).  The rows are
+    rebuilt whole (`rebuilds` counts it) only after a recomputation, a step
+    back or an unlock; in between, a ramping level's new rows are added to
+    the end of its group.
+    Arrays once returned are never written again.  `unlock_iters` is read
+    on every call, so appending to it unlocks a level.
     """
 
     def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
@@ -490,6 +511,7 @@ class ReplaySet:
             if (state.level[order] != lv).any():
                 raise ConfigError(f"replay order {lv - 1} must hold rows of level {lv} only")
         self.state, self.orders, self.unlock_iters, self.cfg = state, orders, unlock_iters, cfg
+        self.rebuilds = 0
         self.invalidate()
 
     def invalidate(self) -> None:
@@ -509,22 +531,41 @@ class ReplaySet:
             self.kept = [order[mask] for order, mask in zip(self.orders, live)]
             # active_before[k][n]: active rows among the first n of orders[k]
             self.active_before = [[0, *np.cumsum(mask).tolist()] for mask in live]
-        if stale or iteration < self.iteration or len(unlocks) != len(self.sizes):
-            self.sizes = [-1] * len(unlocks)
+        rebuild = stale or iteration < self.iteration or len(unlocks) != len(self.sizes)
+        if rebuild:
+            self.sizes = [0] * len(unlocks)
             # (level index, iteration its ramp ends) of every level whose size may change
             self.ramping = [(k, unlock + ramp_iters(k + 1, self.cfg))
                             for k, unlock in enumerate(unlocks)]
         self.iteration = iteration
-        changed = False
+        sizes, first = self.sizes, None
         for k, _ in self.ramping:
             size = self.active_before[k][
                 _introduced_count(self.orders[k], unlocks[k], k + 1, iteration, self.cfg)]
-            if size != self.sizes[k]:
-                self.sizes[k], changed = size, True
+            if size != sizes[k]:
+                if first is None:   # the first level that grew, and its rows that stay
+                    first, done = k, sizes[k]
+                sizes[k] = size
         self.ramping = [(k, end) for k, end in self.ramping if iteration < end]
-        if changed:
-            self.rows = np.concatenate([kept[:n] for kept, n in zip(self.kept, self.sizes)])
-            self.levels = state.level[self.rows]
+        if rebuild:
+            # room for every kept row of the unlocked levels: sizes only grow until the next rebuild
+            room = sum(kept.size for kept in self.kept[:len(unlocks)])
+            self.buffer = np.empty(room, np.result_type(*self.kept))
+            self.level_buffer = np.empty(room, state.level.dtype)
+            self.rebuilds += 1
+            first, done = 0, 0
+        elif first is None:
+            return self.rows, self.levels
+        start = sum(sizes[:first]) + done
+        if not rebuild and start < self.rows.size:   # later groups move: returned arrays stay as they are
+            self.buffer, self.level_buffer = self.buffer.copy(), self.level_buffer.copy()
+        for k in range(first, len(sizes)):
+            new = self.kept[k][done if k == first else 0:sizes[k]]
+            end = start + new.size
+            self.buffer[start:end] = new
+            self.level_buffer[start:end] = k + 1   # orders[k] holds level k + 1 only
+            start = end
+        self.rows, self.levels = self.buffer[:start], self.level_buffer[:start]
         return self.rows, self.levels
 
     def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -174,7 +174,7 @@ def test_criterion_03_adaptive_sampling():
     with report(3, "adaptive sampling distribution: hand oracle, sum, floor"):
         cfg = SamplerConfig()
         st = CorpusState(["a", "b"], [1, 1], ema_error=[0.03, 0.09])
-        probs = sampling_distribution(st, cfg, iteration=0)
+        probs = sampling_distribution(st, cfg, 0, np.arange(2))
         assert np.allclose(probs, [0.4046, 0.5954], atol=1e-3)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -192,7 +192,7 @@ def test_criterion_03_adaptive_sampling():
                 ema_error=ema_error, success_count=success_count,
                 failure_count=failure_count, attempts=attempts,
             )
-            probs = sampling_distribution(st, cfg, int(rng.integers(0, 20000)))
+            probs = sampling_distribution(st, cfg, int(rng.integers(0, 20000)), np.arange(n))
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert np.all(probs >= cfg.epsilon / n - 1e-12)
 

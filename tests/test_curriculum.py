@@ -35,6 +35,27 @@ def state(file_ids=("f",), levels=1, **columns) -> CorpusState:
     return CorpusState(file_ids, np.broadcast_to(levels, len(file_ids)), **columns)
 
 
+def active_rows(st: CorpusState, iteration: int) -> np.ndarray:
+    """The rows `active_mask` selects: what `sampling_distribution` takes."""
+    return np.flatnonzero(active_mask(st, iteration))
+
+
+def replay_probs(replay: ReplaySet, iteration: int) -> np.ndarray:
+    """`replay.distribution(iteration)` scattered to one probability per
+    file, zero for every row the replay set does not hand out."""
+    rows, _, probs = replay.distribution(iteration)
+    out = np.zeros(replay.state.level.size)
+    out[rows] = probs
+    return out
+
+
+def full_replay(st: CorpusState) -> ReplaySet:
+    """A replay set over every trainable row of `st`, all levels unlocked at
+    iteration 0 and every file introduced at once."""
+    orders = [np.flatnonzero(st.level == lv) for lv in range(1, 11)]
+    return ReplaySet(st, orders, [0] * 10, SamplerConfig(intro_start_ratio=1.0))
+
+
 def freeze_outcome(st: CorpusState, iteration: int) -> list[int]:
     """The new freeze-state codes of the rows `check_freeze` hits."""
     _, codes = check_freeze(st, CFG, iteration)
@@ -133,11 +154,15 @@ class TestFileStats:
         assert st.success_count.tolist() == [3.0, 0.0, 1.0]
 
     def test_whole_number_float_counts_update_like_integers(self):
-        ints, floats = (state(["a", "b", "c"], success_count=1.5, attempts=5) for _ in range(2))
+        ints, floats, objects = (state(["a", "b", "c"], success_count=1.5, attempts=5)
+                                 for _ in range(3))
         update_file_stats(ints, [2, 0], [0.4, 0.0], [1, 3], [2, 0], CFG)
         update_file_stats(floats, [2, 0], [0.4, 0.0], [1.0, 3.0], [2.0, 0.0], CFG)
+        update_file_stats(objects, [2, 0], [0.4, 0.0], np.array([Fraction(1), 3], dtype=object),
+                          [2, 0], CFG)
         for name in ("ema_error", "success_count", "failure_count", "attempts"):
             assert getattr(floats, name).tobytes() == getattr(ints, name).tobytes(), name
+            assert getattr(objects, name).tobytes() == getattr(ints, name).tobytes(), name
         assert floats.attempts.tolist() == [8, 5, 8]
 
     def test_negative_batch_error_rejected(self):
@@ -168,6 +193,31 @@ class TestFileStats:
         assert st.attempts.tolist() == [3, 3]
 
 
+    @pytest.mark.parametrize("attempts, batch", [
+        ([2**63 - 10, 0], ([5, 0], [10, 0])),    # 2**63 + 5 would wrap to -2**63 + 5
+        ([0, 2**63 - 1], ([0, 1], [0, 0])),
+        ([0, 0], ([2**62, 0], [2**62, 0])),      # the counts' own int64 sum wraps
+        ([0, 0], ([2**63 - 1, 0], [2**63 - 1, 0])),
+        ([0, 0], ([2**63, 0], [0, 0])),          # a uint64 count past int64
+        ([0, 0], ([1e300, 0.0], [0.0, 0.0])),    # a whole float past int64
+        ([0, 2**63 - 100], ([0.0, 99.0], [0.0, 1.0])),
+    ], ids=["sum", "one_more", "counts_wrap", "counts_wrap_to_minus_two", "uint64", "float",
+            "float_one_more"])
+    def test_batch_past_int64_attempts_rejected_before_any_row_changes(self, attempts, batch):
+        st = state(["a", "b"], ema_error=0.2, success_count=1.0, attempts=attempts)
+        with pytest.raises(ValueError, match=r"would push attempts past 2\*\*63 - 1"):
+            update_file_stats(st, [0, 1], [0.1, 0.1], *batch, CFG)
+        assert st.ema_error.tolist() == [0.2, 0.2]
+        assert st.success_count.tolist() == [1.0, 1.0]
+        assert st.attempts.tolist() == attempts
+
+    @pytest.mark.parametrize("successes", [[5, 0], [5.0, 0.0]], ids=["int", "float"])
+    def test_attempts_reach_int64_max_exactly(self, successes):
+        # in float64, (2**63 - 16) + 15.0 rounds to 2**63, past int64
+        st = state(["a", "b"], attempts=[2**63 - 16, 2**63 - 1])
+        update_file_stats(st, [0, 1], [0.1, 0.1], successes, [10, 0], CFG)
+        assert st.attempts.tolist() == [2**63 - 1, 2**63 - 1]
+
 class TestSamplingDistribution:
     def test_two_file_hand_derived_case(self):
         # scores r = [0.1, 0.3]: softmax(log(r + 0.2) / 1.05) scaled by 0.8
@@ -175,13 +225,15 @@ class TestSamplingDistribution:
         st = state(["a", "b"], ema_error=[0.03, 0.09])
         scores = sampling_scores(st, CFG, iteration=0)
         assert np.allclose(scores, [0.1, 0.3], atol=1e-12)
-        probs = sampling_distribution(st, CFG, iteration=0)
+        probs = sampling_distribution(st, CFG, 0, active_rows(st, 0))
         assert np.allclose(probs, [0.4046, 0.5954], atol=1e-3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        # a row subset keeps its own order
+        assert sampling_distribution(st, CFG, 0, np.array([1, 0])).tolist() == probs[::-1].tolist()
 
     def test_identical_stats_uniform(self):
         st = state([str(i) for i in range(6)], ema_error=0.1)
-        probs = sampling_distribution(st, CFG, iteration=0)
+        probs = sampling_distribution(st, CFG, 0, active_rows(st, 0))
         assert np.allclose(probs, 1.0 / 6.0, atol=1e-12)
 
     def test_error_saturates_at_c(self):
@@ -203,23 +255,23 @@ class TestSamplingDistribution:
                 ema_error=ema_error, success_count=success_count, failure_count=failure_count,
             )
             it = int(rng.integers(0, 20000))
-            probs = sampling_distribution(st, CFG, it)
+            probs = sampling_distribution(st, CFG, it, active_rows(st, it))
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= CFG.epsilon / n - 1e-12)
 
     def test_monotone_in_error_before_saturation(self):
         st = state(["0", "1", "2"], ema_error=[0.05, 0.10, 0.15])
-        p_before = sampling_distribution(st, CFG, 0)[1]
+        p_before = sampling_distribution(st, CFG, 0, active_rows(st, 0))[1]
         st.ema_error[1] = 0.22
-        p_after = sampling_distribution(st, CFG, 0)[1]
+        p_after = sampling_distribution(st, CFG, 0, active_rows(st, 0))[1]
         assert p_after > p_before
 
     def test_warmup_gates_success_rate(self):
         # below the warmup, success rates must not affect scores
         st = state(["easy", "hard"], ema_error=0.09,
                    success_count=[100.0, 0.0], failure_count=[0.0, 100.0])
-        pre = sampling_distribution(st, CFG, iteration=5999)
-        post = sampling_distribution(st, CFG, iteration=6000)
+        pre = sampling_distribution(st, CFG, 5999, active_rows(st, 5999))
+        post = sampling_distribution(st, CFG, 6000, active_rows(st, 6000))
         assert pre[0] == pytest.approx(pre[1], abs=1e-12)
         assert post[1] > post[0]
 
@@ -231,17 +283,19 @@ class TestSamplingDistribution:
             freeze_state=[STATE_ACTIVE, STATE_FROZEN, STATE_DROPPED, STATE_ACTIVE, STATE_ACTIVE],
             frozen_until=[0, 10_000, 0, 0, 0],
         )
-        probs = sampling_distribution(st, CFG, iteration=100)
+        probs = replay_probs(full_replay(st), 100)
         assert probs[0] == pytest.approx(1.0)
         assert np.all(probs[1:] == 0.0)
-        # a row subset keeps its own order and zeroes its inactive rows
-        sub = sampling_distribution(st, CFG, iteration=100, rows=np.array([2, 0]))
-        assert sub.tolist() == [0.0, pytest.approx(1.0)]
+        # a row subset keeps its own order and loses its inactive rows
+        sub = np.array([2, 0])
+        sub = sub[active_mask(st, 100, sub)]
+        assert sampling_distribution(st, CFG, 100, sub).tolist() == [pytest.approx(1.0)]
 
     def test_frozen_record_reactivates_after_duration(self):
         st = state(["a", "b"], freeze_state=[STATE_ACTIVE, STATE_FROZEN], frozen_until=[0, 500])
-        assert sampling_distribution(st, CFG, 499)[1] == 0.0
-        assert sampling_distribution(st, CFG, 500)[1] > 0.0
+        replay = full_replay(st)
+        assert replay_probs(replay, 499)[1] == 0.0
+        assert replay_probs(replay, 500)[1] > 0.0
 
     def test_epsilon_of_one_is_rejected(self):
         # epsilon = 1 would leave no weight for the scores: a uniform sampler
@@ -251,7 +305,8 @@ class TestSamplingDistribution:
 
     def test_empty_active_set_raises(self):
         with pytest.raises(ConfigError):
-            sampling_distribution(state(freeze_state=STATE_DROPPED), CFG, 0)
+            dropped = state(freeze_state=STATE_DROPPED)
+            sampling_distribution(dropped, CFG, 0, active_rows(dropped, 0))
 
 
 class TestLevelQuota:

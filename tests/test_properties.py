@@ -410,6 +410,50 @@ def test_level_quota_keeps_the_simplex_and_lifts_every_level_to_the_floor(case):
             assert out[levels == lv].sum() >= floor - 1e-12
 
 
+LEVEL_KINDS = ("starved", "surplus", "absent", "at_floor", "empty")
+
+
+@st.composite
+def quota_levels(draw):
+    """Rows grouped by level, each level one of LEVEL_KINDS: a positive mass
+    below the floor, a mass above it, only zero rows, exactly the floor (one
+    row holding it, the rest zero), or no rows; starved and surplus levels
+    hold some zero rows too.  Returns the rows, the sizes, each row's level,
+    the floor and each level's kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.sampled_from([0.02, 0.05, 0.1, 0.25]))
+    kinds = draw(st.lists(st.sampled_from(LEVEL_KINDS), min_size=1, max_size=10))
+    groups = []
+    for kind in kinds:
+        size = 0 if kind == "empty" else int(rng.integers(1, 300))
+        rows = np.zeros(size)
+        if kind == "at_floor":
+            rows[rng.integers(size)] = floor
+        elif kind in ("starved", "surplus"):
+            rows[:] = rng.random(size) ** rng.uniform(1.0, 8.0)
+            rows[rng.random(size) < 0.3] = 0.0
+            rows[rng.integers(size)] = rng.uniform(0.5, 1.0)   # at least one positive row
+            scale = rng.uniform(0.05, 0.9) if kind == "starved" else rng.uniform(1.2, 30.0)
+            rows *= floor * scale / rows.sum()
+        groups.append(rows)
+    sizes = [rows.size for rows in groups]
+    return (np.concatenate(groups), sizes, np.repeat(np.arange(1, len(sizes) + 1), sizes),
+            floor, kinds)
+
+
+@given(quota_levels())
+def test_one_pass_level_quota_matches_the_per_level_oracle_bit_for_bit(case):
+    """Every kind of level, side by side: the one-pass update gives the
+    per-level masked oracle's bytes."""
+    probs, sizes, levels, floor, kinds = case
+    masses = [np.add.reduce(probs[levels == lv]) for lv in range(1, len(kinds) + 1)]
+    for kind, mass in zip(kinds, masses):   # the drawn kinds hold
+        assert {"starved": 0.0 < mass < floor, "surplus": mass > floor, "at_floor": mass == floor,
+                "absent": mass == 0.0, "empty": mass == 0.0}[kind], (kind, mass)
+    out = apply_level_quota(probs, sizes, floor)
+    assert out.tobytes() == masked_level_quota(probs, levels, floor).tobytes()
+
+
 # The scheduler's per-iteration kernels as they stood before the replay set,
 # kept as the bit-for-bit oracle for sampling_distribution and the replayed
 # distribution.  The level quota inside is the masked oracle above.
@@ -464,25 +508,33 @@ def corpus_states(draw):
     return state, cfg, iteration, rows
 
 
+def active_subset(state, iteration, rows):
+    """`rows` (a slice or an index array) as an index array, with the rows
+    `active_mask` refuses removed: what `sampling_distribution` takes."""
+    rows = np.arange(state.level.size)[rows]
+    return rows[active_mask(state, iteration, rows)]
+
+
 @given(corpus_states())
 def test_sampling_distribution_matches_the_reference_bit_for_bit(case):
     state, cfg, iteration, rows = case
-    if not active_mask(state, iteration, rows).any():
+    active = active_subset(state, iteration, rows)
+    if not active.size:
         with pytest.raises(ConfigError):
-            sampling_distribution(state, cfg, iteration, rows)
+            sampling_distribution(state, cfg, iteration, active)
         return
     want = reference_sampling_distribution(state, cfg, iteration, rows)
-    assert same_bits(sampling_distribution(state, cfg, iteration, rows), want)
+    got = sampling_distribution(state, cfg, iteration, active)
+    assert same_bits(got, want[active_mask(state, iteration, rows)])
 
 
 @given(corpus_states())
 def test_sampling_distribution_floors_active_rows_and_sums_to_one(case):
     state, cfg, iteration, rows = case
-    mask = active_mask(state, iteration, rows)
-    assume(mask.any())
-    probs = sampling_distribution(state, cfg, iteration, rows)
-    assert not probs[~mask].any() and not np.signbit(probs[~mask]).any()
-    assert (probs[mask] >= cfg.epsilon / np.count_nonzero(mask)).all()
+    active = active_subset(state, iteration, rows)
+    assume(active.size)
+    probs = sampling_distribution(state, cfg, iteration, active)
+    assert (probs >= cfg.epsilon / active.size).all()
     assert abs(probs.sum() - 1.0) <= 1e-12
 
 
@@ -497,7 +549,9 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
     iterations, so one level's ramp can end while the next one's runs), and
     one step back in time, across the first ramp end from iteration `turn`
     on, driven in the simulation's order; the replay set must equal the
-    introduced rows filtered by `active_mask`, recomputed from scratch."""
+    introduced rows filtered by `active_mask`, recomputed from scratch.
+    Between rebuilds the rows must grow in place, also while two levels
+    ramp at once, and leave the arrays already returned as they were."""
     assume(freeze_duration % check_interval)
     rng = np.random.default_rng(seed)
     state = CorpusState([f"f{i}" for i in range(240)], rng.integers(1, MAX_LEVEL + 1, 240))
@@ -507,11 +561,23 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
               for lv in range(1, MAX_TRAINABLE_LEVEL + 1)]
     unlock_iters = [0]
     replay = ReplaySet(state, orders, unlock_iters, cfg)
+    grown = []   # levels ramping at each call that grew the rows without a rebuild
+    overlap = False   # whether some call ran with two levels ramping
+    returned = []   # the last call's arrays and their bytes then
 
     def check(iteration):
+        nonlocal overlap
         intro = introduced_rows(orders, unlock_iters, iteration, cfg)
         want = intro[active_mask(state, iteration, intro)]
+        ramping = sum(unlock <= iteration < unlock + ramp_iters(lv, cfg)
+                      for lv, unlock in enumerate(unlock_iters, start=1))
+        overlap |= ramping >= 2
+        rebuilds, sizes = replay.rebuilds, list(getattr(replay, "sizes", ()))
         rows, levels = replay.at(iteration)
+        if replay.rebuilds == rebuilds and replay.sizes != sizes:
+            grown.append(ramping)
+        assert all(array.tobytes() == data for array, data in returned)   # never written again
+        returned[:] = [(rows, rows.tobytes()), (levels, levels.tobytes())]
         assert rows.tolist() == want.tolist()
         assert levels.tolist() == state.level[want].tolist()
         assert replay.sizes == [np.count_nonzero(state.level[want] == lv)
@@ -538,6 +604,7 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
             unlock_iters.append(it + 1)
         check(it)   # the trace row's query, after the freeze check and promotion
     assert (state.freeze_state == STATE_FROZEN).any() or state.freeze_count.any()
+    assert grown and (max(grown) >= 2 or not overlap)
 
 
 def test_replay_set_refuses_an_order_of_mixed_levels():
