@@ -70,8 +70,7 @@ class TPMoEParams:
 
     The K experts are stacked along a leading axis: w1 (K, H, D), b1 (K, H),
     w2 (K, D, H), b2 (K, D).  These four arrays are the only storage:
-    `experts[k]` is expert k's ((w1, b1), (w2, b2)) as views into them, and
-    assigning a list of such tuples to `experts` restacks.
+    `experts[k]` is expert k's ((w1, b1), (w2, b2)) as views into them.
     """
 
     w1: np.ndarray
@@ -83,13 +82,6 @@ class TPMoEParams:
     mask_threshold: float = MASK_THRESHOLD
 
     def __post_init__(self):
-        self._check_stack()
-        check_fields(self, positive=("mask_sharpness", "mask_threshold"))
-        if self.mask_threshold >= 1:
-            raise ConfigError(f"TPMoEParams: mask_threshold must be < 1, "
-                              f"got {self.mask_threshold!r}")
-
-    def _check_stack(self) -> None:
         k, h, d = self.w1.shape if self.w1.ndim == 3 else (0, 0, 0)
         if k < 1:
             raise ConfigError("need at least one expert")
@@ -98,19 +90,15 @@ class TPMoEParams:
                 f"expert stack shapes disagree: w1 {self.w1.shape}, b1 {self.b1.shape}, "
                 f"w2 {self.w2.shape}, b2 {self.b2.shape}"
             )
+        check_fields(self, positive=("mask_sharpness", "mask_threshold"))
+        if self.mask_threshold >= 1:
+            raise ConfigError(f"TPMoEParams: mask_threshold must be < 1, "
+                              f"got {self.mask_threshold!r}")
 
     @property
     def experts(self) -> list[FFNParams]:
         return [((self.w1[k], self.b1[k]), (self.w2[k], self.b2[k]))
                 for k in range(self.num_experts)]
-
-    @experts.setter
-    def experts(self, experts: Sequence[FFNParams]) -> None:
-        if not experts:
-            raise ConfigError("need at least one expert")
-        flat = [(w1, b1, w2, b2) for (w1, b1), (w2, b2) in experts]
-        self.w1, self.b1, self.w2, self.b2 = (np.stack(arrays) for arrays in zip(*flat))
-        self._check_stack()
 
     @property
     def num_experts(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, check_fields
 from .features import detect_contacts
-from .motion import MotionSequence, Skeleton
+from .motion import MotionSequence, Skeleton, check_body_indices
 from .rotations import wrap_angle
 
 MM_PER_M = 1000.0
@@ -158,11 +158,15 @@ def mpjpe(ref, sim, body_indices=None) -> float:
     """Mean per-body position error in meters.
 
     Either side may be a MotionSequence or its (T, B, 3) body positions.
+    `body_indices`, if given, must name at least one body, else ConfigError.
     """
     ref_pos = np.asarray(getattr(ref, "body_pos", ref))
     sim_pos = np.asarray(getattr(sim, "body_pos", sim))
     _check_aligned(ref_pos, sim_pos)
-    idx = slice(None) if body_indices is None else list(body_indices)
+    idx = slice(None)
+    if body_indices is not None:
+        check_body_indices("body_indices", body_indices)
+        idx = np.atleast_1d(body_indices)
     sq = ref_pos[:, idx] - sim_pos[:, idx]
     sq *= sq
     # np.linalg.norm's arithmetic: its add.reduce over three terms sums left

@@ -259,10 +259,6 @@ class MotionSequence:
     def num_frames(self) -> int:
         return self.joint_pos.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return (self.num_frames - 1) / self.fps
-
     def frame(self, i: int) -> Frame:
         return Frame(*(getattr(self, name)[i] for name in FIELDS))
 

@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     check_fields,
+    check_finite,
     check_numbers,
     check_object,
 )
@@ -127,9 +128,6 @@ class RewardConfig:
         check_fields(self, signed=("action_rate_weight", "joint_limit_weight",
                                    "undesired_contact_weight"))
 
-    def total_task_weight(self) -> float:
-        return sum(getattr(self, name).weight for name in TASK_TERMS)
-
 
 def exp_kernel_reward(error_sq, sigma):
     """exp(-e / sigma^2) for squared errors e >= 0, a scalar or an array;
@@ -209,21 +207,24 @@ def regularization_rewards(
     cfg: RewardConfig = RewardConfig(),
 ) -> dict[str, np.ndarray]:
     """Smoothness/safety penalties; all values are <= 0.  Broadcasts over
-    leading axes like `task_rewards`."""
-    actions = np.asarray(actions, dtype=np.float64)
-    prev_actions = np.asarray(prev_actions, dtype=np.float64)
+    leading axes like `task_rewards`.  A NaN or infinite input raises
+    NonFiniteError, an input of the wrong width DimensionMismatchError."""
+    actions = check_finite(actions, "actions")
+    prev_actions = check_finite(prev_actions, "prev_actions")
+    joint_pos = check_finite(joint_pos, "joint_pos")
+    contact_forces = check_finite(contact_forces, "contact_forces")
     if actions.shape[-1:] != (NUM_JOINTS,) or prev_actions.shape != actions.shape:
         raise DimensionMismatchError(f"actions must have shape (..., {NUM_JOINTS})")
+    if joint_pos.shape[-1:] != (NUM_JOINTS,):
+        raise DimensionMismatchError(f"joint_pos must have shape (..., {NUM_JOINTS})")
+    if contact_forces.shape[-1:] != (NUM_BODIES,):
+        raise DimensionMismatchError(f"contact_forces must have shape (..., {NUM_BODIES})")
     action_rate = cfg.action_rate_weight * np.sum((actions - prev_actions) ** 2, axis=-1)
 
-    joint_pos = np.asarray(joint_pos, dtype=np.float64)
     low, high = skel.joint_limits[:, 0], skel.joint_limits[:, 1]
     out_of_range = np.count_nonzero((joint_pos < low) | (joint_pos > high), axis=-1)
     joint_limit = cfg.joint_limit_weight * out_of_range
 
-    contact_forces = np.asarray(contact_forces, dtype=np.float64)
-    if contact_forces.shape[-1:] != (NUM_BODIES,):
-        raise DimensionMismatchError(f"contact_forces must have shape (..., {NUM_BODIES})")
     counted = contact_forces > cfg.contact_force_threshold
     counted[..., [skel.body_index(n) for n in cfg.excluded_contact_bodies]] = False
     undesired = cfg.undesired_contact_weight * np.count_nonzero(counted, axis=-1)

@@ -11,9 +11,10 @@ Stage I trains level to level: routing is restricted to the unlocked
 experts, samples from the hardest unlocked level bypass the gate with
 probability 0.8 and hard-route to that level's expert, and each promotion
 clones the preceding expert's parameters.  Stage II drops those constraints
-and relies on a load-balancing objective; persistently hard files (high
-routing entropy, small top-1/top-2 gap) can trigger dynamic expert addition
-with a cold-start cap on the new expert's routing mass.
+and relies on a load-balancing objective; `add_expert` grows the pool with a
+cold-start cap on the new expert's routing mass.  When to grow is the
+caller's choice; the paper grows on persistently hard files (high routing
+entropy, small top-1/top-2 gap).
 
 Losses here are evaluated values for tests and external trainers; no
 gradients are computed.
@@ -335,64 +336,6 @@ def top_gap(weights: np.ndarray) -> float:
     if len(w) < 2:
         return float(w[0])
     return float(w[0] - w[1])
-
-
-@dataclass(frozen=True)
-class AddExpertConfig:
-    hard_file_fraction: float = 0.10
-    entropy_ratio: float = 0.9      # hard if H > ratio * log(unlocked)
-    gap_threshold: float = 0.05     # and top-1/top-2 gap below this
-    required_windows: int = 1
-    ema_coeff: float = 0.1          # weight on the newest sample
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass
-class RoutingDiagnostics:
-    """Per-file EMAs of routing entropy and top-gap, plus window bookkeeping."""
-
-    config: AddExpertConfig = field(default_factory=AddExpertConfig)
-    entropy_ema: dict[str, float] = field(default_factory=dict)
-    gap_ema: dict[str, float] = field(default_factory=dict)
-    consecutive_hard_windows: int = 0
-
-    def update(self, file_id: str, weights: np.ndarray) -> None:
-        h = routing_entropy(weights)
-        g = top_gap(weights)
-        a = self.config.ema_coeff
-        if file_id in self.entropy_ema:
-            self.entropy_ema[file_id] = (1 - a) * self.entropy_ema[file_id] + a * h
-            self.gap_ema[file_id] = (1 - a) * self.gap_ema[file_id] + a * g
-        else:
-            self.entropy_ema[file_id] = h
-            self.gap_ema[file_id] = g
-
-    def hard_fraction(self, num_unlocked: int) -> float:
-        if not self.entropy_ema or num_unlocked < 2:
-            return 0.0
-        h_limit = self.config.entropy_ratio * np.log(num_unlocked)
-        hard = [
-            fid
-            for fid in self.entropy_ema
-            if self.entropy_ema[fid] > h_limit and self.gap_ema[fid] < self.config.gap_threshold
-        ]
-        return len(hard) / len(self.entropy_ema)
-
-    def close_window(self, num_unlocked: int) -> float:
-        """End one observation window; returns the hard-file fraction."""
-        fraction = self.hard_fraction(num_unlocked)
-        if fraction >= self.config.hard_file_fraction:
-            self.consecutive_hard_windows += 1
-        else:
-            self.consecutive_hard_windows = 0
-        return fraction
-
-
-def should_add_expert(diag: RoutingDiagnostics) -> bool:
-    """True when enough files stayed persistently hard for the full window."""
-    return diag.consecutive_hard_windows >= diag.config.required_windows
 
 
 def unlock_next_expert(pool: ExpertPool) -> int:

@@ -80,6 +80,7 @@ from motion_forge.rewards import (
     CRITIC_OBS_DIM,
     POLICY_LAYOUT,
     POLICY_OBS_DIM,
+    TASK_TERMS,
     RewardConfig,
     assemble_command,
     assemble_obs,
@@ -451,7 +452,8 @@ def test_criterion_11_rewards_and_observations():
         assert out["undesired_contact"] == 0.0
 
         cfg = RewardConfig()
-        assert cfg.total_task_weight() == pytest.approx(5.3, abs=1e-12)
+        total_weight = sum(getattr(cfg, name).weight for name in TASK_TERMS)
+        assert total_weight == pytest.approx(5.3, abs=1e-12)
 
         cmd = assemble_command(seq, 10)
         assert cmd.shape == (COMMAND_DIM,) == (520,)

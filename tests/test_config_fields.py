@@ -30,7 +30,7 @@ from motion_forge.generation import (
     init_tpmoe,
 )
 from motion_forge.rewards import ObservationNoiseConfig, RewardConfig, RewardTerm
-from motion_forge.router import AddExpertConfig, ExpertPool, make_random_pool
+from motion_forge.router import ExpertPool, make_random_pool
 
 RULES = ("positive", "at_most_one", "signed")
 
@@ -53,7 +53,6 @@ BUILDERS = {
     SyntheticFile: _direct_builder(SyntheticFile, file_id="a", level=1),
     RewardTerm: _direct_builder(RewardTerm, weight=1.0, sigma=0.2),
     ObservationNoiseConfig: _direct_builder(ObservationNoiseConfig),
-    AddExpertConfig: _direct_builder(AddExpertConfig),
     TPMoEParams: _replace_builder(init_tpmoe(np.random.default_rng(0), 8, 4, 6, 2)),
     AttentionPoolParams: _replace_builder(init_attention_pool(np.random.default_rng(0), 8, 4)),
     TagCatalog: _direct_builder(TagCatalog, tag_counts={"walk": 1}, sample_tags={"a": ("walk",)}),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -117,7 +118,8 @@ class TestParameterMixing:
     def test_identical_experts_unchanged(self):
         rng = np.random.default_rng(4)
         params = small_tpmoe(rng)
-        params.experts = [params.experts[0]] * 4
+        params = dataclasses.replace(params, **{name: np.repeat(getattr(params, name)[:1], 4, 0)
+                                                for name in ("w1", "b1", "w2", "b2")})
         mixed = mix_expert_params(np.full(4, 0.25), params)
         x = rng.standard_normal((3, 6))
         assert np.allclose(ffn_apply(mixed, x), ffn_apply(params.experts[0], x), atol=1e-12)
@@ -175,27 +177,13 @@ class TestExpertStack:
         params.experts[2][1][0][0, 0] = 7.0
         assert params.w2[2, 0, 0] == 7.0
 
-    def test_assigning_experts_restacks(self):
-        rng = np.random.default_rng(33)
-        params = small_tpmoe(rng)
-        new = [((rng.standard_normal((9, 6)), rng.standard_normal(9)),
-                (rng.standard_normal((6, 9)), rng.standard_normal(6))) for _ in range(3)]
-        params.experts = new
-        assert params.num_experts == 3 and params.w1.shape == (3, 9, 6)
-        for k, ((w1, b1), (w2, b2)) in enumerate(new):
-            assert np.array_equal(params.w1[k], w1) and np.array_equal(params.b1[k], b1)
-            assert np.array_equal(params.w2[k], w2) and np.array_equal(params.b2[k], b2)
-        # the stack owns its storage: the assigned arrays are not aliased
-        new[0][0][0][0, 0] += 1.0
-        assert params.w1[0, 0, 0] != new[0][0][0][0, 0]
-
     def test_empty_or_mismatched_experts_rejected(self):
         params = small_tpmoe(np.random.default_rng(34))
         with pytest.raises(ConfigError, match="at least one expert"):
-            params.experts = []
-        (w1, b1), (w2, b2) = params.experts[0]
+            dataclasses.replace(params, w1=params.w1[:0], b1=params.b1[:0], w2=params.w2[:0],
+                                b2=params.b2[:0])
         with pytest.raises(ConfigError, match="shapes disagree"):
-            params.experts = [((w1, b1), (w2, b2[:5]))]
+            dataclasses.replace(params, b2=params.b2[:, :5])
 
     def test_seeded_init_draws_per_expert_w1_then_w2(self):
         params = init_tpmoe(np.random.default_rng(35), token_dim=10, model_dim=6,
@@ -257,10 +245,8 @@ class TestTpmoeApply:
     def test_zero_experts_identity(self):
         rng = np.random.default_rng(9)
         params = small_tpmoe(rng)
-        params.experts = [
-            ((np.zeros_like(w1), np.zeros_like(b1)), (np.zeros_like(w2), np.zeros_like(b2)))
-            for (w1, b1), (w2, b2) in params.experts
-        ]
+        params = dataclasses.replace(params, **{name: np.zeros_like(getattr(params, name))
+                                                for name in ("w1", "b1", "w2", "b2")})
         x = rng.standard_normal((5, 6))
         tokens = rng.standard_normal((3, 10))
         attention = rng.uniform(0, 1, (5, 3))
@@ -520,17 +506,16 @@ class TestTpmoeApply:
     def test_sample_that_reassigns_the_experts_uses_the_new_ones(self):
         rng = np.random.default_rng(42)
         params, x, tokens, attention = self.stream_case("ragged blocks", rng)
-        new_experts = [tuple((rng.standard_normal(w.shape), rng.standard_normal(b.shape))
-                             for w, b in expert) for expert in params.experts]
+        stack = ("w1", "b1", "w2", "b2")
+        new_stack = {name: rng.standard_normal(getattr(params, name).shape) for name in stack}
         old_delta = tpmoe_apply(x, tokens, attention, params)[0]
-        new_params = TPMoEParams(params.w1, params.b1, params.w2, params.b2, params.gate_layers)
-        new_params.experts = new_experts
-        new_delta = tpmoe_apply(x, tokens, attention, new_params)[0]
+        new_delta = tpmoe_apply(x, tokens, attention, dataclasses.replace(params, **new_stack))[0]
         deltas = []
 
         def denoiser(noisy, step, condition):
             if step == 2:
-                params.experts = new_experts
+                for name in stack:
+                    setattr(params, name, new_stack[name])
             deltas.append(tpmoe_apply(x, tokens, attention, params)[0])
             # mixes of the replaced stack are dropped, the new one is stored
             held = [arrays for _, arrays, _ in generation._SAMPLE_MIXES.get().values()]

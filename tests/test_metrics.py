@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
-from motion_forge.errors import AlignmentError
+from motion_forge.errors import AlignmentError, ConfigError
 from motion_forge.features import detect_contacts
 from motion_forge.metrics import (
     FAILURE_EE_Z,
@@ -163,6 +163,22 @@ class TestTrackingErrors:
         b = make_standing_sequence(skel, num_frames=12)
         with pytest.raises(AlignmentError):
             mpjpe(a, b)
+
+    # none, past the last body, a bool, and a negative index that would
+    # quietly measure the last body
+    @pytest.mark.parametrize("bodies", [[], [40], [True], [-1]], ids=["empty", "40", "True", "-1"])
+    def test_body_indices_outside_the_skeleton_are_a_config_error(self, skel, bodies):
+        seq = make_standing_sequence(skel, num_frames=4)
+        with pytest.raises(ConfigError, match="body_indices"):
+            mpjpe(seq, seq, bodies)
+
+    def test_body_indices_as_list_tuple_array_or_one_index_agree(self, skel):
+        rng = np.random.default_rng(7)
+        ref = make_random_sequence(skel, rng)
+        sim = make_random_sequence(skel, rng)
+        want = float(np.linalg.norm(ref.body_pos[:, [5]] - sim.body_pos[:, [5]], axis=-1).mean())
+        assert mpjpe(ref, sim, [5]) == mpjpe(ref, sim, (5,)) == want
+        assert mpjpe(ref, sim, np.array([5])) == mpjpe(ref, sim, 5) == want
 
     def test_translation_and_yaw_invariance(self, skel):
         rng = np.random.default_rng(5)

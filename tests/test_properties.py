@@ -1,6 +1,8 @@
 """Property tests: decoded 6D frames are rotations, re-orthonormalizing is
 idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
-or feature frames twice is bit-exact, normalization leaves unmasked dims
+or feature frames twice is bit-exact, encoding a mirrored clip equals
+mirroring its features bit for bit and a mirrored clip pair scores the same
+task rewards within a few ulps, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
 bit and task rewards match their one-term-at-a-time reference bit for bit,
 TP-MoE gate rows and router mixture weights lie on the simplex, the
@@ -57,6 +59,7 @@ from motion_forge.features import (  # noqa: E402
     ROT6D,
     NormStats,
     denormalize_features,
+    encode_features,
     mirror_features,
     normalize_features,
     normalized_dim_mask,
@@ -231,6 +234,54 @@ def test_mirroring_features_twice_is_bit_exact(frames):
     skel = default_skeleton()
     back = mirror_features(mirror_features(frames, skel), skel)
     assert back.tobytes() == frames.tobytes()
+
+
+# A round trip passes a mirror map that is wrong but its own inverse; these
+# two compare a mirrored clip with the original instead.
+@given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 8),
+       fps=st.sampled_from([24.0, 30.0, 50.0]))
+def test_encoding_a_mirrored_clip_equals_mirroring_its_features(seed, num_frames, fps):
+    skel = default_skeleton()
+    seq = make_random_sequence(skel, np.random.default_rng(seed), num_frames, fps)
+    via_clip = encode_features(mirror_sequence(seq, skel), skel)
+    via_features = mirror_features(encode_features(seq, skel), skel)
+    assert via_clip.tobytes() == via_features.tobytes()
+
+
+@st.composite
+def mirror_symmetric_reward_configs(draw):
+    """A signed weight and a positive sigma per term, an anchor on the
+    mirror plane, and the stock key bodies or a tracked set closed under the
+    mirror, so a mirrored pair tracks the same bodies."""
+    perm = default_skeleton().mirror_map.body_perm
+    centre = [b for b in range(NUM_BODIES) if perm[b] == b]
+    picked = draw(st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1), min_size=1,
+                                                 max_size=NUM_BODIES)))
+    tracked = None if picked is None else tuple(sorted({*picked, *perm[picked].tolist()}))
+    terms = {name: RewardTerm(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 10.0)))
+             for name in TASK_TERMS}
+    return RewardConfig(**terms, anchor_body=draw(st.sampled_from(centre)),
+                        tracked_bodies=tracked)
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6),
+       cfg=mirror_symmetric_reward_configs())
+def test_a_mirrored_pair_scores_the_original_task_rewards(seed, num_frames, cfg):
+    """Within 4 ulps of 1.0, the largest kernel value, per term, and the
+    weighted sum of those bounds for the total: the mirror permutes the
+    bodies, so their sums add in another order."""
+    skel = default_skeleton()
+    rng = np.random.default_rng(seed)
+    ref = make_random_sequence(skel, rng, num_frames)
+    sim = make_random_sequence(skel, rng, num_frames)
+    terms, total = task_rewards(ref, sim, cfg, skel)
+    mirrored, mirrored_total = task_rewards(mirror_sequence(ref, skel), mirror_sequence(sim, skel),
+                                            cfg, skel)
+    ulp = np.finfo(np.float64).eps
+    for name in TASK_TERMS:
+        assert np.abs(mirrored[name] - terms[name]).max() <= 4 * ulp, name
+    weights = sum(abs(getattr(cfg, name).weight) for name in TASK_TERMS)
+    assert np.abs(mirrored_total - total).max() <= 4 * ulp * weights
 
 
 @given(frames=feature_frames(BOUNDED), seed=st.integers(0, 2**32 - 1), layout=st.booleans())

@@ -217,6 +217,21 @@ class TestRegularization:
         with pytest.raises(DimensionMismatchError):
             regularization_rewards(np.zeros(29), np.zeros(29), np.zeros(29), np.zeros(29), skel)
 
+    # (1,) would broadcast against the 29 limits and count every joint
+    @pytest.mark.parametrize("shape", [(1,), (28,), (30,), (2, 31)])
+    def test_joint_pos_needs_one_entry_per_joint(self, skel, shape):
+        with pytest.raises(DimensionMismatchError, match="joint_pos"):
+            regularization_rewards(np.zeros(29), np.zeros(29), np.zeros(shape), np.zeros(30), skel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg, name", enumerate(["actions", "prev_actions", "joint_pos",
+                                                     "contact_forces"]))
+    def test_non_finite_input_is_a_typed_error(self, skel, arg, name, bad):
+        args = [np.zeros(29), np.zeros(29), np.zeros(29), np.zeros(30)]
+        args[arg][3] = bad
+        with pytest.raises(NonFiniteError, match=f"^{name} holds"):
+            regularization_rewards(*args, skel)
+
 
 class TestCommand:
     def test_length_and_current_block(self, skel):

@@ -7,9 +7,7 @@ import pytest
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.kernels import clone_mlp, init_mlp, mlp_forward
 from motion_forge.router import (
-    AddExpertConfig,
     RouterConfig,
-    RoutingDiagnostics,
     add_expert,
     candidate_weights,
     gate_logits,
@@ -23,7 +21,6 @@ from motion_forge.router import (
     refresh_candidates,
     route_ce_loss,
     routing_entropy,
-    should_add_expert,
     top_gap,
     top_k_indices,
     unlock_next_expert,
@@ -391,29 +388,6 @@ class TestDiagnosticsAndGrowth:
     def test_top_gap_of_no_weights_is_a_config_error(self):
         with pytest.raises(ConfigError, match="at least one weight"):
             top_gap(np.array([]))
-
-    def test_diagnostics_reject_nan_weights_and_store_nothing(self):
-        diag = RoutingDiagnostics()
-        with pytest.raises(NonFiniteError):
-            diag.update("file0", np.array([0.5, np.nan]))
-        assert diag.entropy_ema == {} and diag.gap_ema == {}
-
-    def test_should_add_expert_window_logic(self):
-        diag = RoutingDiagnostics(config=AddExpertConfig(required_windows=2))
-        k = 4
-        for i in range(10):
-            diag.update(f"file{i}", np.full(k, 0.25))
-        diag.close_window(k)
-        assert not should_add_expert(diag)
-        diag.close_window(k)
-        assert should_add_expert(diag)
-        # a healthy window resets the streak
-        for i in range(10):
-            one_hot = np.zeros(k)
-            one_hot[i % k] = 1.0
-            diag.update(f"file{i}", one_hot)
-        diag.close_window(k)
-        assert not should_add_expert(diag)
 
     def test_promotion_clones_predecessor(self):
         rng = np.random.default_rng(16)
