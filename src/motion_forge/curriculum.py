@@ -488,21 +488,19 @@ class CurriculumTrace:
 
 class ReplaySet:
     """The rows a simulation samples from: the active introduced rows, level
-    by level in introduction order, their levels, and each unlocked level's
-    row count (`sizes`, for `apply_level_quota`).  `orders[k]` must hold
-    rows of level k + 1 only (else ConfigError).
+    by level in introduction order, and each unlocked level's row count
+    (`sizes`, for `apply_level_quota`).  `orders[k]` must hold rows of
+    level k + 1 only (else ConfigError).
 
     The corpus's activity mask is recomputed only after `invalidate` (call
     it whenever `check_freeze` has run), when the iteration reaches the
     earliest `frozen_until` of a frozen row, or when it goes back; each
     level's active rows in introduction order are kept with it.  A level
     whose ramp has ended keeps its introduced count, so a call counts only
-    the levels still ramping (every level after a rebuild).  The rows are
-    rebuilt whole (`rebuilds` counts it) only after a recomputation, a step
-    back or an unlock; in between, a ramping level's new rows are added to
-    the end of its group.
-    Arrays once returned are never written again.  `unlock_iters` is read
-    on every call, so appending to it unlocks a level.
+    the levels still ramping (every level after a recomputation, a step
+    back or an unlock), and the rows are concatenated anew whenever a
+    level's count changes.  Arrays once returned are never written again.
+    `unlock_iters` is read on every call, so appending to it unlocks a level.
     """
 
     def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
@@ -511,14 +509,13 @@ class ReplaySet:
             if (state.level[order] != lv).any():
                 raise ConfigError(f"replay order {lv - 1} must hold rows of level {lv} only")
         self.state, self.orders, self.unlock_iters, self.cfg = state, orders, unlock_iters, cfg
-        self.rebuilds = 0
         self.invalidate()
 
     def invalidate(self) -> None:
         self.kept = None
 
-    def at(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        """The active introduced rows at `iteration` and their levels."""
+    def at(self, iteration: int) -> np.ndarray:
+        """The active introduced rows at `iteration`, grouped by level."""
         state, unlocks = self.state, self.unlock_iters
         stale = self.kept is None or not self.since <= iteration < self.thaw_at
         if stale:
@@ -531,50 +528,31 @@ class ReplaySet:
             self.kept = [order[mask] for order, mask in zip(self.orders, live)]
             # active_before[k][n]: active rows among the first n of orders[k]
             self.active_before = [[0, *np.cumsum(mask).tolist()] for mask in live]
-        rebuild = stale or iteration < self.iteration or len(unlocks) != len(self.sizes)
-        if rebuild:
+        changed = stale or iteration < self.iteration or len(unlocks) != len(self.sizes)
+        if changed:
             self.sizes = [0] * len(unlocks)
             # (level index, iteration its ramp ends) of every level whose size may change
             self.ramping = [(k, unlock + ramp_iters(k + 1, self.cfg))
                             for k, unlock in enumerate(unlocks)]
         self.iteration = iteration
-        sizes, first = self.sizes, None
         for k, _ in self.ramping:
             size = self.active_before[k][
                 _introduced_count(self.orders[k], unlocks[k], k + 1, iteration, self.cfg)]
-            if size != sizes[k]:
-                if first is None:   # the first level that grew, and its rows that stay
-                    first, done = k, sizes[k]
-                sizes[k] = size
+            changed |= size != self.sizes[k]
+            self.sizes[k] = size
         self.ramping = [(k, end) for k, end in self.ramping if iteration < end]
-        if rebuild:
-            # room for every kept row of the unlocked levels: sizes only grow until the next rebuild
-            room = sum(kept.size for kept in self.kept[:len(unlocks)])
-            self.buffer = np.empty(room, np.result_type(*self.kept))
-            self.level_buffer = np.empty(room, state.level.dtype)
-            self.rebuilds += 1
-            first, done = 0, 0
-        elif first is None:
-            return self.rows, self.levels
-        start = sum(sizes[:first]) + done
-        if not rebuild and start < self.rows.size:   # later groups move: returned arrays stay as they are
-            self.buffer, self.level_buffer = self.buffer.copy(), self.level_buffer.copy()
-        for k in range(first, len(sizes)):
-            new = self.kept[k][done if k == first else 0:sizes[k]]
-            end = start + new.size
-            self.buffer[start:end] = new
-            self.level_buffer[start:end] = k + 1   # orders[k] holds level k + 1 only
-            start = end
-        self.rows, self.levels = self.buffer[:start], self.level_buffer[:start]
-        return self.rows, self.levels
+        if changed:   # a level not unlocked adds none of its rows
+            self.rows = np.concatenate([kept[:n] for kept, n in
+                                        itertools.zip_longest(self.kept, self.sizes, fillvalue=0)])
+        return self.rows
 
-    def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
         """`at(iteration)` and the rows' level-floored sampling probabilities."""
-        rows, levels = self.at(iteration)
+        rows = self.at(iteration)
         if not rows.size:
-            return rows, levels, np.zeros(0)
+            return rows, np.zeros(0)
         probs = sampling_distribution(self.state, self.cfg, iteration, rows)
-        return rows, levels, apply_level_quota(probs, self.sizes, self.cfg.level_mass_floor)
+        return rows, apply_level_quota(probs, self.sizes, self.cfg.level_mass_floor)
 
 
 def run_curriculum_sim(
@@ -602,7 +580,7 @@ def run_curriculum_sim(
     replay = ReplaySet(state, orders, unlock_iters, cfg)
 
     for it in range(sim.total_iters):
-        rows, _, probs = replay.distribution(it)
+        rows, probs = replay.distribution(it)
         if rows.size:
             counts = rng.multinomial(sim.rollouts_per_iter, probs)
             picked = counts.nonzero()[0]
@@ -640,7 +618,9 @@ def run_curriculum_sim(
                 trace.events.append(SimEvent(it + 1, "promote", f"level:{lv + 1}"))
 
         if (it + 1) % sim.trace_interval == 0:
-            rows, levels, probs = replay.distribution(it)
+            rows, probs = replay.distribution(it)
+            # orders[k] holds level k + 1 only, so the rows' levels follow from the sizes
+            levels = np.repeat(np.arange(1, len(replay.sizes) + 1), replay.sizes)
             mass = np.bincount(levels, weights=probs)
             trace.rows.append(TraceRow(
                 it + 1, len(unlock_iters), rows.size,

@@ -158,7 +158,8 @@ def mpjpe(ref, sim, body_indices=None) -> float:
     """Mean per-body position error in meters.
 
     Either side may be a MotionSequence or its (T, B, 3) body positions.
-    `body_indices`, if given, must name at least one body, else ConfigError.
+    `body_indices`, if given, must name at least one of the B bodies, else
+    ConfigError.
     """
     ref_pos = np.asarray(getattr(ref, "body_pos", ref))
     sim_pos = np.asarray(getattr(sim, "body_pos", sim))
@@ -167,6 +168,9 @@ def mpjpe(ref, sim, body_indices=None) -> float:
     if body_indices is not None:
         check_body_indices("body_indices", body_indices)
         idx = np.atleast_1d(body_indices)
+        if idx.max() >= ref_pos.shape[1]:
+            raise ConfigError(f"body_indices: expected body indices in 0..{ref_pos.shape[1] - 1}, "
+                              f"got {body_indices!r}")
     sq = ref_pos[:, idx] - sim_pos[:, idx]
     sq *= sq
     # np.linalg.norm's arithmetic: its add.reduce over three terms sums left

@@ -206,9 +206,10 @@ def regularization_rewards(
     skel: Skeleton,
     cfg: RewardConfig = RewardConfig(),
 ) -> dict[str, np.ndarray]:
-    """Smoothness/safety penalties; all values are <= 0.  Broadcasts over
-    leading axes like `task_rewards`.  A NaN or infinite input raises
-    NonFiniteError, an input of the wrong width DimensionMismatchError."""
+    """Smoothness/safety penalties; all values are <= 0.  Works over leading
+    axes like `task_rewards`: every input has the actions' leading axes.  A
+    NaN or infinite input raises NonFiniteError, an input of the wrong width
+    or other leading axes DimensionMismatchError."""
     actions = check_finite(actions, "actions")
     prev_actions = check_finite(prev_actions, "prev_actions")
     joint_pos = check_finite(joint_pos, "joint_pos")
@@ -219,6 +220,10 @@ def regularization_rewards(
         raise DimensionMismatchError(f"joint_pos must have shape (..., {NUM_JOINTS})")
     if contact_forces.shape[-1:] != (NUM_BODIES,):
         raise DimensionMismatchError(f"contact_forces must have shape (..., {NUM_BODIES})")
+    if not joint_pos.shape[:-1] == contact_forces.shape[:-1] == actions.shape[:-1]:
+        raise DimensionMismatchError(
+            f"leading axes differ: actions {actions.shape}, joint_pos {joint_pos.shape}, "
+            f"contact_forces {contact_forces.shape}")
     action_rate = cfg.action_rate_weight * np.sum((actions - prev_actions) ** 2, axis=-1)
 
     low, high = skel.joint_limits[:, 0], skel.joint_limits[:, 1]

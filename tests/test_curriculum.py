@@ -43,7 +43,7 @@ def active_rows(st: CorpusState, iteration: int) -> np.ndarray:
 def replay_probs(replay: ReplaySet, iteration: int) -> np.ndarray:
     """`replay.distribution(iteration)` scattered to one probability per
     file, zero for every row the replay set does not hand out."""
-    rows, _, probs = replay.distribution(iteration)
+    rows, probs = replay.distribution(iteration)
     out = np.zeros(replay.state.level.size)
     out[rows] = probs
     return out
@@ -419,8 +419,7 @@ class TestLevelSchedule:
 
         def rows_at(unlock_iters, iteration):
             fresh = state([f"f{i}" for i in range(15)], levels=[1] * 10 + [2] * 5)
-            rows, _ = ReplaySet(fresh, orders, unlock_iters, CFG).at(iteration)
-            return rows.tolist()
+            return ReplaySet(fresh, orders, unlock_iters, CFG).at(iteration).tolist()
 
         # level 1 at ratio 0.2 + 0.8 * 999 / 3000; level 2 not yet unlocked
         assert rows_at([0, 1000], 999) == [3, 7, 0, 9, 1]
@@ -429,6 +428,7 @@ class TestLevelSchedule:
         assert rows_at([0, 1000], 4000) == orders[0].tolist() + orders[1].tolist()
         # a level not yet unlocked contributes nothing
         assert rows_at([0], 4000) == orders[0].tolist()
+        assert rows_at([], 4000) == []
 
 
 class TestPromotion:
@@ -473,6 +473,17 @@ class TestSimulation:
         assert len(promotions) >= 2
         assert not [e for e in trace.events if e.kind in ("freeze", "drop")]
         assert trace.final_level >= 3
+
+    def test_promotion_waits_for_min_iters_on_the_current_level(self):
+        # errors that never improve stall every evaluation, so each level's
+        # eval history is full after 4 evaluations (40 iterations) and the
+        # 60 iterations a level must run decide when the next one unlocks
+        files = [SyntheticFile(f"f{lv}_{i}", lv, start_error=0.05, error_floor=0.05)
+                 for lv in range(1, 4) for i in range(2)]
+        cfg = SamplerConfig(promote_min_iters=60)
+        trace = run_curriculum_sim(files, cfg, SimConfig(total_iters=150, eval_interval=10))
+        promotions = [(e.iteration, e.target) for e in trace.events if e.kind == "promote"]
+        assert promotions == [(60, "level:2"), (120, "level:3")]
 
     def test_levels_11_12_never_sampled(self):
         files = [

@@ -172,6 +172,13 @@ class TestTrackingErrors:
         with pytest.raises(ConfigError, match="body_indices"):
             mpjpe(seq, seq, bodies)
 
+    def test_body_indices_past_the_arrays_body_axis_are_a_config_error(self):
+        # 7 is a body of the robot, but not one of these five
+        ref, sim = np.zeros((2, 5, 3)), np.ones((2, 5, 3))
+        with pytest.raises(ConfigError, match=r"body_indices: expected body indices in 0\.\.4"):
+            mpjpe(ref, sim, [7])
+        assert mpjpe(ref, sim, [4]) == pytest.approx(np.sqrt(3.0), abs=1e-15)
+
     def test_body_indices_as_list_tuple_array_or_one_index_agree(self, skel):
         rng = np.random.default_rng(7)
         ref = make_random_sequence(skel, rng)

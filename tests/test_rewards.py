@@ -213,6 +213,12 @@ class TestRegularization:
             for name, value in row.items():
                 assert batch[name][i] == value, name
 
+    # the terms would come out shaped (), (5,) and (3,)
+    def test_inputs_need_the_actions_leading_axes(self, skel):
+        with pytest.raises(DimensionMismatchError, match="leading axes differ"):
+            regularization_rewards(np.zeros(29), np.zeros(29), np.zeros((5, 29)),
+                                   np.zeros((3, 30)), skel)
+
     def test_contact_forces_need_one_entry_per_body(self, skel):
         with pytest.raises(DimensionMismatchError):
             regularization_rewards(np.zeros(29), np.zeros(29), np.zeros(29), np.zeros(29), skel)
