@@ -10,9 +10,11 @@ Library surface, one module per concern:
 - curriculum: adaptive sampling, freeze-and-drop, level scheduling
 - kernels: the shared softmax, log-sum-exp, activations and MLP
 - router: MoE gating, soft top-k routing, routing losses, expert growth
-- generation: TP-MoE parameter mixing, diffusion sampling, CFG, ASFO
-- prefix_loop: the generate/simulate/select receding-horizon loop
-- motion_io / config / cli: file formats, configuration, command line
+- generation: TP-MoE parameter mixing, diffusion sampling, CFG, ASFO and its settings
+- prefix_loop: the generate/simulate/select receding-horizon loop, the
+  reference generator and tracker and their settings
+- motion_io: file formats
+- cli: the command line and its config file
 """
 
 __version__ = "0.1.0"

@@ -7,10 +7,12 @@ subcommand returns through one writer (stdout, or --out).  Failures print
 one machine-readable JSON object to stderr ({"error": <type>, "message":
 <text>}) and exit nonzero.  Every tunable value, thresholds and iteration
 counts among them, comes from the --config file; flags name only files and
-the seed.  A single --seed flag feeds every random consumer of a
-subcommand, prefix-run's generator and reference tracker among them, so
-identical invocations produce byte-identical outputs.  Set MOTIONFORGE_LOG
-to adjust log level.
+the seed.  The config file is one JSON object with one optional section per
+`AppConfig` field, each read into the library's own settings class; unknown
+keys are refused everywhere, so a typo fails loudly.  A single --seed flag
+feeds every random consumer of a subcommand, prefix-run's generator and
+reference tracker among them, so identical invocations produce
+byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import curriculum as cur
+from . import prefix_loop as pl
 from . import router as rt
-from .config import AppConfig, config_from_dict, read_config
 from .errors import ConfigError, MotionForgeError, check_numbers, check_object
 from .features import canonicalize_heading, decode_root_trajectory, encode_features
-from .generation import TagCatalog, asfo_multipliers, build_epoch_plan
-from .metrics import evaluate
+from .generation import AsfoConfig, TagCatalog, asfo_multipliers, build_epoch_plan
+from .metrics import GroundModel, SuccessConfig, evaluate
 from .motion import default_skeleton
 from .motion_io import (
     load_features,
@@ -42,8 +45,7 @@ from .motion_io import (
     read_json,
     save_features,
 )
-from .prefix_loop import make_interpolation_generator, make_perturbation_tracker, run_prefix_loop
-from .rewards import TASK_TERMS, task_rewards
+from .rewards import TASK_TERMS, RewardConfig, RewardTerm, task_rewards
 
 log = logging.getLogger("motion_forge")
 
@@ -54,6 +56,64 @@ def _write_output(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
     else:
         Path(out).write_text(text)
+
+
+def _from_json(annotation: str, value):
+    """`value` in the JSON form of its field's (string) annotation: a RewardTerm
+    is a [weight, sigma] pair, a tuple a list, and null passes only `| None`."""
+    if value is None and annotation.endswith("| None"):
+        return None
+    if annotation == "RewardTerm":
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return RewardTerm(*value)
+        raise ConfigError("reward terms must be [weight, sigma] pairs")
+    if annotation.startswith("tuple["):
+        return tuple(value)
+    return value
+
+
+def _build(cls, data, where: str):
+    check_object(data, where, {f.name for f in dataclasses.fields(cls)})
+    try:
+        return cls(**{f.name: _from_json(f.type, data[f.name])
+                      for f in dataclasses.fields(cls) if f.name in data})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@dataclasses.dataclass
+class AppConfig:
+    ground: GroundModel = dataclasses.field(default_factory=GroundModel)
+    success: SuccessConfig = dataclasses.field(default_factory=SuccessConfig)
+    rewards: RewardConfig = dataclasses.field(default_factory=RewardConfig)
+    curriculum: cur.SamplerConfig = dataclasses.field(default_factory=cur.SamplerConfig)
+    sim: cur.SimConfig = dataclasses.field(default_factory=cur.SimConfig)
+    router: rt.RouterConfig = dataclasses.field(default_factory=rt.RouterConfig)
+    asfo: AsfoConfig = dataclasses.field(default_factory=AsfoConfig)
+    prefix_loop: pl.PrefixLoopConfig = dataclasses.field(default_factory=pl.PrefixLoopConfig)
+    tracker: pl.TrackerConfig = dataclasses.field(default_factory=pl.TrackerConfig)
+    generator: pl.GeneratorConfig = dataclasses.field(default_factory=pl.GeneratorConfig)
+
+
+def config_from_dict(data) -> AppConfig:
+    """One section per AppConfig field, read into its default factory's class."""
+    sections = {f.name: f.default_factory for f in dataclasses.fields(AppConfig)}
+    check_object(data, "config", sections)
+    return AppConfig(**{name: _build(cls, data[name], name)
+                        for name, cls in sections.items() if name in data})
+
+
+def read_config(path):
+    """A config file's JSON document; a NaN, Infinity or out-of-range number is a ConfigError."""
+    def finite(literal: str) -> float:
+        # every JSON number with a fraction or exponent, and the NaN/Infinity
+        # literals Python's json reads, pass through here
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path}: {literal} is not a finite number")
+        return value
+
+    return read_json(path, "config", ConfigError, finite)
 
 
 # config keys the CLI sets itself, and what sets each
@@ -191,8 +251,7 @@ def cmd_asfo_plan(args, cfg) -> str:
     for sample_id, tags in samples.items():
         if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
             raise ConfigError(f"sample {sample_id!r}: tags must be a list of strings")
-    catalog = TagCatalog.from_samples(samples, rho_max=cfg.asfo.rho_max,
-                                      mirror_alpha=cfg.asfo.mirror_alpha)
+    catalog = TagCatalog.from_samples(samples, cfg.asfo)
     plan = build_epoch_plan(catalog, np.random.default_rng(args.seed))
     entries = [{"sample_id": e.sample_id, "mirrored": e.mirrored, "tags": list(e.tags)}
                for e in plan]
@@ -214,10 +273,10 @@ def cmd_prefix_run(args, cfg) -> None:
     prefix, fps = _load_prefix_features(args.prefix, skel)
     target_feats, _ = _load_prefix_features(args.target, skel)
     loop_cfg = dataclasses.replace(cfg.prefix_loop, fps=fps, seed=args.seed)
-    generator = make_interpolation_generator(loop_cfg.segment_frames, cfg.generator.noise_scale)
+    generator = pl.make_interpolation_generator(loop_cfg.segment_frames, cfg.generator)
     # --seed seeds the tracker too, through a stream apart from the loop's
-    tracker = make_perturbation_tracker([args.seed, 1], **dataclasses.asdict(cfg.tracker))
-    _, trace = run_prefix_loop(prefix, target_feats[0], generator, tracker, loop_cfg, skel)
+    tracker = pl.make_perturbation_tracker([args.seed, 1], cfg.tracker)
+    _, trace = pl.run_prefix_loop(prefix, target_feats[0], generator, tracker, loop_cfg, skel)
     save_features(trace.features, fps, args.out)
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace.to_dict(), indent=1, allow_nan=False))

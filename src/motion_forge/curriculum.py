@@ -500,7 +500,8 @@ class ReplaySet:
     the levels still ramping (every level after a recomputation, a step
     back or an unlock), and the rows are concatenated anew whenever a
     level's count changes.  Arrays once returned are never written again.
-    `unlock_iters` is read on every call, so appending to it unlocks a level.
+    `unlock_iters` is read on every call, so appending to it unlocks a level;
+    more unlocked levels than `orders` raise ConfigError.
     """
 
     def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
@@ -530,6 +531,10 @@ class ReplaySet:
             self.active_before = [[0, *np.cumsum(mask).tolist()] for mask in live]
         changed = stale or iteration < self.iteration or len(unlocks) != len(self.sizes)
         if changed:
+            if len(unlocks) > len(self.orders):
+                self.invalidate()   # so a call that retries raises this again
+                raise ConfigError(f"ReplaySet: {len(unlocks)} unlocked levels but "
+                                  f"{len(self.orders)} replay orders")
             self.sizes = [0] * len(unlocks)
             # (level index, iteration its ramp ends) of every level whose size may change
             self.ramping = [(k, unlock + ramp_iters(k + 1, self.cfg))

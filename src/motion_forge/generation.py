@@ -488,17 +488,24 @@ def ddpm_sample(
 # ASFO: frequency-aware oversampling with left-right mirroring
 
 
+@dataclass(frozen=True)
+class AsfoConfig:
+    rho_max: int = 8
+    mirror_alpha: float = 0.3
+
+    def __post_init__(self):
+        check_fields(self, positive=("rho_max",))
+
+
 @dataclass
 class TagCatalog:
     """Tag frequencies and per-sample tag sets driving the oversampler."""
 
     tag_counts: dict[str, int]
     sample_tags: dict[str, tuple[str, ...]]
-    rho_max: int = 8
-    mirror_alpha: float = 0.3
+    asfo: AsfoConfig = AsfoConfig()
 
     def __post_init__(self):
-        check_fields(self, positive=("rho_max",))
         if any(c < 1 for c in self.tag_counts.values()):
             raise ConfigError("tag counts must be >= 1")
         uncounted = set().union(*self.sample_tags.values()) - self.tag_counts.keys()
@@ -506,22 +513,14 @@ class TagCatalog:
             raise ConfigError(f"tag {min(uncounted, key=str)!r} has no count in tag_counts")
 
     @classmethod
-    def from_samples(
-        cls,
-        sample_tags: Mapping[str, Sequence[str]],
-        rho_max: int = 8,
-        mirror_alpha: float = 0.3,
-    ) -> "TagCatalog":
+    def from_samples(cls, sample_tags: Mapping[str, Sequence[str]],
+                     asfo: AsfoConfig = AsfoConfig()) -> "TagCatalog":
         counts: dict[str, int] = {}
         for tags in sample_tags.values():
             for tag in tags:
                 counts[tag] = counts.get(tag, 0) + 1
-        return cls(
-            tag_counts=counts,
-            sample_tags={k: tuple(v) for k, v in sample_tags.items()},
-            rho_max=rho_max,
-            mirror_alpha=mirror_alpha,
-        )
+        return cls(tag_counts=counts,
+                   sample_tags={k: tuple(v) for k, v in sample_tags.items()}, asfo=asfo)
 
 
 def _round_half_up(x: float) -> int:
@@ -530,12 +529,13 @@ def _round_half_up(x: float) -> int:
 
 def asfo_multipliers(catalog: TagCatalog) -> dict[str, int]:
     """Per-tag oversampling multiplier against the median tag frequency,
-    rounded to the nearest integer and clamped to [1, rho_max]."""
+    rounded to the nearest integer and clamped to [1, rho_max]; none
+    for a catalog without tags."""
     if not catalog.tag_counts:
-        raise ConfigError("catalog has no tags")
+        return {}
     tau = median(catalog.tag_counts.values())
     return {
-        tag: max(1, min(_round_half_up(tau / count), catalog.rho_max))
+        tag: max(1, min(_round_half_up(tau / count), catalog.asfo.rho_max))
         for tag, count in catalog.tag_counts.items()
     }
 
@@ -548,7 +548,7 @@ def sample_multipliers(catalog: TagCatalog) -> dict[str, int]:
             for sample_id, tags in catalog.sample_tags.items()}
 
 
-def mirror_probability(multiplier, alpha: float = 0.3):
+def mirror_probability(multiplier, alpha: float):
     """min(alpha * (r - 1), 1): never mirror frequent samples.  Takes one
     multiplier or an array of them."""
     return np.clip(alpha * (np.asarray(multiplier) - 1), 0.0, 1.0)
@@ -582,7 +582,7 @@ def build_epoch_plan(catalog: TagCatalog, rng: np.random.Generator) -> list[Plan
     ids = sorted(multipliers)
     tags = [catalog.sample_tags[sample_id] for sample_id in ids]
     r = np.array([multipliers[sample_id] for sample_id in ids], dtype=np.int64)
-    p_mir = mirror_probability(r, catalog.mirror_alpha)
+    p_mir = mirror_probability(r, catalog.asfo.mirror_alpha)
     mirrored = rng.uniform(size=int(r.sum())) < np.repeat(p_mir, r)
     return [
         PlanEntry(sample_id=ids[i], mirrored=m, tags=swap_side_tags(tags[i]) if m else tags[i])

@@ -122,24 +122,32 @@ def identity_tracker(reference: MotionSequence) -> MotionSequence:
     return reference
 
 
-def make_perturbation_tracker(
-    seed, noise_scale: float = 0.0, offset: float = 0.0, offset_from_frame: int = 0
-) -> Tracker:
-    """Tracker lifting `body_pos` and `root_pos` by `offset` in z from row
-    `offset_from_frame` on, then adding seeded noise to `body_pos`; with
-    neither it is `identity_tracker`.  `seed` is anything
-    `numpy.random.default_rng` takes."""
-    if not noise_scale and not offset:
+@dataclass(frozen=True)
+class TrackerConfig:
+    noise_scale: float = 0.0
+    offset: float = 0.0             # m, z lift from row offset_from_frame on
+    offset_from_frame: int = 0
+
+    def __post_init__(self):
+        check_fields(self, signed=("offset",))
+
+
+def make_perturbation_tracker(seed, cfg: TrackerConfig = TrackerConfig()) -> Tracker:
+    """Tracker lifting `body_pos` and `root_pos` by `cfg.offset` in z from
+    row `cfg.offset_from_frame` on, then adding seeded noise of
+    `cfg.noise_scale` to `body_pos`; with neither it is `identity_tracker`.
+    `seed` is anything `numpy.random.default_rng` takes."""
+    if not cfg.noise_scale and not cfg.offset:
         return identity_tracker
     rng = np.random.default_rng(seed)
 
     def tracker(reference: MotionSequence) -> MotionSequence:
         out = reference.copy()
-        if offset:
-            out.body_pos[offset_from_frame:, :, 2] += offset
-            out.root_pos[offset_from_frame:, 2] += offset
-        if noise_scale:
-            out.body_pos[:] += rng.normal(0.0, noise_scale, out.body_pos.shape)
+        if cfg.offset:
+            out.body_pos[cfg.offset_from_frame:, :, 2] += cfg.offset
+            out.root_pos[cfg.offset_from_frame:, 2] += cfg.offset
+        if cfg.noise_scale:
+            out.body_pos[:] += rng.normal(0.0, cfg.noise_scale, out.body_pos.shape)
         return out
 
     return tracker
@@ -354,14 +362,22 @@ def smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
 
 
-def make_interpolation_generator(
-    segment_frames: int, noise_scale: float = 0.005
-) -> Generator:
+@dataclass(frozen=True)
+class GeneratorConfig:
+    noise_scale: float = 0.005
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def make_interpolation_generator(segment_frames: int,
+                                 cfg: GeneratorConfig = GeneratorConfig()) -> Generator:
     """Cubic-ease interpolation from the prefix end toward the target pose.
 
-    Seeded noise perturbs the continuous blocks; 6D rotation blocks are
-    re-orthonormalized afterward and contact bits snap back to {0, 1}, so
-    the output always satisfies the feature-frame invariants.
+    Seeded noise of `cfg.noise_scale` perturbs the continuous blocks; 6D
+    rotation blocks are re-orthonormalized afterward and contact bits snap
+    back to {0, 1}, so the output always satisfies the feature-frame
+    invariants.
     """
 
     def generator(prefix, target, condition, rng) -> np.ndarray:
@@ -371,8 +387,8 @@ def make_interpolation_generator(
         u = np.arange(1, segment_frames + 1) / segment_frames
         ease = smoothstep(u)[:, None]
         frames = last + ease * (target_vec - last)
-        if noise_scale > 0.0:
-            noise = rng.normal(0.0, noise_scale, frames.shape)
+        if cfg.noise_scale > 0.0:
+            noise = rng.normal(0.0, cfg.noise_scale, frames.shape)
             # fade noise out toward the endpoint so the target is honored
             frames = frames + noise * (1.0 - ease)
         frames[:, FOOT_CONTACT] = (frames[:, FOOT_CONTACT] > 0.5).astype(float)

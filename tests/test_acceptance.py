@@ -43,6 +43,7 @@ from motion_forge.features import (
     normalize_features,
 )
 from motion_forge.generation import (
+    AsfoConfig,
     TagCatalog,
     asfo_multipliers,
     build_epoch_plan,
@@ -68,7 +69,9 @@ from motion_forge.motion import MotionSequence, default_skeleton, mirror_sequenc
 from motion_forge.prefix_loop import (
     TERMINATION_COMPLETED,
     TERMINATION_EXHAUSTED,
+    GeneratorConfig,
     PrefixLoopConfig,
+    TrackerConfig,
     identity_tracker,
     make_interpolation_generator,
     make_perturbation_tracker,
@@ -328,19 +331,19 @@ def test_criterion_08_asfo():
             for _ in range(count):
                 samples[f"s{idx:04d}"] = (tag,)
                 idx += 1
-        catalog = TagCatalog.from_samples(samples, rho_max=8)
+        catalog = TagCatalog.from_samples(samples, AsfoConfig(rho_max=8))
         assert asfo_multipliers(catalog) == {"walk": 1, "jump": 1, "cartwheel": 4}
 
         plan = build_epoch_plan(catalog, np.random.default_rng(6))
         assert len(plan) == 100 + 20 + 5 * 4
 
         # empirical mirror rate over >= 1e5 rare-sample draws
-        p_expected = mirror_probability(4, catalog.mirror_alpha)
+        p_expected = mirror_probability(4, catalog.asfo.mirror_alpha)
         rng = np.random.default_rng(7)
         small = TagCatalog(
             tag_counts=dict(catalog.tag_counts),
             sample_tags={"rare": ("cartwheel",)},
-            rho_max=8,
+            asfo=AsfoConfig(rho_max=8),
         )
         copies, mirrored = 0, 0
         while copies < 100_000:
@@ -473,7 +476,7 @@ def test_criterion_12_prefix_loop():
         target = neutral_features(1, height=0.9)[0]
 
         cfg = PrefixLoopConfig(fps=fps, horizon_seconds=10.0, max_resamples=3, seed=11)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
         motion, trace = run_prefix_loop(prefix, target, gen, identity_tracker, cfg, SKEL)
         assert trace.termination == TERMINATION_COMPLETED
         assert all(len(s.attempts) == 1 and s.accepted for s in trace.segments)
@@ -482,8 +485,8 @@ def test_criterion_12_prefix_loop():
         assert np.array_equal(trace.features[: prefix.shape[0]], prefix)
 
         # tracker diverging inside segment 3 exhausts exactly max_resamples
-        tracker = make_perturbation_tracker(0, offset=10.0,
-                                            offset_from_frame=prefix.shape[0] + 2 * int(fps) + 3)
+        tracker = make_perturbation_tracker(0, TrackerConfig(
+            offset=10.0, offset_from_frame=prefix.shape[0] + 2 * int(fps) + 3))
         _, trace = run_prefix_loop(prefix, target, gen, tracker, cfg, SKEL)
         assert trace.termination == TERMINATION_EXHAUSTED
         assert len(trace.segments) == 3

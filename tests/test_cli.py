@@ -16,10 +16,10 @@ from helpers import (
 )
 from motion_forge import router as rt
 from motion_forge.cli import cli_dispatch
-from motion_forge.config import TrackerConfig
 from motion_forge.features import FEATURE_DIM
 from motion_forge.motion import default_skeleton
 from motion_forge.motion_io import load_features, save_features, save_motion
+from motion_forge.prefix_loop import TrackerConfig
 from motion_forge.rotations import matrix_to_quat, quat_to_matrix, rot_z
 
 
@@ -443,6 +443,16 @@ class TestAsfoPlanCli:
         assert doc["plan_size"] == len(doc["plan"])
         rare_copies = [e for e in doc["plan"] if e["sample_id"] == "rare"]
         assert len(rare_copies) == doc["multipliers"]["cartwheel"]
+
+    def test_tagless_samples_plan_once_each_unmirrored(self, tmp_path, capsys):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"samples": {"a": [], "b": []}}))
+        code, captured = run(["asfo-plan", samples], capsys)
+        assert code == 0
+        assert json.loads(captured.out) == {
+            "multipliers": {}, "plan_size": 2,
+            "plan": [{"sample_id": "a", "mirrored": False, "tags": []},
+                     {"sample_id": "b", "mirrored": False, "tags": []}]}
 
     @pytest.mark.parametrize("doc, pattern", [
         ([{"id": "a", "tags": ["walk"]}], "must be a JSON object"),

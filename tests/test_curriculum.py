@@ -430,6 +430,18 @@ class TestLevelSchedule:
         assert rows_at([0], 4000) == orders[0].tolist()
         assert rows_at([], 4000) == []
 
+    def test_more_unlocked_levels_than_replay_orders_is_a_config_error(self):
+        replay = ReplaySet(state(["a"]), [np.array([0])], [0, 0], SamplerConfig())
+        for _ in range(2):   # and again when the call is retried
+            with pytest.raises(ConfigError, match="2 unlocked levels but 1 replay orders"):
+                replay.at(0)
+        unlock_iters = [0]
+        replay = ReplaySet(state(["a"]), [np.array([0])], unlock_iters, SamplerConfig())
+        assert replay.at(0).tolist() == [0]
+        unlock_iters.append(1)
+        with pytest.raises(ConfigError, match="2 unlocked levels but 1 replay orders"):
+            replay.at(1)
+
 
 class TestPromotion:
     def test_stalled_improvements_promote(self):

@@ -9,6 +9,7 @@ from motion_forge import generation
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
     TPMOE_BLOCK_ROWS,
+    AsfoConfig,
     DiffusionSchedule,
     TPMoEParams,
     PlanEntry,
@@ -799,7 +800,7 @@ class TestAsfo:
     def test_rho_max_cap(self):
         samples = {"a": ("common",), "b": ("common",), **{f"c{i}": ("common",) for i in range(98)},
                    "rare": ("unicorn",)}
-        cat = TagCatalog.from_samples(samples, rho_max=8)
+        cat = TagCatalog.from_samples(samples, AsfoConfig(rho_max=8))
         rho = asfo_multipliers(cat)
         assert rho["unicorn"] == 8  # 50/1 would overshoot; the cap holds
 
@@ -812,6 +813,15 @@ class TestAsfo:
         cat = self.catalog()
         cat.sample_tags["plain"] = ()
         assert sample_multipliers(cat)["plain"] == 1
+
+    def test_catalog_without_tags_plans_every_sample_once_unmirrored(self):
+        cat = TagCatalog.from_samples({"b": [], "a": []})
+        assert asfo_multipliers(cat) == {}
+        assert sample_multipliers(cat) == {"a": 1, "b": 1}
+        rng = np.random.default_rng(4)
+        assert build_epoch_plan(cat, rng) == [PlanEntry("a", False, ()), PlanEntry("b", False, ())]
+        # one uniform per plan entry, as for a tagged catalog
+        assert rng.uniform() == np.random.default_rng(4).uniform(size=3)[2]
 
     def test_mirror_probability(self):
         assert mirror_probability(1, 0.3) == 0.0
@@ -845,7 +855,7 @@ class TestAsfo:
         # median tag count = 20, cartwheel count 1 -> rho capped at 8, p = 1.0
         cat.sample_tags = {"rare": ("cartwheel",), "w0": ("walk",)}
         rho = asfo_multipliers(cat)
-        p_expected = mirror_probability(rho["cartwheel"], cat.mirror_alpha)
+        p_expected = mirror_probability(rho["cartwheel"], cat.asfo.mirror_alpha)
         rng = np.random.default_rng(2)
         draws = 100_000
         mirrored = 0
@@ -860,7 +870,7 @@ class TestAsfo:
 
     def test_side_tags_swap_on_mirror(self):
         samples = {"kick": ("left kick",), **{f"w{i}": ("walk",) for i in range(50)}}
-        cat = TagCatalog.from_samples(samples, mirror_alpha=1.0)
+        cat = TagCatalog.from_samples(samples, AsfoConfig(mirror_alpha=1.0))
         plan = build_epoch_plan(cat, np.random.default_rng(3))
         kicks = [e for e in plan if e.sample_id == "kick"]
         assert all(e.tags == ("right kick",) for e in kicks if e.mirrored)
@@ -889,7 +899,7 @@ class TestAsfo:
         for sample_id in sorted(cat.sample_tags):
             tags = cat.sample_tags[sample_id]
             r = max((rho[t] for t in tags), default=1)
-            p_mir = min(max(cat.mirror_alpha * (r - 1), 0.0), 1.0)
+            p_mir = min(max(cat.asfo.mirror_alpha * (r - 1), 0.0), 1.0)
             for _ in range(r):
                 mirrored = bool(ref_rng.uniform() < p_mir)
                 expected.append(PlanEntry(sample_id, mirrored,

@@ -25,7 +25,9 @@ from motion_forge.motion_io import (
     save_norm_stats,
 )
 from motion_forge.prefix_loop import (
+    GeneratorConfig,
     PrefixLoopConfig,
+    TrackerConfig,
     features_to_motion,
     identity_tracker,
     make_interpolation_generator,
@@ -62,8 +64,8 @@ def test_codec_stats_file_pipeline(tmp_path, skel):
 def test_prefix_loop_output_passes_metrics(skel):
     # a loop-assembled motion evaluated against itself is a clean report
     cfg = PrefixLoopConfig(fps=30.0, horizon_seconds=3.0, seed=21)
-    gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.001)
-    tracker = make_perturbation_tracker(seed=3, noise_scale=0.002)
+    gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.001))
+    tracker = make_perturbation_tracker(3, TrackerConfig(noise_scale=0.002))
     motion, trace = run_prefix_loop(
         neutral_features(30), neutral_features(1, height=0.85)[0],
         gen, tracker, cfg, skel,

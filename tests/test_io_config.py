@@ -6,7 +6,7 @@ import pytest
 
 from helpers import MALFORMED_MOTION_CASES, make_random_sequence, make_walk_sequence
 from motion_forge import errors
-from motion_forge.config import AppConfig, config_from_dict, read_config
+from motion_forge.cli import AppConfig, config_from_dict, read_config
 from motion_forge.errors import (
     ConfigError,
     DimensionMismatchError,

@@ -12,7 +12,9 @@ from motion_forge.motion import FIELDS, default_skeleton
 from motion_forge.prefix_loop import (
     TERMINATION_COMPLETED,
     TERMINATION_EXHAUSTED,
+    GeneratorConfig,
     PrefixLoopConfig,
+    TrackerConfig,
     features_to_motion,
     identity_tracker,
     make_interpolation_generator,
@@ -99,40 +101,46 @@ class TestTrackers:
         seq = features_to_motion(frames, 30.0, skel)
         assert identity_tracker(seq) is seq
 
+    def test_direct_callers_get_the_field_rule(self):
+        with pytest.raises(ConfigError, match="^GeneratorConfig: noise_scale=nan is not a finite"):
+            make_interpolation_generator(3, GeneratorConfig(noise_scale=float("nan")))
+        with pytest.raises(ConfigError, match="^TrackerConfig: noise_scale must be >= 0"):
+            make_perturbation_tracker(0, TrackerConfig(noise_scale=-1.0))
+
     def test_no_noise_and_no_offset_is_the_identity_tracker(self):
-        assert make_perturbation_tracker(seed=4) is identity_tracker
-        assert make_perturbation_tracker(seed=4, offset_from_frame=7) is identity_tracker
+        assert make_perturbation_tracker(4) is identity_tracker
+        assert make_perturbation_tracker(4, TrackerConfig(offset_from_frame=7)) is identity_tracker
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_the_parent_perturbation_tracker(self, skel, seed):
         window = make_walk_sequence(skel, 1.0, 0.1, 20, 30.0)
         for noise_scale in (0.0, 0.01, 0.3):
             for offset in (0.0, 0.125, -0.4):
-                assert_same_windows(make_perturbation_tracker(seed, noise_scale, offset),
-                                    parent_perturbation_tracker(seed, noise_scale, offset),
-                                    window)
+                tracker = make_perturbation_tracker(seed, TrackerConfig(noise_scale, offset))
+                oracle = parent_perturbation_tracker(seed, noise_scale, offset)
+                assert_same_windows(tracker, oracle, window)
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_the_parent_failure_tracker(self, skel, seed):
         window = make_walk_sequence(skel, 1.0, 0.1, 20, 30.0)
         for fail_after_frame in (0, 1, 10, 19, 20, 45):
             for offset in (10.0, 0.5, -2.0):
-                tracker = make_perturbation_tracker(seed, offset=offset,
-                                                    offset_from_frame=fail_after_frame)
+                tracker = make_perturbation_tracker(
+                    seed, TrackerConfig(offset=offset, offset_from_frame=fail_after_frame))
                 assert_same_windows(tracker, parent_failure_tracker(fail_after_frame, offset),
                                     window)
 
     def test_perturbation_offset_gives_exact_mpjpe(self, skel):
         frames = neutral_features(8)
         seq = features_to_motion(frames, 30.0, skel)
-        tracker = make_perturbation_tracker(seed=0, offset=0.125)
+        tracker = make_perturbation_tracker(0, TrackerConfig(offset=0.125))
         accepted, err = validate_segment(seq, tracker, tolerance=0.2)
         assert accepted and err == 0.125
 
     def test_tolerance_boundary_is_inclusive(self, skel):
         frames = neutral_features(8)
         seq = features_to_motion(frames, 30.0, skel)
-        tracker = make_perturbation_tracker(seed=0, offset=0.125)
+        tracker = make_perturbation_tracker(0, TrackerConfig(offset=0.125))
         accepted, err = validate_segment(seq, tracker, tolerance=0.125)
         assert accepted and err == 0.125
         accepted, _ = validate_segment(seq, tracker, tolerance=0.1249)
@@ -141,7 +149,7 @@ class TestTrackers:
     def test_failure_tracker_diverges_after_frame(self, skel):
         frames = neutral_features(20)
         seq = features_to_motion(frames, 30.0, skel)
-        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=10)
+        tracker = make_perturbation_tracker(0, TrackerConfig(offset=10.0, offset_from_frame=10))
         out = tracker(seq)
         assert np.array_equal(out.body_pos[:10], seq.body_pos[:10])
         assert np.all(out.body_pos[10:, :, 2] > 9.0)
@@ -150,7 +158,7 @@ class TestTrackers:
 class TestInterpolationGenerator:
     def test_constant_when_target_is_last_frame(self):
         frames = neutral_features(5)
-        gen = make_interpolation_generator(segment_frames=30, noise_scale=0.0)
+        gen = make_interpolation_generator(30, GeneratorConfig(noise_scale=0.0))
         out = gen(frames, frames[-1], None, np.random.default_rng(0))
         assert out.shape == (30, FEATURE_DIM)
         assert np.allclose(out, frames[-1], atol=1e-12)
@@ -158,14 +166,14 @@ class TestInterpolationGenerator:
     def test_endpoint_honored(self):
         frames = neutral_features(5)
         target = standing_target(height=1.1)
-        gen = make_interpolation_generator(segment_frames=30, noise_scale=0.003)
+        gen = make_interpolation_generator(30, GeneratorConfig(noise_scale=0.003))
         out = gen(frames, target, None, np.random.default_rng(1))
         assert np.allclose(out[-1, :43], target[:43], atol=1e-9)
 
     def test_rot6d_blocks_stay_valid_under_noise(self):
         frames = neutral_features(5)
         target = standing_target()
-        gen = make_interpolation_generator(segment_frames=30, noise_scale=0.05)
+        gen = make_interpolation_generator(30, GeneratorConfig(noise_scale=0.05))
         out = gen(frames, target, None, np.random.default_rng(2))
         rots = sixd_to_rot(out[:, ROT6D].reshape(30, 29, 6))
         assert np.allclose(np.linalg.det(rots), 1.0, atol=1e-9)
@@ -174,7 +182,7 @@ class TestInterpolationGenerator:
         frames = neutral_features(5)
         target = standing_target()
         target[256:262] = 0.0
-        gen = make_interpolation_generator(segment_frames=30, noise_scale=0.02)
+        gen = make_interpolation_generator(30, GeneratorConfig(noise_scale=0.02))
         out = gen(frames, target, None, np.random.default_rng(3))
         assert set(np.unique(out[:, 256:262])) <= {0.0, 1.0}
 
@@ -189,7 +197,7 @@ class TestRunPrefixLoop:
     def test_identity_tracker_every_first_attempt_accepts(self, skel):
         cfg = self.cfg()
         prefix = neutral_features(30)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
         motion, trace = run_prefix_loop(
             prefix, standing_target(), gen, identity_tracker, cfg, skel
         )
@@ -203,7 +211,7 @@ class TestRunPrefixLoop:
         cfg = self.cfg(horizon_seconds=2.0)
         prefix = neutral_features(30)
         prefix[:, 6] += np.linspace(0.0, 0.01, 30)  # make it distinctive
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.001)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.001))
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, identity_tracker, cfg, skel
         )
@@ -214,7 +222,7 @@ class TestRunPrefixLoop:
         assert (cfg.segment_frames, cfg.num_segments) == (1, 5)
         prefix = neutral_features(30)
         prefix[:, 6] += np.linspace(0.0, 0.01, 30)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.001)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.001))
         motion, trace = run_prefix_loop(
             prefix, standing_target(), gen, identity_tracker, cfg, skel
         )
@@ -226,8 +234,9 @@ class TestRunPrefixLoop:
         cfg = self.cfg(horizon_seconds=5.0, max_resamples=3)
         prefix = neutral_features(30)
         # diverge once the window reaches into the third generated second
-        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=30 + 2 * 30 + 5)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+        tracker = make_perturbation_tracker(
+            0, TrackerConfig(offset=10.0, offset_from_frame=30 + 2 * 30 + 5))
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, tracker, cfg, skel
         )
@@ -240,8 +249,8 @@ class TestRunPrefixLoop:
     def test_accepted_segments_within_tolerance(self, skel):
         cfg = self.cfg(horizon_seconds=3.0)
         prefix = neutral_features(30)
-        tracker = make_perturbation_tracker(seed=1, noise_scale=0.01)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+        tracker = make_perturbation_tracker(1, TrackerConfig(noise_scale=0.01))
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, tracker, cfg, skel
         )
@@ -253,8 +262,8 @@ class TestRunPrefixLoop:
     def test_total_attempts_bounded(self, skel):
         cfg = self.cfg(horizon_seconds=5.0, max_resamples=2)
         prefix = neutral_features(30)
-        tracker = make_perturbation_tracker(seed=0, offset=10.0, offset_from_frame=0)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+        tracker = make_perturbation_tracker(0, TrackerConfig(offset=10.0, offset_from_frame=0))
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, tracker, cfg, skel
         )
@@ -264,11 +273,11 @@ class TestRunPrefixLoop:
     def test_deterministic_under_seed(self, skel):
         cfg = self.cfg(horizon_seconds=3.0, seed=42)
         prefix = neutral_features(30)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.01)
-        tracker = make_perturbation_tracker(seed=2, noise_scale=0.02)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.01))
+        tracker = make_perturbation_tracker(2, TrackerConfig(noise_scale=0.02))
 
         def run():
-            tr = make_perturbation_tracker(seed=2, noise_scale=0.02)
+            tr = make_perturbation_tracker(2, TrackerConfig(noise_scale=0.02))
             _, trace = run_prefix_loop(prefix, standing_target(), gen, tr, cfg, skel)
             return trace
 
@@ -279,7 +288,7 @@ class TestRunPrefixLoop:
     def test_trace_dict_shape(self, skel):
         cfg = self.cfg(horizon_seconds=2.0)
         prefix = neutral_features(30)
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.0)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.0))
         _, trace = run_prefix_loop(
             prefix, standing_target(), gen, identity_tracker, cfg, skel
         )
@@ -345,7 +354,7 @@ class TestIncrementalDecode:
 
     def recording_run(self, skel, cfg, tracker_body):
         """Run the loop, keeping each window's features and reference."""
-        gen = make_interpolation_generator(cfg.segment_frames, noise_scale=0.01)
+        gen = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.01))
         windows, references = [], []
 
         def generator(prefix, target, condition, rng):
@@ -383,7 +392,7 @@ class TestIncrementalDecode:
 
     def test_returned_motion_equals_decode_of_trace_features(self, skel):
         cfg = self.cfg(horizon_seconds=4.0)
-        tracker = make_perturbation_tracker(seed=3, noise_scale=0.01)
+        tracker = make_perturbation_tracker(3, TrackerConfig(noise_scale=0.01))
         motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
         assert motion.num_frames == 30 + 4 * 30
         assert_same_motion(motion, features_to_motion(trace.features, cfg.fps, skel))
@@ -394,8 +403,8 @@ class TestIncrementalDecode:
         # segment, and each rejected one rewrites the initial decode's last
         # velocity row as a central difference
         for offset_from_frame, accepted_frames in [(30 + 30 + 10, 60), (0, 30)]:
-            tracker = make_perturbation_tracker(seed=0, offset=10.0,
-                                                offset_from_frame=offset_from_frame)
+            tracker = make_perturbation_tracker(
+                0, TrackerConfig(offset=10.0, offset_from_frame=offset_from_frame))
             motion, trace, _, _ = self.recording_run(skel, cfg, tracker)
             assert trace.termination == TERMINATION_EXHAUSTED
             assert trace.features.shape[0] == accepted_frames
@@ -522,7 +531,7 @@ class TestNonFiniteValues:
     def test_loop_raises_on_nan_tracker(self, skel):
         cfg = self.cfg()
         gen = make_interpolation_generator(cfg.segment_frames)
-        tracker = make_perturbation_tracker(seed=0, offset=float("nan"))
+        tracker = parent_failure_tracker(0, float("nan"))   # a NaN lift from frame 0 on
         with pytest.raises(NonFiniteError):
             run_prefix_loop(neutral_features(30), standing_target(), gen, tracker, cfg, skel)
 
@@ -545,7 +554,7 @@ class TestMpjpe:
     def test_accepts_position_arrays(self, skel):
         # validate_segment measures against a bare copy of the positions
         ref = features_to_motion(neutral_features(8), 30.0, skel)
-        sim = make_perturbation_tracker(seed=0, offset=0.125)(ref)
+        sim = make_perturbation_tracker(0, TrackerConfig(offset=0.125))(ref)
         assert mpjpe(ref.body_pos.copy(), sim) == mpjpe(ref, sim) == 0.125
         with pytest.raises(AlignmentError, match="frame counts"):
             mpjpe(ref.body_pos[:7], sim)

@@ -81,6 +81,7 @@ from motion_forge.motion import (  # noqa: E402
 )
 from motion_forge.motion_io import load_motion, save_motion  # noqa: E402
 from motion_forge.prefix_loop import (  # noqa: E402
+    GeneratorConfig,
     PrefixLoopConfig,
     make_interpolation_generator,
     run_prefix_loop,
@@ -1124,7 +1125,7 @@ def test_prefix_loop_carries_the_initial_prefix_bit_exactly(rows, seed, rate):
     prefix = neutral_features(rows)
     prefix[:, ROOT_ANG_VEL.start:ROOT_HEIGHT.stop] += rng.normal(0.0, 0.01, (rows, 7))
     cfg = PrefixLoopConfig(segment_seconds=0.2, horizon_seconds=0.8, max_resamples=4, seed=seed)
-    generator = make_interpolation_generator(cfg.segment_frames, noise_scale=0.002)
+    generator = make_interpolation_generator(cfg.segment_frames, GeneratorConfig(noise_scale=0.002))
     _, trace = run_prefix_loop(prefix.copy(), neutral_features(1)[0], generator,
                                rejecting_tracker(seed, rate), cfg, default_skeleton())
     assert trace.features[:rows].tobytes() == prefix.tobytes()
