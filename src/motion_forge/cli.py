@@ -12,18 +12,15 @@ the seed.  The config file is one JSON object with one optional section per
 keys are refused everywhere, so a typo fails loudly.  A single --seed flag
 feeds every random consumer of a subcommand, prefix-run's generator and
 reference tracker among them, so identical invocations produce
-byte-identical outputs.  Set MOTIONFORGE_LOG to adjust log level.
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -47,7 +44,6 @@ from .motion_io import (
 )
 from .rewards import TASK_TERMS, RewardConfig, RewardTerm, task_rewards
 
-log = logging.getLogger("motion_forge")
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
@@ -137,15 +133,13 @@ def cmd_encode(args, cfg) -> None:
     seq = canonicalize_heading(load_motion(args.motion, skel))
     feats = encode_features(seq, skel)
     save_features(feats, seq.fps, args.out)
-    log.info("encoded %d frames -> %s", feats.shape[0], args.out)
 
 
 def cmd_decode(args, cfg) -> str:
     feats, fps = load_features(args.features)
     pos, yaw = decode_root_trajectory(feats, fps)
-    # one {"root_pos", "yaw"} object per frame, built by C-level iteration
-    frames = map(zip, itertools.repeat(("root_pos", "yaw")), zip(pos.tolist(), yaw.tolist()))
-    return json.dumps({"fps": fps, "trajectory": list(map(dict, frames))}, indent=1)
+    frames = [{"root_pos": p, "yaw": y} for p, y in zip(pos.tolist(), yaw.tolist())]
+    return json.dumps({"fps": fps, "trajectory": frames}, indent=1)
 
 
 def cmd_metrics(args, cfg) -> str:
@@ -182,9 +176,7 @@ def cmd_curriculum_sim(args, cfg) -> str:
         check_object(item, f"corpus file {i}", _CORPUS_FIELDS, ("id", "level"))
         files.append(cur.SyntheticFile(**{_CORPUS_FIELDS[k]: value for k, value in item.items()}))
     sim_cfg = dataclasses.replace(cfg.sim, seed=args.seed)
-    trace = cur.run_curriculum_sim(files, cfg.curriculum, sim_cfg)
-    log.info("simulated %d iterations, %d events", sim_cfg.total_iters, len(trace.events))
-    return trace.to_csv()
+    return cur.run_curriculum_sim(files, cfg.curriculum, sim_cfg).to_csv()
 
 
 def cmd_route_sim(args, cfg) -> str:
@@ -280,8 +272,6 @@ def cmd_prefix_run(args, cfg) -> None:
     save_features(trace.features, fps, args.out)
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace.to_dict(), indent=1, allow_nan=False))
-    log.info("prefix run: %s after %d segments, %d attempts",
-             trace.termination, len(trace.segments), trace.total_attempts)
 
 
 # name -> (function, help text, positional file arguments, options and their
@@ -325,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv) -> int:
-    level = os.environ.get("MOTIONFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

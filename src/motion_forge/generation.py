@@ -47,12 +47,6 @@ NUM_EXPERTS = 12
 MASK_SHARPNESS = 24.0
 MASK_THRESHOLD = 0.25
 GUIDANCE_SCALE = 2.5
-# Expert-stack rows (w1 hidden units, w2 output features) that `tpmoe_apply`
-# mixes and applies per step.  Blocks split only output rows, so every sum
-# keeps its length and order.  With OpenBLAS, blocks of 64 rows and more match
-# the unblocked mix bit for bit; narrower panels can reach other BLAS edge
-# kernels (16-row blocks differ by 2e-17), so keep it at 64 or more.
-TPMOE_BLOCK_ROWS = 128
 
 # Denoiser plug-in contract, version 1:
 #   denoiser(noisy_window: (T, D) float array, step: int in [1, num_steps],
@@ -178,13 +172,14 @@ _SAMPLE_MIXES: ContextVar[dict | None] = ContextVar("sample_mixes", default=None
 _stack_arrays = attrgetter("w1", "b1", "w2", "b2")
 
 
-def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> FFNParams | None:
-    """`mix_expert_params(routing, params)`, built on first use in the
-    current sample while its stored mixes hold at most K mixed experts with
-    it; None outside a sample and over that budget."""
+def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> FFNParams:
+    """`mix_expert_params(routing, params)`.  Inside a diffusion sample it is
+    stored on first use and read back while the sample's stored mixes hold
+    at most K mixed experts with it; outside a sample or over that budget it
+    is built for the one call and dropped."""
     store = _SAMPLE_MIXES.get()
     if store is None:
-        return None
+        return mix_expert_params(routing, params)
     # a mix whose params got new arrays can never hit again: drop it
     for key, (owner, arrays, _) in list(store.items()):
         if any(a is not b for a, b in zip(_stack_arrays(owner), arrays)):
@@ -194,7 +189,7 @@ def _sample_mix(params: TPMoEParams, routing: np.ndarray) -> FFNParams | None:
     if key not in store:
         stored = sum(mix[0][0].shape[0] for _, _, mix in store.values())
         if stored + routing.shape[0] > params.num_experts:
-            return None
+            return mix_expert_params(routing, params)
         store[key] = (params, arrays, mix_expert_params(routing, params))
     return store[key][2]
 
@@ -210,20 +205,15 @@ def tpmoe_apply(
     x: (T, d) motion features; token_embeddings: (N, token_dim);
     attention: (T, N) cross-attention weights.
     Returns (delta, x + delta, routing_weights (N, K)).  All N tokens are
-    gated at once.  The expert stack streams through in blocks of
-    TPMOE_BLOCK_ROWS rows: each block of w1 (hidden units) or w2 (output
-    features) is mixed for every token and applied to the frames straight
-    away, so each expert tensor is read once per call.  Outside a diffusion
-    sample no mixed expert is ever built whole.  Inside `ddpm_sample` each
-    prompt (routing) is stored as `mix_expert_params(routing, params)` the
-    first time it is applied, and every call in the sample with the same
-    routing and the same stack arrays reads the blocks and biases of that
-    mix.  The prompts stored in one sample hold at most K mixed experts in
-    all, never more memory than the stack; any further prompt streams.
-    With ((w1, b1), (w2, b2)) = mix_expert_params(routing, params), one
-    mixed expert per token n, delta = sum_n mask[:, n] * (gelu(x @ w1[n].T
-    + b1[n]) @ w2[n].T + b2[n]), and every sum keeps the length and order
-    it has when that formula is evaluated on the whole mixed tensors.
+    gated at once, and with ((w1, b1), (w2, b2)) =
+    mix_expert_params(routing, params), one mixed expert per token n,
+    delta = sum_n mask[:, n] * (gelu(x @ w1[n].T + b1[n]) @ w2[n].T + b2[n]),
+    one matmul per weight over all N tokens.  Inside `ddpm_sample` each
+    prompt's mix is stored the first time it is applied and read back by
+    every later call in the sample with the same routing and the same stack
+    arrays; the prompts stored in one sample hold at most K mixed experts in
+    all, never more memory than the stack.  A call outside a sample, or a
+    prompt over that budget, builds its mix and drops it when it returns.
     """
     x = check_finite(x, "motion features")
     tokens = np.atleast_2d(np.asarray(token_embeddings, dtype=np.float64))
@@ -235,25 +225,9 @@ def tpmoe_apply(
         )
     mask = spatial_mask(attention, params.mask_sharpness, params.mask_threshold)
     routing = tpmoe_gate(tokens, params)
-    n, t = tokens.shape[0], x.shape[0]
-    stored = _sample_mix(params, routing)
-    if stored is None:   # outside a sample or over its budget: mix blocks as they stream
-        stored = ((None, _mix(routing, params.b1)), (None, _mix(routing, params.b2)))
-    (mixed_w1, b1), (mixed_w2, b2) = stored
-
-    def stream(source: np.ndarray, stack: np.ndarray, mixed: np.ndarray | None) -> np.ndarray:
-        # source (..., T, C) against every token's mixed stack rows: (N, T, rows),
-        # blocks read from `mixed` when it is given, else mixed from `stack`
-        out = np.empty((n, t, stack.shape[1]))
-        for start in range(0, stack.shape[1], TPMOE_BLOCK_ROWS):
-            rows = slice(start, start + TPMOE_BLOCK_ROWS)
-            block = _mix(routing, stack[:, rows]) if mixed is None else mixed[:, rows]
-            np.matmul(source, np.swapaxes(block, -1, -2), out=out[:, :, rows])
-            del block   # holding it into the next block's mix doubles the peak
-        return out
-
-    hidden = gelu(stream(x, params.w1, mixed_w1) + b1[:, None, :])
-    per_token = stream(hidden, params.w2, mixed_w2)
+    (w1, b1), (w2, b2) = _sample_mix(params, routing)
+    hidden = gelu(x @ np.swapaxes(w1, -1, -2) + b1[:, None, :])
+    per_token = hidden @ np.swapaxes(w2, -1, -2)
     per_token += b2[:, None, :]
     delta = (mask.T[:, :, None] * per_token).sum(axis=0)
     return delta, x + delta, routing

@@ -3,7 +3,8 @@
 Plausibility metrics (penetration, floating, skating) are properties of a
 single clip against a flat ground plane.  Tracking metrics (mpjpe, mpjae,
 mpjve, success) compare an executed clip against its reference frame by
-frame.  All functions are pure.
+frame; mpjae, mpjve and success refuse two clips at different frame rates
+with AlignmentError.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, check_fields
+from .errors import AlignmentError, ConfigError, check_fields, check_finite
 from .features import detect_contacts
-from .motion import MotionSequence, Skeleton, check_body_indices
+from .motion import FIELDS, MotionSequence, Skeleton, check_body_indices, check_same_rate
 from .rotations import wrap_angle
 
 MM_PER_M = 1000.0
@@ -178,16 +179,22 @@ def mpjpe(ref, sim, body_indices=None) -> float:
     return float(np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).mean())
 
 
+def _check_clips(ref: MotionSequence, sim: MotionSequence) -> None:
+    """Compare two clips for frame rate, frame count and body set."""
+    check_same_rate(ref, sim)
+    _check_aligned(ref.body_pos, sim.body_pos)
+
+
 def mpjae(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint angle error in radians, wrap-aware within +-pi."""
-    _check_aligned(ref.body_pos, sim.body_pos)
+    _check_clips(ref, sim)
     diff = wrap_angle(ref.joint_pos - sim.joint_pos)
     return float(np.abs(diff).mean())
 
 
 def mpjve(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint velocity error in rad/s."""
-    _check_aligned(ref.body_pos, sim.body_pos)
+    _check_clips(ref, sim)
     return float(np.abs(ref.joint_vel - sim.joint_vel).mean())
 
 
@@ -205,13 +212,18 @@ def success(
     """Episode success: no frame crosses a terminal-failure threshold.
 
     Returns (False, reason) for the first violating frame; the reason is the
-    first violated check in the order pelvis_z, trunk_gravity, ee_z.  A NaN
-    or infinite value anywhere in the sim arrays these checks read fails as
-    non_finite before any threshold is looked at (NaN compares False, so it
-    would otherwise pass every threshold).
+    first violated check in the order pelvis_z, trunk_gravity, ee_z.  Every
+    `FIELDS` array of both clips is checked before any threshold is looked
+    at (NaN compares False, so it would otherwise pass every threshold): a
+    NaN or infinite reference value raises NonFiniteError naming the field,
+    and one in the sim fails as non_finite.
     """
-    _check_aligned(ref.body_pos, sim.body_pos)
-    if not all(np.all(np.isfinite(a)) for a in (sim.root_pos, sim.body_rot, sim.body_pos)):
+    _check_clips(ref, sim)
+    sim_finite = True
+    for name in FIELDS:
+        check_finite(getattr(ref, name), f"reference {name!r}")
+        sim_finite = sim_finite and np.isfinite(getattr(sim, name)).all()
+    if not sim_finite:
         return False, FAILURE_NON_FINITE
 
     pelvis_bad = np.abs(ref.root_pos[:, 2] - sim.root_pos[:, 2]) > cfg.pelvis_z_threshold

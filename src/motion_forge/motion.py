@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import AlignmentError, ConfigError, DimensionMismatchError
 
 NUM_JOINTS = 29
 NUM_BODIES = 30
@@ -264,6 +264,13 @@ class MotionSequence:
 
     def copy(self) -> "MotionSequence":
         return replace(self, **{name: getattr(self, name).copy() for name in FIELDS})
+
+
+def check_same_rate(ref, sim) -> None:
+    """Raise AlignmentError naming both rates when two `MotionSequence`s
+    differ in fps; a `Frame` has no rate, so a pair of them passes."""
+    if isinstance(ref, MotionSequence) and isinstance(sim, MotionSequence) and ref.fps != sim.fps:
+        raise AlignmentError(f"frame rates differ: {ref.fps} vs {sim.fps} fps")
 
 
 def finite_difference(values: np.ndarray, fps: float) -> np.ndarray:

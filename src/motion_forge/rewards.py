@@ -40,7 +40,15 @@ from .errors import (
     check_numbers,
     check_object,
 )
-from .motion import NUM_BODIES, NUM_JOINTS, Frame, MotionSequence, Skeleton, check_body_indices
+from .motion import (
+    NUM_BODIES,
+    NUM_JOINTS,
+    Frame,
+    MotionSequence,
+    Skeleton,
+    check_body_indices,
+    check_same_rate,
+)
 from .rotations import (
     matrix_geodesic_angle,
     quat_geodesic_angle,
@@ -154,8 +162,10 @@ def task_rewards(
     term and for the total, a pair of `Frame`s gives scalars.  Relative
     terms are expressed in the anchor (pelvis) frame; body terms average
     squared errors over the tracked body set before the kernel.  The six
-    squared errors go through `exp_kernel_reward` as one stack.
+    squared errors go through `exp_kernel_reward` as one stack.  Two clips
+    at different frame rates raise AlignmentError.
     """
+    check_same_rate(ref, sim)
     for name in ("root_quat", "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
         if getattr(ref, name).shape != getattr(sim, name).shape:
             raise DimensionMismatchError(f"{name}: reference shape {getattr(ref, name).shape}"

@@ -154,6 +154,17 @@ class TestMetricsCli:
         assert report["mpjpe_m"] == 0.0
         assert report["failure_reason"] == "none"
 
+    @pytest.mark.parametrize("command", ["metrics", "reward-eval"])
+    def test_clips_at_different_frame_rates_are_one_alignment_error(
+            self, tmp_path, skel, capsys, command):
+        seq = make_walk_sequence(skel, 1.0, 0.1, 45, 30.0)
+        save_motion(seq, tmp_path / "ref.json", skel)
+        save_motion(dataclasses.replace(seq, fps=60.0), tmp_path / "sim.json", skel)
+        code, captured = run([command, tmp_path / "ref.json", tmp_path / "sim.json"], capsys)
+        err = one_error_line(code, captured, "AlignmentError")
+        assert "30.0 vs 60.0" in err["message"]
+        assert captured.out == ""
+
     def test_missing_file_error_json(self, tmp_path, capsys):
         code, captured = run(["metrics", tmp_path / "no.json", tmp_path / "no.json"], capsys)
         assert code == 1

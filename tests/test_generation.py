@@ -8,7 +8,6 @@ from helpers import ffn_apply, make_oracle_denoiser, zero_denoiser
 from motion_forge import generation
 from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.generation import (
-    TPMOE_BLOCK_ROWS,
     AsfoConfig,
     DiffusionSchedule,
     TPMoEParams,
@@ -322,12 +321,12 @@ class TestTpmoeApply:
             tpmoe_apply(x, np.ones((3, 10)), np.full((4, 3), 0.5), params)
 
     # (frames, tokens, experts, model dim, hidden): the library's default
-    # widths, and small widths whose last block of rows is ragged
+    # widths, and small odd widths
     STREAM_SHAPES = {
         "default expert widths": (48, 4, 12, 512, 1024),
-        "ragged blocks": (7, 3, 5, TPMOE_BLOCK_ROWS + 5, 2 * TPMOE_BLOCK_ROWS + 37),
-        "one token": (9, 1, 4, TPMOE_BLOCK_ROWS - 3, TPMOE_BLOCK_ROWS + 1),
-        "one expert": (6, 2, 1, 11, TPMOE_BLOCK_ROWS + 9),
+        "ragged blocks": (7, 3, 5, 133, 293),
+        "one token": (9, 1, 4, 125, 129),
+        "one expert": (6, 2, 1, 11, 137),
     }
 
     def stream_case(self, case, rng):
@@ -356,29 +355,6 @@ class TestTpmoeApply:
         np.testing.assert_allclose(delta, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         assert np.array_equal(out, x + delta)
         assert np.abs(ref).max() > 0.1   # the comparison is not between zeros
-
-    def test_streams_without_building_mixed_experts(self):
-        # the N tokens' mixed w1 alone is N * H * D * 8 bytes: the reference
-        # path allocates it, the streamed call holds blocks of it at most
-        rng = np.random.default_rng(38)
-        params = init_tpmoe(rng)
-        n, frames = 4, 48
-        x = rng.standard_normal((frames, params.w1.shape[2]))
-        tokens = rng.standard_normal((n, params.gate_layers[0][0].shape[1]))
-        attention = rng.uniform(0.0, 1.0, (frames, n))
-        mixed_w1_bytes = n * params.w1[0].nbytes
-
-        def peak_bytes(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        routing = tpmoe_gate(tokens, params)
-        assert peak_bytes(lambda: ffn_apply(mix_expert_params(routing, params), x)) > mixed_w1_bytes
-        assert peak_bytes(lambda: tpmoe_apply(x, tokens, attention, params)) < mixed_w1_bytes / 2
 
     @pytest.mark.parametrize("case", sorted(STREAM_SHAPES))
     def test_sample_calls_match_calls_outside_a_sample(self, case):
@@ -473,9 +449,10 @@ class TestTpmoeApply:
         # each sample starts with an empty store: nothing outlives the first
         assert seen == [1, 1, 1, 1, 1]
 
-    def test_prompts_over_the_mix_budget_stream(self):
+    def test_prompts_over_the_mix_budget_are_built_per_call(self):
         # K = 4 experts at the default widths: one 4-token prompt fills the
-        # budget of K mixed experts, so a second prompt streams in blocks
+        # budget of K mixed experts, so a second prompt is not stored; each of
+        # its calls builds its mix and gives the bytes of a call outside a sample
         rng = np.random.default_rng(41)
         params = init_tpmoe(rng, num_experts=4)
         n, frames = 4, 48
@@ -483,6 +460,7 @@ class TestTpmoeApply:
         first, second = rng.standard_normal((2, n, params.gate_layers[0][0].shape[1]))
         attention = rng.uniform(0.0, 1.0, (frames, n))
         mixed_w1_bytes = n * params.w1[0].nbytes
+        outside = tpmoe_apply(x, second, attention, params)
         peaks = {}
 
         def peak_bytes(tokens):
@@ -494,15 +472,17 @@ class TestTpmoeApply:
                 tracemalloc.stop()
 
         def denoiser(noisy, step, condition):
-            peaks.setdefault(step, (peak_bytes(first), peak_bytes(second)))
+            peaks.setdefault(step, peak_bytes(first))
+            got = tpmoe_apply(x, second, attention, params)
+            assert all(np.array_equal(g, e) for g, e in zip(got, outside))
+            assert [key[0] for key in generation._SAMPLE_MIXES.get()] == [
+                tpmoe_gate(first, params).tobytes()]
             return np.zeros_like(noisy)
 
         ddpm_sample(make_schedule(2), denoiser, None, (3, 2), np.random.default_rng(2))
-        stores_first, streams_second = peaks[2]
-        reads_first, _ = peaks[1]
+        stores_first, reads_first = peaks[2], peaks[1]
         assert stores_first > mixed_w1_bytes
         assert reads_first < mixed_w1_bytes / 2
-        assert streams_second < mixed_w1_bytes / 2
 
     def test_sample_that_reassigns_the_experts_uses_the_new_ones(self):
         rng = np.random.default_rng(42)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
-from motion_forge.errors import AlignmentError, ConfigError
+from motion_forge.errors import AlignmentError, ConfigError, NonFiniteError
 from motion_forge.features import detect_contacts
 from motion_forge.metrics import (
     FAILURE_EE_Z,
@@ -283,6 +284,31 @@ class TestSuccess:
         assert d["success"] is False and d["failure_reason"] == FAILURE_NON_FINITE
         text = json.dumps(d, allow_nan=False)
         assert json.loads(text)["mpjpe_m"] is None
+
+    # one NaN in an array the thresholds never read: it made a metric NaN
+    # beside a success, or passed unseen
+    @pytest.mark.parametrize("side, field", [("sim", "joint_pos"), ("sim", "joint_vel"),
+                                             ("reference", "body_pos"),
+                                             ("reference", "root_pos")])
+    def test_one_nan_in_any_field_is_caught(self, skel, side, field):
+        ref = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
+        values = getattr(ref, field).copy()
+        values[7, 0] = np.nan
+        poisoned = dataclasses.replace(ref, **{field: values})
+        if side == "sim":
+            d = evaluate(ref, poisoned, skel).to_dict()
+            assert d["success"] is False and d["failure_reason"] == FAILURE_NON_FINITE
+            assert d["mpjae_rad"] is None and d["mpjve_rad_s"] is None
+        else:
+            with pytest.raises(NonFiniteError, match=f"reference '{field}'"):
+                evaluate(poisoned, ref, skel)
+
+
+def test_clips_at_different_frame_rates_raise(skel):
+    # compared frame by frame, a 60 fps copy of a 30 fps clip read as a perfect track
+    ref = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
+    with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
+        evaluate(ref, dataclasses.replace(ref, fps=60.0), skel)
 
 
 def test_evaluate_report_roundtrip(skel):

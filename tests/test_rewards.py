@@ -11,7 +11,12 @@ from helpers import (
     reference_obs_noise,
     reference_policy_obs,
 )
-from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteError
+from motion_forge.errors import (
+    AlignmentError,
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteError,
+)
 from motion_forge.motion import Frame, default_skeleton
 from motion_forge.rewards import (
     COMMAND_DIM,
@@ -89,6 +94,14 @@ class TestTaskRewards:
         for value in terms.values():
             assert value == pytest.approx(1.0, abs=1e-9)
         assert total == pytest.approx(5.3, abs=1e-8)
+
+    def test_clips_at_different_frame_rates_raise(self, skel):
+        seq = make_walk_sequence(skel, 1.0, 0.2, 10, 30.0)
+        faster = dataclasses.replace(seq, fps=60.0)
+        with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
+            task_rewards(seq, faster, skel=skel)
+        # a frame pair has no rate to compare
+        assert task_rewards(seq.frame(4), faster.frame(4), skel=skel)[1] == pytest.approx(5.3)
 
     def test_rigid_anchor_offset_keeps_relative_terms(self, skel):
         seq = make_standing_sequence(skel)
