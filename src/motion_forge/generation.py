@@ -367,6 +367,14 @@ def add_noise(
     return np.sqrt(ab) * clean + np.sqrt(1.0 - ab) * noise
 
 
+def _denoise(denoiser: Denoiser, x: np.ndarray, step: int, condition, shape) -> np.ndarray:
+    """The denoiser's prediction for `x` at `step`: finite and of the window's `shape`."""
+    pred = check_finite(denoiser(x, step, condition), f"denoiser output at step {step}")
+    if pred.shape != shape:
+        raise DimensionMismatchError("denoiser changed the window shape")
+    return pred
+
+
 def diffusion_loss(
     clean_window: np.ndarray,
     noisy_window: np.ndarray,
@@ -376,10 +384,8 @@ def diffusion_loss(
 ) -> float:
     """Mean squared error between the clean window and the denoiser output."""
     clean = check_finite(clean_window, "clean window")
-    pred = check_finite(denoiser(np.asarray(noisy_window, dtype=np.float64), step, condition),
-                        f"denoiser output at step {step}")
-    if pred.shape != clean.shape:
-        raise DimensionMismatchError("denoiser changed the window shape")
+    pred = _denoise(denoiser, np.asarray(noisy_window, dtype=np.float64), step, condition,
+                    clean.shape)
     return float(np.mean((clean - pred) ** 2))
 
 
@@ -436,9 +442,7 @@ def ddpm_sample(
     try:
         x = rng.standard_normal(shape)
         for step in range(schedule.num_steps, 0, -1):
-            pred = check_finite(denoiser(x, step, condition), f"denoiser output at step {step}")
-            if pred.shape != x.shape:
-                raise DimensionMismatchError("denoiser changed the window shape")
+            pred = _denoise(denoiser, x, step, condition, x.shape)
             ab_t = schedule.alpha_bar[step]
             ab_prev = schedule.alpha_bar[step - 1]
             beta_t = schedule.betas[step - 1]

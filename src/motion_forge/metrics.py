@@ -3,8 +3,8 @@
 Plausibility metrics (penetration, floating, skating) are properties of a
 single clip against a flat ground plane.  Tracking metrics (mpjpe, mpjae,
 mpjve, success) compare an executed clip against its reference frame by
-frame; mpjae, mpjve and success refuse two clips at different frame rates
-with AlignmentError.  All functions are pure.
+frame: a pair that `motion.check_aligned` refuses raises AlignmentError,
+and mpjpe takes their body positions.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, check_fields, check_finite
+from .errors import AlignmentError, ConfigError, DimensionMismatchError, check_fields, check_finite
 from .features import detect_contacts
-from .motion import FIELDS, MotionSequence, Skeleton, check_body_indices, check_same_rate
+from .motion import FIELDS, MotionSequence, Skeleton, check_aligned, check_body_indices
 from .rotations import wrap_angle
 
 MM_PER_M = 1000.0
@@ -145,26 +145,19 @@ def skating(
     return float(frame_slipping.sum() / frame_planted.sum())
 
 
-def _check_aligned(ref_pos: np.ndarray, sim_pos: np.ndarray):
-    """Compare two clips' (T, B, 3) body positions for frame and body sets."""
-    if ref_pos.shape[0] != sim_pos.shape[0]:
-        raise AlignmentError(
-            f"frame counts differ: {ref_pos.shape[0]} vs {sim_pos.shape[0]}"
-        )
-    if ref_pos.shape != sim_pos.shape:
-        raise AlignmentError("body sets differ between sequences")
-
-
-def mpjpe(ref, sim, body_indices=None) -> float:
-    """Mean per-body position error in meters.
-
-    Either side may be a MotionSequence or its (T, B, 3) body positions.
+def mpjpe(ref_pos, sim_pos, body_indices=None) -> float:
+    """Mean per-body position error in meters between two (T, B, 3) arrays,
+    such as two clips' `body_pos`: any other rank or last axis (a clip among
+    them) raises DimensionMismatchError, two different shapes AlignmentError.
     `body_indices`, if given, must name at least one of the B bodies, else
     ConfigError.
     """
-    ref_pos = np.asarray(getattr(ref, "body_pos", ref))
-    sim_pos = np.asarray(getattr(sim, "body_pos", sim))
-    _check_aligned(ref_pos, sim_pos)
+    ref_pos, sim_pos = np.asarray(ref_pos), np.asarray(sim_pos)
+    for pos in (ref_pos, sim_pos):
+        if pos.ndim != 3 or pos.shape[-1] != 3:
+            raise DimensionMismatchError(f"expected (T, B, 3) body positions, got {pos.shape}")
+    if ref_pos.shape != sim_pos.shape:
+        raise AlignmentError(f"body positions: shapes differ: {ref_pos.shape} vs {sim_pos.shape}")
     idx = slice(None)
     if body_indices is not None:
         check_body_indices("body_indices", body_indices)
@@ -179,22 +172,16 @@ def mpjpe(ref, sim, body_indices=None) -> float:
     return float(np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2]).mean())
 
 
-def _check_clips(ref: MotionSequence, sim: MotionSequence) -> None:
-    """Compare two clips for frame rate, frame count and body set."""
-    check_same_rate(ref, sim)
-    _check_aligned(ref.body_pos, sim.body_pos)
-
-
 def mpjae(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint angle error in radians, wrap-aware within +-pi."""
-    _check_clips(ref, sim)
+    check_aligned(ref, sim)
     diff = wrap_angle(ref.joint_pos - sim.joint_pos)
     return float(np.abs(diff).mean())
 
 
 def mpjve(ref: MotionSequence, sim: MotionSequence) -> float:
     """Mean per-joint velocity error in rad/s."""
-    _check_clips(ref, sim)
+    check_aligned(ref, sim)
     return float(np.abs(ref.joint_vel - sim.joint_vel).mean())
 
 
@@ -218,7 +205,7 @@ def success(
     NaN or infinite reference value raises NonFiniteError naming the field,
     and one in the sim fails as non_finite.
     """
-    _check_clips(ref, sim)
+    check_aligned(ref, sim)
     sim_finite = True
     for name in FIELDS:
         check_finite(getattr(ref, name), f"reference {name!r}")
@@ -271,7 +258,7 @@ def evaluate(
         penetration_mm=penetration(sim, ground),
         floating_mm=floating(sim, ground, foot_contacts, skel),
         skating_ratio=skating(sim, foot_contacts, skel, ground),
-        mpjpe_m=mpjpe(ref, sim),
+        mpjpe_m=mpjpe(ref.body_pos, sim.body_pos),
         mpjae_rad=mpjae(ref, sim),
         mpjve_rad_s=mpjve(ref, sim),
         success=ok,

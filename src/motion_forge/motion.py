@@ -266,9 +266,14 @@ class MotionSequence:
         return replace(self, **{name: getattr(self, name).copy() for name in FIELDS})
 
 
-def check_same_rate(ref, sim) -> None:
-    """Raise AlignmentError naming both rates when two `MotionSequence`s
-    differ in fps; a `Frame` has no rate, so a pair of them passes."""
+def check_aligned(ref, sim) -> None:
+    """Raise AlignmentError unless two clips or `Frame`s compare frame by frame:
+    every `FIELDS` array has one shape on both sides (the first that differs
+    is named) and two clips share their fps (a `Frame` has no rate)."""
+    for name in FIELDS:
+        a, b = getattr(ref, name).shape, getattr(sim, name).shape
+        if a != b:
+            raise AlignmentError(f"{name}: reference shape {a} != executed shape {b}")
     if isinstance(ref, MotionSequence) and isinstance(sim, MotionSequence) and ref.fps != sim.fps:
         raise AlignmentError(f"frame rates differ: {ref.fps} vs {sim.fps} fps")
 

@@ -17,10 +17,11 @@ seeded low-amplitude noise; real runs plug a diffusion sampler with the
 same callback signature:
 
     generator(prefix: (P, 262), target: (262,), condition, rng) -> (S, 262)
-    tracker(reference: MotionSequence) -> MotionSequence, frame-aligned
+    tracker(reference: MotionSequence) -> MotionSequence, same frame count and fps
 
 The tracker gets the whole window as a fresh MotionSequence it may mutate.
-Non-finite generator frames or tracked positions raise NonFiniteError.
+Non-finite generator frames or tracked positions raise NonFiniteError, and
+a tracker output that `motion.check_aligned` refuses AlignmentError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, check_fields, check_finite
+from .errors import ConfigError, check_fields, check_finite
 from .features import (
     FEATURE_DIM,
     FOOT_CONTACT,
@@ -50,6 +51,7 @@ from .motion import (
     NUM_JOINTS,
     MotionSequence,
     Skeleton,
+    check_aligned,
     check_body_indices,
     finite_difference,
 )
@@ -238,15 +240,15 @@ def validate_segment(
     """Replay a reference through the tracker; accept iff mpjpe <= tolerance.
 
     The error is measured against a copy of the positions the tracker was
-    given, so a tracker that mutates its input cannot shrink it.
+    given, so a tracker that mutates its input cannot shrink it.  An output
+    that `motion.check_aligned` refuses raises AlignmentError.
     """
     given = reference.body_pos.copy()
     executed = tracker(reference)
-    if executed.num_frames != reference.num_frames:
-        raise AlignmentError("tracker output is not frame-aligned with its input")
+    check_aligned(reference, executed)
     check_finite(executed.body_pos, "tracker output 'body_pos'")
     check_finite(executed.root_pos, "tracker output 'root_pos'")
-    err = mpjpe(given, executed, tracked_bodies)
+    err = mpjpe(given, executed.body_pos, tracked_bodies)
     return err <= tolerance, err
 
 

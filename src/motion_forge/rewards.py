@@ -46,8 +46,8 @@ from .motion import (
     Frame,
     MotionSequence,
     Skeleton,
+    check_aligned,
     check_body_indices,
-    check_same_rate,
 )
 from .rotations import (
     matrix_geodesic_angle,
@@ -162,14 +162,10 @@ def task_rewards(
     term and for the total, a pair of `Frame`s gives scalars.  Relative
     terms are expressed in the anchor (pelvis) frame; body terms average
     squared errors over the tracked body set before the kernel.  The six
-    squared errors go through `exp_kernel_reward` as one stack.  Two clips
-    at different frame rates raise AlignmentError.
+    squared errors go through `exp_kernel_reward` as one stack.  A pair
+    that `motion.check_aligned` refuses raises AlignmentError.
     """
-    check_same_rate(ref, sim)
-    for name in ("root_quat", "body_pos", "body_rot", "body_lin_vel", "body_ang_vel"):
-        if getattr(ref, name).shape != getattr(sim, name).shape:
-            raise DimensionMismatchError(f"{name}: reference shape {getattr(ref, name).shape}"
-                                         f" != executed shape {getattr(sim, name).shape}")
+    check_aligned(ref, sim)
     if cfg.tracked_bodies is not None:
         bodies = np.array(cfg.tracked_bodies)
     elif skel is not None:

@@ -3,6 +3,7 @@ oracles that kernels built for speed are checked against."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from motion_forge.curriculum import introduction_ratio
 from motion_forge.errors import DimensionMismatchError
 from motion_forge.kernels import gelu
-from motion_forge.motion import NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
+from motion_forge.motion import FIELDS, NUM_BODIES, NUM_JOINTS, MotionSequence, Skeleton
 from motion_forge.rewards import (
     CRITIC_LAYOUT,
     POLICY_LAYOUT,
@@ -165,6 +166,19 @@ def random_quaternions(rng: np.random.Generator, shape=()) -> np.ndarray:
 
 def random_rotations(rng: np.random.Generator, shape=()) -> np.ndarray:
     return quat_to_matrix(random_quaternions(rng, shape))
+
+
+def one_frame_short(seq: MotionSequence) -> MotionSequence:
+    return MotionSequence(seq.fps, **{name: getattr(seq, name)[:-1] for name in FIELDS})
+
+
+# Copies of a 30 fps clip that no frame-by-frame comparison may accept, as
+# case -> (builder, the AlignmentError message's pattern); read frame by
+# frame, a 60 fps copy would track its original perfectly.
+MISALIGNED = {
+    "fps": (lambda seq: dataclasses.replace(seq, fps=60.0), "frame rates differ: 30.0 vs 60.0 fps"),
+    "length": (one_frame_short, "joint_pos: reference shape"),
+}
 
 
 def make_random_sequence(skel: Skeleton, rng: np.random.Generator,

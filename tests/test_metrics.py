@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_random_sequence, make_standing_sequence, make_walk_sequence
+from helpers import (
+    MISALIGNED,
+    make_random_sequence,
+    make_standing_sequence,
+    make_walk_sequence,
+)
 from motion_forge.errors import AlignmentError, ConfigError, NonFiniteError
 from motion_forge.features import detect_contacts
 from motion_forge.metrics import (
@@ -26,6 +31,7 @@ from motion_forge.metrics import (
     success,
 )
 from motion_forge.motion import MotionSequence, default_skeleton
+from motion_forge.rewards import task_rewards
 from motion_forge.rotations import rot_z
 
 
@@ -123,7 +129,7 @@ class TestSkating:
 class TestTrackingErrors:
     def test_identical_sequences_zero(self, skel):
         seq = make_walk_sequence(skel, 1.0, 0.2, 30, 30.0)
-        assert mpjpe(seq, seq) == 0.0
+        assert mpjpe(seq.body_pos, seq.body_pos) == 0.0
         assert mpjae(seq, seq) == 0.0
         assert mpjve(seq, seq) == 0.0
 
@@ -131,7 +137,7 @@ class TestTrackingErrors:
         seq = make_standing_sequence(skel)
         body_pos = seq.body_pos + np.array([0.03, 0.04, 0.0])  # |d| = 0.05
         sim = with_body_pos(seq, body_pos)
-        assert mpjpe(seq, sim) == pytest.approx(0.05, abs=1e-12)
+        assert mpjpe(seq.body_pos, sim.body_pos) == pytest.approx(0.05, abs=1e-12)
 
     def test_uniform_joint_offset_mpjae(self, skel):
         ref = make_standing_sequence(skel)
@@ -157,13 +163,13 @@ class TestTrackingErrors:
         sim = with_body_pos(seq, body_pos)
         noise = rng.normal(0.0, sigma, (200000, 3))
         oracle = np.linalg.norm(noise, axis=1).mean()
-        assert mpjpe(seq, sim) == pytest.approx(oracle, rel=0.02)
+        assert mpjpe(seq.body_pos, sim.body_pos) == pytest.approx(oracle, rel=0.02)
 
     def test_misaligned_lengths_raise(self, skel):
         a = make_standing_sequence(skel, num_frames=10)
         b = make_standing_sequence(skel, num_frames=12)
         with pytest.raises(AlignmentError):
-            mpjpe(a, b)
+            mpjpe(a.body_pos, b.body_pos)
 
     # none, past the last body, a bool, and a negative index that would
     # quietly measure the last body
@@ -171,7 +177,7 @@ class TestTrackingErrors:
     def test_body_indices_outside_the_skeleton_are_a_config_error(self, skel, bodies):
         seq = make_standing_sequence(skel, num_frames=4)
         with pytest.raises(ConfigError, match="body_indices"):
-            mpjpe(seq, seq, bodies)
+            mpjpe(seq.body_pos, seq.body_pos, bodies)
 
     def test_body_indices_past_the_arrays_body_axis_are_a_config_error(self):
         # 7 is a body of the robot, but not one of these five
@@ -184,7 +190,8 @@ class TestTrackingErrors:
         rng = np.random.default_rng(7)
         ref = make_random_sequence(skel, rng)
         sim = make_random_sequence(skel, rng)
-        want = float(np.linalg.norm(ref.body_pos[:, [5]] - sim.body_pos[:, [5]], axis=-1).mean())
+        ref, sim = ref.body_pos, sim.body_pos
+        want = float(np.linalg.norm(ref[:, [5]] - sim[:, [5]], axis=-1).mean())
         assert mpjpe(ref, sim, [5]) == mpjpe(ref, sim, (5,)) == want
         assert mpjpe(ref, sim, np.array([5])) == mpjpe(ref, sim, 5) == want
 
@@ -192,12 +199,11 @@ class TestTrackingErrors:
         rng = np.random.default_rng(5)
         ref = make_random_sequence(skel, rng)
         sim = make_random_sequence(skel, rng)
-        base = mpjpe(ref, sim)
+        base = mpjpe(ref.body_pos, sim.body_pos)
 
         def shift_rotate(seq):
             rot = rot_z(0.9)
-            body_pos = seq.body_pos @ rot.T + np.array([2.0, -1.0, 0.0])
-            return with_body_pos(seq, body_pos)
+            return seq.body_pos @ rot.T + np.array([2.0, -1.0, 0.0])
 
         assert mpjpe(shift_rotate(ref), shift_rotate(sim)) == pytest.approx(base, abs=1e-12)
 
@@ -304,11 +310,23 @@ class TestSuccess:
                 evaluate(poisoned, ref, skel)
 
 
-def test_clips_at_different_frame_rates_raise(skel):
-    # compared frame by frame, a 60 fps copy of a 30 fps clip read as a perfect track
+# every check that compares two clips frame by frame
+PAIR_CHECKS = {
+    "mpjae": lambda ref, sim, skel: mpjae(ref, sim),
+    "mpjve": lambda ref, sim, skel: mpjve(ref, sim),
+    "success": success,
+    "evaluate": evaluate,
+    "task_rewards": lambda ref, sim, skel: task_rewards(ref, sim, skel=skel),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISALIGNED))
+@pytest.mark.parametrize("check", sorted(PAIR_CHECKS))
+def test_misaligned_clips_raise_from_every_pair_check(skel, check, case):
+    misalign, pattern = MISALIGNED[case]
     ref = make_walk_sequence(skel, 1.0, 0.0, 20, 30.0)
-    with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
-        evaluate(ref, dataclasses.replace(ref, fps=60.0), skel)
+    with pytest.raises(AlignmentError, match=pattern):
+        PAIR_CHECKS[check](ref, misalign(ref), skel)
 
 
 def test_evaluate_report_roundtrip(skel):

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_walk_sequence, neutral_features
-from motion_forge.errors import AlignmentError, ConfigError, NonFiniteError
+from helpers import MISALIGNED, make_walk_sequence, neutral_features
+from motion_forge.errors import AlignmentError, ConfigError, DimensionMismatchError, NonFiniteError
 from motion_forge.features import FEATURE_DIM, ROT6D, encode_features
 from motion_forge.metrics import mpjpe
 from motion_forge.motion import FIELDS, default_skeleton
@@ -536,6 +536,26 @@ class TestNonFiniteValues:
             run_prefix_loop(neutral_features(30), standing_target(), gen, tracker, cfg, skel)
 
 
+class TestTrackerAlignment:
+    """A tracker must hand its window back at the input's frame count and fps,
+    or its executed motion is not comparable frame by frame."""
+
+    @pytest.mark.parametrize("case", sorted(MISALIGNED))
+    def test_validate_segment_raises(self, skel, case):
+        tracker, pattern = MISALIGNED[case]
+        seq = features_to_motion(neutral_features(8), 30.0, skel)
+        with pytest.raises(AlignmentError, match=pattern):
+            validate_segment(seq, tracker, tolerance=0.15)
+
+    @pytest.mark.parametrize("case", sorted(MISALIGNED))
+    def test_run_prefix_loop_raises(self, skel, case):
+        tracker, pattern = MISALIGNED[case]
+        cfg = PrefixLoopConfig(horizon_seconds=2.0, max_resamples=2, seed=1)
+        gen = make_interpolation_generator(cfg.segment_frames)
+        with pytest.raises(AlignmentError, match=pattern):
+            run_prefix_loop(neutral_features(30), standing_target(), gen, tracker, cfg, skel)
+
+
 class TestMpjpe:
     def test_equals_linalg_norm_reference_bit_exact(self, skel):
         rng = np.random.default_rng(6)
@@ -543,10 +563,10 @@ class TestMpjpe:
         sim = ref.copy()
         sim.body_pos[:] += rng.normal(0.0, 0.05, sim.body_pos.shape)
         diff = ref.body_pos - sim.body_pos
-        assert mpjpe(ref, sim) == float(np.linalg.norm(diff, axis=-1).mean())
+        assert mpjpe(ref.body_pos, sim.body_pos) == float(np.linalg.norm(diff, axis=-1).mean())
         bodies = (0, 7, 8, 19, 28)
         expected = float(np.linalg.norm(diff[:, list(bodies)], axis=-1).mean())
-        assert mpjpe(ref, sim, bodies) == expected
+        assert mpjpe(ref.body_pos, sim.body_pos, bodies) == expected
         for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
             a, b = rng.normal(0.0, scale, (2, 97, 30, 3))
             assert mpjpe(a, b) == float(np.linalg.norm(a - b, axis=-1).mean())
@@ -555,6 +575,15 @@ class TestMpjpe:
         # validate_segment measures against a bare copy of the positions
         ref = features_to_motion(neutral_features(8), 30.0, skel)
         sim = make_perturbation_tracker(0, TrackerConfig(offset=0.125))(ref)
-        assert mpjpe(ref.body_pos.copy(), sim) == mpjpe(ref, sim) == 0.125
-        with pytest.raises(AlignmentError, match="frame counts"):
-            mpjpe(ref.body_pos[:7], sim)
+        assert mpjpe(ref.body_pos.copy(), sim.body_pos) == 0.125
+        with pytest.raises(AlignmentError, match=r"\(7, 30, 3\) vs \(8, 30, 3\)"):
+            mpjpe(ref.body_pos[:7], sim.body_pos)
+
+    def test_a_clip_or_another_shape_is_a_dimension_error(self, skel):
+        # mpjpe compares no rates, so it takes no clips: a 60 fps copy of a
+        # 30 fps clip would read as a perfect track
+        ref = features_to_motion(neutral_features(8), 30.0, skel)
+        for bad in (ref, ref.body_pos[0], ref.body_pos[..., :2]):
+            for pair in ((bad, ref.body_pos), (ref.body_pos, bad)):
+                with pytest.raises(DimensionMismatchError, match=r"expected \(T, B, 3\)"):
+                    mpjpe(*pair)

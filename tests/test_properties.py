@@ -2,7 +2,7 @@
 idempotent, a motion clip's save/load cycle is bit-exact, mirroring a clip
 or feature frames twice is bit-exact, encoding a mirrored clip equals
 mirroring its features bit for bit and a mirrored clip pair scores the same
-task rewards within a few ulps, normalization leaves unmasked dims
+task rewards and `evaluate` report within a few ulps, normalization leaves unmasked dims
 bit-identical, whole-clip task rewards equal the per-frame ones bit for
 bit and task rewards match their one-term-at-a-time reference bit for bit,
 TP-MoE gate rows and router mixture weights lie on the simplex, the
@@ -17,6 +17,7 @@ introduced active rows at every iteration, expert-pool growth clones the
 newest unlocked expert into the next slot, and the prefix loop carries its
 initial rows bit-exactly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,7 @@ from motion_forge.generation import (  # noqa: E402
     tpmoe_gate,
 )
 from motion_forge.kernels import elu, mlp_forward, softmax_  # noqa: E402
+from motion_forge.metrics import evaluate  # noqa: E402
 from motion_forge.motion import (  # noqa: E402
     FIELDS,
     NUM_BODIES,
@@ -283,6 +285,30 @@ def test_a_mirrored_pair_scores_the_original_task_rewards(seed, num_frames, cfg)
         assert np.abs(mirrored[name] - terms[name]).max() <= 4 * ulp, name
     weights = sum(abs(getattr(cfg, name).weight) for name in TASK_TERMS)
     assert np.abs(mirrored_total - total).max() <= 4 * ulp * weights
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6), drop=st.floats(0.0, 1.6),
+       calm=st.floats(0.0, 1.0))
+def test_a_mirrored_pair_scores_the_original_metric_report(seed, num_frames, drop, calm):
+    """Every `evaluate` value within 4 ulps of its own size, and the same
+    verdict: the mirror permutes bodies and joints, so their means add in
+    another order.  The executed clip is lowered by `drop` and its body
+    velocities scaled by `calm`, so feet touch, float, skate and sink."""
+    skel = default_skeleton()
+    rng = np.random.default_rng(seed)
+    ref = make_random_sequence(skel, rng, num_frames)
+    sim = make_random_sequence(skel, rng, num_frames)
+    sim = dataclasses.replace(sim, root_pos=sim.root_pos - [0.0, 0.0, drop],
+                              body_pos=sim.body_pos - [0.0, 0.0, drop],
+                              body_lin_vel=sim.body_lin_vel * calm)
+    report = evaluate(ref, sim, skel).to_dict()
+    mirrored = evaluate(mirror_sequence(ref, skel), mirror_sequence(sim, skel), skel).to_dict()
+    assert mirrored.keys() == report.keys()
+    for name, value in report.items():
+        if isinstance(value, float):
+            assert abs(mirrored[name] - value) <= 4 * np.spacing(value), name
+        else:
+            assert mirrored[name] == value, name
 
 
 @given(frames=feature_frames(BOUNDED), seed=st.integers(0, 2**32 - 1), layout=st.booleans())

@@ -8,6 +8,7 @@ from motion_forge.errors import ConfigError, DimensionMismatchError, NonFiniteEr
 from motion_forge.kernels import clone_mlp, init_mlp, mlp_forward
 from motion_forge.router import (
     RouterConfig,
+    RouterState,
     add_expert,
     candidate_weights,
     gate_logits,
@@ -93,8 +94,8 @@ class TestGate:
     def test_zero_gate_uniform_routing(self):
         rng = np.random.default_rng(2)
         pool = small_pool(rng)
-        state = make_router(rng, pool.capacity, Z_DIM, zero_gate=True,
-                            config=RouterConfig(top_k=4))
+        state = RouterState(gate_w=np.zeros((pool.capacity, Z_DIM)),
+                            gate_b=np.zeros(pool.capacity), config=RouterConfig(top_k=4))
         step(state, pool, rng.standard_normal(Z_DIM))
         weights = candidate_weights(state, pool)
         assert np.allclose(weights, 0.25)
@@ -516,11 +517,10 @@ def test_pool_constructor_fills_empty_lr_multipliers():
     assert dataclasses.replace(pool, lr_multipliers=[]).lr_multipliers == [1.0] * 3
 
 
-@pytest.mark.parametrize("zero_gate", [False, True])
-def test_unallocatable_gate_is_a_config_error(zero_gate):
+def test_unallocatable_gate_is_a_config_error():
     # numpy refuses the (1e300, latent) shape before it draws or allocates
     with pytest.raises(ConfigError, match="capacity 1000000"):
-        make_router(np.random.default_rng(0), int(1e300), Z_DIM, zero_gate=zero_gate)
+        make_router(np.random.default_rng(0), int(1e300), Z_DIM)
 
 
 @pytest.mark.parametrize("key, value, pattern", [
