@@ -277,19 +277,13 @@ def apply_level_quota(
     if total_surplus <= 0.0:
         return probs
     positive = probs > 0.0   # only positive rows gain or pay
-    # per level: what each positive row gains, and the mass it pays a share
-    # of; a level that neither gains nor pays takes p + 0.0 and then
-    # p - p / 1.0 * 0.0, both exactly p
-    per_level = np.array([[0.0] * len(masses), [1.0] * len(masses), [0.0] * len(masses)])
-    gain, mass, pay = per_level
-    for k, ((a, b), m) in enumerate(zip(bounds, masses)):
+    for (a, b), m in zip(bounds, masses):
+        level, rows = probs[a:b], positive[a:b]
         if 0.0 < m < floor:
-            gain[k] = (floor - m) / np.count_nonzero(positive[a:b])
+            np.add(level, (floor - m) / np.count_nonzero(rows), out=level, where=rows)
         elif m > floor:
-            mass[k], pay[k] = m, total_deficit * (m - floor) / total_surplus
-    gain, mass, pay = np.repeat(per_level, sizes, axis=1)
-    np.add(probs, gain, out=probs, where=positive)
-    np.subtract(probs, probs / mass * pay, out=probs, where=positive)
+            share = total_deficit * (m - floor) / total_surplus
+            np.subtract(level, level / m * share, out=level, where=rows)
     np.maximum(probs, 0.0, out=probs)
     probs /= np.add.reduce(probs)
     return probs
@@ -492,16 +486,16 @@ class ReplaySet:
     (`sizes`, for `apply_level_quota`).  `orders[k]` must hold rows of
     level k + 1 only (else ConfigError).
 
-    The corpus's activity mask is recomputed only after `invalidate` (call
-    it whenever `check_freeze` has run), when the iteration reaches the
-    earliest `frozen_until` of a frozen row, or when it goes back; each
-    level's active rows in introduction order are kept with it.  A level
-    whose ramp has ended keeps its introduced count, so a call counts only
-    the levels still ramping (every level after a recomputation, a step
-    back or an unlock), and the rows are concatenated anew whenever a
-    level's count changes.  Arrays once returned are never written again.
-    `unlock_iters` is read on every call, so appending to it unlocks a level;
-    more unlocked levels than `orders` raise ConfigError.
+    The one cache is the corpus's activity mask, kept as each level's active
+    rows in introduction order: it is recomputed only after `invalidate`
+    (call it whenever `check_freeze` has run), when the iteration reaches
+    the earliest `frozen_until` of a frozen row, or when it goes back.
+    Every call recounts each unlocked level's introduced active rows (all of
+    them once its ramp has ended, as the ratio is then exactly 1.0) and
+    concatenates the rows anew only when a count changes, so an array once
+    returned is never written again.  `unlock_iters` is read on every call,
+    so appending to it unlocks a level; more unlocked levels than `orders`
+    raise ConfigError.
     """
 
     def __init__(self, state: CorpusState, orders: Sequence[np.ndarray],
@@ -510,6 +504,7 @@ class ReplaySet:
             if (state.level[order] != lv).any():
                 raise ConfigError(f"replay order {lv - 1} must hold rows of level {lv} only")
         self.state, self.orders, self.unlock_iters, self.cfg = state, orders, unlock_iters, cfg
+        self.ramps = [ramp_iters(lv, cfg) for lv in range(1, len(orders) + 1)]
         self.invalidate()
 
     def invalidate(self) -> None:
@@ -518,6 +513,9 @@ class ReplaySet:
     def at(self, iteration: int) -> np.ndarray:
         """The active introduced rows at `iteration`, grouped by level."""
         state, unlocks = self.state, self.unlock_iters
+        if len(unlocks) > len(self.orders):
+            raise ConfigError(f"ReplaySet: {len(unlocks)} unlocked levels but "
+                              f"{len(self.orders)} replay orders")
         stale = self.kept is None or not self.since <= iteration < self.thaw_at
         if stale:
             active = active_mask(state, iteration)
@@ -529,26 +527,14 @@ class ReplaySet:
             self.kept = [order[mask] for order, mask in zip(self.orders, live)]
             # active_before[k][n]: active rows among the first n of orders[k]
             self.active_before = [[0, *np.cumsum(mask).tolist()] for mask in live]
-        changed = stale or iteration < self.iteration or len(unlocks) != len(self.sizes)
-        if changed:
-            if len(unlocks) > len(self.orders):
-                self.invalidate()   # so a call that retries raises this again
-                raise ConfigError(f"ReplaySet: {len(unlocks)} unlocked levels but "
-                                  f"{len(self.orders)} replay orders")
-            self.sizes = [0] * len(unlocks)
-            # (level index, iteration its ramp ends) of every level whose size may change
-            self.ramping = [(k, unlock + ramp_iters(k + 1, self.cfg))
-                            for k, unlock in enumerate(unlocks)]
-        self.iteration = iteration
-        for k, _ in self.ramping:
-            size = self.active_before[k][
-                _introduced_count(self.orders[k], unlocks[k], k + 1, iteration, self.cfg)]
-            changed |= size != self.sizes[k]
-            self.sizes[k] = size
-        self.ramping = [(k, end) for k, end in self.ramping if iteration < end]
-        if changed:   # a level not unlocked adds none of its rows
+        sizes = [before[-1] if iteration >= unlock + ramp else
+                 before[_introduced_count(order, unlock, lv, iteration, self.cfg)]
+                 for lv, (order, before, unlock, ramp) in enumerate(
+                     zip(self.orders, self.active_before, unlocks, self.ramps), start=1)]
+        if stale or sizes != self.sizes:   # a level not unlocked adds none of its rows
+            self.sizes = sizes
             self.rows = np.concatenate([kept[:n] for kept, n in
-                                        itertools.zip_longest(self.kept, self.sizes, fillvalue=0)])
+                                        itertools.zip_longest(self.kept, sizes, fillvalue=0)])
         return self.rows
 
     def distribution(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ immutable and return new instances.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +99,10 @@ def _mirror_perm(names: tuple[str, ...]) -> np.ndarray:
     return perm
 
 
+# the body index sets a Skeleton takes, and how many bodies each lists
+_BODY_SETS = {"ric_body_indices": 12, "foot_body_indices": 4, "hand_body_indices": 2}
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Static robot description.  Its inputs are the joint and body orderings,
@@ -124,13 +128,22 @@ class Skeleton:
             raise ConfigError(f"expected {NUM_JOINTS} joints, got {len(self.joint_names)}")
         if len(self.body_names) != NUM_BODIES:
             raise ConfigError(f"expected {NUM_BODIES} bodies, got {len(self.body_names)}")
-        if len(self.ric_body_indices) != 12:
-            raise ConfigError("ric_body_indices must list 12 bodies")
-        if not all(1 <= i < NUM_BODIES for i in self.ric_body_indices):
+        joint_sign = np.array([-1.0 if "roll" in n or "yaw" in n else 1.0
+                               for n in self.joint_names])
+        object.__setattr__(self, "mirror_map", MirrorMap(
+            _mirror_perm(self.joint_names), joint_sign, _mirror_perm(self.body_names)))
+        for name, count in _BODY_SETS.items():
+            indices = getattr(self, name)
+            check_body_indices(name, indices)
+            if len(indices) != count:
+                raise ConfigError(f"{name} must list {count} bodies")
+            if len(set(indices)) != count:
+                raise ConfigError(f"{name} must not repeat a body")
+            # mirroring maps the set's bodies onto the set
+            if set(self.mirror_map.body_perm[list(indices)].tolist()) != set(indices):
+                raise ConfigError(f"{name} must hold each body's mirror partner")
+        if 0 in self.ric_body_indices:
             raise ConfigError("ric_body_indices must lie in [1, 30)")
-        for name, idx in (("foot_body_indices", 4), ("hand_body_indices", 2)):
-            if len(getattr(self, name)) != idx:
-                raise ConfigError(f"{name} must list {idx} bodies")
         limits = np.asarray(self.joint_limits, dtype=np.float64)
         object.__setattr__(self, "joint_limits", limits)
         if limits.shape != (NUM_JOINTS, 2):
@@ -139,10 +152,6 @@ class Skeleton:
             raise ConfigError("every joint limit must satisfy min < max")
         object.__setattr__(self, "vel_body_indices", (*self.ric_body_indices, 0))
         object.__setattr__(self, "rot6d_body_indices", tuple(range(1, NUM_BODIES)))
-        joint_sign = np.array([-1.0 if "roll" in n or "yaw" in n else 1.0
-                               for n in self.joint_names])
-        object.__setattr__(self, "mirror_map", MirrorMap(
-            _mirror_perm(self.joint_names), joint_sign, _mirror_perm(self.body_names)))
         key_bodies = np.array([0, self.body_index("torso_link"), *self.ric_body_indices])
         key_bodies.flags.writeable = False
         object.__setattr__(self, "key_body_indices", key_bodies)
@@ -213,11 +222,8 @@ def default_skeleton() -> Skeleton:
     )
 
 
-Frame = make_dataclass(
-    "Frame", [(name, np.ndarray) for name in FIELDS], frozen=True,
-    namespace={"__module__": __name__,
-               "__doc__": "One frame of robot state (views into the owning sequence)."},
-)
+Frame = NamedTuple("Frame", [("fps", float), *((name, np.ndarray) for name in FIELDS)])
+Frame.__doc__ = "One frame of robot state: its clip's fps, then views into the clip's arrays."
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,7 @@ class MotionSequence:
         return self.joint_pos.shape[0]
 
     def frame(self, i: int) -> Frame:
-        return Frame(*(getattr(self, name)[i] for name in FIELDS))
+        return Frame(self.fps, *(getattr(self, name)[i] for name in FIELDS))
 
     def copy(self) -> "MotionSequence":
         return replace(self, **{name: getattr(self, name).copy() for name in FIELDS})
@@ -269,12 +275,12 @@ class MotionSequence:
 def check_aligned(ref, sim) -> None:
     """Raise AlignmentError unless two clips or `Frame`s compare frame by frame:
     every `FIELDS` array has one shape on both sides (the first that differs
-    is named) and two clips share their fps (a `Frame` has no rate)."""
+    is named) and both sides share their fps (a `Frame` carries its clip's)."""
     for name in FIELDS:
         a, b = getattr(ref, name).shape, getattr(sim, name).shape
         if a != b:
             raise AlignmentError(f"{name}: reference shape {a} != executed shape {b}")
-    if isinstance(ref, MotionSequence) and isinstance(sim, MotionSequence) and ref.fps != sim.fps:
+    if ref.fps != sim.fps:
         raise AlignmentError(f"frame rates differ: {ref.fps} vs {sim.fps} fps")
 
 

@@ -126,7 +126,8 @@ class RewardConfig:
     )
     anchor_body: int = 0
     # bodies entering the relative/velocity terms; None selects the stock
-    # 14 key bodies (the 12 informative bodies plus root and trunk)
+    # 14 key bodies (the 12 informative bodies plus root and trunk), or
+    # every body when `task_rewards` is called without a skeleton
     tracked_bodies: tuple[int, ...] | None = None
 
     def __post_init__(self):

@@ -88,6 +88,32 @@ def test_skeleton_rejects_duplicate_joint_name(skel):
         _skeleton(skel, joint_names=joint_names)
 
 
+@pytest.mark.parametrize("name, indices, message", [
+    ("foot_body_indices", (18, 19, 24, 99), "foot_body_indices: expected body indices in 0..29"),
+    ("foot_body_indices", (18, 19, 24), "foot_body_indices must list 4 bodies"),
+    ("hand_body_indices", (28, True), "hand_body_indices: expected body indices in 0..29"),
+    ("ric_body_indices", (7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 28),
+     "ric_body_indices must not repeat a body"),
+    ("foot_body_indices", (18, 18, 24, 25), "foot_body_indices must not repeat a body"),
+    ("hand_body_indices", (28, 28), "hand_body_indices must not repeat a body"),
+    ("ric_body_indices", (0, 1, 8, 13, 17, 18, 19, 23, 24, 25, 28, 29),
+     r"ric_body_indices must lie in \[1, 30\)"),
+])
+def test_skeleton_rejects_a_bad_body_index_set(skel, name, indices, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        _skeleton(skel, **{name: indices})
+
+
+@pytest.mark.parametrize("name, indices", [
+    ("ric_body_indices", (7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 3)),
+    ("foot_body_indices", (18, 19, 24, 26)),
+    ("hand_body_indices", (28, 27)),
+])
+def test_skeleton_rejects_a_body_index_set_without_its_mirror_partners(skel, name, indices):
+    with pytest.raises(ConfigError, match=f"^{name} must hold each body's mirror partner$"):
+        _skeleton(skel, **{name: indices})
+
+
 def test_skeleton_rejects_bad_limits(skel):
     limits = skel.joint_limits.copy()
     limits[3] = [1.0, -1.0]
@@ -107,9 +133,10 @@ def test_fields_table_is_the_sequence_layout(skel):
              "body_pos", "body_rot", "body_lin_vel", "body_ang_vel")
     assert tuple(FIELDS) == names
     assert tuple(f.name for f in dataclasses.fields(MotionSequence)[1:]) == names
-    assert tuple(f.name for f in dataclasses.fields(Frame)) == names
+    assert Frame._fields == ("fps", *names)
     seq = make_random_sequence(skel, np.random.default_rng(3), num_frames=4)
     frame = seq.frame(2)
+    assert frame.fps == seq.fps
     for name, field in FIELDS.items():
         assert getattr(seq, name).shape == (4, *field.shape), name
         assert np.shares_memory(getattr(frame, name), getattr(seq, name)), name

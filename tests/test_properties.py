@@ -520,9 +520,9 @@ def quota_levels(draw):
 
 
 @given(quota_levels())
-def test_one_pass_level_quota_matches_the_per_level_oracle_bit_for_bit(case):
-    """Every kind of level, side by side: the one-pass update gives the
-    per-level masked oracle's bytes."""
+def test_per_level_quota_matches_the_masked_oracle_for_every_kind_of_level(case):
+    """Every kind of level, side by side: the per-level update gives the
+    masked oracle's bytes."""
     probs, sizes, levels, floor, kinds = case
     masses = [np.add.reduce(probs[levels == lv]) for lv in range(1, len(kinds) + 1)]
     for kind, mass in zip(kinds, masses):   # the drawn kinds hold
@@ -619,21 +619,23 @@ def test_sampling_distribution_floors_active_rows_and_sums_to_one(case):
 @given(seed=st.integers(0, 2**32 - 1), check_interval=st.integers(2, 12),
        freeze_duration=st.integers(1, 40),
        unlocks=st.lists(st.integers(1, 69), max_size=MAX_TRAINABLE_LEVEL - 1, unique=True),
-       turn=st.integers(0, 40))
+       turn=st.integers(0, 40), start_ratio=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
 def test_replay_set_matches_introduced_active_rows_at_every_iteration(
-        seed, check_interval, freeze_duration, unlocks, turn):
+        seed, check_interval, freeze_duration, unlocks, turn, start_ratio):
     """Freezes, thaws between checks and drops, levels unlocked at drawn
     iterations the way a promotion unlocks them (ramps of 15 and 25
-    iterations, so one level's ramp can end while the next one's runs), and
-    one step back in time, across the first ramp end from iteration `turn`
-    on, driven in the simulation's order; the replay set must equal the
-    introduced rows filtered by `active_mask`, recomputed from scratch.
-    The arrays already returned must stay as they were."""
+    iterations from a drawn start ratio, so one level's ramp can end while
+    the next one's runs), and one step back in time, across the first ramp
+    end from iteration `turn` on, driven in the simulation's order; the
+    replay set must equal the introduced rows filtered by `active_mask`,
+    recomputed from scratch.  The arrays already returned must stay as they
+    were."""
     assume(freeze_duration % check_interval)
     rng = np.random.default_rng(seed)
     state = CorpusState([f"f{i}" for i in range(240)], rng.integers(1, MAX_LEVEL + 1, 240))
     cfg = SamplerConfig(n_min=6, check_interval=check_interval, freeze_duration=freeze_duration,
-                        intro_base_iters=15, intro_extra_iters=10, success_warmup_iters=30)
+                        intro_base_iters=15, intro_extra_iters=10, success_warmup_iters=30,
+                        intro_start_ratio=start_ratio)
     orders = [rng.permutation(np.flatnonzero(state.level == lv))
               for lv in range(1, MAX_TRAINABLE_LEVEL + 1)]
     unlock_iters = [0]

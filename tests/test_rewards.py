@@ -17,7 +17,7 @@ from motion_forge.errors import (
     DimensionMismatchError,
     NonFiniteError,
 )
-from motion_forge.motion import Frame, default_skeleton
+from motion_forge.motion import FIELDS, Frame, default_skeleton
 from motion_forge.rewards import (
     COMMAND_DIM,
     CRITIC_LAYOUT,
@@ -100,8 +100,9 @@ class TestTaskRewards:
         faster = dataclasses.replace(seq, fps=60.0)
         with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
             task_rewards(seq, faster, skel=skel)
-        # a frame pair has no rate to compare
-        assert task_rewards(seq.frame(4), faster.frame(4), skel=skel)[1] == pytest.approx(5.3)
+        # a frame carries its clip's rate
+        with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
+            task_rewards(seq.frame(4), faster.frame(4), skel=skel)
 
     def test_rigid_anchor_offset_keeps_relative_terms(self, skel):
         seq = make_standing_sequence(skel)
@@ -168,7 +169,7 @@ class TestTaskRewards:
         seq = make_walk_sequence(skel, 1.0, 0.2, 10, 30.0)
         shorter = make_walk_sequence(skel, 1.0, 0.2, 9, 30.0)
         # a (1, ...) view of the first frame would broadcast against (10, ...)
-        first = Frame(**{f.name: getattr(seq, f.name)[:1] for f in dataclasses.fields(Frame)})
+        first = Frame(seq.fps, *(getattr(seq, name)[:1] for name in FIELDS))
         for ref, sim in ((seq, shorter), (seq, first), (first, seq),
                          (seq, seq.frame(0)), (seq.frame(0), seq)):
             with pytest.raises(AlignmentError, match="joint_pos: reference shape"):
