@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, check_fields, check_numbers, check_object
+from .errors import (ConfigError, NonFiniteError, _holds_bool, check_fields, check_numbers,
+                     check_object)
 from .kernels import softmax_
 from .motion_io import parse_json
 
@@ -172,6 +173,7 @@ def update_file_stats(
     raises ValueError before any row changes.
     """
     batch_error = np.asarray(batch_error, dtype=np.float64)
+    given = {"successes": batch_successes, "failures": batch_failures}
     batch_successes = np.asarray(batch_successes)
     batch_failures = np.asarray(batch_failures)
     for name, values, noun in (("error", batch_error, ""),
@@ -186,6 +188,8 @@ def update_file_stats(
             bad = not 0.0 <= float(low) <= float(np.maximum.reduce(values, None)) < math.inf
             if noun and not bad:   # whole numbers, and no bools: True + True is True
                 bad = values.dtype.kind == "b" or (values % 1).any()
+        if noun and not bad and values.ndim:   # a bool among numbers: (1, True) reads (1, 1)
+            bad = _holds_bool(given[name], values.ndim)
         if bad:
             raise ValueError(f"batch {name} must be finite and non-negative{noun}")
     # the counts in int64: whole counts below 2**63 convert exactly (and add to

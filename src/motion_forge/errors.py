@@ -71,9 +71,10 @@ _BOOLS = frozenset({bool, np.bool_})
 
 
 def _holds_bool(value, depth: int) -> bool:
-    """Whether a bool hides in `value`, a rectangular nested list `depth` >= 1
-    deep (numpy reads [true, 1.5] as [1.0, 1.5]), by one C-level type scan."""
-    if isinstance(value, np.ndarray):   # its dtype already tells
+    """Whether a bool hides in `value`, a rectangular nested list or object
+    array `depth` >= 1 deep (numpy reads [true, 1.5] as [1.0, 1.5]), by one
+    C-level type scan."""
+    if isinstance(value, np.ndarray) and value.dtype != object:   # its dtype already tells
         return False
     for _ in range(depth - 1):
         value = itertools.chain.from_iterable(value)

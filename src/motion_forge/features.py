@@ -113,12 +113,11 @@ def canonicalize_heading(seq: MotionSequence) -> MotionSequence:
 
 def detect_contacts(seq: MotionSequence, skel: Skeleton) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame binary contacts: (T, 4) foot bits and (T, 2) hand bits."""
-    foot_idx = list(skel.foot_body_indices)
-    hand_idx = list(skel.hand_body_indices)
-    foot_height = seq.body_pos[:, foot_idx, 2]
-    foot_speed = np.linalg.norm(seq.body_lin_vel[:, foot_idx, :2], axis=-1)
+    feet = skel.foot_body_indices
+    foot_height = seq.body_pos[:, feet, 2]
+    foot_speed = np.linalg.norm(seq.body_lin_vel[:, feet, :2], axis=-1)
     foot = (foot_height < FOOT_HEIGHT_THRESHOLD) & (foot_speed < FOOT_SPEED_THRESHOLD)
-    hand = seq.body_pos[:, hand_idx, 2] < HAND_HEIGHT_THRESHOLD
+    hand = seq.body_pos[:, skel.hand_body_indices, 2] < HAND_HEIGHT_THRESHOLD
     return foot.astype(np.float64), hand.astype(np.float64)
 
 
@@ -137,15 +136,12 @@ def encode_features(
     out[:, ROOT_LIN_VEL] = np.einsum("tij,tj->ti", heading_inv, seq.body_lin_vel[:, 0])
     out[:, ROOT_HEIGHT] = seq.root_pos[:, 2:3]
 
-    ric_idx = list(skel.ric_body_indices)
-    rel = seq.body_pos[:, ric_idx] - seq.root_pos[:, None, :]
+    rel = seq.body_pos[:, skel.ric_body_indices] - seq.root_pos[:, None, :]
     out[:, RIC_POS] = np.einsum("tij,tbj->tbi", heading_inv, rel).reshape(t, -1)
 
-    rot_idx = list(skel.rot6d_body_indices)
-    out[:, ROT6D] = rot_to_6d(seq.body_rot[:, rot_idx]).reshape(t, -1)
+    out[:, ROT6D] = rot_to_6d(seq.body_rot[:, skel.rot6d_body_indices]).reshape(t, -1)
 
-    vel_idx = list(skel.vel_body_indices)
-    local_vel = np.einsum("tij,tbj->tbi", heading_inv, seq.body_lin_vel[:, vel_idx])
+    local_vel = np.einsum("tij,tbj->tbi", heading_inv, seq.body_lin_vel[:, skel.vel_body_indices])
     out[:, LOCAL_VEL] = local_vel.reshape(t, -1)
 
     if contacts is None:

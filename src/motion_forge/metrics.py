@@ -83,17 +83,6 @@ def penetration(seq: MotionSequence, ground: GroundModel) -> float:
     return float(depth.mean() * MM_PER_M)
 
 
-def _foot_sides(skel: Skeleton) -> tuple[list[int], list[int]]:
-    left = [i for i in skel.foot_body_indices if skel.body_names[i].startswith("left_")]
-    right = [i for i in skel.foot_body_indices if skel.body_names[i].startswith("right_")]
-    if not left or not right:
-        # fall back to an even split when names carry no side prefix
-        feet = list(skel.foot_body_indices)
-        half = len(feet) // 2
-        left, right = feet[:half], feet[half:]
-    return left, right
-
-
 def floating(
     seq: MotionSequence,
     ground: GroundModel,
@@ -106,8 +95,11 @@ def floating(
     height contribute, so deliberate jumps and climbs do not count.
     Returns 0 when no frame qualifies.
     """
-    foot_z = seq.body_pos[:, list(skel.foot_body_indices), 2]
-    left, right = _foot_sides(skel)
+    feet = skel.foot_body_indices
+    foot_z = seq.body_pos[:, feet, 2]
+    # the Skeleton holds every foot to a side, with its mirror partner
+    left = [i for i in feet if skel.body_names[i].startswith("left_")]
+    right = [i for i in feet if skel.body_names[i].startswith("right_")]
     left_min = seq.body_pos[:, left, 2].min(axis=1)
     right_min = seq.body_pos[:, right, 2].min(axis=1)
     no_contact = np.asarray(foot_contacts).sum(axis=1) == 0
@@ -136,8 +128,7 @@ def skating(
     planted = contacts[1:] & contacts[:-1]                       # (T-1, 4)
     if not np.any(planted):
         return 0.0
-    feet = list(skel.foot_body_indices)
-    xy = seq.body_pos[:, feet, :2]
+    xy = seq.body_pos[:, skel.foot_body_indices, :2]
     disp = np.linalg.norm(xy[1:] - xy[:-1], axis=-1)             # (T-1, 4)
     slipping = planted & (disp > ground.skate_disp_threshold)
     frame_planted = planted.any(axis=1)
@@ -149,8 +140,8 @@ def mpjpe(ref_pos, sim_pos, body_indices=None) -> float:
     """Mean per-body position error in meters between two (T, B, 3) arrays,
     such as two clips' `body_pos`: any other rank or last axis (a clip among
     them) raises DimensionMismatchError, two different shapes AlignmentError.
-    `body_indices`, if given, must name at least one of the B bodies, else
-    ConfigError.
+    `body_indices`, if given, must name at least one of the B bodies and
+    none twice (`motion.check_body_indices`), else ConfigError.
     """
     ref_pos, sim_pos = np.asarray(ref_pos), np.asarray(sim_pos)
     for pos in (ref_pos, sim_pos):
@@ -160,8 +151,7 @@ def mpjpe(ref_pos, sim_pos, body_indices=None) -> float:
         raise AlignmentError(f"body positions: shapes differ: {ref_pos.shape} vs {sim_pos.shape}")
     idx = slice(None)
     if body_indices is not None:
-        check_body_indices("body_indices", body_indices)
-        idx = np.atleast_1d(body_indices)
+        idx = check_body_indices("body_indices", body_indices)
         if idx.max() >= ref_pos.shape[1]:
             raise ConfigError(f"body_indices: expected body indices in 0..{ref_pos.shape[1] - 1}, "
                               f"got {body_indices!r}")
@@ -221,7 +211,7 @@ def success(
     trunk_bad = np.linalg.norm(g_ref - g_sim, axis=-1) > cfg.trunk_gravity_threshold
 
     if cfg.ee_bodies is None:
-        ee_idx = list(skel.foot_body_indices) + list(skel.hand_body_indices)
+        ee_idx = np.concatenate([skel.foot_body_indices, skel.hand_body_indices])
     else:
         ee_idx = [skel.body_index(n) for n in cfg.ee_bodies]
     ee_err = np.abs(ref.body_pos[:, ee_idx, 2] - sim.body_pos[:, ee_idx, 2])

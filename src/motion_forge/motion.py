@@ -54,15 +54,22 @@ FIELDS = {
 }
 
 
-def check_body_indices(name: str, indices) -> None:
-    """Raise ConfigError unless `indices`, one index or a sequence of them,
-    names at least one body: whole numbers (not booleans) in 0..NUM_BODIES - 1."""
+def check_body_indices(name: str, indices) -> np.ndarray:
+    """The one body-set rule: `indices`, one index or a sequence of them, as
+    the read-only np.intp array the library indexes with.  ConfigError
+    naming `name` unless it names at least one body, as whole numbers (not
+    booleans) in 0..NUM_BODIES - 1 with no body twice."""
     items = list(indices) if isinstance(indices, (list, tuple, np.ndarray)) else [indices]
     if not items or not all(
         isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < NUM_BODIES
         for i in items
     ):
         raise ConfigError(f"{name}: expected body indices in 0..{NUM_BODIES - 1}, got {indices!r}")
+    if len(set(items)) != len(items):
+        raise ConfigError(f"{name} must not repeat a body, got {indices!r}")
+    array = np.array(items, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -108,19 +115,20 @@ class Skeleton:
     """Static robot description.  Its inputs are the joint and body orderings,
     the 12 informative bodies, the feet, the hands and the joint limits; the
     262-D layout's velocity and 6D body sets, the mirror map and the reward
-    key bodies derive from them."""
+    key bodies derive from them.  It holds each of its six body sets as
+    `check_body_indices` returns it, a read-only index array."""
 
     joint_names: tuple[str, ...]
     body_names: tuple[str, ...]
-    ric_body_indices: tuple[int, ...]
-    foot_body_indices: tuple[int, ...]
-    hand_body_indices: tuple[int, ...]
+    ric_body_indices: np.ndarray
+    foot_body_indices: np.ndarray
+    hand_body_indices: np.ndarray
     joint_limits: np.ndarray
-    vel_body_indices: tuple[int, ...] = dataclasses.field(init=False, compare=False)
-    rot6d_body_indices: tuple[int, ...] = dataclasses.field(init=False, compare=False)
+    vel_body_indices: np.ndarray = dataclasses.field(init=False, compare=False)
+    rot6d_body_indices: np.ndarray = dataclasses.field(init=False, compare=False)
     mirror_map: MirrorMap = dataclasses.field(init=False, compare=False)
     # the reward terms' stock tracked bodies: root, trunk ("torso_link") and
-    # the 12 informative bodies, as a read-only index array
+    # the 12 informative bodies
     key_body_indices: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,15 +141,18 @@ class Skeleton:
         object.__setattr__(self, "mirror_map", MirrorMap(
             _mirror_perm(self.joint_names), joint_sign, _mirror_perm(self.body_names)))
         for name, count in _BODY_SETS.items():
-            indices = getattr(self, name)
-            check_body_indices(name, indices)
+            indices = check_body_indices(name, getattr(self, name))
+            object.__setattr__(self, name, indices)
             if len(indices) != count:
                 raise ConfigError(f"{name} must list {count} bodies")
-            if len(set(indices)) != count:
-                raise ConfigError(f"{name} must not repeat a body")
             # mirroring maps the set's bodies onto the set
-            if set(self.mirror_map.body_perm[list(indices)].tolist()) != set(indices):
+            mirrored = self.mirror_map.body_perm[indices]
+            if set(mirrored.tolist()) != set(indices.tolist()):
                 raise ConfigError(f"{name} must hold each body's mirror partner")
+            # a foot or hand splits by side, and a midline body is its own mirror
+            midline = [self.body_names[i] for i in indices[mirrored == indices]]
+            if midline and name != "ric_body_indices":
+                raise ConfigError(f"{name}: '{midline[0]}' has no left_/right_ side")
         if 0 in self.ric_body_indices:
             raise ConfigError("ric_body_indices must lie in [1, 30)")
         limits = np.asarray(self.joint_limits, dtype=np.float64)
@@ -150,11 +161,11 @@ class Skeleton:
             raise ConfigError(f"joint_limits must have shape ({NUM_JOINTS}, 2)")
         if not np.all(limits[:, 0] < limits[:, 1]):
             raise ConfigError("every joint limit must satisfy min < max")
-        object.__setattr__(self, "vel_body_indices", (*self.ric_body_indices, 0))
-        object.__setattr__(self, "rot6d_body_indices", tuple(range(1, NUM_BODIES)))
-        key_bodies = np.array([0, self.body_index("torso_link"), *self.ric_body_indices])
-        key_bodies.flags.writeable = False
-        object.__setattr__(self, "key_body_indices", key_bodies)
+        ric = self.ric_body_indices.tolist()
+        for name, indices in (("vel_body_indices", (*ric, 0)),
+                              ("rot6d_body_indices", np.arange(1, NUM_BODIES)),
+                              ("key_body_indices", (0, self.body_index("torso_link"), *ric))):
+            object.__setattr__(self, name, check_body_indices(name, indices))
 
     def body_index(self, name: str) -> int:
         try:
@@ -250,8 +261,8 @@ class MotionSequence:
         t = self.joint_pos.shape[0]
         if t < 2:
             raise DimensionMismatchError("a motion sequence needs at least 2 frames")
-        if self.fps <= 0:
-            raise DimensionMismatchError("fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise DimensionMismatchError(f"fps must be finite and positive, got {self.fps!r}")
         for name, field in FIELDS.items():
             got = getattr(self, name).shape
             if got != (t, *field.shape):

@@ -200,8 +200,8 @@ def save_motion(seq: MotionSequence, path, skel: Skeleton) -> None:
     doc = {
         "format_version": MOTION_FORMAT_VERSION,
         "fps": seq.fps,
-        "joint_names": list(skel.joint_names),
-        "body_names": list(skel.body_names),
+        "joint_names": skel.joint_names,   # JSON writes a tuple as a list
+        "body_names": skel.body_names,
         **{name: array.tolist() for name, array in arrays.items()},
     }
     _write_json(doc, path)

@@ -85,11 +85,11 @@ def features_to_motion(
     body_pos = np.repeat(pos[:, None, :], NUM_BODIES, axis=1)
     ric = frames[:, RIC_POS].reshape(t, 12, 3)
     world = np.einsum("tij,tbj->tbi", heading, ric) + pos[:, None, :]
-    body_pos[:, list(skel.ric_body_indices)] = world
+    body_pos[:, skel.ric_body_indices] = world
 
     body_rot = np.repeat(heading[:, None], NUM_BODIES, axis=1)
     rots = sixd_to_rot(frames[:, ROT6D].reshape(t, 29, 6))
-    body_rot[:, list(skel.rot6d_body_indices)] = rots
+    body_rot[:, skel.rot6d_body_indices] = rots
 
     body_ang_vel = np.zeros((t, NUM_BODIES, 3))
     body_ang_vel[:, 0] = np.einsum("tij,tj->ti", heading, frames[:, ROOT_ANG_VEL])

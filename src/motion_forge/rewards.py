@@ -124,14 +124,12 @@ class RewardConfig:
         "left_palm_link",
         "right_palm_link",
     )
-    anchor_body: int = 0
-    # bodies entering the relative/velocity terms; None selects the stock
-    # 14 key bodies (the 12 informative bodies plus root and trunk), or
-    # every body when `task_rewards` is called without a skeleton
+    # bodies entering the relative/velocity terms, each once; None selects
+    # the stock 14 key bodies (the 12 informative bodies plus root and
+    # trunk), or every body when `task_rewards` is called without a skeleton
     tracked_bodies: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        check_body_indices("anchor_body", self.anchor_body)
         if self.tracked_bodies is not None:
             check_body_indices("tracked_bodies", self.tracked_bodies)
         check_fields(self, signed=("action_rate_weight", "joint_limit_weight",
@@ -168,18 +166,17 @@ def task_rewards(
     """
     check_aligned(ref, sim)
     if cfg.tracked_bodies is not None:
-        bodies = np.array(cfg.tracked_bodies)
+        bodies = check_body_indices("tracked_bodies", cfg.tracked_bodies)
     elif skel is not None:
         bodies = skel.key_body_indices
     else:
         bodies = np.arange(ref.body_pos.shape[-2])
-    a = cfg.anchor_body
 
     # Gathering with `take` keeps each body set frame-major in memory, so the
     # body means reduce in the same order for one frame and for a whole clip.
     def anchored(state):   # p_a, then R_a^T (p_b - p_a) in row-vector form and R_a^T R_b
-        anchor_pos = state.body_pos[..., a, :]
-        anchor_rot = state.body_rot[..., a, :, :]
+        anchor_pos = state.body_pos[..., 0, :]   # the anchor a is the root, body 0
+        anchor_rot = state.body_rot[..., 0, :, :]
         offsets = state.body_pos.take(bodies, axis=-2) - anchor_pos[..., None, :]
         return (anchor_pos, offsets @ anchor_rot,
                 np.einsum("...ji,...bjk->...bik", anchor_rot, state.body_rot.take(bodies, axis=-3)))

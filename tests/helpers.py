@@ -331,7 +331,7 @@ def reference_task_rewards(ref, sim, cfg: RewardConfig | None = None, skel: Skel
         bodies = np.array((0, skel.body_index("torso_link"), *skel.ric_body_indices))
     else:
         bodies = np.arange(ref.body_pos.shape[-2])
-    a = cfg.anchor_body
+    a = 0   # the anchor is the root
 
     def rel_pos(state):   # row-vector form of R_a^T (p_b - p_a)
         offsets = state.body_pos.take(bodies, axis=-2) - state.body_pos[..., a, None, :]

@@ -185,24 +185,22 @@ class TestRewardEvalCli:
         total = float(lines[1].split(",")[-1])
         assert total == pytest.approx(5.3, abs=1e-6)
 
-    @pytest.mark.parametrize("rewards", [
-        {"tracked_bodies": [31]},
-        {"anchor_body": 40},
-        {"tracked_bodies": []},
-        {"tracked_bodies": [1.5]},
-        {"anchor_body": True},
-    ], ids=["tracked-out-of-range", "anchor-out-of-range", "tracked-empty",
-            "tracked-fraction", "anchor-bool"])
-    def test_bad_body_index_is_a_config_error(self, tmp_path, walk_file, capsys, rewards):
+    @pytest.mark.parametrize("rewards, message", [
+        ({"tracked_bodies": [31]}, "tracked_bodies: expected body indices in 0..29"),
+        ({"tracked_bodies": []}, "tracked_bodies: expected body indices in 0..29"),
+        ({"tracked_bodies": [1.5]}, "tracked_bodies: expected body indices in 0..29"),
+        ({"tracked_bodies": [7, 7]}, "tracked_bodies must not repeat a body"),
+        # the anchor is the root
+        ({"anchor_body": 0}, "rewards: unknown keys ['anchor_body']"),
+    ], ids=["tracked-out-of-range", "tracked-empty", "tracked-fraction", "tracked-repeat",
+            "anchor-body"])
+    def test_bad_body_index_is_a_config_error(self, tmp_path, walk_file, capsys, rewards, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"rewards": rewards}))
         out = tmp_path / "rewards.csv"
         code, captured = run(["reward-eval", walk_file, walk_file, "--config", cfg_path,
                               "--out", out], capsys)
-        assert code == 1
-        err = json.loads(captured.err)
-        assert err["error"] == "ConfigError"
-        assert f"{next(iter(rewards))}: expected body indices in 0..29" in err["message"]
+        assert message in one_error_line(code, captured)["message"]
         assert not out.exists()
 
     def test_tracked_pair_matches_golden_sha256(self, tmp_path, skel):

@@ -181,6 +181,11 @@ class TestFileStats:
         ([0.1, 0.1], [1.5, 1], [0.5, 0]),
         ([0.1, 0.1], [1, 1], [0, 0.25]),
         ([0.1, 0.1], [True, True], [False, True]),   # True + True would count one rollout
+        # a bool among numbers, which numpy folds into an int or float array
+        ([0.1, 0.1], (1, True), [0, 0]),
+        ([0.1, 0.1], (1.0, True), [0, 0]),
+        ([0.1, 0.1], [1, 1], [np.False_, 0]),
+        ([0.1, 0.1], np.array([1, True], dtype=object), [0, 0]),   # its dtype does not tell
         ([0.1, 0.1], [Fraction(9, 2), 1], [Fraction(1, 2), 0]),   # an object array
     ])
     def test_bad_batch_rejected_before_any_row_changes(self, batch):

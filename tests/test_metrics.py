@@ -179,6 +179,12 @@ class TestTrackingErrors:
         with pytest.raises(ConfigError, match="body_indices"):
             mpjpe(seq.body_pos, seq.body_pos, bodies)
 
+    def test_a_repeated_body_index_is_a_config_error(self, skel):
+        # body 7 would weigh twice in the mean
+        seq = make_standing_sequence(skel, num_frames=4)
+        with pytest.raises(ConfigError, match="^body_indices must not repeat a body"):
+            mpjpe(seq.body_pos, seq.body_pos, [7, 7, 8])
+
     def test_body_indices_past_the_arrays_body_axis_are_a_config_error(self):
         # 7 is a body of the robot, but not one of these five
         ref, sim = np.zeros((2, 5, 3)), np.ones((2, 5, 3))

@@ -30,7 +30,7 @@ def test_default_skeleton_counts(skel):
     assert len(skel.joint_names) == 29
     assert len(skel.body_names) == 30
     assert skel.body_names[0] == "pelvis"
-    assert skel.ric_body_indices == (7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 29)
+    assert np.array_equal(skel.ric_body_indices, (7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 28, 29))
     assert len(set(skel.vel_body_indices)) == 13
     assert 0 in skel.vel_body_indices
 
@@ -65,8 +65,16 @@ def test_default_skeleton_derived_values(skel):
     assert mm.joint_perm.dtype == np.intp and mm.joint_perm.tolist() == _JOINT_PERM
     assert mm.body_perm.dtype == np.intp and mm.body_perm.tolist() == _BODY_PERM
     assert mm.joint_sign.dtype == np.float64 and mm.joint_sign.tolist() == _JOINT_SIGN
-    assert skel.vel_body_indices == (*skel.ric_body_indices, 0)
-    assert skel.rot6d_body_indices == tuple(range(1, 30))
+    assert np.array_equal(skel.vel_body_indices, (*skel.ric_body_indices, 0))
+    assert np.array_equal(skel.rot6d_body_indices, range(1, 30))
+
+
+@pytest.mark.parametrize("name", ["ric_body_indices", "foot_body_indices", "hand_body_indices",
+                                  "vel_body_indices", "rot6d_body_indices", "key_body_indices"])
+def test_skeleton_holds_each_body_set_as_a_read_only_index_array(skel, name):
+    indices = getattr(skel, name)
+    assert isinstance(indices, np.ndarray) and indices.dtype == np.intp
+    assert not indices.flags.writeable
 
 
 def _skeleton(skel, **changes):
@@ -98,6 +106,12 @@ def test_skeleton_rejects_duplicate_joint_name(skel):
     ("hand_body_indices", (28, 28), "hand_body_indices must not repeat a body"),
     ("ric_body_indices", (0, 1, 8, 13, 17, 18, 19, 23, 24, 25, 28, 29),
      r"ric_body_indices must lie in \[1, 30\)"),
+    # midline bodies have no mirror side to split the feet or hands by
+    ("foot_body_indices", (1, 3, 18, 24), "foot_body_indices: 'waist_yaw_link' has no left_/right_"),
+    ("hand_body_indices", (3, 2), "hand_body_indices: 'torso_link' has no left_/right_ side"),
+    # the trunk among the informative bodies would be a key body twice
+    ("ric_body_indices", (7, 8, 12, 13, 17, 18, 19, 23, 24, 25, 2, 3),
+     "key_body_indices must not repeat a body"),
 ])
 def test_skeleton_rejects_a_bad_body_index_set(skel, name, indices, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
@@ -187,6 +201,13 @@ def test_sequence_validation(skel):
             body_lin_vel=seq.body_lin_vel[:1],
             body_ang_vel=seq.body_ang_vel[:1],
         )
+
+
+@pytest.mark.parametrize("fps", [0.0, -30.0, float("nan"), float("inf")])
+def test_sequence_refuses_an_fps_that_is_not_finite_and_positive(skel, fps):
+    seq = make_standing_sequence(skel)
+    with pytest.raises(DimensionMismatchError, match="fps must be finite and positive"):
+        dataclasses.replace(seq, fps=fps)
 
 
 def test_finite_difference_linear_ramp():

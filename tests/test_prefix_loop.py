@@ -309,6 +309,10 @@ class TestRunPrefixLoop:
         with pytest.raises(ConfigError, match="tracked_bodies: expected body indices"):
             self.cfg(tracked_bodies=bodies)
 
+    def test_a_repeated_tracked_body_is_refused_by_the_config(self):
+        with pytest.raises(ConfigError, match="^tracked_bodies must not repeat a body"):
+            self.cfg(tracked_bodies=(7, 8, 7))
+
     @pytest.mark.parametrize("kw", [
         dict(fps=1e308, segment_seconds=10.0),                            # frames per segment
         dict(fps=1e300, segment_seconds=1e-10, horizon_seconds=1e300),    # segments

@@ -253,18 +253,16 @@ def test_encoding_a_mirrored_clip_equals_mirroring_its_features(seed, num_frames
 
 @st.composite
 def mirror_symmetric_reward_configs(draw):
-    """A signed weight and a positive sigma per term, an anchor on the
-    mirror plane, and the stock key bodies or a tracked set closed under the
-    mirror, so a mirrored pair tracks the same bodies."""
+    """A signed weight and a positive sigma per term, and the stock key
+    bodies or a tracked set closed under the mirror, so a mirrored pair
+    tracks the same bodies (the anchor, the root, lies on the mirror plane)."""
     perm = default_skeleton().mirror_map.body_perm
-    centre = [b for b in range(NUM_BODIES) if perm[b] == b]
     picked = draw(st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1), min_size=1,
                                                  max_size=NUM_BODIES)))
     tracked = None if picked is None else tuple(sorted({*picked, *perm[picked].tolist()}))
     terms = {name: RewardTerm(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 10.0)))
              for name in TASK_TERMS}
-    return RewardConfig(**terms, anchor_body=draw(st.sampled_from(centre)),
-                        tracked_bodies=tracked)
+    return RewardConfig(**terms, tracked_bodies=tracked)
 
 
 @given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6),
@@ -324,15 +322,13 @@ def test_normalization_leaves_unmasked_dims_bit_identical(frames, seed, layout):
 
 @given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6),
        tracked=st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1), min_size=1,
-                                             max_size=NUM_BODIES, unique=True)),
-       anchor=st.integers(0, NUM_BODIES - 1))
-def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked, anchor):
+                                             max_size=NUM_BODIES, unique=True)))
+def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked):
     skel = default_skeleton()
     rng = np.random.default_rng(seed)
     ref = make_random_sequence(skel, rng, num_frames)
     sim = make_random_sequence(skel, rng, num_frames)
-    cfg = RewardConfig(anchor_body=anchor,
-                       tracked_bodies=None if tracked is None else tuple(tracked))
+    cfg = RewardConfig(tracked_bodies=None if tracked is None else tuple(tracked))
     terms, total = task_rewards(ref, sim, cfg, skel)
     per_frame = [task_rewards(ref.frame(i), sim.frame(i), cfg, skel) for i in range(num_frames)]
     for name in TASK_TERMS:
@@ -342,14 +338,13 @@ def test_whole_clip_rewards_equal_per_frame(seed, num_frames, tracked, anchor):
 
 @st.composite
 def reward_configs(draw):
-    """Any anchor, the stock key bodies or any tracked list (repeats
-    allowed), and a signed weight and a positive sigma per task term."""
+    """The stock key bodies or any tracked list of distinct bodies, and a
+    signed weight and a positive sigma per task term."""
     tracked = draw(st.one_of(st.none(), st.lists(st.integers(0, NUM_BODIES - 1),
-                                                 min_size=1, max_size=2 * NUM_BODIES)))
+                                                 min_size=1, max_size=NUM_BODIES, unique=True)))
     terms = {name: RewardTerm(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 10.0)))
              for name in TASK_TERMS}
-    return RewardConfig(**terms, anchor_body=draw(st.integers(0, NUM_BODIES - 1)),
-                        tracked_bodies=None if tracked is None else tuple(tracked))
+    return RewardConfig(**terms, tracked_bodies=None if tracked is None else tuple(tracked))
 
 
 @given(seed=st.integers(0, 2**32 - 1), num_frames=st.integers(2, 6), cfg=reward_configs(),

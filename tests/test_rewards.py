@@ -104,6 +104,16 @@ class TestTaskRewards:
         with pytest.raises(AlignmentError, match="30.0 vs 60.0"):
             task_rewards(seq.frame(4), faster.frame(4), skel=skel)
 
+    @pytest.mark.parametrize("bodies", [(7, 7), (7, 8, 7), (7, np.int64(7), 8)])
+    def test_a_repeated_tracked_body_is_refused(self, bodies):
+        # it would count twice in every per-body mean
+        with pytest.raises(ConfigError, match="^tracked_bodies must not repeat a body"):
+            RewardConfig(tracked_bodies=bodies)
+
+    def test_the_anchor_is_the_root_with_no_setting(self):
+        with pytest.raises(TypeError, match="anchor_body"):
+            RewardConfig(anchor_body=0)
+
     def test_rigid_anchor_offset_keeps_relative_terms(self, skel):
         seq = make_standing_sequence(skel)
         ref = seq.frame(0)
@@ -151,8 +161,8 @@ class TestTaskRewards:
     @pytest.mark.parametrize("cfg", [
         RewardConfig(),
         RewardConfig(tracked_bodies=tuple(range(30))),
-        RewardConfig(anchor_body=3),
-    ], ids=["key_bodies", "all_bodies", "anchor_3"])
+        RewardConfig(tracked_bodies=(29, 7, 12)),
+    ], ids=["key_bodies", "all_bodies", "unsorted_bodies"])
     def test_whole_clip_equals_per_frame_bit_for_bit(self, skel, cfg):
         rng = np.random.default_rng(8)
         ref = make_random_sequence(skel, rng, num_frames=40)
